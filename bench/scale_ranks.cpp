@@ -6,8 +6,9 @@
 // smoke — on scale_run_config() (HostMpi, lazy endpoints, small rings).
 //
 // Emitted BENCH_scale_ranks.json separates the two kinds of numbers:
-//   * metric() rows are virtual-time results (elapsed ms, message counts,
-//     schedule digests) — deterministic, gated by bench_trajectory.py.
+//   * metric() rows are virtual-time results (elapsed ms, message counts)
+//     and host-work counters (simulator events, endpoint polls) —
+//     deterministic, gated by bench_trajectory.py.
 //   * config() rows are host measurements (wall-clock ms, peak RSS MiB per
 //     sweep point) — machine-dependent, recorded for trending but never
 //     gated.
@@ -74,6 +75,15 @@ std::uint64_t total_msgs(const traffic::ScenarioResult& res) {
   return n;
 }
 
+/// Deterministic host-work counters, gated exactly like the virtual-time
+/// rows: what the simulator did, independent of how fast the host ran it.
+void report_work(bench::JsonReport& rep, const std::string& label,
+                 const traffic::ScenarioResult& res) {
+  rep.metric(label, "events", static_cast<double>(res.events), "count");
+  rep.metric(label, "endpoint_polls",
+             static_cast<double>(res.totals.endpoint_polls), "count");
+}
+
 std::string hex_digest(std::uint64_t d) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -119,6 +129,7 @@ int main(int argc, char** argv) {
     rep.metric(label, "elapsed_ms", virt, "ms");
     rep.metric(label, "msgs",
                static_cast<double>(total_msgs(res)), "msgs");
+    report_work(rep, label, res);
     rep.config(label + "/digest", hex_digest(res.digest));
     rep.config(label + "/wall_ms", wall);
     rep.config(label + "/peak_rss_mib", peak_rss_mib());
@@ -145,6 +156,7 @@ int main(int argc, char** argv) {
     rep.metric(label, "elapsed_ms", virt, "ms");
     rep.metric(label, "msgs",
                static_cast<double>(total_msgs(res)), "msgs");
+    report_work(rep, label, res);
     rep.config(label + "/digest", hex_digest(res.digest));
     rep.config(label + "/wall_ms", wall);
     rep.config(label + "/peak_rss_mib", peak_rss_mib());

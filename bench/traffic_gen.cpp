@@ -3,7 +3,8 @@
 // Runs the named workload scenarios — production-shaped size mixes, bursty
 // collective storms on overlapping communicators, stragglers, fault soak —
 // and reports per-phase sustained message rate, aggregate bandwidth and
-// p50/p99 completion latency, plus the engine and fault-injector counters.
+// p50/p99 completion latency, plus the engine and fault-injector counters
+// and the host-work counters (simulator events, endpoint polls).
 // Everything is seeded and virtual-time deterministic, so the emitted
 // BENCH_traffic_gen.json is exact and scripts/bench_trajectory.py can gate
 // regressions against the committed baseline.
@@ -131,6 +132,11 @@ int main(int argc, char** argv) {
                  "us");
     }
     rep.metric(name, "elapsed_ms", sim::to_us(res.elapsed) / 1000.0, "ms");
+    // Deterministic host-work counters: they gate simulator cost exactly,
+    // where wall-clock time could only be recorded.
+    rep.metric(name, "events", static_cast<double>(res.events), "count");
+    rep.metric(name, "endpoint_polls",
+               static_cast<double>(res.totals.endpoint_polls), "count");
   }
 
   std::printf("\n(All numbers are virtual time from the deterministic "

@@ -115,8 +115,8 @@ PingPongResult raw_rdma_pingpong(const RawRdmaConfig& config,
   hca1.connect(sides[1].qp, hca0.lid(), sides[0].qp->qpn());
 
   sim::Condition landed0(engine, "pp.landed0"), landed1(engine, "pp.landed1");
-  hca0.add_remote_write_observer([&] { landed0.notify_all(); });
-  hca1.add_remote_write_observer([&] { landed1.notify_all(); });
+  hca0.add_remote_write_observer([&](ib::MKey) { landed0.notify_all(); });
+  hca1.add_remote_write_observer([&](ib::MKey) { landed1.notify_all(); });
 
   auto marker = [area](Side& sd) {
     std::uint64_t v = 0;

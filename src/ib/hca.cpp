@@ -464,7 +464,7 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
                         "in-flight rdma-write dropped at teardown: %s",
                         e.what());
       }
-      remote.notify_remote_write();
+      remote.notify_remote_write(wr.rkey);
     });
     if (wr.signaled && fate != sim::FaultInjector::WcFate::Drop) {
       complete(qp, qp->send_cq(), wr, WcOpcode::RdmaWrite, WcStatus::Success,

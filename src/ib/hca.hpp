@@ -169,9 +169,14 @@ class Hca {
   /// tail-polling loop of the paper's protocol: instead of a rank burning a
   /// core re-reading the tail byte, the landing event wakes it and it then
   /// pays the modelled poll cost when it inspects the ring.
+  /// The callback receives the rkey the write targeted, so a listener can
+  /// tell which region changed (mpi::Engine marks the endpoint owning that
+  /// ring or credit cell). It fires on every landing — also when the MR was
+  /// deregistered while the write was in flight and the data was dropped —
+  /// so listeners must tolerate rkeys they do not know.
   /// Returns an id for remove_remote_write_observer (components with a
   /// shorter lifetime than the HCA must deregister before dying).
-  std::size_t add_remote_write_observer(std::function<void()> cb) {
+  std::size_t add_remote_write_observer(std::function<void(MKey)> cb) {
     remote_write_observers_.push_back(std::move(cb));
     return remote_write_observers_.size() - 1;
   }
@@ -250,11 +255,11 @@ class Hca {
   std::map<MKey, MemoryRegion*> mrs_by_rkey_;
   std::map<int, std::unique_ptr<CompletionQueue>> cqs_;
   std::map<Qpn, std::unique_ptr<QueuePair>> qps_;
-  std::vector<std::function<void()>> remote_write_observers_;
+  std::vector<std::function<void(MKey)>> remote_write_observers_;
 
-  void notify_remote_write() {
+  void notify_remote_write(MKey rkey) {
     for (auto& cb : remote_write_observers_) {
-      if (cb) cb();
+      if (cb) cb(rkey);
     }
   }
 };

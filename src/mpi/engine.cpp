@@ -279,10 +279,15 @@ void Engine::setup() {
     wake_pending_ = true;
     wake_.notify_all();
   });
-  write_observer_id_ = ib_->hca_ref().add_remote_write_observer([this] {
-    wake_pending_ = true;
-    wake_.notify_all();
-  });
+  write_observer_id_ =
+      ib_->hca_ref().add_remote_write_observer([this](ib::MKey rkey) {
+        // Every landing wakes the rank; one on an endpoint's ring or
+        // credit cell also marks that endpoint for the next progress pass.
+        auto it = landing_peer_.find(rkey);
+        if (it != landing_peer_.end()) active_.insert(it->second);
+        wake_pending_ = true;
+        wake_.notify_all();
+      });
 
   mr_cache_ = std::make_unique<MrCache>(*ib_, *pd_, platform_.mr_cache_entries,
                                         platform_.mr_cache_bytes);
@@ -414,6 +419,7 @@ void Engine::finalize() {
 
   if (mr_cache_) mr_cache_->clear();
   if (shadow_cache_) shadow_cache_->clear();
+  landing_peer_.clear();
   for (auto& [p, ep] : endpoints_) {
     ib_->dereg_mr(ep.ring_mr);
     ib_->dereg_mr(ep.staging_mr);
@@ -446,6 +452,7 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
       ib_->reg_mr(pd_, ep.credit_cell, ib::kLocalWrite | ib::kRemoteWrite);
   ep.credit_src = ib_->alloc_buffer(sizeof(std::uint64_t), 64);
   ep.credit_src_mr = ib_->reg_mr(pd_, ep.credit_src, ib::kLocalWrite);
+  map_landing_rkeys(ep);
   if (fatal_armed_) {
     // Peer-liveness heartbeat cells; beacons are non-faultable, like
     // credit updates. Only fatal specs pay for these so non-fatal runs
@@ -473,6 +480,11 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
     bootstrap_.put(rank_, peer, info);
   }
   return ep;
+}
+
+void Engine::map_landing_rkeys(const Endpoint& ep) {
+  landing_peer_[ep.ring_mr->rkey()] = ep.peer;
+  landing_peer_[ep.credit_mr->rkey()] = ep.peer;
 }
 
 void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
@@ -562,6 +574,7 @@ void Engine::tx(Endpoint& ep, std::function<void()> emit,
   }
   ++stats_.tx_stalls;
   ep.pending_tx.push_back({std::move(emit), std::move(owner)});
+  active_.insert(ep.peer);
 }
 
 void Engine::drain_tx(Endpoint& ep) {
@@ -1085,12 +1098,20 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   // endpoint each verb is a DCFA CMD round trip; when the delegate is dead
   // the verbs layer retries through CMD up to its strike budget and then
   // degrades to the host-proxy path (PhiVerbs::note_delegate_death), after
-  // which this same rebuild completes through the proxy.
+  // which this same rebuild completes through the proxy. Each ring and
+  // credit rkey stops marking the endpoint once its MR is gone. Reconnects
+  // run ahead of progress()'s endpoint walk, so marking the endpoint here
+  // gives it a visit in this very pass, whichever way the rebuild ends.
+  active_.insert(ep.peer);
   try {
     ib_->destroy_qp(ep.qp);
+    const ib::MKey ring_rkey = ep.ring_mr->rkey();
+    const ib::MKey credit_rkey = ep.credit_mr->rkey();
     ib_->dereg_mr(ep.ring_mr);
+    landing_peer_.erase(ring_rkey);
     ib_->dereg_mr(ep.staging_mr);
     ib_->dereg_mr(ep.credit_mr);
+    landing_peer_.erase(credit_rkey);
     ib_->dereg_mr(ep.credit_src_mr);
     ib_->dereg_mr(ep.hb_cell_mr);
     ib_->dereg_mr(ep.hb_src_mr);
@@ -1105,6 +1126,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     ep.hb_cell_mr =
         ib_->reg_mr(pd_, ep.hb_cell, ib::kLocalWrite | ib::kRemoteWrite);
     ep.hb_src_mr = ib_->reg_mr(pd_, ep.hb_src, ib::kLocalWrite);
+    map_landing_rkeys(ep);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
   } catch (const core::CmdError&) {
     // Only reachable when proxy failover was not eligible; the endpoint is
@@ -1667,19 +1689,19 @@ void Engine::read_credit_cell(Endpoint& ep) {
   }
 }
 
-void Engine::scan_ring(Endpoint& ep) {
+bool Engine::scan_ring(Endpoint& ep) {
   const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
   for (;;) {
     const int slot = static_cast<int>(ep.my_consumed % slots());
     std::byte* base = ep.ring.data() + layout_.header_off(slot);
     const auto hdr =
         wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
-    if (hdr.magic != kPacketMagic) break;
+    if (hdr.magic != kPacketMagic) return false;
     const std::uint64_t plen =
         hdr.type == PacketType::Eager ? hdr.msg_bytes : 0;
     const auto tail =
         wire::get<PacketTail>(ep.ring, layout_.tail_off(slot, plen));
-    if (tail != kPacketMagic) break;  // data still in flight
+    if (tail != kPacketMagic) return true;  // data still in flight
     if (fatal_armed_ && hdr.conn_epoch != ep.epoch) {
       // Cross-epoch traffic: a pre-recovery packet landing in the rebuilt
       // ring (or one that raced the teardown). Fence it out — its sequence
@@ -1691,7 +1713,7 @@ void Engine::scan_ring(Endpoint& ep) {
       sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
                          "epoch-fenced idx=" + std::to_string(hdr.ring_idx),
                          ib_->process().now());
-      break;
+      return true;
     }
     if (faults_armed_ && hdr.ring_idx != ep.my_consumed) {
       // A retransmit of an already-consumed packet (its CQE or credit got
@@ -1701,7 +1723,7 @@ void Engine::scan_ring(Endpoint& ep) {
       std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
                   sizeof tail);
       ++stats_.dup_packets_dropped;
-      break;
+      return true;
     }
 
     // The poll that found the packet costs a core its cycles.
@@ -1760,15 +1782,48 @@ void Engine::progress() {
   if (kill_armed_ && bootstrap_.fail_epoch() > known_fail_epoch_) {
     adopt_failures();
   }
-  for (auto& [p, ep] : endpoints_) {
-    read_credit_cell(ep);
-    drain_tx(ep);
-    scan_ring(ep);
+  // Visit only the endpoints that may have work, in peer order. Each mark
+  // is cleared before its visit and the walk resumes at upper_bound(p), so
+  // a peer marked while an earlier visit's poll advanced virtual time is
+  // still reached in this pass — exactly as a walk over every endpoint
+  // would reach it. Unmarked endpoints would have been empty polls, which
+  // cost no virtual time, so the event schedule is unchanged.
+  int p = -1;
+  for (auto it = active_.begin(); it != active_.end();
+       it = active_.upper_bound(p)) {
+    p = *it;
+    active_.erase(it);
+    Endpoint& ep = endpoints_.at(p);
+    ++stats_.endpoint_polls;
+    bool again = false;
+    try {
+      read_credit_cell(ep);
+      drain_tx(ep);
+      again = scan_ring(ep);
+    } catch (...) {
+      active_.insert(p);  // a packet may still sit at the consume cursor
+      throw;
+    }
+    if (again || !ep.pending_tx.empty()) active_.insert(p);
   }
   // Schedules advance after the endpoint scan so transfers completed this
   // pass unlock their next stages immediately.
   advance_schedules();
   if (!condemned_.empty()) reap_condemned();
+  if (chk().full()) check_idle_endpoints();
+}
+
+void Engine::check_idle_endpoints() {
+  for (const auto& [p, ep] : endpoints_) {
+    if (active_.count(p) > 0) continue;
+    const int slot = static_cast<int>(ep.my_consumed % slots());
+    const auto hdr =
+        wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
+    chk().endpoint_idle(rank_, p, hdr.magic != kPacketMagic,
+                        ep.pending_tx.empty(),
+                        wire::get<std::uint64_t>(ep.credit_cell, 0) <=
+                            ep.consumed_by_peer);
+  }
 }
 
 void Engine::reap_condemned() {

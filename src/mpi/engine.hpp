@@ -9,6 +9,7 @@
 #include <set>
 #include <span>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "dcfa/phi_verbs.hpp"
@@ -223,6 +224,7 @@ class Engine {
     std::uint64_t offload_syncs = 0;   ///< sync_offload_mr invocations
     std::uint64_t offload_sync_bytes = 0;
     std::uint64_t packets_rx = 0;
+    std::uint64_t endpoint_polls = 0;  ///< endpoints visited by progress()
     std::uint64_t credits_sent = 0;
     std::uint64_t tx_stalls = 0;       ///< emissions deferred for credit
     std::uint64_t reductions_offloaded = 0;  ///< host-delegated combines
@@ -714,7 +716,10 @@ class Engine {
   void release_window(const mem::Buffer& buf, ib::MemoryRegion* mr);
 
   // --- RX path ---------------------------------------------------------------
-  void scan_ring(Endpoint& ep);
+  /// Consume every complete packet at the head of `ep`'s ring. Returns true
+  /// when the scan stopped on a non-empty slot (epoch fence, duplicate
+  /// scrub, tail still in flight), so the endpoint needs another visit.
+  bool scan_ring(Endpoint& ep);
   void read_credit_cell(Endpoint& ep);
   void handle_packet(Endpoint& ep, const PacketHeader& hdr,
                      const std::byte* payload);
@@ -828,6 +833,12 @@ class Engine {
   }
 
   void poll_cq();
+  /// Active-endpoint set upkeep (docs/protocol.md "Progress, blocking,
+  /// teardown"): route landings on `ep`'s ring and credit cell to its mark.
+  void map_landing_rkeys(const Endpoint& ep);
+  /// DcfaCheck (full): after a progress pass, every endpoint outside
+  /// active_ must have nothing for the next pass to do.
+  void check_idle_endpoints();
   /// DcfaCheck hooks: the per-cluster invariant checker owned by the
   /// simulation engine (see src/sim/check.hpp and docs/checking.md).
   sim::Checker& chk();
@@ -857,6 +868,14 @@ class Engine {
   std::unique_ptr<OffloadShadowCache> shadow_cache_;
 
   std::map<int, Endpoint> endpoints_;
+  /// Peers whose endpoint may have work: a landing on its ring or credit
+  /// cell, a deferred emission, a reconnect rebuild, or a scan that stopped
+  /// on a non-empty slot. progress() visits only these, in peer order.
+  std::set<int> active_;
+  /// Ring and credit-cell rkeys of every endpoint -> its peer, so the HCA's
+  /// landing callback marks exactly the endpoint a write hit. Entries leave
+  /// with their MR's registration; unknown rkeys only wake the rank.
+  std::unordered_map<ib::MKey, int> landing_peer_;
   std::map<std::pair<std::uint32_t, int>, SelfChannel> self_channels_;
   std::map<std::uint32_t, CommRecv> comm_recv_;
   std::map<std::uint64_t, std::function<void(const ib::Wc&)>> outstanding_;

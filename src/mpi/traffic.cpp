@@ -780,6 +780,10 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
   res.digest = schedule_digest(sched);
   res.elapsed = rt.elapsed();
   res.check_events = rt.sim().checker().events();
+  res.events = rt.sim().events_executed();
+  for (const Engine::Stats& st : rt.rank_stats()) {
+    res.totals = stats_add(res.totals, st);
+  }
   if (rt.faults() != nullptr) res.injected = rt.faults()->counters();
   for (int r = 0; r < P; ++r) {
     if (completed[r] == 0) continue;  // killed ranks: no leak/detect data

@@ -31,6 +31,7 @@ const char* check_kind_name(CheckKind k) {
     case CheckKind::RaceRmaWindow: return "race-rma-window";
     case CheckKind::RaceBufferReuse: return "race-buffer-reuse";
     case CheckKind::RaceChannelCell: return "race-channel-cell";
+    case CheckKind::ProgressMissedEndpoint: return "progress-missed-endpoint";
   }
   return "unknown";
 }
@@ -678,6 +679,19 @@ void Checker::comm_revoked(int rank, std::uint32_t comm) {
             "rank " + std::to_string(rank) + " revoked comm " +
                 std::to_string(comm) +
                 " twice (revocation must be idempotent at the engine)");
+}
+
+void Checker::endpoint_idle(int rank, int peer, bool slot_empty,
+                            bool tx_idle, bool credit_read) {
+  if (!full()) return;
+  count();
+  if (slot_empty && tx_idle && credit_read) return;
+  violate(CheckKind::ProgressMissedEndpoint,
+          "rank " + std::to_string(rank) + " left endpoint " +
+              std::to_string(peer) + " outside the active set with " +
+              (!slot_empty ? "a packet at its consume cursor"
+               : !tx_idle  ? "deferred emissions queued"
+                           : "an unread credit"));
 }
 
 // --- DcfaRace: vector-clock happens-before engine ---------------------------

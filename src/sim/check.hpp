@@ -52,6 +52,7 @@ enum class CheckKind {
   RaceRmaWindow,   ///< concurrent conflicting window accesses with no HB edge (Full)
   RaceBufferReuse, ///< a nonblocking op's buffer accessed while in flight (Full)
   RaceChannelCell, ///< concurrent conflicting channel cell writes (Full)
+  ProgressMissedEndpoint, ///< progress left an endpoint with work unmarked (Full)
 };
 
 const char* check_kind_name(CheckKind k);
@@ -195,6 +196,15 @@ class Checker {
   /// `rank` marked communicator `comm` revoked. Idempotent at the engine
   /// level, so the checker too sees each (rank, comm) pair at most once.
   void comm_revoked(int rank, std::uint32_t comm);
+
+  // --- progress coverage (Full only) ---------------------------------------
+
+  /// End of a progress pass on `rank`: its endpoint to `peer` is outside the
+  /// active set, so the next pass will not visit it. That is only sound if
+  /// the slot at its consume cursor is empty, no emission is deferred and
+  /// no credit is unread — anything else is work progress() missed.
+  void endpoint_idle(int rank, int peer, bool slot_empty, bool tx_idle,
+                     bool credit_read);
 
   // --- RMA windows: exposure registry, epoch machine, locks, flushes -------
   //

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,7 +60,8 @@ void Engine::schedule_at(Time t, Callback cb) {
       sched_.explore() ? splitmix64(sched_.seed ^
                                     (seq * 0x9e3779b97f4a7c15ULL))
                        : 0;
-  queue_.push(Event{t, prio, seq, std::move(cb)});
+  queue_.push_back(Event{t, prio, seq, std::move(cb)});
+  std::push_heap(queue_.begin(), queue_.end(), EventOrder{});
 }
 
 void Engine::schedule_after(Time delay, Callback cb) {
@@ -77,6 +79,13 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   return ref;
 }
 
+Engine::Event Engine::pop_event() {
+  std::pop_heap(queue_.begin(), queue_.end(), EventOrder{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
+  return ev;
+}
+
 void Engine::step(const Event& ev) {
   now_ = ev.time;
   ++events_executed_;
@@ -85,9 +94,7 @@ void Engine::step(const Event& ev) {
 
 void Engine::run() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    step(ev);
+    step(pop_event());
     // Fail fast on a dead process: periodic timers (heartbeats, retransmit
     // checks) keep the queue non-empty forever, which would turn any rank
     // exception — a DcfaCheck violation, say — into a silent hang if we
@@ -106,10 +113,8 @@ void Engine::run() {
 }
 
 void Engine::run_until(Time deadline) {
-  while (!queue_.empty() && queue_.top().time <= deadline) {
-    Event ev = queue_.top();
-    queue_.pop();
-    step(ev);
+  while (!queue_.empty() && queue_.front().time <= deadline) {
+    step(pop_event());
   }
   if (now_ < deadline) now_ = deadline;
 }

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -111,6 +110,8 @@ class Engine {
     }
   };
 
+  /// Move the earliest event out of the heap (no std::function copy).
+  Event pop_event();
   void step(const Event& ev);
   void check_deadlock() const;
   /// Dispatch a fiber resume to its pinned pool worker (or inline).
@@ -123,7 +124,9 @@ class Engine {
   std::uint64_t events_executed_ = 0;
   std::size_t live_ = 0;
   SchedConfig sched_;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  /// Binary heap under EventOrder (std::push_heap/pop_heap), so the top
+  /// event can be moved out rather than copied as priority_queue::top forces.
+  std::vector<Event> queue_;
   /// Declared before processes_: abandoned fibers unwind on their pinned
   /// workers from ~Process, so the pool must outlive the process list.
   std::unique_ptr<FiberPool> pool_;

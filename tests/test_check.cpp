@@ -312,6 +312,22 @@ TEST(CheckEpoch, ReconnectResetsCreditLedgers) {
   EXPECT_EQ(chk.violations(), 0u);
 }
 
+// --- progress coverage -----------------------------------------------------
+
+TEST(CheckProgress, UnmarkedEndpointWithWorkIsMissed) {
+  Checker chk(CheckLevel::Full);
+  chk.endpoint_idle(0, 1, /*slot_empty=*/true, /*tx_idle=*/true,
+                    /*credit_read=*/true);  // nothing to do: fine
+  // A packet sits at the consume cursor of an endpoint the next progress
+  // pass will not visit.
+  expect_violation(CheckKind::ProgressMissedEndpoint, [&] {
+    chk.endpoint_idle(0, 2, /*slot_empty=*/false, true, true);
+  });
+  Checker cheap(CheckLevel::Cheap);
+  cheap.endpoint_idle(0, 2, false, false, false);  // Full-only audit
+  EXPECT_EQ(cheap.violations(), 0u);
+}
+
 // --- collective tag windows and stage order ---------------------------------
 
 TEST(CheckColl, WindowSlotAliasThrows) {

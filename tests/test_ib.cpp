@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "ib/fabric.hpp"
+#include "mpi/runtime.hpp"
+#include "mpi/window.hpp"
 
 using namespace dcfa;
 using namespace dcfa::ib;
@@ -397,8 +400,8 @@ TEST(Hca, UnsignaledWritesProduceNoCqe) {
 
 TEST(Hca, RemoteWriteObserversFire) {
   Cluster c;
-  int fired = 0;
-  c.hca1.add_remote_write_observer([&] { ++fired; });
+  std::vector<MKey> landed;
+  c.hca1.add_remote_write_observer([&](MKey rkey) { landed.push_back(rkey); });
   mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 8);
   mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 8);
   MemoryRegion* smr =
@@ -412,7 +415,72 @@ TEST(Hca, RemoteWriteObserversFire) {
   wr.rkey = dmr->rkey();
   c.hca0.post_send(c.e0.qp, wr);
   c.engine.run();
-  EXPECT_EQ(fired, 1);
+  // The callback names the region the write landed in.
+  EXPECT_EQ(landed, std::vector<MKey>{dmr->rkey()});
+}
+
+TEST(Hca, RemoteWriteObserverFiresForMrDeregisteredInFlight) {
+  Cluster c;
+  std::vector<MKey> landed;
+  c.hca1.add_remote_write_observer([&](MKey rkey) { landed.push_back(rkey); });
+  mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 8);
+  mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 8);
+  MemoryRegion* smr =
+      c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 8, 0);
+  MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                    dst.addr(), 8, kRemoteWrite);
+  src.data()[0] = std::byte{0x42};
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.signaled = false;
+  wr.sg_list = {{src.addr(), 8, smr->lkey()}};
+  wr.remote_addr = dst.addr();
+  wr.rkey = dmr->rkey();
+  const MKey rkey = dmr->rkey();
+  c.hca0.post_send(c.e0.qp, wr);
+  c.hca1.dereg_mr(dmr);  // the write is posted but has not landed yet
+  c.engine.run();
+  // The write is dropped at landing, but observers still hear of it, with
+  // the now-stale rkey: listeners must tolerate keys they no longer know.
+  EXPECT_EQ(dst.data()[0], std::byte{0});
+  EXPECT_EQ(landed, std::vector<MKey>{rkey});
+}
+
+namespace {
+/// Target-side endpoint polls of a 2-rank run in which rank 0 RDMA-writes
+/// `puts` times into rank 1's window: rkeys the MPI engine does not map to
+/// an endpoint. Each landing wakes rank 1, which then runs a progress pass.
+std::uint64_t target_polls_under_window_writes(int puts) {
+  mpi::RunConfig cfg;
+  cfg.mode = mpi::MpiMode::HostMpi;
+  cfg.nprocs = 2;
+  mpi::Runtime rt(cfg);
+  rt.run([puts](mpi::RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer wbuf = comm.alloc(4096);
+    mem::Buffer src = comm.alloc(4096);
+    mpi::Window win(comm, wbuf, 0, 4096);
+    win.fence();
+    if (ctx.rank == 0) {
+      for (int i = 0; i < puts; ++i) {
+        win.put(src, 0, 64, mpi::type_byte(), /*target=*/1,
+                /*disp=*/static_cast<std::size_t>(i) * 64);
+      }
+    }
+    win.fence();
+    win.free();
+    comm.free(wbuf);
+    comm.free(src);
+  });
+  return rt.rank_stats()[1].endpoint_polls;
+}
+}  // namespace
+
+TEST(Hca, MpiEngineIgnoresLandingsOnUnknownRkeys) {
+  // Window landings wake the target but mark no endpoint, so its poll count
+  // does not grow with their number.
+  EXPECT_EQ(target_polls_under_window_writes(32),
+            target_polls_under_window_writes(1));
 }
 
 // --- Timing model: the Figure 5 asymmetry at the verbs level ----------------

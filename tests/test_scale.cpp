@@ -17,7 +17,9 @@
 //  * peak RSS stays bounded per rank at 1024 ranks (lazy endpoints: no
 //    N^2 mesh);
 //  * killing 5 of 256 ranks mid-iallreduce shrinks and finishes (ULFM
-//    recovery does not degrade at scale).
+//    recovery does not degrade at scale);
+//  * progress costs O(work): endpoint polls stay within twice the packets
+//    consumed, on a 64-rank all-to-all and a 16-rank DcfaPhi p2p run.
 //
 // Sanitized builds run an order of magnitude slower and pad every
 // allocation, so the sweep caps at 256 ranks and the RSS bound is skipped
@@ -334,6 +336,29 @@ TEST(ScaleScenarios, BurstyA2ACompletesAt256) {
   }
   EXPECT_GT(res.check_events, 0u);
   EXPECT_EQ(res.survivors, 256);
+}
+
+// --- Progress cost: O(work), not O(peers) ------------------------------------
+
+// progress() visits only endpoints that a landing, a deferred emission or a
+// reconnect marked, so endpoint polls track consumed packets. A walk over
+// every endpoint on every pass costs passes x peers instead — two orders of
+// magnitude more polls per packet on an all-to-all.
+void expect_polls_track_packets(const tg::ScenarioResult& res) {
+  ASSERT_GT(res.totals.packets_rx, 0u);
+  EXPECT_LE(res.totals.endpoint_polls, 2 * res.totals.packets_rx)
+      << res.scenario << ": " << res.totals.endpoint_polls << " polls for "
+      << res.totals.packets_rx << " packets";
+}
+
+TEST(ProgressCost, PollsTrackPacketsOnBurstyA2AAt64) {
+  const tg::Scenario sc = tg::make_scenario("bursty_a2a", 64, 3, true);
+  expect_polls_track_packets(tg::run_scenario(sc, tg::scale_run_config(64)));
+}
+
+TEST(ProgressCost, PollsTrackPacketsOnDcfaPhiSteadyP2P) {
+  const tg::Scenario sc = tg::make_scenario("steady_p2p", 16, 3, true);
+  expect_polls_track_packets(tg::run_scenario(sc, mpi::MpiMode::DcfaPhi));
 }
 
 // --- Memory bound ------------------------------------------------------------
