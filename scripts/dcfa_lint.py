@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Six rule families, each encoding an invariant the generic toolchain cannot
+Seven rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -35,6 +35,12 @@ see (docs/checking.md has the rationale and the paper references):
                   determinism contract and schedule exploration
                   (DCFA_SIM_SCHED=explore can only permute decisions that
                   flow through Engine::schedule_at).
+  sim-os-thread   no std::thread and no std::condition_variable anywhere in
+                  src/. Every simulated rank is a fiber resumed inline on
+                  the engine's thread; an OS thread in the library would be
+                  a second execution backend whose scheduling the engine
+                  neither orders nor replays. (The test deadline watchdog
+                  in tests/ is the one OS thread the repo runs.)
 
 A file can waive one rule with a justified marker comment:
 
@@ -119,6 +125,11 @@ RMA_OPCODE = re.compile(r"Opcode::Rdma(?:Write|Read)\b")
 # decision; a stray swapcontext would be an invisible scheduling choice.
 SWAPCONTEXT_ALLOWED = ["src/sim/fiber.cpp"]
 SWAPCONTEXT_CALL = re.compile(r"\bswapcontext\s*\(")
+
+# sim-os-thread: the simulator has exactly one execution backend (fibers on
+# the engine's thread); OS threads and their wake-up primitive stay out of
+# the library.
+OS_THREAD = re.compile(r"\bstd::(?:thread|condition_variable(?:_any)?)\b")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -287,6 +298,18 @@ def check_swapcontext(path: Path, rel: str, lines: list[str]) -> None:
                     "permute nor replay")
 
 
+def check_os_thread(path: Path, rel: str, lines: list[str]) -> None:
+    if not rel.startswith("src/"):
+        return
+    for i, line in enumerate(lines, 1):
+        if OS_THREAD.search(strip_comments(line)):
+            finding(path, i, "sim-os-thread",
+                    "std::thread/std::condition_variable in src/: simulated "
+                    "ranks run as fibers on the engine's thread, and an OS "
+                    "thread here is a second execution backend outside the "
+                    "engine's event order")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -324,6 +347,7 @@ def main() -> int:
         check_naked_memcpy(path, rel, lines)
         check_rma_epoch(path, rel, lines)
         check_swapcontext(path, rel, lines)
+        check_os_thread(path, rel, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

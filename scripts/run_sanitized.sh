@@ -38,8 +38,9 @@ cmake -B "$ROOT/$BUILD_DIR" -S "$ROOT" \
 cmake --build "$ROOT/$BUILD_DIR" -j "$(nproc)"
 
 # halt_on_error so a sanitizer report fails the suite instead of scrolling by.
-# The traffic soak stretches to 13 ranks here: more rank threads means more
-# genuine interleavings for the sanitizers to chew on than the default 9.
+# The traffic soak stretches to 13 ranks here: more ranks means more
+# interleavings of protocol state for the sanitizers to chew on than the
+# default 9.
 # The hang watchdog (tests/watchdog.cpp) gets a doubled deadline: sanitizer
 # instrumentation slows everything down, and a false watchdog abort would
 # read as a hang that never happened.

@@ -14,9 +14,10 @@
 //  2. the program's `main` is handed to dcfa::capi::run(), which plays the
 //     mpirun/mcexec role and executes it once per rank.
 //
-// Every rank runs on its own simulated process (OS thread), so the ambient
-// "current rank" state is thread_local — the same trick real MPI plays with
-// per-process globals.
+// Every rank runs on its own simulated process (a fiber sharing the engine's
+// thread), so the ambient "current rank" state lives in that process's
+// ambient slot (sim::Process::ambient()) — the same trick real MPI plays
+// with per-process globals.
 //
 // Unsupported corners fail loudly with MPI_ERR_* codes or exceptions; see
 // tests/test_capi.cpp for the covered surface.

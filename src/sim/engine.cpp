@@ -12,40 +12,15 @@ namespace dcfa::sim {
 
 Engine::Engine() : Engine(SchedConfig::from_env()) {}
 
-Engine::Engine(SchedConfig sched) : sched_(sched) {
-  if (sched_.backend == SchedConfig::Backend::Fiber && sched_.threads > 0) {
-    pool_ = std::make_unique<FiberPool>(sched_.threads);
-  }
-}
+Engine::Engine(SchedConfig sched) : sched_(sched) {}
 
 Engine::~Engine() { join_all(); }
 
 void Engine::join_all() {
-  // Unblock and unwind any contexts that are still parked: fiber stacks get
-  // one final abandonment resume, thread-backend processes get a poisoned
-  // token and a join — all from ~Process while the pool still exists.
+  // Unwind any fibers that are still parked: each gets one final
+  // abandonment resume from ~Process.
   processes_.clear();
   live_ = 0;
-}
-
-void Engine::run_resume(Process& p) {
-  // Fibers must always resume on the same OS thread they last yielded from
-  // (ucontext and sanitizer bookkeeping both require it), so each fiber is
-  // pinned to worker id % pool-size. With no pool, the engine thread is
-  // that one thread.
-  const auto go = [&p] {
-    // Keep Process::current() accurate on the thread that actually runs
-    // the body for the duration of this slice.
-    Process* prev = Process::tl_current_;
-    Process::tl_current_ = &p;
-    p.fiber_->resume();
-    Process::tl_current_ = prev;
-  };
-  if (pool_) {
-    pool_->run_on(p.id_, go);
-  } else {
-    go();
-  }
 }
 
 void Engine::schedule_at(Time t, Callback cb) {
@@ -70,11 +45,10 @@ void Engine::schedule_after(Time delay, Callback cb) {
 
 Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   auto proc = std::unique_ptr<Process>(
-      new Process(*this, std::move(name), std::move(body), processes_.size()));
+      new Process(*this, std::move(name), std::move(body)));
   Process& ref = *proc;
   processes_.push_back(std::move(proc));
   ++live_;
-  ref.start();
   schedule_at(now_, [&ref] { ref.resume(); });
   return ref;
 }

@@ -17,25 +17,24 @@ class Process;
 /// Deterministic discrete-event engine.
 ///
 /// The engine owns a priority queue of (time, sequence) ordered events and a
-/// set of cooperative processes. Exactly one thread — either the engine's
-/// caller inside an event callback, or a single resumed Process — runs at any
-/// moment, so simulation state needs no locking and every run with the same
-/// inputs produces the same event order.
+/// set of cooperative processes, each a stackful fiber the engine resumes
+/// inline on the caller's thread. Exactly one context — the engine inside an
+/// event callback, or a single resumed Process — runs at any moment, so
+/// simulation state needs no locking and every run with the same inputs
+/// produces the same event order.
 ///
 /// Scheduling is O(active contexts), not O(all ranks): blocked processes
 /// cost nothing until an event resumes them, finished processes release
 /// their stacks and bodies immediately (Process::finish_cleanup), and the
-/// live-process count is a counter, not a sweep. The execution backend —
-/// stackful fibers over a small worker pool, or one OS thread per process —
-/// is picked by SchedConfig (sim/fiber.hpp) and never affects event order.
+/// live-process count is a counter, not a sweep.
 class Engine {
  public:
   using Callback = std::function<void()>;
 
-  /// Backend/pool/stack from the environment (DCFA_SIM_SCHED,
-  /// DCFA_SIM_THREADS, DCFA_SIM_STACK_KB; see SchedConfig::from_env).
+  /// Ordering/stack from the environment (DCFA_SIM_SCHED, DCFA_SIM_STACK_KB,
+  /// ...; see SchedConfig::from_env).
   Engine();
-  /// Explicit scheduler configuration (tests pin pool sizes with this).
+  /// Explicit scheduler configuration.
   explicit Engine(SchedConfig sched);
   ~Engine();
 
@@ -114,8 +113,6 @@ class Engine {
   Event pop_event();
   void step(const Event& ev);
   void check_deadlock() const;
-  /// Dispatch a fiber resume to its pinned pool worker (or inline).
-  void run_resume(Process& p);
   void note_process_finished() { --live_; }
 
   Time now_ = 0;
@@ -127,9 +124,6 @@ class Engine {
   /// Binary heap under EventOrder (std::push_heap/pop_heap), so the top
   /// event can be moved out rather than copied as priority_queue::top forces.
   std::vector<Event> queue_;
-  /// Declared before processes_: abandoned fibers unwind on their pinned
-  /// workers from ~Process, so the pool must outlive the process list.
-  std::unique_ptr<FiberPool> pool_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<Checker> checker_;
 };

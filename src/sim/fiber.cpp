@@ -9,10 +9,12 @@
 #include <stdexcept>
 #include <string>
 
-// Sanitizer detection. TSan's runtime tracks OS threads, not ucontext
-// switches, so the fiber backend is force-disabled there (SchedConfig keeps
-// the thread backend). ASan supports foreign stacks through the
-// __sanitizer_*_switch_fiber annotation protocol, implemented below.
+// Sanitizer detection. Neither sanitizer follows a bare swapcontext, so
+// every switch below is annotated: ASan through the
+// __sanitizer_*_switch_fiber protocol (foreign stacks and fake stacks), TSan
+// through __tsan_*_fiber (one TSan context per fiber). TSan switches pass
+// flags 0, so each run-token hand-off is a happens-before edge between the
+// engine and the fiber it resumes.
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define DCFA_FIBER_ASAN 1
@@ -35,6 +37,15 @@ void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
 void __sanitizer_finish_switch_fiber(void* fake_stack_save,
                                      const void** bottom_old,
                                      std::size_t* size_old);
+}
+#endif
+
+#ifdef DCFA_FIBER_TSAN
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
@@ -64,9 +75,6 @@ std::string SchedConfig::schedule_token() const {
 
 SchedConfig SchedConfig::from_token(const std::string& token) {
   SchedConfig cfg;
-#ifdef DCFA_FIBER_TSAN
-  cfg.backend = Backend::Thread;
-#endif
   if (token.rfind("x1:", 0) != 0 || token.size() <= 3) {
     throw std::invalid_argument(
         "DCFA_SIM_SCHEDULE: expected a replay token 'x1:<hex seed>', got '" +
@@ -90,22 +98,12 @@ SchedConfig SchedConfig::from_token(const std::string& token) {
 
 SchedConfig SchedConfig::from_env() {
   SchedConfig cfg;
-#ifdef DCFA_FIBER_TSAN
-  cfg.backend = Backend::Thread;
-#endif
   if (const char* e = std::getenv("DCFA_SIM_SCHED")) {
-    if (std::strcmp(e, "fiber") == 0) {
-      cfg.backend = Backend::Fiber;
-    } else if (std::strcmp(e, "thread") == 0) {
-      cfg.backend = Backend::Thread;
-    } else if (std::strcmp(e, "explore") == 0) {
-      // Exploration is an event-*ordering* policy, orthogonal to the
-      // context backend: the default backend (thread under TSan) stays.
+    if (std::strcmp(e, "explore") == 0) {
       cfg.order = Order::Explore;
-    } else {
+    } else if (std::strcmp(e, "fiber") != 0) {
       throw std::invalid_argument(
-          std::string("DCFA_SIM_SCHED: expected 'fiber', 'thread' or "
-                      "'explore', got '") +
+          std::string("DCFA_SIM_SCHED: expected 'fiber' or 'explore', got '") +
           e + "'");
     }
   }
@@ -125,25 +123,17 @@ SchedConfig SchedConfig::from_env() {
     cfg.order = replay.order;
     cfg.seed = replay.seed;
   }
-  if (const char* e = std::getenv("DCFA_SIM_THREADS")) {
-    const long n = std::strtol(e, nullptr, 10);
-    if (n < 0 || n > 1024) {
-      throw std::invalid_argument("DCFA_SIM_THREADS: out of range");
-    }
-    cfg.threads = static_cast<unsigned>(n);
-  }
   if (const char* e = std::getenv("DCFA_SIM_STACK_KB")) {
-    const long kb = std::strtol(e, nullptr, 10);
+    char* end = nullptr;
+    const long kb = std::strtol(e, &end, 10);
+    if (end == e || *end != '\0') {
+      throw std::invalid_argument("DCFA_SIM_STACK_KB: not a decimal integer");
+    }
     if (kb < 16 || kb > 1048576) {
       throw std::invalid_argument("DCFA_SIM_STACK_KB: out of range [16, 2^20]");
     }
     cfg.stack_bytes = static_cast<std::size_t>(kb) * 1024;
   }
-#ifdef DCFA_FIBER_TSAN
-  // Never let the env re-enable fibers under TSan: swapcontext would leave
-  // the TSan shadow stack pointing at the wrong frames.
-  cfg.backend = Backend::Thread;
-#endif
   return cfg;
 }
 
@@ -166,9 +156,15 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
     throw std::runtime_error("Fiber: guard-page mprotect failed");
   }
   stack_base_ = static_cast<char*>(map_) + page;
+#ifdef DCFA_FIBER_TSAN
+  tsan_fiber_ = __tsan_create_fiber(0);
+#endif
 }
 
 Fiber::~Fiber() {
+#ifdef DCFA_FIBER_TSAN
+  if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
+#endif
   if (map_ != nullptr) munmap(map_, map_bytes_);
 }
 
@@ -176,7 +172,6 @@ void Fiber::trampoline() {
   Fiber* f = tl_entering;
   tl_entering = nullptr;
   f->enter();
-  // Returning ends the context via uc_link (back inside resume()).
 }
 
 void Fiber::enter() {
@@ -194,6 +189,14 @@ void Fiber::enter() {
   __sanitizer_start_switch_fiber(nullptr, from_stack_bottom_,
                                  from_stack_size_);
 #endif
+#ifdef DCFA_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
+  // Leave by jumping straight back into resume() rather than returning
+  // through uc_link: under TSan the epilogues of enter() and trampoline()
+  // would run after the switch above and pop the resumer's shadow stack.
+  setcontext(&return_ctx_);
+  std::abort();  // setcontext returns only on failure
 }
 
 void Fiber::resume() {
@@ -205,13 +208,16 @@ void Fiber::resume() {
     }
     self_.uc_stack.ss_sp = stack_base_;
     self_.uc_stack.ss_size = stack_size_;
-    self_.uc_link = &return_ctx_;
     makecontext(&self_, &Fiber::trampoline, 0);
     tl_entering = this;
   }
 #ifdef DCFA_FIBER_ASAN
   __sanitizer_start_switch_fiber(&resumer_fake_stack_, stack_base_,
                                  stack_size_);
+#endif
+#ifdef DCFA_FIBER_TSAN
+  tsan_resumer_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
   swapcontext(&return_ctx_, &self_);
 #ifdef DCFA_FIBER_ASAN
@@ -224,57 +230,16 @@ void Fiber::yield() {
   __sanitizer_start_switch_fiber(&own_fake_stack_, from_stack_bottom_,
                                  from_stack_size_);
 #endif
+#ifdef DCFA_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
   swapcontext(&self_, &return_ctx_);
 #ifdef DCFA_FIBER_ASAN
-  // Re-record the resumer's stack on every entry: the pool pins us to one
-  // worker, but recording what finish reports is what the protocol asks.
+  // Re-record the resumer's stack on every entry: it is always the engine
+  // thread, but recording what finish reports is what the protocol asks.
   __sanitizer_finish_switch_fiber(own_fake_stack_, &from_stack_bottom_,
                                   &from_stack_size_);
 #endif
-}
-
-FiberPool::FiberPool(unsigned threads) {
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    auto w = std::make_unique<Worker>();
-    Worker* raw = w.get();
-    raw->thread = std::thread([raw] {
-      std::unique_lock lk(raw->mu);
-      for (;;) {
-        raw->cv.wait(lk, [raw] { return raw->job != nullptr || raw->stop; });
-        if (raw->job == nullptr) return;  // stop with no pending job
-        (*raw->job)();
-        raw->job = nullptr;
-        raw->job_done = true;
-        raw->cv.notify_all();
-      }
-    });
-    workers_.push_back(std::move(w));
-  }
-}
-
-FiberPool::~FiberPool() {
-  for (auto& w : workers_) {
-    {
-      std::lock_guard lk(w->mu);
-      w->stop = true;
-    }
-    w->cv.notify_all();
-    w->thread.join();
-  }
-}
-
-void FiberPool::run_on(std::size_t slot, const std::function<void()>& fn) {
-  if (workers_.empty()) {
-    fn();
-    return;
-  }
-  Worker& w = *workers_[slot % workers_.size()];
-  std::unique_lock lk(w.mu);
-  w.job = &fn;
-  w.job_done = false;
-  w.cv.notify_all();
-  w.cv.wait(lk, [&w] { return w.job_done; });
 }
 
 }  // namespace dcfa::sim

@@ -1,41 +1,30 @@
 #pragma once
 
-// Stackful-fiber backend for sim::Process (docs/simulator.md).
+// The execution context behind every sim::Process (docs/simulator.md).
 //
 // A Fiber is a resumable execution context over ucontext with its own
 // mmap'd stack: a guard page at the low end, the rest lazily paged, so
 // thousands of simulated ranks cost virtual address space instead of OS
-// threads. The FiberPool multiplexes fibers over a small set of worker
-// threads: every fiber is pinned to one worker (slot % workers) and the
-// resuming thread blocks until the fiber parks again, so the pool size
-// changes *where* a fiber runs but never *when* — the engine's event order,
-// and therefore every trace and Stats bag, is identical for any pool size
-// (tests/test_scale.cpp proves it).
+// threads. The engine resumes fibers inline on its own thread, one at a
+// time, and only from events it has popped, so a fiber switch never
+// changes the event order — every trace and Stats bag is a pure function
+// of the inputs.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <ucontext.h>
-#include <vector>
 
 namespace dcfa::sim {
 
 /// Scheduler configuration for one sim::Engine, resolved from the
 /// environment once at engine construction:
-///   DCFA_SIM_SCHED     fiber | thread | explore. Default fiber — except
-///                      under ThreadSanitizer, whose runtime does not model
-///                      ucontext switches and always gets thread. `explore`
-///                      keeps the default context backend and switches the
-///                      event *ordering* to randomized priorities (below).
-///   DCFA_SIM_THREADS   worker threads multiplexing the fibers; 0 (the
-///                      default) runs fibers inline on the engine thread.
-///   DCFA_SIM_STACK_KB  virtual stack size per fiber (default 512). Only
-///                      touched pages cost RSS.
+///   DCFA_SIM_SCHED     fiber | explore. Default fiber (Fifo ordering);
+///                      `explore` switches the event *ordering* to
+///                      randomized priorities (below).
+///   DCFA_SIM_STACK_KB  virtual stack size per fiber in KiB (decimal,
+///                      default 512). Only touched pages cost RSS.
 ///   DCFA_SIM_SEED      explore-mode seed (decimal, default 0).
 ///   DCFA_SIM_SCHEDULE  a replay token ("x1:<hex seed>") as printed in a
 ///                      violation report: forces explore mode with exactly
@@ -51,12 +40,9 @@ namespace dcfa::sim {
 ///             time is never reordered, so timing metrics are undistorted;
 ///             each seed is one reproducible interleaving.
 struct SchedConfig {
-  enum class Backend { Fiber, Thread };
   enum class Order { Fifo, Explore };
-  Backend backend = Backend::Fiber;
   Order order = Order::Fifo;
   std::uint64_t seed = 0;
-  unsigned threads = 0;
   std::size_t stack_bytes = 512 * 1024;
 
   bool explore() const { return order == Order::Explore; }
@@ -65,15 +51,15 @@ struct SchedConfig {
   /// "x1" tags the priority algorithm so a token can never silently replay
   /// under a different scheme). Empty under Fifo ordering.
   std::string schedule_token() const;
-  /// Parse a replay token back into an explore config (backend/threads/
-  /// stack keep their defaults). Throws std::invalid_argument on junk.
+  /// Parse a replay token back into an explore config (the stack size
+  /// keeps its default). Throws std::invalid_argument on junk.
   static SchedConfig from_token(const std::string& token);
 
   static SchedConfig from_env();
 };
 
 /// One resumable context. resume() and yield() must pair on the same OS
-/// thread for any given fiber (the FiberPool's pinning guarantees it);
+/// thread for any given fiber (the engine's thread resumes them all);
 /// sanitizer stack bookkeeping and ucontext both require this.
 class Fiber {
  public:
@@ -94,7 +80,7 @@ class Fiber {
 
  private:
   static void trampoline();
-  void enter();
+  void enter();  ///< never returns: leaves through setcontext
 
   std::function<void()> body_;
   void* map_ = nullptr;  ///< mmap base (guard page first)
@@ -112,35 +98,10 @@ class Fiber {
   void* own_fake_stack_ = nullptr;
   const void* from_stack_bottom_ = nullptr;
   std::size_t from_stack_size_ = 0;
-};
-
-/// Pinned worker threads for fiber execution. run_on() blocks the caller
-/// until `fn` (which resumes a fiber and returns when it parks) completes,
-/// so exactly one simulated context ever runs at a time regardless of the
-/// pool size — concurrency here buys stack/TLS isolation, not parallelism.
-class FiberPool {
- public:
-  explicit FiberPool(unsigned threads);
-  ~FiberPool();
-
-  FiberPool(const FiberPool&) = delete;
-  FiberPool& operator=(const FiberPool&) = delete;
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-  /// Run `fn` to completion on worker (slot % size()); with zero workers
-  /// it runs inline on the calling thread.
-  void run_on(std::size_t slot, const std::function<void()>& fn);
-
- private:
-  struct Worker {
-    std::mutex mu;
-    std::condition_variable cv;
-    const std::function<void()>* job = nullptr;
-    bool job_done = false;
-    bool stop = false;
-    std::thread thread;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // TSan fiber contexts (__tsan_*_fiber protocol): this fiber's own, and
+  // the resumer's, switched back to on yield and on exit.
+  void* tsan_fiber_ = nullptr;
+  void* tsan_resumer_ = nullptr;
 };
 
 }  // namespace dcfa::sim

@@ -11,34 +11,23 @@ thread_local Process* Process::tl_current_ = nullptr;
 Process* Process::current() { return tl_current_; }
 
 Process::Process(Engine& engine, std::string name,
-                 std::function<void(Process&)> body, std::size_t id)
-    : engine_(engine), name_(std::move(name)), body_(std::move(body)),
-      id_(id) {}
+                 std::function<void(Process&)> body)
+    : engine_(engine),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      fiber_(std::make_unique<Fiber>([this] { run_body(); },
+                                     engine.sched_config().stack_bytes)) {}
 
 Process::~Process() {
-  if (fiber_) {
-    if (fiber_->started() && !fiber_->done()) {
-      // The engine is being torn down with this fiber still parked inside
-      // its body. Resume it one last time with the abandon flag set so
-      // park() throws AbandonedProcess and the fiber stack unwinds its
-      // destructors before the mapping is released. The resume must run on
-      // the fiber's pinned worker (sanitizer stack bookkeeping).
-      abandoned_ = true;
-      engine_.run_resume(*this);
-    }
-    return;  // never-started fibers hold no frames; ~Fiber unmaps
+  if (fiber_ && fiber_->started() && !fiber_->done()) {
+    // The engine is being torn down with this fiber still parked inside
+    // its body. Resume it one last time with the abandon flag set so
+    // park() throws AbandonedProcess and the fiber stack unwinds its
+    // destructors before the mapping is released. Never-started fibers
+    // hold no frames; ~Fiber just unmaps.
+    abandoned_ = true;
+    switch_in();
   }
-  {
-    std::unique_lock lk(mu_);
-    if (state_ != State::Done && thread_.joinable()) {
-      // Thread backend: hand the parked thread a poisoned token so it can
-      // unwind via an exception.
-      state_ = State::Done;  // signals abandon to the thread loop
-      token_with_process_ = true;
-      cv_.notify_all();
-    }
-  }
-  if (thread_.joinable()) thread_.join();
 }
 
 Time Process::now() const { return engine_.now(); }
@@ -58,69 +47,24 @@ void Process::run_body() {
   state_ = State::Done;
 }
 
-void Process::start() {
-  state_ = State::Runnable;
-  if (engine_.sched_config().backend == SchedConfig::Backend::Fiber) {
-    fiber_ = std::make_unique<Fiber>([this] { run_body(); },
-                                     engine_.sched_config().stack_bytes);
-    return;
-  }
-  thread_ = std::thread([this] {
-    tl_current_ = this;  // this thread runs exactly one process body
-    {
-      // Wait for the first resume.
-      std::unique_lock lk(mu_);
-      cv_.wait(lk, [this] { return token_with_process_; });
-      if (state_ == State::Done) {  // abandoned before first run
-        token_with_process_ = false;
-        cv_.notify_all();
-        return;
-      }
-      state_ = State::Running;
-    }
-    run_body();
-    std::unique_lock lk(mu_);
-    token_with_process_ = false;
-    cv_.notify_all();
-  });
-}
-
 void Process::resume() {
-  if (fiber_backend()) {
-    if (state_ == State::Done) return;  // finished before a stale wake-up
-    state_ = State::Running;
-    engine_.run_resume(*this);
-    if (state_ == State::Done) finish_cleanup();
-    return;
-  }
-  {
-    std::unique_lock lk(mu_);
-    if (state_ == State::Done) return;  // finished before a stale wake-up
-    token_with_process_ = true;
-    state_ = State::Running;
-    cv_.notify_all();
-    // Wait for the process to park again or finish.
-    cv_.wait(lk, [this] { return !token_with_process_; });
-  }
+  if (state_ == State::Done) return;  // finished before a stale wake-up
+  state_ = State::Running;
+  switch_in();
   if (state_ == State::Done) finish_cleanup();
 }
 
+void Process::switch_in() {
+  Process* prev = tl_current_;
+  tl_current_ = this;
+  fiber_->resume();
+  tl_current_ = prev;
+}
+
 void Process::park() {
-  if (fiber_backend()) {
-    state_ = State::Blocked;
-    fiber_->yield();
-    if (abandoned_) throw AbandonedProcess{};
-    state_ = State::Running;
-    return;
-  }
-  std::unique_lock lk(mu_);
   state_ = State::Blocked;
-  token_with_process_ = false;
-  cv_.notify_all();
-  cv_.wait(lk, [this] { return token_with_process_; });
-  if (state_ == State::Done) {
-    throw AbandonedProcess{};
-  }
+  fiber_->yield();
+  if (abandoned_) throw AbandonedProcess{};
   state_ = State::Running;
 }
 
@@ -129,7 +73,6 @@ void Process::finish_cleanup() {
   // returns: at thousands of ranks the stacks and captured state are the
   // dominant memory, and keeping them until teardown is an O(all ranks)
   // cost the scheduler is designed to avoid.
-  if (thread_.joinable()) thread_.join();
   fiber_.reset();
   body_ = nullptr;
   engine_.note_process_finished();

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <condition_variable>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/fiber.hpp"
@@ -27,12 +25,10 @@ struct AbandonedProcess {};
 /// (or the engine itself) ever holds the token, which makes the simulation
 /// single-threaded in effect and fully deterministic.
 ///
-/// Two interchangeable backends carry the resumable context (SchedConfig):
-/// a stackful fiber (default — thousands of ranks cost lazily-paged stack
-/// mappings, not OS threads), or one OS thread per process with a
-/// mutex/cv token handshake (ThreadSanitizer runs, DCFA_SIM_SCHED=thread).
-/// The backend is invisible above this API: event order, traces and Stats
-/// are byte-identical across backends and fiber-pool sizes.
+/// The resumable context is a stackful Fiber (sim/fiber.hpp) that the
+/// engine resumes inline on its own thread: thousands of ranks cost
+/// lazily-paged stack mappings, not OS threads, and a switch is a
+/// swapcontext with no kernel scheduler involved.
 ///
 /// Schedule exploration (DCFA_SIM_SCHED=explore) needs no cooperation from
 /// this layer, and that is a load-bearing property: *every* way a process
@@ -65,9 +61,9 @@ class Process {
   bool finished() const { return state_ == State::Done; }
 
   /// The process whose body the calling thread is currently executing, or
-  /// nullptr outside any process body. Replaces "one OS thread per rank"
-  /// assumptions: with the fiber backend many ranks share a thread, so
-  /// per-rank ambient state must key off the process, not the thread.
+  /// nullptr outside any process body. Every rank shares the engine's
+  /// thread, so per-rank ambient state must key off the process, not the
+  /// thread.
   static Process* current();
 
   /// One ambient pointer slot per process, for layers that need "process
@@ -83,51 +79,36 @@ class Process {
   friend class Engine;
   friend class Condition;
 
-  enum class State { Created, Runnable, Running, Blocked, Done };
+  enum class State { Runnable, Running, Blocked, Done };
 
-  Process(Engine& engine, std::string name, std::function<void(Process&)> body,
-          std::size_t id);
+  Process(Engine& engine, std::string name, std::function<void(Process&)> body);
 
-  void start();
   /// Engine-side: hand the token to this process and wait for it back.
   void resume();
+  /// Switch into the fiber until it parks or finishes, with current()
+  /// naming this process for the duration of the slice.
+  void switch_in();
   /// Process-side: give the token back to the engine.
   void park();
-  /// Body wrapper shared by both backends (error capture, Done transition).
+  /// Fiber body: error capture and the Done transition.
   void run_body();
   /// Engine-side, once per process after the Done transition: release the
-  /// execution context (fiber stack mapping / joined OS thread) and the
-  /// body closure eagerly, so a finished rank stops costing memory long
-  /// before teardown. The Process shell (name, error) survives for
-  /// diagnostics.
+  /// fiber's stack mapping and the body closure eagerly, so a finished
+  /// rank stops costing memory long before teardown. The Process shell
+  /// (name, error) survives for diagnostics.
   void finish_cleanup();
 
-  bool fiber_backend() const { return fiber_ != nullptr; }
-
-  /// Maintained on whichever OS thread executes the body: the thread
-  /// backend sets it once at thread start; the fiber backend saves/restores
-  /// it around every resume (Engine::run_resume).
+  /// Saved and restored around every resume (switch_in).
   static thread_local Process* tl_current_;
 
   Engine& engine_;
   std::string name_;
   std::function<void(Process&)> body_;
-  const std::size_t id_;  ///< spawn index; pins the fiber to one pool worker
-  State state_ = State::Created;
-  bool abandoned_ = false;  ///< teardown unwind flag (fiber backend)
+  State state_ = State::Runnable;
+  bool abandoned_ = false;  ///< teardown unwind flag
   void* ambient_ = nullptr;
   std::exception_ptr error_;
-
-  // Fiber backend. No locking: the engine thread and the (pinned) pool
-  // worker hand control back and forth through FiberPool::run_on, whose
-  // mutex orders every access.
   std::unique_ptr<Fiber> fiber_;
-
-  // Thread backend.
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool token_with_process_ = false;
 };
 
 /// A waitable condition in virtual time. notify_all() schedules a wake-up of

@@ -6,12 +6,9 @@
 //  * the 8 -> 64 -> 256 -> 1024 rank sweep is same-seed deterministic —
 //    rerunning a scenario lands on a byte-identical result digest (schedule
 //    digest, virtual elapsed, every phase metric, every Stats counter);
-//  * the result is invariant under the scheduler backend (fiber vs thread)
-//    and under the fiber pool width, because neither may touch the
-//    (time, seq) event order;
 //  * randomized yield/block/wake interleavings over the raw sim core
-//    produce identical virtual-time traces across pool sizes 1/2/8 and
-//    both backends (the property form of the same contract);
+//    produce identical virtual-time traces on a rerun (the property form
+//    of the same contract);
 //  * the named traffic scenarios complete at 256 ranks with DcfaCheck
 //    armed (ctest runs this binary under DCFA_CHECK=cheap);
 //  * peak RSS stays bounded per rank at 1024 ranks (lazy endpoints: no
@@ -28,7 +25,6 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -46,16 +42,10 @@
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define DCFA_SCALE_SANITIZED 1
 #endif
-#if __has_feature(thread_sanitizer)
-#define DCFA_SCALE_TSAN 1
-#endif
 #endif
 #if !defined(DCFA_SCALE_SANITIZED) && \
     (defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__))
 #define DCFA_SCALE_SANITIZED 1
-#endif
-#if !defined(DCFA_SCALE_TSAN) && defined(__SANITIZE_THREAD__)
-#define DCFA_SCALE_TSAN 1
 #endif
 
 using namespace dcfa;
@@ -135,28 +125,6 @@ tg::Scenario sweep_scenario(int nprocs, std::uint64_t seed) {
   return sc;
 }
 
-/// RAII env override (restores the previous value on scope exit).
-class EnvGuard {
- public:
-  EnvGuard(const char* key, const char* value) : key_(key) {
-    const char* old = std::getenv(key);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(key, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_old_) {
-      ::setenv(key_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(key_.c_str());
-    }
-  }
-
- private:
-  std::string key_, old_;
-  bool had_old_;
-};
-
 // --- Rank sweep: same-seed determinism (tentpole acceptance) -----------------
 
 TEST(ScaleSweep, SameSeedReproducesByteIdentically) {
@@ -178,27 +146,7 @@ TEST(ScaleSweep, SameSeedReproducesByteIdentically) {
   }
 }
 
-// The scheduler backend and the fiber pool width may not perturb the
-// (time, seq) event order, so the full mpi-level result must be invariant
-// under both. Runtime re-reads DCFA_SIM_* per run, so an env override
-// around run_scenario selects the backend for that run only.
-TEST(ScaleSweep, SchedulerBackendAndPoolWidthInvariant) {
-  const tg::Scenario sc = sweep_scenario(64, 11);
-  const mpi::RunConfig cfg = tg::scale_run_config(64);
-  const std::uint64_t base = result_digest(tg::run_scenario(sc, cfg));
-  {
-    EnvGuard sched("DCFA_SIM_SCHED", "thread");
-    EXPECT_EQ(base, result_digest(tg::run_scenario(sc, cfg)))
-        << "thread backend diverged from fiber backend";
-  }
-  {
-    EnvGuard threads("DCFA_SIM_THREADS", "4");
-    EXPECT_EQ(base, result_digest(tg::run_scenario(sc, cfg)))
-        << "4-worker fiber pool diverged from inline fibers";
-  }
-}
-
-// --- Raw-core property test: interleavings vs pool width ---------------------
+// --- Raw-core property test: interleavings rerun identically -----------------
 
 using TraceEntry = std::tuple<sim::Time, int, int>;  // (virtual time, id, step)
 
@@ -209,9 +157,8 @@ using TraceEntry = std::tuple<sim::Time, int, int>;  // (virtual time, id, step)
 /// which step at which virtual time, in append order — is the full
 /// observable behavior; shared state needs no lock because the run token
 /// serializes process execution.
-std::vector<TraceEntry> run_interleaving(const sim::SchedConfig& cfg,
-                                         std::uint64_t seed) {
-  sim::Engine eng(cfg);
+std::vector<TraceEntry> run_interleaving(std::uint64_t seed) {
+  sim::Engine eng{sim::SchedConfig{}};
   std::vector<TraceEntry> trace;
   constexpr int kPairs = 4;
   constexpr int kYielders = 4;
@@ -267,34 +214,11 @@ std::vector<TraceEntry> run_interleaving(const sim::SchedConfig& cfg,
   return trace;
 }
 
-TEST(FiberInterleavings, TraceInvariantUnderPoolWidthAndBackend) {
-  std::vector<sim::SchedConfig> configs;
-#ifndef DCFA_SCALE_TSAN
-  // Fibers at pool widths 0 (inline), 1, 2, 8. Excluded under TSan: the
-  // explicit-config constructor honors the request, and TSan cannot track
-  // ucontext switches (SchedConfig::from_env forces the thread backend for
-  // the same reason).
-  for (unsigned threads : {0u, 1u, 2u, 8u}) {
-    sim::SchedConfig cfg;
-    cfg.backend = sim::SchedConfig::Backend::Fiber;
-    cfg.threads = threads;
-    configs.push_back(cfg);
-  }
-#endif
-  {
-    sim::SchedConfig cfg;
-    cfg.backend = sim::SchedConfig::Backend::Thread;
-    configs.push_back(cfg);
-    configs.push_back(cfg);  // a rerun must match too
-  }
-
+TEST(FiberInterleavings, TraceIdenticalOnRerun) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const std::vector<TraceEntry> want = run_interleaving(configs[0], seed);
+    const std::vector<TraceEntry> want = run_interleaving(seed);
     EXPECT_FALSE(want.empty());
-    for (std::size_t c = 1; c < configs.size(); ++c) {
-      EXPECT_EQ(want, run_interleaving(configs[c], seed))
-          << "seed " << seed << ", config " << c;
-    }
+    EXPECT_EQ(want, run_interleaving(seed)) << "seed " << seed;
   }
 }
 

@@ -1,11 +1,16 @@
 // Unit tests for the discrete-event core: event ordering, process
-// scheduling, conditions, resources, deterministic RNG, time formatting.
+// scheduling, conditions, resources, deterministic RNG, time formatting,
+// scheduler configuration from the environment.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 #include "sim/process.hpp"
 #include "sim/resource.hpp"
 #include "sim/rng.hpp"
@@ -242,6 +247,59 @@ TEST(Engine, DeterministicEventCountAcrossRuns) {
     return std::pair(engine.now(), engine.events_executed());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+namespace {
+
+/// RAII env override (restores the previous value on scope exit).
+class EnvGuard {
+ public:
+  EnvGuard(const char* key, const char* value) : key_(key) {
+    const char* old = std::getenv(key);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv(key, value, 1);
+  }
+  ~EnvGuard() {
+    if (had_old_) {
+      ::setenv(key_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(key_.c_str());
+    }
+  }
+
+ private:
+  std::string key_, old_;
+  bool had_old_;
+};
+
+}  // namespace
+
+TEST(SchedConfig, FromEnvRejectsUnknownSchedAndMalformedStack) {
+  {
+    EnvGuard sched("DCFA_SIM_SCHED", "fiber");
+    EXPECT_NO_THROW(SchedConfig::from_env());
+  }
+  {
+    // The message names the accepted values.
+    EnvGuard sched("DCFA_SIM_SCHED", "thread");
+    try {
+      SchedConfig::from_env();
+      ADD_FAILURE() << "DCFA_SIM_SCHED=thread accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'fiber' or 'explore'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    EnvGuard stack("DCFA_SIM_STACK_KB", "512x");
+    EXPECT_THROW(SchedConfig::from_env(), std::invalid_argument);
+  }
+  {
+    EnvGuard stack("DCFA_SIM_STACK_KB", "64");
+    EXPECT_EQ(SchedConfig::from_env().stack_bytes, 65536u);
+  }
 }
 
 TEST(Resource, FifoBooking) {
