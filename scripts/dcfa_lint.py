@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Seven rule families, each encoding an invariant the generic toolchain cannot
+Eight rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -41,6 +41,14 @@ see (docs/checking.md has the rationale and the paper references):
                   a second execution backend whose scheduling the engine
                   neither orders nor replays. (The test deadline watchdog
                   in tests/ is the one OS thread the repo runs.)
+  endpoint-mr     in src/mpi/, endpoint memory (the ring, staging, credit
+                  and heartbeat regions of mpi::Engine::Endpoint) is
+                  registered and deregistered only inside the lifecycle
+                  helpers Engine::reg_endpoint / Engine::dereg_endpoint.
+                  Setup, the reconnect rebuild and finalize all go through
+                  them; an inline reg_mr/dereg_mr copy is how the three
+                  used to drift apart (a rebuilt MR leaking, a landing
+                  route left stale).
 
 A file can waive one rule with a justified marker comment:
 
@@ -130,6 +138,16 @@ SWAPCONTEXT_CALL = re.compile(r"\bswapcontext\s*\(")
 # the engine's thread); OS threads and their wake-up primitive stay out of
 # the library.
 OS_THREAD = re.compile(r"\bstd::(?:thread|condition_variable(?:_any)?)\b")
+
+# endpoint-mr: the helper pair that owns endpoint-memory registration, and
+# what an endpoint region looks like at a reg_mr/dereg_mr call site (a
+# Region member, or a per-region MR pointer field named after one).
+ENDPOINT_MR_HELPERS = ("reg_endpoint", "dereg_endpoint")
+ENDPOINT_REGION = re.compile(
+    r"(?:\.|->)(?:ring|staging|credit_cell|credit_src|hb_cell|hb_src|"
+    r"ring_mr|staging_mr|credit_mr|credit_src_mr|hb_cell_mr|hb_src_mr)\b"
+)
+MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -310,6 +328,44 @@ def check_os_thread(path: Path, rel: str, lines: list[str]) -> None:
                     "engine's event order")
 
 
+def helper_line_ranges(text: str, names: tuple[str, ...]) -> list[range]:
+    """1-based line ranges of the bodies of Engine::<name> definitions."""
+    out: list[range] = []
+    pat = re.compile(r"\bEngine::(?:" + "|".join(names) +
+                     r")\s*\([^;{]*\)\s*(?:const\s*)?\{")
+    for m in pat.finditer(text):
+        depth, pos = 1, m.end()
+        while pos < len(text) and depth:
+            depth += {"{": 1, "}": -1}.get(text[pos], 0)
+            pos += 1
+        out.append(range(text.count("\n", 0, m.start()) + 1,
+                         text.count("\n", 0, pos) + 2))
+    return out
+
+
+def check_endpoint_mr(path: Path, rel: str, text: str,
+                      lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, ENDPOINT_MR_HELPERS)
+    code = [strip_comments(line) for line in lines]
+    for i, line in enumerate(code, 1):
+        if not MR_CALL.search(line) or any(i in r for r in helpers):
+            continue
+        # The whole statement: back to the previous terminator, on to `;`.
+        lo = i
+        while lo > 1 and not code[lo - 2].rstrip().endswith((";", "{", "}")):
+            lo -= 1
+        hi = i
+        while hi < len(code) and not code[hi - 1].rstrip().endswith(";"):
+            hi += 1
+        if ENDPOINT_REGION.search(" ".join(code[lo - 1:hi])):
+            finding(path, i, "endpoint-mr",
+                    "endpoint memory registered/deregistered outside "
+                    "Engine::reg_endpoint/dereg_endpoint; go through the "
+                    "lifecycle helpers so setup, rebuild and finalize agree")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -348,6 +404,7 @@ def main() -> int:
         check_rma_epoch(path, rel, lines)
         check_swapcontext(path, rel, lines)
         check_os_thread(path, rel, lines)
+        check_endpoint_mr(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mpi/window.hpp"
@@ -10,6 +11,60 @@
 namespace dcfa::capi {
 
 namespace {
+
+/// Generation-counted handle table. Handle layout: slot in bits 0..15,
+/// generation in bits 16..30 (bit 31 stays clear so handles are positive
+/// and never collide with the -1 null handles). Slots are recycled; the
+/// generation stamps each incarnation, so a stale handle copy (kept after
+/// its object was released) never aliases a reused slot.
+template <typename T>
+class HandleTable {
+ public:
+  enum class Ref {
+    Ok,       ///< live object at *slot
+    Stale,    ///< well-formed handle whose incarnation was released
+    Invalid,  ///< never a handle of this table
+  };
+
+  int stash(T value) {
+    int slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+      items_[slot] = std::move(value);
+    } else {
+      slot = static_cast<int>(items_.size());
+      items_.push_back(std::move(value));
+      gens_.push_back(0);
+    }
+    return (gens_[slot] & 0x7fff) << 16 | slot;
+  }
+
+  Ref decode(int h, int* slot) const {
+    if (h < 0) return Ref::Invalid;
+    const int s = h & 0xffff;
+    const int gen = (h >> 16) & 0x7fff;
+    if (s >= static_cast<int>(items_.size())) return Ref::Invalid;
+    if ((gens_[s] & 0x7fff) != gen || !items_[s]) return Ref::Stale;
+    *slot = s;
+    return Ref::Ok;
+  }
+
+  T& operator[](int slot) { return *items_[slot]; }
+
+  /// Retire a slot: bump the generation (invalidating outstanding handle
+  /// copies) and recycle it.
+  void release(int slot) {
+    items_[slot].reset();
+    ++gens_[slot];
+    free_.push_back(slot);
+  }
+
+ private:
+  std::vector<std::optional<T>> items_;
+  std::vector<std::uint16_t> gens_;
+  std::vector<int> free_;
+};
 
 /// Per-rank ambient state. Each rank is one sim::Process — with the fiber
 /// scheduler many ranks share an OS thread, so "process globals" hang off
@@ -28,16 +83,12 @@ struct RankEnv {
   /// Device allocations addressable through raw pointers.
   std::map<const std::byte*, mem::Buffer> allocs;
 
-  /// Outstanding non-blocking operations. Slots are recycled through
-  /// free_slots; gens[slot] stamps each incarnation so stale handle copies
-  /// (kept after the request completed) never alias a reused slot.
-  std::vector<mpi::Request> requests;
-  std::vector<std::uint16_t> gens;
-  std::vector<int> free_slots;
+  /// Outstanding non-blocking operations.
+  HandleTable<mpi::Request> requests;
 
-  /// RMA windows, generation-counted like the request table. `base` and
-  /// `owned_mem` track MPI_Win_allocate memory (registered in allocs so the
-  /// window region doubles as regular device memory; freed at Win_free).
+  /// RMA windows. `base` and `owned_mem` track MPI_Win_allocate memory
+  /// (registered in allocs so the window region doubles as regular device
+  /// memory; freed at Win_free).
   struct WinEntry {
     std::unique_ptr<mpi::Window> win;
     int disp_unit = 1;
@@ -45,10 +96,11 @@ struct RankEnv {
     const std::byte* base = nullptr;
     bool owned_mem = false;
   };
-  std::vector<WinEntry> wins;
-  std::vector<std::uint16_t> win_gens;
-  std::vector<int> win_free_slots;
+  HandleTable<WinEntry> wins;
 };
+
+using ReqRef = HandleTable<mpi::Request>::Ref;
+using WinRef = HandleTable<RankEnv::WinEntry>::Ref;
 
 RankEnv* env_or_null() {
   sim::Process* p = sim::Process::current();
@@ -148,100 +200,20 @@ void fill_status(MPI_Status* status, const mpi::Status& st) {
   status->count_bytes_ = st.bytes;
 }
 
-/// Handle layout: slot in bits 0..15, generation in bits 16..30 (bit 31
-/// stays clear so handles are positive and never collide with
-/// MPI_REQUEST_NULL).
-MPI_Request encode_request(const RankEnv& e, int slot) {
-  return static_cast<MPI_Request>((e.gens[slot] & 0x7fff) << 16 | slot);
-}
-
 MPI_Request stash_request(mpi::Request req) {
-  RankEnv& e = env();
-  int slot;
-  if (!e.free_slots.empty()) {
-    slot = e.free_slots.back();
-    e.free_slots.pop_back();
-    e.requests[slot] = std::move(req);
-  } else {
-    slot = static_cast<int>(e.requests.size());
-    e.requests.push_back(std::move(req));
-    e.gens.push_back(0);
-  }
-  return encode_request(e, slot);
+  return env().requests.stash(std::move(req));
 }
-
-enum class ReqRef {
-  Ok,       ///< live request at *slot
-  Stale,    ///< well-formed handle whose incarnation already completed
-  Invalid,  ///< never a request handle
-};
 
 ReqRef decode_request(MPI_Request h, int* slot) {
-  if (h < 0) return ReqRef::Invalid;
-  const int s = h & 0xffff;
-  const int gen = (h >> 16) & 0x7fff;
-  RankEnv& e = env();
-  if (s >= static_cast<int>(e.requests.size())) return ReqRef::Invalid;
-  if ((e.gens[s] & 0x7fff) != gen || !e.requests[s].valid()) {
-    return ReqRef::Stale;
-  }
-  *slot = s;
-  return ReqRef::Ok;
+  return env().requests.decode(h, slot);
 }
 
-/// Retire a slot: bump the generation (invalidating outstanding handle
-/// copies) and recycle it.
-void release_request(int slot) {
-  RankEnv& e = env();
-  e.requests[slot] = mpi::Request{};
-  ++e.gens[slot];
-  e.free_slots.push_back(slot);
-}
-
-// --- Window handle table (generation-counted, mirroring requests) -----------
-
-MPI_Win encode_win(const RankEnv& e, int slot) {
-  return static_cast<MPI_Win>((e.win_gens[slot] & 0x7fff) << 16 | slot);
-}
-
-MPI_Win stash_win(RankEnv::WinEntry entry) {
-  RankEnv& e = env();
-  int slot;
-  if (!e.win_free_slots.empty()) {
-    slot = e.win_free_slots.back();
-    e.win_free_slots.pop_back();
-    e.wins[slot] = std::move(entry);
-  } else {
-    slot = static_cast<int>(e.wins.size());
-    e.wins.push_back(std::move(entry));
-    e.win_gens.push_back(0);
-  }
-  return encode_win(e, slot);
-}
-
-enum class WinRef { Ok, Stale, Invalid };
-
-WinRef decode_win(MPI_Win h, int* slot) {
-  if (h < 0) return WinRef::Invalid;
-  const int s = h & 0xffff;
-  const int gen = (h >> 16) & 0x7fff;
-  RankEnv& e = env();
-  if (s >= static_cast<int>(e.wins.size())) return WinRef::Invalid;
-  if ((e.win_gens[s] & 0x7fff) != gen || !e.wins[s].win) return WinRef::Stale;
-  *slot = s;
-  return WinRef::Ok;
-}
-
-void release_win(int slot) {
-  RankEnv& e = env();
-  e.wins[slot] = RankEnv::WinEntry{};
-  ++e.win_gens[slot];
-  e.win_free_slots.push_back(slot);
-}
+void release_request(int slot) { env().requests.release(slot); }
 
 RankEnv::WinEntry* win_of(MPI_Win h) {
+  RankEnv& e = env();
   int slot;
-  return decode_win(h, &slot) == WinRef::Ok ? &env().wins[slot] : nullptr;
+  return e.wins.decode(h, &slot) == WinRef::Ok ? &e.wins[slot] : nullptr;
 }
 
 int classify(const mpi::MpiError& err) {
@@ -1154,7 +1126,7 @@ int MPI_Win_create(void* base, std::size_t size, int disp_unit,
     }
     entry.win = std::make_unique<mpi::Window>(*c, b, off, size);
     entry.disp_unit = disp_unit;
-    *win = stash_win(std::move(entry));
+    *win = env().wins.stash(std::move(entry));
     return MPI_SUCCESS;
   });
 }
@@ -1179,7 +1151,7 @@ int MPI_Win_allocate(std::size_t size, int disp_unit, void* info_ignored,
     entry.base = b.data();
     entry.owned_mem = true;
     *static_cast<void**>(baseptr) = b.data();
-    *win = stash_win(std::move(entry));
+    *win = env().wins.stash(std::move(entry));
     return MPI_SUCCESS;
   });
 }
@@ -1187,8 +1159,9 @@ int MPI_Win_allocate(std::size_t size, int disp_unit, void* info_ignored,
 int MPI_Win_free(MPI_Win* win) {
   return guarded([&]() -> int {
     if (!win) return MPI_ERR_WIN;
+    RankEnv& e = env();
     int slot;
-    switch (decode_win(*win, &slot)) {
+    switch (e.wins.decode(*win, &slot)) {
       case WinRef::Invalid:
         return *win == MPI_WIN_NULL ? MPI_SUCCESS : MPI_ERR_WIN;
       case WinRef::Stale:
@@ -1196,7 +1169,6 @@ int MPI_Win_free(MPI_Win* win) {
         return MPI_SUCCESS;
       case WinRef::Ok: break;
     }
-    RankEnv& e = env();
     RankEnv::WinEntry& w = e.wins[slot];
     w.win->free();
     w.win.reset();
@@ -1207,7 +1179,7 @@ int MPI_Win_free(MPI_Win* win) {
         e.allocs.erase(it);
       }
     }
-    release_win(slot);
+    e.wins.release(slot);
     *win = MPI_WIN_NULL;
     return MPI_SUCCESS;
   });

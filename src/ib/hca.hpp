@@ -195,6 +195,8 @@ class Hca {
   sim::Resource& ingress() { return ingress_; }
 
   std::uint64_t mrs_registered_total() const { return mr_reg_count_; }
+  /// MRs registered and not yet deregistered.
+  std::size_t mrs_live() const { return mrs_by_lkey_.size(); }
   /// Payload bytes this HCA has injected into the wire (retransmissions
   /// count again — that is the point of tracking it).
   std::uint64_t egress_bytes() const { return egress_bytes_; }

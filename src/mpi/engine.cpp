@@ -33,16 +33,21 @@ std::set<Engine*>& live_engines() {
 // ---------------------------------------------------------------------------
 
 void Bootstrap::put(int from, int to, PeerInfo info) {
-  table_[{from, to}] = info;
+  peers_[{from, to, 0}] = info;
   cond_.notify_all();
 }
 
 Bootstrap::PeerInfo Bootstrap::get(sim::Process& proc, int from, int to) {
   for (;;) {
-    auto it = table_.find({from, to});
-    if (it != table_.end()) return it->second;
+    if (const PeerInfo* pi = try_get(from, to)) return *pi;
     proc.wait_on(cond_);
   }
+}
+
+const Bootstrap::PeerInfo* Bootstrap::try_get(int from, int to,
+                                              std::uint32_t epoch) const {
+  auto it = peers_.find({from, to, epoch});
+  return it == peers_.end() ? nullptr : &it->second;
 }
 
 void Bootstrap::notify() {
@@ -56,14 +61,8 @@ void Bootstrap::notify() {
 
 void Bootstrap::put_epoch(int from, int to, std::uint32_t epoch,
                           PeerInfo info) {
-  epoch_table_[{from, to, epoch}] = info;
+  peers_[{from, to, epoch}] = info;
   notify();
-}
-
-const Bootstrap::PeerInfo* Bootstrap::try_get_epoch(
-    int from, int to, std::uint32_t epoch) const {
-  auto it = epoch_table_.find({from, to, epoch});
-  return it == epoch_table_.end() ? nullptr : &it->second;
 }
 
 void Bootstrap::request_reconnect(int from, int to, std::uint32_t epoch) {
@@ -88,12 +87,7 @@ void Bootstrap::set_watch(int rank, std::function<void()> fn) {
 }
 
 void Bootstrap::put_direct(int from, int to, PeerInfo info) {
-  table_[{from, to}] = info;
-}
-
-const Bootstrap::PeerInfo* Bootstrap::try_get(int from, int to) const {
-  auto it = table_.find({from, to});
-  return it == table_.end() ? nullptr : &it->second;
+  peers_[{from, to, 0}] = info;
 }
 
 void Bootstrap::request_connect(int from, int to) {
@@ -264,7 +258,7 @@ Engine::~Engine() {
   // timers still queued in the simulator are defused the same way.
   *alive_ = false;
   hb_stop_ = true;
-  if (fatal_armed_ || lazy_) bootstrap_.set_watch(rank_, {});
+  bootstrap_.set_watch(rank_, {});
   if (cq_) cq_->set_on_push({});
   if (write_observer_id_ != SIZE_MAX) {
     ib_->hca_ref().remove_remote_write_observer(write_observer_id_);
@@ -390,7 +384,7 @@ void Engine::finalize() {
     ib_->process().wait_on(wake_);
   }
   ib_->process().wait(sim::microseconds(100));
-  if (fatal_armed_ || lazy_) bootstrap_.set_watch(rank_, {});
+  bootstrap_.set_watch(rank_, {});
 
   if (phi_) {
     stats_.cmd_retries = phi_->cmd_retries();
@@ -419,21 +413,10 @@ void Engine::finalize() {
 
   if (mr_cache_) mr_cache_->clear();
   if (shadow_cache_) shadow_cache_->clear();
-  landing_peer_.clear();
   for (auto& [p, ep] : endpoints_) {
-    ib_->dereg_mr(ep.ring_mr);
-    ib_->dereg_mr(ep.staging_mr);
-    ib_->dereg_mr(ep.credit_mr);
-    ib_->dereg_mr(ep.credit_src_mr);
-    ib_->free_buffer(ep.ring);
-    ib_->free_buffer(ep.staging);
-    ib_->free_buffer(ep.credit_cell);
-    ib_->free_buffer(ep.credit_src);
-    if (ep.hb_cell_mr) {
-      ib_->dereg_mr(ep.hb_cell_mr);
-      ib_->dereg_mr(ep.hb_src_mr);
-      ib_->free_buffer(ep.hb_cell);
-      ib_->free_buffer(ep.hb_src);
+    dereg_endpoint(ep);
+    for (Region* r : ep.regions()) {
+      if (r->buf.valid()) ib_->free_buffer(r->buf);
     }
   }
   finalized_ = true;
@@ -441,50 +424,61 @@ void Engine::finalize() {
 
 Engine::Endpoint& Engine::open_endpoint(int peer) {
   const std::size_t ring_bytes = layout_.stride() * slots();
+  constexpr unsigned kRemote = ib::kLocalWrite | ib::kRemoteWrite;
+  const auto region = [this](std::size_t bytes, std::size_t align,
+                             unsigned access) {
+    return Region{ib_->alloc_buffer(bytes, align), nullptr, access};
+  };
   Endpoint& ep = endpoints_[peer];
   ep.peer = peer;
-  ep.ring = ib_->alloc_buffer(ring_bytes, mem::AddressSpace::kPage);
-  ep.ring_mr = ib_->reg_mr(pd_, ep.ring, ib::kLocalWrite | ib::kRemoteWrite);
-  ep.staging = ib_->alloc_buffer(ring_bytes, mem::AddressSpace::kPage);
-  ep.staging_mr = ib_->reg_mr(pd_, ep.staging, ib::kLocalWrite);
-  ep.credit_cell = ib_->alloc_buffer(sizeof(std::uint64_t), 64);
-  ep.credit_mr =
-      ib_->reg_mr(pd_, ep.credit_cell, ib::kLocalWrite | ib::kRemoteWrite);
-  ep.credit_src = ib_->alloc_buffer(sizeof(std::uint64_t), 64);
-  ep.credit_src_mr = ib_->reg_mr(pd_, ep.credit_src, ib::kLocalWrite);
-  map_landing_rkeys(ep);
+  ep.ring = region(ring_bytes, mem::AddressSpace::kPage, kRemote);
+  ep.staging = region(ring_bytes, mem::AddressSpace::kPage, ib::kLocalWrite);
+  ep.credit_cell = region(sizeof(std::uint64_t), 64, kRemote);
+  ep.credit_src = region(sizeof(std::uint64_t), 64, ib::kLocalWrite);
   if (fatal_armed_) {
     // Peer-liveness heartbeat cells; beacons are non-faultable, like
     // credit updates. Only fatal specs pay for these so non-fatal runs
     // keep their exact event schedule. Two words per beacon: the liveness
     // counter and the sender's known-failure epoch (failure dissemination
     // rides the heartbeat as well as the packet headers).
-    ep.hb_cell = ib_->alloc_buffer(2 * sizeof(std::uint64_t), 64);
-    ep.hb_cell_mr =
-        ib_->reg_mr(pd_, ep.hb_cell, ib::kLocalWrite | ib::kRemoteWrite);
-    ep.hb_src = ib_->alloc_buffer(2 * sizeof(std::uint64_t), 64);
-    ep.hb_src_mr = ib_->reg_mr(pd_, ep.hb_src, ib::kLocalWrite);
+    ep.hb_cell = region(2 * sizeof(std::uint64_t), 64, kRemote);
+    ep.hb_src = region(2 * sizeof(std::uint64_t), 64, ib::kLocalWrite);
   }
+  reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
-
-  Bootstrap::PeerInfo info{ib_->address(ep.qp), ep.ring.addr(),
-                           ep.ring_mr->rkey(), ep.credit_cell.addr(),
-                           ep.credit_mr->rkey()};
-  if (fatal_armed_) {
-    info.hb_addr = ep.hb_cell.addr();
-    info.hb_rkey = ep.hb_cell_mr->rkey();
-  }
   if (lazy_) {
-    bootstrap_.put_direct(rank_, peer, info);
+    bootstrap_.put_direct(rank_, peer, peer_info(ep));
   } else {
-    bootstrap_.put(rank_, peer, info);
+    bootstrap_.put(rank_, peer, peer_info(ep));
   }
   return ep;
 }
 
-void Engine::map_landing_rkeys(const Endpoint& ep) {
-  landing_peer_[ep.ring_mr->rkey()] = ep.peer;
-  landing_peer_[ep.credit_mr->rkey()] = ep.peer;
+void Engine::reg_endpoint(Endpoint& ep) {
+  for (Region* r : ep.regions()) {
+    if (r->buf.valid()) r->mr = ib_->reg_mr(pd_, r->buf, r->access);
+  }
+  landing_peer_[ep.ring.mr->rkey()] = ep.peer;
+  landing_peer_[ep.credit_cell.mr->rkey()] = ep.peer;
+}
+
+void Engine::dereg_endpoint(Endpoint& ep) {
+  for (Region* r : ep.regions()) {
+    if (!r->mr) continue;
+    landing_peer_.erase(r->mr->rkey());
+    ib_->dereg_mr(r->mr);
+    r->mr = nullptr;
+  }
+}
+
+Bootstrap::PeerInfo Engine::peer_info(const Endpoint& ep) const {
+  return {ib_->address(ep.qp),
+          ep.ring.buf.addr(),
+          ep.ring.mr->rkey(),
+          ep.credit_cell.buf.addr(),
+          ep.credit_cell.mr->rkey(),
+          ep.hb_cell.buf.addr(),
+          ep.hb_cell.mr ? ep.hb_cell.mr->rkey() : ib::MKey{0}};
 }
 
 void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
@@ -495,6 +489,7 @@ void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
   ep.remote_credit_rkey = info.credit_rkey;
   ep.remote_hb = info.hb_addr;
   ep.remote_hb_rkey = info.hb_rkey;
+  ep.last_heard = ib_->process().now();
 }
 
 Engine::Endpoint& Engine::establish_endpoint(int peer) {
@@ -505,7 +500,7 @@ Engine::Endpoint& Engine::establish_endpoint(int peer) {
   const Bootstrap::PeerInfo* pi = nullptr;
   for (;;) {
     check_alive();
-    if (kill_armed_ && bootstrap_.is_dead(peer)) {
+    if (bootstrap_.is_dead(peer)) {
       // The peer died before building its half; its publication will never
       // come. Put the death on the board (purging dependent state) and
       // unwind — waiting here would hang the rank forever.
@@ -524,19 +519,17 @@ Engine::Endpoint& Engine::establish_endpoint(int peer) {
     if (!wake_pending_) ib_->process().wait_on(wake_);
   }
   connect_endpoint(ep, *pi);
-  if (fatal_armed_) ep.last_heard = ib_->process().now();
   return ep;
 }
 
 void Engine::service_connect_requests() {
   for (int q : bootstrap_.take_connect_requests(rank_)) {
     if (q == rank_ || endpoints_.count(q) > 0) continue;  // already wired
-    if (kill_armed_ && bootstrap_.is_dead(q)) continue;   // requester died
+    if (bootstrap_.is_dead(q)) continue;                  // requester died
     const Bootstrap::PeerInfo* pi = bootstrap_.try_get(q, rank_);
     if (!pi) continue;  // unreachable under publish-before-request
     Endpoint& ep = open_endpoint(q);
     connect_endpoint(ep, *pi);
-    if (fatal_armed_) ep.last_heard = ib_->process().now();
     bootstrap_.notify_rank(q);  // requester's wait loop can proceed
   }
 }
@@ -597,32 +590,38 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   // rank's known-failure epoch (Tentpole part 1 — dissemination rides
   // existing traffic).
   hdr.fail_epoch = known_fail_epoch_;
+  // The absolute ring index and the connection generation let the
+  // receiver scrub stale retransmits and fence out pre-reconnect traffic.
+  const std::uint64_t idx = ep.sent_packets;
+  hdr.ring_idx = idx;
+  hdr.conn_epoch = ep.epoch;
+  if (idx >= static_cast<std::uint64_t>(slots())) {
+    // Reusing a slot is only possible once the peer's credit covered its
+    // old occupant, so any record still parked there (fault mode) is
+    // implicitly acknowledged now.
+    const std::uint64_t old = idx - slots();
+    if (ep.unacked.count(old) > 0) {
+      ++stats_.credit_acked;
+      ib::Wc ack{};
+      ack.status = ib::WcStatus::Success;
+      finish_tx_record(ep, old, ack);
+    }
+    ep.delivered.erase(old);  // slot reuse proves the peer consumed it
+  }
+
+  // Stage header, payload (the eager one-copy) and tail into the slot.
+  const int slot = static_cast<int>(idx % slots());
+  wire::put(ep.staging.buf, layout_.header_off(slot), hdr);
+  if (len > 0) {
+    wire::put_bytes(ep.staging.buf, layout_.payload_off(slot), payload, len);
+    ib_->charge_memcpy(len);
+  }
+  const PacketTail tail = kPacketMagic;
+  wire::put(ep.staging.buf, layout_.tail_off(slot, len), tail);
+
   if (faults_armed_) {
-    // Reliable path: stamp the absolute ring index and track the packet
-    // until a CQE or a returning credit confirms delivery. Reusing a slot
-    // is only possible once the peer's credit covered its old occupant, so
-    // any record still parked there is implicitly acknowledged now.
-    const std::uint64_t idx = ep.sent_packets;
-    hdr.ring_idx = idx;
-    hdr.conn_epoch = ep.epoch;
-    if (idx >= static_cast<std::uint64_t>(slots())) {
-      const std::uint64_t old = idx - slots();
-      if (ep.unacked.count(old) > 0) {
-        ++stats_.credit_acked;
-        ib::Wc ack{};
-        ack.status = ib::WcStatus::Success;
-        finish_tx_record(ep, old, ack);
-      }
-      ep.delivered.erase(old);  // slot reuse proves the peer consumed it
-    }
-    const int slot = static_cast<int>(idx % slots());
-    wire::put(ep.staging, layout_.header_off(slot), hdr);
-    if (len > 0) {
-      wire::put_bytes(ep.staging, layout_.payload_off(slot), payload, len);
-      ib_->charge_memcpy(len);
-    }
-    const PacketTail tail = kPacketMagic;
-    wire::put(ep.staging, layout_.tail_off(slot, len), tail);
+    // Reliable path: track the packet until a CQE or a returning credit
+    // confirms delivery.
     TxRecord rec;
     rec.hdr = hdr;
     rec.payload_len = len;
@@ -633,32 +632,7 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
     post_tx_record(ep, idx);
     return;
   }
-  const int slot = static_cast<int>(ep.sent_packets % slots());
-
-  // Stage header, payload (the eager one-copy) and tail into the slot.
-  wire::put(ep.staging, layout_.header_off(slot), hdr);
-  if (len > 0) {
-    wire::put_bytes(ep.staging, layout_.payload_off(slot), payload, len);
-    ib_->charge_memcpy(len);
-  }
-  const PacketTail tail = kPacketMagic;
-  wire::put(ep.staging, layout_.tail_off(slot, len), tail);
-
-  // Header SGE + data SGE + tail SGE, exactly as the paper describes; the
-  // responder lays them down contiguously so the tail lands last-after-data.
-  ib::SendWr wr;
-  wr.opcode = ib::Opcode::RdmaWrite;
-  const ib::MKey lkey = ep.staging_mr->lkey();
-  wr.sg_list = {
-      {ep.staging.addr() + layout_.header_off(slot),
-       static_cast<std::uint32_t>(sizeof hdr), lkey},
-      {ep.staging.addr() + layout_.payload_off(slot),
-       static_cast<std::uint32_t>(len), lkey},
-      {ep.staging.addr() + layout_.tail_off(slot, len),
-       static_cast<std::uint32_t>(sizeof tail), lkey},
-  };
-  wr.remote_addr = ep.remote_ring + layout_.header_off(slot);
-  wr.rkey = ep.remote_ring_rkey;
+  ib::SendWr wr = ring_write(ep, slot, len);
   if (on_complete) {
     wr.signaled = true;
     wr.wr_id = next_wr_id_++;
@@ -668,6 +642,26 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   }
   ib_->post_send(ep.qp, std::move(wr));
   ++ep.sent_packets;
+}
+
+ib::SendWr Engine::ring_write(const Endpoint& ep, int slot,
+                              std::size_t len) const {
+  // Header SGE + data SGE + tail SGE, exactly as the paper describes.
+  ib::SendWr wr;
+  wr.opcode = ib::Opcode::RdmaWrite;
+  const mem::SimAddr base = ep.staging.buf.addr();
+  const ib::MKey lkey = ep.staging.mr->lkey();
+  wr.sg_list = {
+      {base + layout_.header_off(slot),
+       static_cast<std::uint32_t>(sizeof(PacketHeader)), lkey},
+      {base + layout_.payload_off(slot), static_cast<std::uint32_t>(len),
+       lkey},
+      {base + layout_.tail_off(slot, len),
+       static_cast<std::uint32_t>(sizeof(PacketTail)), lkey},
+  };
+  wr.remote_addr = ep.remote_ring + layout_.header_off(slot);
+  wr.rkey = ep.remote_ring_rkey;
+  return wr;
 }
 
 void Engine::emit_control(Endpoint& ep, PacketType type,
@@ -710,7 +704,6 @@ void Engine::schedule_recovery(sim::Time delay, std::function<void()> fn) {
 void Engine::post_tx_record(Endpoint& ep, std::uint64_t idx) {
   TxRecord& rec = ep.unacked.at(idx);
   const int slot = static_cast<int>(idx % slots());
-  const std::size_t len = rec.payload_len;
   const int attempts = rec.attempts;
   ++rec.epoch;
   const std::uint64_t epoch = rec.epoch;
@@ -719,22 +712,10 @@ void Engine::post_tx_record(Endpoint& ep, std::uint64_t idx) {
   // The staging slot still holds header+payload+tail (it cannot be reused
   // before the peer's credit proves consumption), so a retransmit re-posts
   // the very same SGEs.
-  ib::SendWr wr;
-  wr.opcode = ib::Opcode::RdmaWrite;
+  ib::SendWr wr = ring_write(ep, slot, rec.payload_len);
   wr.faultable = true;
   wr.signaled = true;
   wr.wr_id = next_wr_id_++;
-  const ib::MKey lkey = ep.staging_mr->lkey();
-  wr.sg_list = {
-      {ep.staging.addr() + layout_.header_off(slot),
-       static_cast<std::uint32_t>(sizeof(PacketHeader)), lkey},
-      {ep.staging.addr() + layout_.payload_off(slot),
-       static_cast<std::uint32_t>(len), lkey},
-      {ep.staging.addr() + layout_.tail_off(slot, len),
-       static_cast<std::uint32_t>(sizeof(PacketTail)), lkey},
-  };
-  wr.remote_addr = ep.remote_ring + layout_.header_off(slot);
-  wr.rkey = ep.remote_ring_rkey;
   rec.wr_ids.push_back(wr.wr_id);
   outstanding_[wr.wr_id] = [this, peer, idx](const ib::Wc& wc) {
     on_tx_wc(peer, idx, wc);
@@ -966,8 +947,7 @@ void Engine::forget_wr_ids(const std::vector<std::uint64_t>& ids) {
 
 bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
   if (!fatal_armed_ || finalized_) return false;
-  if (kill_armed_ && ep.conn_state != ConnState::Failed &&
-      bootstrap_.is_dead(ep.peer)) {
+  if (ep.conn_state != ConnState::Failed && bootstrap_.is_dead(ep.peer)) {
     // The peer is permanently dead (rank_kill): reconnecting would block
     // forever on a publication that never comes. Declare the failure —
     // fail_peer_ops (via adoption) purges the parked records this signal
@@ -1020,12 +1000,12 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   if (ep.epoch >= target_epoch || ep.conn_state == ConnState::Reconnecting) {
     return;  // a concurrent signal already got here
   }
-  if (kill_armed_) {
-    if (ep.conn_state == ConnState::Failed) return;  // terminal under kills
-    if (bootstrap_.is_dead(ep.peer)) {
-      declare_failed(ep.peer, "reconnect target is dead");
-      return;
-    }
+  if (kill_armed_ && ep.conn_state == ConnState::Failed) {
+    return;  // terminal under kills
+  }
+  if (bootstrap_.is_dead(ep.peer)) {
+    declare_failed(ep.peer, "reconnect target is dead");
+    return;
   }
   ep.conn_state = ConnState::Reconnecting;
   ++ep.reconnects;
@@ -1053,7 +1033,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   auto copy_payload = [&](std::uint64_t idx, std::size_t len, Replay& r) {
     if (len == 0) return;
     const int slot = static_cast<int>(idx % slots());
-    const std::byte* src = ep.staging.data() + layout_.payload_off(slot);
+    const std::byte* src = ep.staging.buf.data() + layout_.payload_off(slot);
     r.payload.assign(src, src + len);
   };
   // Delivered-but-unconsumed packets are about to be destroyed with the
@@ -1091,6 +1071,27 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     d.attempts = 1;
     ops.push_back(id);
   }
+  // Giving up: the endpoint turns Failed and every quiesced packet and
+  // data op fails (the caller's blame scope, if any, classifies them).
+  const auto abandon = [&](const char* why) {
+    ep.conn_state = ConnState::Failed;
+    ib::Wc err{};
+    err.status = ib::WcStatus::RetryExceeded;
+    for (auto& r : replay) {
+      if (r.cb) {
+        r.cb(err);
+      } else if (r.owner && !r.owner->done()) {
+        fail(r.owner, why);
+      }
+    }
+    for (std::uint64_t id : ops) {
+      auto oit = data_ops_.find(id);
+      if (oit == data_ops_.end()) continue;
+      auto cb = std::move(oit->second.on_result);
+      data_ops_.erase(oit);
+      cb(err);
+    }
+  };
 
   // --- Tear down and rebuild: destroy the (possibly error-wedged) QP and
   // re-register every connection MR, so in-flight writes against the old
@@ -1105,51 +1106,16 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   active_.insert(ep.peer);
   try {
     ib_->destroy_qp(ep.qp);
-    const ib::MKey ring_rkey = ep.ring_mr->rkey();
-    const ib::MKey credit_rkey = ep.credit_mr->rkey();
-    ib_->dereg_mr(ep.ring_mr);
-    landing_peer_.erase(ring_rkey);
-    ib_->dereg_mr(ep.staging_mr);
-    ib_->dereg_mr(ep.credit_mr);
-    landing_peer_.erase(credit_rkey);
-    ib_->dereg_mr(ep.credit_src_mr);
-    ib_->dereg_mr(ep.hb_cell_mr);
-    ib_->dereg_mr(ep.hb_src_mr);
-    std::memset(ep.ring.data(), 0, ep.ring.size());
-    std::memset(ep.credit_cell.data(), 0, ep.credit_cell.size());
-    std::memset(ep.hb_cell.data(), 0, ep.hb_cell.size());
-    ep.ring_mr = ib_->reg_mr(pd_, ep.ring, ib::kLocalWrite | ib::kRemoteWrite);
-    ep.staging_mr = ib_->reg_mr(pd_, ep.staging, ib::kLocalWrite);
-    ep.credit_mr =
-        ib_->reg_mr(pd_, ep.credit_cell, ib::kLocalWrite | ib::kRemoteWrite);
-    ep.credit_src_mr = ib_->reg_mr(pd_, ep.credit_src, ib::kLocalWrite);
-    ep.hb_cell_mr =
-        ib_->reg_mr(pd_, ep.hb_cell, ib::kLocalWrite | ib::kRemoteWrite);
-    ep.hb_src_mr = ib_->reg_mr(pd_, ep.hb_src, ib::kLocalWrite);
-    map_landing_rkeys(ep);
+    dereg_endpoint(ep);
+    std::memset(ep.ring.buf.data(), 0, ep.ring.buf.size());
+    std::memset(ep.credit_cell.buf.data(), 0, ep.credit_cell.buf.size());
+    std::memset(ep.hb_cell.buf.data(), 0, ep.hb_cell.buf.size());
+    reg_endpoint(ep);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
   } catch (const core::CmdError&) {
     // Only reachable when proxy failover was not eligible; the endpoint is
     // unrecoverable — fail every parked operation cleanly.
-    ep.conn_state = ConnState::Failed;
-    for (auto& r : replay) {
-      ib::Wc err{};
-      err.status = ib::WcStatus::RetryExceeded;
-      if (r.cb) {
-        r.cb(err);
-      } else if (r.owner && !r.owner->done()) {
-        fail(r.owner, "connection re-establishment failed (delegate dead)");
-      }
-    }
-    for (std::uint64_t id : ops) {
-      auto oit = data_ops_.find(id);
-      if (oit == data_ops_.end()) continue;
-      auto cb = std::move(oit->second.on_result);
-      data_ops_.erase(oit);
-      ib::Wc err{};
-      err.status = ib::WcStatus::RetryExceeded;
-      cb(err);
-    }
+    abandon("connection re-establishment failed (delegate dead)");
     wake_.notify_all();
     return;
   }
@@ -1163,11 +1129,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.hb_seq = 0;
   ep.hb_seen = 0;
 
-  Bootstrap::PeerInfo mine{ib_->address(ep.qp), ep.ring.addr(),
-                           ep.ring_mr->rkey(), ep.credit_cell.addr(),
-                           ep.credit_mr->rkey(), ep.hb_cell.addr(),
-                           ep.hb_cell_mr->rkey()};
-  bootstrap_.put_epoch(rank_, ep.peer, target_epoch, mine);
+  bootstrap_.put_epoch(rank_, ep.peer, target_epoch, peer_info(ep));
   bootstrap_.request_reconnect(rank_, ep.peer, target_epoch);
 
   // Wait for the peer to publish the same generation. Serving *other*
@@ -1176,52 +1138,29 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   const Bootstrap::PeerInfo* pi = nullptr;
   for (;;) {
     check_alive();  // our own kill fate can fire while blocked here
-    if (kill_armed_ && bootstrap_.is_dead(ep.peer)) {
+    if (bootstrap_.is_dead(ep.peer)) {
       // The peer died mid-handshake: its epoch publication will never come.
       // The in-flight state was already quiesced into `replay`/`ops`, out
       // of fail_peer_ops' reach — fail it here, then put the death on the
       // board so the rest of this rank's dependent state gets purged too.
-      ep.conn_state = ConnState::Failed;
       BlameScope blame(*this, MpiErrc::ProcFailed, ep.peer);
-      ib::Wc err{};
-      err.status = ib::WcStatus::RetryExceeded;
-      for (auto& r : replay) {
-        if (r.cb) {
-          r.cb(err);
-        } else if (r.owner && !r.owner->done()) {
-          fail(r.owner, "peer died during connection re-establishment");
-        }
-      }
-      for (std::uint64_t id : ops) {
-        auto oit = data_ops_.find(id);
-        if (oit == data_ops_.end()) continue;
-        auto cb = std::move(oit->second.on_result);
-        data_ops_.erase(oit);
-        cb(err);
-      }
+      abandon("peer died during connection re-establishment");
       declare_failed(ep.peer, "peer died during reconnect handshake");
       wake_.notify_all();
       return;
     }
-    pi = bootstrap_.try_get_epoch(ep.peer, rank_, target_epoch);
+    pi = bootstrap_.try_get(ep.peer, rank_, target_epoch);
     if (pi) break;
     service_reconnect_requests(/*except_peer=*/ep.peer);
-    pi = bootstrap_.try_get_epoch(ep.peer, rank_, target_epoch);
+    pi = bootstrap_.try_get(ep.peer, rank_, target_epoch);
     if (pi) break;
     ib_->process().wait_on(bootstrap_.changed());
   }
-  ib_->connect(ep.qp, pi->qp);
-  ep.remote_ring = pi->ring_addr;
-  ep.remote_ring_rkey = pi->ring_rkey;
-  ep.remote_credit = pi->credit_addr;
-  ep.remote_credit_rkey = pi->credit_rkey;
-  ep.remote_hb = pi->hb_addr;
-  ep.remote_hb_rkey = pi->hb_rkey;
+  connect_endpoint(ep, *pi);
   ep.epoch = target_epoch;
   chk().epoch_advanced(rank_, ep.peer, target_epoch);
   ep.conn_state = (phi_ && phi_->in_proxy_fallback()) ? ConnState::Degraded
                                                       : ConnState::Healthy;
-  ep.last_heard = ib_->process().now();
   sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
                      "reconnect-done peer=" + std::to_string(ep.peer) +
                          " epoch=" + std::to_string(target_epoch),
@@ -1267,27 +1206,25 @@ void Engine::heartbeat_tick() {
     // Adopt the peer's beacon — and, under rank kills, the failure-epoch
     // word riding in the beacon's second half (heartbeat-borne failure
     // dissemination for ranks with no packet traffic to piggyback on).
-    const std::uint64_t v = wire::get<std::uint64_t>(ep.hb_cell, 0);
+    const std::uint64_t v = wire::get<std::uint64_t>(ep.hb_cell.buf, 0);
     if (v != ep.hb_seen) {
       ep.hb_seen = v;
       ep.last_heard = now;
     }
-    if (kill_armed_) {
-      const std::uint64_t fe =
-          wire::get<std::uint64_t>(ep.hb_cell, sizeof(std::uint64_t));
-      if (fe > known_fail_epoch_) adopt_failures();
-      if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
-    }
+    const std::uint64_t fe =
+        wire::get<std::uint64_t>(ep.hb_cell.buf, sizeof(std::uint64_t));
+    if (fe > known_fail_epoch_) adopt_failures();
+    if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
     // Write mine: non-faultable and unsignaled, like a credit update.
     ++ep.hb_seq;
-    wire::put(ep.hb_src, 0, ep.hb_seq);
-    wire::put(ep.hb_src, sizeof(std::uint64_t), known_fail_epoch_);
+    wire::put(ep.hb_src.buf, 0, ep.hb_seq);
+    wire::put(ep.hb_src.buf, sizeof(std::uint64_t), known_fail_epoch_);
     ib::SendWr wr;
     wr.opcode = ib::Opcode::RdmaWrite;
     wr.signaled = false;
-    wr.sg_list = {{ep.hb_src.addr(),
+    wr.sg_list = {{ep.hb_src.buf.addr(),
                    static_cast<std::uint32_t>(2 * sizeof ep.hb_seq),
-                   ep.hb_src_mr->lkey()}};
+                   ep.hb_src.mr->lkey()}};
     wr.remote_addr = ep.remote_hb;
     wr.rkey = ep.remote_hb_rkey;
     ib_->post_send(ep.qp, std::move(wr));
@@ -1555,9 +1492,7 @@ void Engine::flood_revoke(std::uint32_t comm_id) {
       if (!member) continue;
     }
     if (ep.conn_state == ConnState::Failed) continue;
-    if (kill_armed_ && (known_failed_.count(p) > 0 || bootstrap_.is_dead(p))) {
-      continue;
-    }
+    if (known_failed_.count(p) > 0 || bootstrap_.is_dead(p)) continue;
     PacketHeader hdr;
     hdr.type = PacketType::Revoke;
     hdr.src_rank = rank_;
@@ -1643,13 +1578,13 @@ void Engine::send_credit(Endpoint& ep) {
   // RDMA-write the consumption counter into the peer's credit cell. No ring
   // slot needed — this is what keeps the flow control deadlock-free.
   chk().credit_written(rank_, ep.peer, ep.my_consumed);
-  wire::put(ep.credit_src, 0, ep.my_consumed);
+  wire::put(ep.credit_src.buf, 0, ep.my_consumed);
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
   wr.signaled = false;
-  wr.sg_list = {{ep.credit_src.addr(),
+  wr.sg_list = {{ep.credit_src.buf.addr(),
                  static_cast<std::uint32_t>(sizeof ep.my_consumed),
-                 ep.credit_src_mr->lkey()}};
+                 ep.credit_src.mr->lkey()}};
   wr.remote_addr = ep.remote_credit;
   wr.rkey = ep.remote_credit_rkey;
   ib_->post_send(ep.qp, std::move(wr));
@@ -1677,11 +1612,11 @@ void Engine::poll_cq() {
 }
 
 void Engine::read_credit_cell(Endpoint& ep) {
-  const std::uint64_t value = wire::get<std::uint64_t>(ep.credit_cell, 0);
+  const std::uint64_t value = wire::get<std::uint64_t>(ep.credit_cell.buf, 0);
   if (value > ep.consumed_by_peer) {
     chk().credit_read(rank_, ep.peer, value);
     ep.consumed_by_peer = value;
-    if (fatal_armed_) ep.last_heard = ib_->process().now();
+    ep.last_heard = ib_->process().now();
     // Consumption proven up to `value`: parked delivered-packet records
     // below it can never need a replay.
     ep.delivered.erase(ep.delivered.begin(),
@@ -1693,35 +1628,32 @@ bool Engine::scan_ring(Endpoint& ep) {
   const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
   for (;;) {
     const int slot = static_cast<int>(ep.my_consumed % slots());
-    std::byte* base = ep.ring.data() + layout_.header_off(slot);
-    const auto hdr =
-        wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
+    const mem::Buffer& ring = ep.ring.buf;
+    std::byte* base = ring.data() + layout_.header_off(slot);
+    const auto hdr = wire::get<PacketHeader>(ring, layout_.header_off(slot));
     if (hdr.magic != kPacketMagic) return false;
     const std::uint64_t plen =
         hdr.type == PacketType::Eager ? hdr.msg_bytes : 0;
-    const auto tail =
-        wire::get<PacketTail>(ep.ring, layout_.tail_off(slot, plen));
+    const auto tail = wire::get<PacketTail>(ring, layout_.tail_off(slot, plen));
     if (tail != kPacketMagic) return true;  // data still in flight
-    if (fatal_armed_ && hdr.conn_epoch != ep.epoch) {
+    if (hdr.conn_epoch != ep.epoch) {
       // Cross-epoch traffic: a pre-recovery packet landing in the rebuilt
       // ring (or one that raced the teardown). Fence it out — its sequence
       // number is replayed under the current epoch if it still matters.
       std::memset(base, 0, sizeof hdr);
-      std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
-                  sizeof tail);
+      std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.epoch_fenced;
       sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
                          "epoch-fenced idx=" + std::to_string(hdr.ring_idx),
                          ib_->process().now());
       return true;
     }
-    if (faults_armed_ && hdr.ring_idx != ep.my_consumed) {
+    if (hdr.ring_idx != ep.my_consumed) {
       // A retransmit of an already-consumed packet (its CQE or credit got
       // lost on the sender side): scrub the slot so it reads empty again,
       // and do NOT advance — the slot's real next packet comes later.
       std::memset(base, 0, sizeof hdr);
-      std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0,
-                  sizeof tail);
+      std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.dup_packets_dropped;
       return true;
     }
@@ -1729,19 +1661,19 @@ bool Engine::scan_ring(Endpoint& ep) {
     // The poll that found the packet costs a core its cycles.
     ib_->process().wait(on_phi ? platform_.phi_poll_overhead
                                : platform_.host_poll_overhead);
-    if (fatal_armed_) ep.last_heard = ib_->process().now();
+    ep.last_heard = ib_->process().now();
 
     // Failure piggyback: the sender knows of deaths we have not adopted
     // yet — pull the board before dispatching, so a packet that depends on
     // a dead rank is handled with that knowledge in place.
-    if (kill_armed_ && hdr.fail_epoch > known_fail_epoch_) adopt_failures();
+    if (hdr.fail_epoch > known_fail_epoch_) adopt_failures();
 
-    const std::byte* payload = ep.ring.data() + layout_.payload_off(slot);
+    const std::byte* payload = ring.data() + layout_.payload_off(slot);
     handle_packet(ep, hdr, payload);
 
     // Release the slot, then occasionally tell the sender.
     std::memset(base, 0, sizeof hdr);
-    std::memset(ep.ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
+    std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
     ++ep.my_consumed;
     chk().packet_consumed(rank_, ep.peer, ep.my_consumed);
     ++stats_.packets_rx;
@@ -1779,9 +1711,7 @@ void Engine::progress() {
   // heartbeat covers idle pairs, and this covers a rank woken by the
   // bootstrap watch with neither (e.g. blocked in wait with nothing
   // in flight toward anyone).
-  if (kill_armed_ && bootstrap_.fail_epoch() > known_fail_epoch_) {
-    adopt_failures();
-  }
+  if (bootstrap_.fail_epoch() > known_fail_epoch_) adopt_failures();
   // Visit only the endpoints that may have work, in peer order. Each mark
   // is cleared before its visit and the walk resumes at upper_bound(p), so
   // a peer marked while an earlier visit's poll advanced virtual time is
@@ -1818,10 +1748,10 @@ void Engine::check_idle_endpoints() {
     if (active_.count(p) > 0) continue;
     const int slot = static_cast<int>(ep.my_consumed % slots());
     const auto hdr =
-        wire::get<PacketHeader>(ep.ring, layout_.header_off(slot));
+        wire::get<PacketHeader>(ep.ring.buf, layout_.header_off(slot));
     chk().endpoint_idle(rank_, p, hdr.magic != kPacketMagic,
                         ep.pending_tx.empty(),
-                        wire::get<std::uint64_t>(ep.credit_cell, 0) <=
+                        wire::get<std::uint64_t>(ep.credit_cell.buf, 0) <=
                             ep.consumed_by_peer);
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -44,17 +45,18 @@ class Bootstrap {
 
   explicit Bootstrap(sim::Engine& engine) : cond_(engine, "bootstrap") {}
 
-  /// Publish rank `from`'s info for peer `to`.
+  /// Publish rank `from`'s info for peer `to` (initial wiring: epoch 0).
   void put(int from, int to, PeerInfo info);
-  /// Block until `from` published for `to`, then return it.
+  /// Block until `from` published for `to` at epoch 0, then return it.
   PeerInfo get(sim::Process& proc, int from, int to);
+  /// Non-blocking lookup of `from`'s info for `to` at connection
+  /// generation `epoch`; nullptr until `from` published it.
+  const PeerInfo* try_get(int from, int to, std::uint32_t epoch = 0) const;
 
   // --- Connection recovery (fatal faults; see docs/faults.md) ---------------
   /// Re-publish `from`'s info for `to` at connection generation `epoch`
-  /// (initial setup is epoch 0 and uses the plain table above).
+  /// (always > 0: initial wiring owns epoch 0).
   void put_epoch(int from, int to, std::uint32_t epoch, PeerInfo info);
-  /// Non-blocking epoch lookup; nullptr until the peer published.
-  const PeerInfo* try_get_epoch(int from, int to, std::uint32_t epoch) const;
   /// Reconnect-request board: `from` asks `to` to re-establish their pair at
   /// `epoch`. Epochs on the board are monotonic per direction.
   void request_reconnect(int from, int to, std::uint32_t epoch);
@@ -75,8 +77,6 @@ class Bootstrap {
   /// them would make first-touch wiring O(N^2) wake-ups. The one rank that
   /// cares is poked explicitly with notify_rank().
   void put_direct(int from, int to, PeerInfo info);
-  /// Non-blocking table lookup; nullptr until `from` published for `to`.
-  const PeerInfo* try_get(int from, int to) const;
   /// First-touch connect request: `from` asks `to` to build its side of
   /// their pair. Invariant: `from` has already published (put_direct), so
   /// the responder can always finish without blocking.
@@ -144,8 +144,8 @@ class Bootstrap {
     std::set<int> shared;      ///< origins holding shared
   };
 
-  std::map<std::pair<int, int>, PeerInfo> table_;
-  std::map<std::tuple<int, int, std::uint32_t>, PeerInfo> epoch_table_;
+  /// Published connection info keyed by (from, to, epoch).
+  std::map<std::tuple<int, int, std::uint32_t>, PeerInfo> peers_;
   std::map<std::pair<int, int>, std::uint32_t> reconnect_board_;
   std::map<int, std::vector<int>> connect_requests_;  ///< target -> requesters
   std::map<int, std::function<void()>> watches_;
@@ -496,23 +496,27 @@ class Engine {
   /// Failed (reconnect budget exhausted; operations raise MpiError).
   enum class ConnState { Healthy, Suspect, Reconnecting, Degraded, Failed };
 
+  /// One registered piece of endpoint memory: the buffer, its MR (null
+  /// while deregistered) and the access it is registered with.
+  struct Region {
+    mem::Buffer buf;
+    ib::MemoryRegion* mr = nullptr;
+    unsigned access = 0;
+  };
+
   /// Per-peer connection: QP, rings, staging, credits, deferred emissions.
   struct Endpoint {
     int peer = -1;
     ib::QueuePair* qp = nullptr;
 
-    mem::Buffer ring;  ///< my receive ring for this peer's packets
-    ib::MemoryRegion* ring_mr = nullptr;
+    Region ring;  ///< my receive ring for this peer's packets
     mem::SimAddr remote_ring = 0;  ///< peer's ring (where I write)
     ib::MKey remote_ring_rkey = 0;
 
-    mem::Buffer staging;  ///< eager headers+payload+tail source slots
-    ib::MemoryRegion* staging_mr = nullptr;
+    Region staging;  ///< eager headers+payload+tail source slots
 
-    mem::Buffer credit_cell;  ///< peer reports its consumption here
-    ib::MemoryRegion* credit_mr = nullptr;
-    mem::Buffer credit_src;  ///< my consumption counter (RDMA source)
-    ib::MemoryRegion* credit_src_mr = nullptr;
+    Region credit_cell;  ///< peer reports its consumption here
+    Region credit_src;   ///< my consumption counter (RDMA source)
     mem::SimAddr remote_credit = 0;
     ib::MKey remote_credit_rkey = 0;
 
@@ -531,10 +535,8 @@ class Engine {
     /// Heartbeat cells (allocated only when fatal faults are armed): the
     /// peer writes an incrementing beacon into hb_cell; hb_src is my beacon
     /// RDMA source. Beacons are non-faultable, like credit updates.
-    mem::Buffer hb_cell;
-    ib::MemoryRegion* hb_cell_mr = nullptr;
-    mem::Buffer hb_src;
-    ib::MemoryRegion* hb_src_mr = nullptr;
+    Region hb_cell;
+    Region hb_src;
     mem::SimAddr remote_hb = 0;
     ib::MKey remote_hb_rkey = 0;
     std::uint64_t hb_seq = 0;   ///< my beacon counter towards this peer
@@ -572,6 +574,12 @@ class Engine {
     /// sequence ids by tag lets unrelated tags (e.g. collective traffic vs
     /// user messages) interleave freely.
     std::map<std::pair<std::uint32_t, int>, Channel> channels;
+
+    /// Every region in registration order; unallocated ones (heartbeat
+    /// cells of an unarmed run) have an invalid buffer.
+    std::array<Region*, 6> regions() {
+      return {&ring, &staging, &credit_cell, &credit_src, &hb_cell, &hb_src};
+    }
   };
 
   /// Self-messaging (rank sending to itself) short-circuits the network but
@@ -620,6 +628,10 @@ class Engine {
                     std::uint64_t buf_bytes,
                     std::uint32_t dir = PacketHeader::kToSender);
   void send_credit(Endpoint& ep);
+  /// The paper's ring write of staged `slot`: header, payload and tail
+  /// SGEs, laid down contiguously in the peer's ring so the tail lands
+  /// last-after-data. Callers set signaling and the wr_id.
+  ib::SendWr ring_write(const Endpoint& ep, int slot, std::size_t len) const;
 
   // --- Fault recovery (see docs/faults.md) -----------------------------------
   /// (Re)post the staged packet for `idx` as a signaled faultable WR and arm
@@ -667,13 +679,25 @@ class Engine {
   /// serving *other* peers breaks multi-endpoint reconnect cycles).
   void service_reconnect_requests(int except_peer = -1);
 
-  // --- Lazy first-touch wiring (Options::lazy_endpoints) ---------------------
+  // --- Endpoint lifecycle ------------------------------------------------------
   /// Create this side of the pair with `peer` (rings, staging, credit,
   /// heartbeat cells when armed, QP) and publish it on the bootstrap.
   Endpoint& open_endpoint(int peer);
+  /// Register `ep`'s allocated regions in Endpoint::regions() order and
+  /// route landings on its ring and credit cell to its active mark. This
+  /// pair is the only code that (de)registers endpoint memory: setup, the
+  /// reconnect rebuild and finalize all go through it (dcfa_lint
+  /// endpoint-mr).
+  void reg_endpoint(Endpoint& ep);
+  /// Deregister `ep`'s regions in the same order, dropping each landing
+  /// route with its MR. The buffers stay allocated.
+  void dereg_endpoint(Endpoint& ep);
+  /// This side's half of the pair, as published on the bootstrap.
+  Bootstrap::PeerInfo peer_info(const Endpoint& ep) const;
   /// Wire remote addresses from a published PeerInfo into an opened
-  /// endpoint (the second half of what setup()'s mesh loop did).
+  /// endpoint and connect its QP; the peer counts as heard from now.
   void connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info);
+  // --- Lazy first-touch wiring (Options::lazy_endpoints) ---------------------
   /// First touch toward `peer`: open our side, request theirs, block until
   /// they publish. While blocked, incoming connect requests are served —
   /// that breaks first-touch cycles (A waits on B while C waits on A),
@@ -833,9 +857,6 @@ class Engine {
   }
 
   void poll_cq();
-  /// Active-endpoint set upkeep (docs/protocol.md "Progress, blocking,
-  /// teardown"): route landings on `ep`'s ring and credit cell to its mark.
-  void map_landing_rkeys(const Endpoint& ep);
   /// DcfaCheck (full): after a progress pass, every endpoint outside
   /// active_ must have nothing for the next pass to do.
   void check_idle_endpoints();
@@ -897,20 +918,23 @@ class Engine {
   };
   std::vector<CondemnedScratch> condemned_;
 
-  /// Fault-injection state. faults_armed_ is the single gate every hazard
-  /// point branches on; with the default RunConfig it is false and the
-  /// engine behaves exactly as before.
+  /// Arming flags, one per fault class in the spec. The rule: a flag guards
+  /// only what changes allocation, scheduling, tracking or tracing — a
+  /// check whose condition cannot hold while its fault class is unarmed
+  /// (a dead peer, a foreign epoch, a stale ring index) runs unguarded.
+  /// Unarmed classes therefore keep their event schedule bit-identical.
   sim::FaultInjector* faults_ = nullptr;
+  /// Any fault armed: the credit cap and per-packet credit period, delivery
+  /// tracking and retransmission, the finalize credit flush, the fault
+  /// counters in the trace.
   bool faults_armed_ = false;
-  /// True only when the spec injects *fatal* faults (qp_fatal or
-  /// delegate_crash). Gates the whole connection-recovery subsystem — the
-  /// heartbeat, the bootstrap watch, reconnects — so non-fatal fault specs
-  /// keep the exact PR-1 event schedule (and its tests byte-identical).
+  /// qp_fatal or delegate_crash armed: heartbeat cells and timer, the
+  /// bootstrap watch (eager mesh), reconnects and the per-pass scan of the
+  /// reconnect board.
   bool fatal_armed_ = false;
-  /// True only when the spec schedules rank kills. Gates every *new* FT
-  /// behaviour that could perturb the existing fatal-fault event schedule
-  /// (receive-side liveness, dead-peer reconnect short-circuits), so the
-  /// qp_fatal/delegate_crash recovery tests keep their exact traces.
+  /// rank_kill armed: the kill timer, receive-side liveness (a silent
+  /// sender with receives pending on it) and Failed as a terminal
+  /// reconnect state.
   bool kill_armed_ = false;
   bool dead_ = false;  ///< this rank's kill fate fired
   /// First-touch wiring armed (Options::lazy_endpoints): endpoints_ holds

@@ -1,5 +1,5 @@
 // Second C API batch: rooted collectives, alltoall, sendrecv, dup, ssend,
-// iprobe, wtime monotonicity — the remaining MPI_* surface.
+// iprobe, wtime monotonicity, window handles — the remaining MPI_* surface.
 
 #include <gtest/gtest.h>
 
@@ -310,6 +310,61 @@ int request_lifecycle_main(int, char**) {
   return 0;
 }
 
+int window_lifecycle_main(int, char**) {
+  MPI_Init(nullptr, nullptr);
+  int rank, size;
+  MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+  MPI_Comm_size(MPI_COMM_WORLD, &size);
+  const int right = (rank + 1) % size;
+  const int left = (rank + size - 1) % size;
+  int* src;
+  MPI_Alloc_mem(4 * sizeof(int), nullptr, &src);
+
+  // Put into the right neighbour's window; the closing fence completes it.
+  int* base = nullptr;
+  MPI_Win win;
+  C_EXPECT(MPI_Win_allocate(4 * sizeof(int), sizeof(int), nullptr,
+                            MPI_COMM_WORLD, &base, &win) == MPI_SUCCESS);
+  for (int i = 0; i < 4; ++i) {
+    base[i] = -1;
+    src[i] = rank * 100 + i;
+  }
+  C_EXPECT(MPI_Win_fence(0, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Put(src, 4, MPI_INT, right, 0, 4, MPI_INT, win) ==
+           MPI_SUCCESS);
+  C_EXPECT(MPI_Win_fence(0, win) == MPI_SUCCESS);
+  for (int i = 0; i < 4; ++i) C_EXPECT(base[i] == left * 100 + i);
+
+  // Freeing through one copy leaves the other stale: refused, not a crash.
+  MPI_Win stale = win;
+  C_EXPECT(MPI_Win_free(&win) == MPI_SUCCESS);
+  C_EXPECT(win == MPI_WIN_NULL);
+  C_EXPECT(MPI_Win_fence(0, stale) == MPI_ERR_WIN);
+  C_EXPECT(MPI_Put(src, 1, MPI_INT, right, 0, 1, MPI_INT, stale) ==
+           MPI_ERR_WIN);
+
+  // The next window recycles the slot under a new generation; the stale
+  // copy must not reach it — not even to free it.
+  int* base2 = nullptr;
+  MPI_Win win2;
+  C_EXPECT(MPI_Win_allocate(4 * sizeof(int), sizeof(int), nullptr,
+                            MPI_COMM_WORLD, &base2, &win2) == MPI_SUCCESS);
+  C_EXPECT((win2 & 0xffff) == (stale & 0xffff) && win2 != stale);
+  C_EXPECT(MPI_Win_fence(0, stale) == MPI_ERR_WIN);
+  C_EXPECT(MPI_Win_free(&stale) == MPI_SUCCESS && stale == MPI_WIN_NULL);
+  for (int i = 0; i < 4; ++i) src[i] = rank * 100 + 50 + i;
+  C_EXPECT(MPI_Win_fence(0, win2) == MPI_SUCCESS);
+  C_EXPECT(MPI_Put(src, 4, MPI_INT, right, 0, 4, MPI_INT, win2) ==
+           MPI_SUCCESS);
+  C_EXPECT(MPI_Win_fence(0, win2) == MPI_SUCCESS);
+  for (int i = 0; i < 4; ++i) C_EXPECT(base2[i] == left * 100 + 50 + i);
+  C_EXPECT(MPI_Win_free(&win2) == MPI_SUCCESS);
+
+  MPI_Free_mem(src);
+  MPI_Finalize();
+  return 0;
+}
+
 }  // namespace
 
 TEST(CApiMore, GatherScatter) { run(cfg(4), gather_scatter_main); }
@@ -318,3 +373,4 @@ TEST(CApiMore, SendrecvOnDup) { run(cfg(3), sendrecv_dup_main); }
 TEST(CApiMore, SsendAndIprobe) { run(cfg(2), ssend_iprobe_main); }
 TEST(CApiMore, NonblockingCollectives) { run(cfg(4), nbc_collectives_main); }
 TEST(CApiMore, RequestLifecycle) { run(cfg(2), request_lifecycle_main); }
+TEST(CApiMore, WindowLifecycle) { run(cfg(2), window_lifecycle_main); }

@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ib/hca.hpp"
 #include "mpi/runtime.hpp"
 #include "sim/fault.hpp"
 
@@ -152,6 +154,30 @@ TEST(FatalFaults, QpFatalReconnectsAndDeliversExactlyOnce) {
   EXPECT_EQ(s1.retry_exhausted, 0u);
   EXPECT_EQ(s0.proxy_failovers, 0u);
   EXPECT_EQ(s1.proxy_failovers, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// MR lifecycle: setup, the reconnect rebuild and finalize register and
+// deregister endpoint memory through one helper pair. After a run that
+// rebuilt an endpoint (fresh ring/staging/credit/heartbeat MRs) and then
+// finalized, every HCA must be back at its pre-run live-MR count: zero,
+// since nothing registers before Engine::setup.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, ReconnectThenFinalizeReleasesEveryMr) {
+  Runtime rt(fatal_cfg("qp_fatal=1,qp_fatal_skip=6,qp_fatal_max=1"));
+  std::set<ib::Hca*> hcas;
+  rt.run([&](RankCtx& ctx) {
+    hcas.insert(&ctx.world.engine().ib().hca_ref());
+    pingpong_body(ctx);
+  });
+  EXPECT_GE(rt.rank_stats()[0].reconnects + rt.rank_stats()[1].reconnects,
+            1u);
+  ASSERT_EQ(hcas.size(), 2u);
+  for (const ib::Hca* hca : hcas) {
+    EXPECT_GT(hca->mrs_registered_total(), 0u);
+    EXPECT_EQ(hca->mrs_live(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
