@@ -82,6 +82,8 @@ void report_work(bench::JsonReport& rep, const std::string& label,
   rep.metric(label, "events", static_cast<double>(res.events), "count");
   rep.metric(label, "endpoint_polls",
              static_cast<double>(res.totals.endpoint_polls), "count");
+  rep.metric(label, "ctx_switches", static_cast<double>(res.ctx_switches),
+             "count");
 }
 
 std::string hex_digest(std::uint64_t d) {

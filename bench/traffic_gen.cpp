@@ -137,6 +137,8 @@ int main(int argc, char** argv) {
     rep.metric(name, "events", static_cast<double>(res.events), "count");
     rep.metric(name, "endpoint_polls",
                static_cast<double>(res.totals.endpoint_polls), "count");
+    rep.metric(name, "ctx_switches", static_cast<double>(res.ctx_switches),
+               "count");
   }
 
   std::printf("\n(All numbers are virtual time from the deterministic "

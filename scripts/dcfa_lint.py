@@ -29,12 +29,17 @@ see (docs/checking.md has the rationale and the paper references):
                   RDMA post anywhere else in src/mpi bypasses
                   chk().rma_remote_access and the passive-target epoch
                   ledgers — DcfaCheck would be blind to the access.
-  raw-swapcontext swapcontext() may only appear in src/sim/fiber.cpp
-                  (Fiber::resume/yield). A context switch anywhere else
+  raw-context-switch  the fiber switch routine (dcfa_fiber_switch) may
+                  only appear in src/sim/fiber.cpp (Fiber::resume/yield),
+                  and no ucontext API (getcontext, makecontext,
+                  setcontext, swapcontext, ucontext_t, <ucontext.h>) may
+                  appear anywhere in src/. A context switch anywhere else
                   escapes the engine's event queue, which breaks both the
                   determinism contract and schedule exploration
                   (DCFA_SIM_SCHED=explore can only permute decisions that
-                  flow through Engine::schedule_at).
+                  flow through Engine::schedule_at); a ucontext switch is
+                  also a second switch mechanism that costs a
+                  sigprocmask system call per switch.
   sim-os-thread   no std::thread and no std::condition_variable anywhere in
                   src/. Every simulated rank is a fiber resumed inline on
                   the engine's thread; an OS thread in the library would be
@@ -127,12 +132,15 @@ RMA_EPOCH_ALLOWED = [
 ]
 RMA_OPCODE = re.compile(r"Opcode::Rdma(?:Write|Read)\b")
 
-# raw-swapcontext: the one file that owns context switching. Everything the
-# simulator runs must block/resume through Engine::schedule_at so that
+# raw-context-switch: the one file that owns context switching. Everything
+# the simulator runs must block/resume through Engine::schedule_at so that
 # schedule exploration (and its replay tokens) covers every interleaving
-# decision; a stray swapcontext would be an invisible scheduling choice.
-SWAPCONTEXT_ALLOWED = ["src/sim/fiber.cpp"]
-SWAPCONTEXT_CALL = re.compile(r"\bswapcontext\s*\(")
+# decision; a stray switch would be an invisible scheduling choice. The
+# ucontext API is out of src/ altogether: the library has one switch.
+FIBER_SWITCH_ALLOWED = ["src/sim/fiber.cpp"]
+FIBER_SWITCH = re.compile(r"\bdcfa_fiber_switch\b")
+UCONTEXT_API = re.compile(r"\b(?:ucontext_t|(?:get|set|make|swap)context)\b")
+UCONTEXT_HEADER = re.compile(r"#\s*include\s*[<\"](?:sys/)?ucontext\.h[>\"]")
 
 # sim-os-thread: the simulator has exactly one execution backend (fibers on
 # the engine's thread); OS threads and their wake-up primitive stay out of
@@ -304,16 +312,21 @@ def check_rma_epoch(path: Path, rel: str, lines: list[str]) -> None:
                     "add a justified waiver)")
 
 
-def check_swapcontext(path: Path, rel: str, lines: list[str]) -> None:
-    if rel in SWAPCONTEXT_ALLOWED:
-        return
+def check_context_switch(path: Path, rel: str, lines: list[str]) -> None:
+    in_src = rel.startswith("src/")
     for i, line in enumerate(lines, 1):
-        if SWAPCONTEXT_CALL.search(strip_comments(line)):
-            finding(path, i, "raw-swapcontext",
-                    "swapcontext outside src/sim/fiber.cpp: a context switch "
-                    "that does not flow through Engine::schedule_at is an "
-                    "interleaving decision the explore scheduler can neither "
-                    "permute nor replay")
+        code = strip_comments(line)
+        if in_src and (UCONTEXT_API.search(code) or
+                       UCONTEXT_HEADER.search(line.split("//", 1)[0])):
+            finding(path, i, "raw-context-switch",
+                    "ucontext API in src/: the library switches contexts "
+                    "only through dcfa_fiber_switch in src/sim/fiber.cpp")
+        elif rel not in FIBER_SWITCH_ALLOWED and FIBER_SWITCH.search(code):
+            finding(path, i, "raw-context-switch",
+                    "fiber switch outside src/sim/fiber.cpp: a context "
+                    "switch that does not flow through Engine::schedule_at "
+                    "is an interleaving decision the explore scheduler can "
+                    "neither permute nor replay")
 
 
 def check_os_thread(path: Path, rel: str, lines: list[str]) -> None:
@@ -402,7 +415,7 @@ def main() -> int:
         check_wire_structs(path, rel, text)
         check_naked_memcpy(path, rel, lines)
         check_rma_epoch(path, rel, lines)
-        check_swapcontext(path, rel, lines)
+        check_context_switch(path, rel, lines)
         check_os_thread(path, rel, lines)
         check_endpoint_mr(path, rel, text, lines)
 

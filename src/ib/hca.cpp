@@ -143,6 +143,27 @@ Hca::DmaCost Hca::write_cost(mem::Domain d) const {
   return {platform_.hca_write_phi_gbps, platform_.hca_write_phi_latency};
 }
 
+Hca::DmaCost Hca::sge_cost(const std::vector<Sge>& sges,
+                           const std::vector<MemoryRegion*>& mrs,
+                           bool read) const {
+  std::size_t bytes = 0;
+  double total_ns = 0;
+  sim::Time latency = 0;
+  for (std::size_t i = 0; i < sges.size(); ++i) {
+    if (sges[i].length == 0) continue;
+    const DmaCost c =
+        read ? read_cost(mrs[i]->domain()) : write_cost(mrs[i]->domain());
+    total_ns += static_cast<double>(sges[i].length) / c.gbps;
+    latency = std::max(latency, c.latency);
+    bytes += sges[i].length;
+  }
+  if (bytes == 0) {
+    return {read ? platform_.hca_read_host_gbps : platform_.hca_write_host_gbps,
+            0};
+  }
+  return {static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1), latency};
+}
+
 std::size_t Hca::total_length(const std::vector<Sge>& sges) {
   std::size_t n = 0;
   for (const Sge& s : sges) n += s.length;
@@ -151,8 +172,11 @@ std::size_t Hca::total_length(const std::vector<Sge>& sges) {
 
 std::optional<WcStatus> Hca::check_sges(ProtectionDomain& pd,
                                         const std::vector<Sge>& sges,
-                                        bool need_local_write) {
-  for (const Sge& s : sges) {
+                                        bool need_local_write,
+                                        std::vector<MemoryRegion*>& mrs) {
+  mrs.assign(sges.size(), nullptr);
+  for (std::size_t i = 0; i < sges.size(); ++i) {
+    const Sge& s = sges[i];
     if (s.length == 0) continue;
     // Fail fast on a dead or mis-sized key before the HCA-model lookup: the
     // checker has the registration ledger, so a use-after-dereg surfaces as
@@ -165,6 +189,7 @@ std::optional<WcStatus> Hca::check_sges(ProtectionDomain& pd,
     if (need_local_write && !(mr->access() & kLocalWrite)) {
       return WcStatus::LocalProtectionError;
     }
+    mrs[i] = mr;
   }
   return std::nullopt;
 }
@@ -209,7 +234,8 @@ void Hca::post_send(QueuePair* qp, SendWr wr) {
 
 void Hca::post_recv(QueuePair* qp, RecvWr wr) {
   if (!qp) throw std::invalid_argument("post_recv: null QP");
-  if (auto bad = check_sges(qp->pd(), wr.sg_list, /*need_local_write=*/true)) {
+  if (auto bad = check_sges(qp->pd(), wr.sg_list, /*need_local_write=*/true,
+                            sge_mrs_)) {
     throw std::logic_error("post_recv: bad SGE: " + std::string(
         wc_status_name(*bad)));
   }
@@ -236,10 +262,11 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
 
   // Local SGE validation. RDMA-read WRs *write* locally.
   const bool local_write = wr.opcode == Opcode::RdmaRead;
-  if (auto bad = check_sges(qp->pd(), wr.sg_list, local_write)) {
+  if (auto bad = check_sges(qp->pd(), wr.sg_list, local_write, sge_mrs_)) {
     fail_post(qp, wr, *bad);
     return;
   }
+  const std::vector<MemoryRegion*>& mrs = sge_mrs_;
 
   Hca& remote = fabric_.hca_by_lid(qp->remote_lid_);
   QueuePair* remote_qp = nullptr;
@@ -323,33 +350,18 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     // Ship header+data to the responder; match against its receive queue on
     // arrival. The data movement below runs the read+wire stages; the
     // remote-write stage happens when a receive is available.
-    const double mixed_read_gbps = [&] {
-      // Gather may span domains (e.g. eager header on Phi + payload in the
-      // host shadow buffer): weight by bytes.
-      if (bytes == 0) return platform_.hca_read_host_gbps;
-      double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        auto c = read_cost(mr_by_lkey(s.lkey)->domain());
-        total_ns += static_cast<double>(s.length) / c.gbps;
-      }
-      return static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
-    }();
-    sim::Time read_lat = 0;
-    for (const Sge& s : wr.sg_list) {
-      if (s.length == 0) continue;
-      read_lat = std::max(read_lat, read_cost(mr_by_lkey(s.lkey)->domain())
-                                        .latency);
-    }
+    // Gather may span domains (e.g. eager header on Phi + payload in the
+    // host shadow buffer): weight by bytes.
+    const DmaCost rcost = sge_cost(wr.sg_list, mrs, /*read=*/true);
 
     const std::uint64_t chunk = platform_.ib_chunk_bytes;
-    sim::Time t = start + read_lat;
+    sim::Time t = start + rcost.latency;
     sim::Time last_ingress = t;
     std::uint64_t left = bytes;
     do {
       const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
       const sim::Time t1 =
-          dma_read_.acquire(t, sim::transfer_time(n, mixed_read_gbps));
+          dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
       if (loopback) {
         last_ingress = t1;
       } else {
@@ -391,31 +403,16 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   const std::uint64_t chunk = platform_.ib_chunk_bytes;
 
   if (wr.opcode == Opcode::RdmaWrite) {
-    const double read_gbps = [&] {
-      if (bytes == 0) return platform_.hca_read_host_gbps;
-      double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        total_ns += static_cast<double>(s.length) /
-                    read_cost(mr_by_lkey(s.lkey)->domain()).gbps;
-      }
-      return static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
-    }();
-    sim::Time read_lat = 0;
-    for (const Sge& s : wr.sg_list) {
-      if (s.length == 0) continue;
-      read_lat =
-          std::max(read_lat, read_cost(mr_by_lkey(s.lkey)->domain()).latency);
-    }
+    const DmaCost rcost = sge_cost(wr.sg_list, mrs, /*read=*/true);
     const DmaCost wcost = remote.write_cost(rmr->domain());
 
-    sim::Time t = start + read_lat;
+    sim::Time t = start + rcost.latency;
     sim::Time last_write = t + wire_lat;  // for zero-byte writes
     std::uint64_t left = bytes;
     do {
       const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
       const sim::Time t1 =
-          dma_read_.acquire(t, sim::transfer_time(n, read_gbps));
+          dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
       sim::Time t3 = t1;
       if (!loopback) {
         const sim::Time t2 = egress_.acquire(
@@ -478,22 +475,7 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   // RDMA read: request travels to the responder, which streams the window
   // back; the local HCA scatters into the SGEs.
   const DmaCost remote_read = remote.read_cost(rmr->domain());
-  double write_gbps;
-  sim::Time write_lat = 0;
-  {
-    if (bytes == 0) {
-      write_gbps = platform_.hca_write_host_gbps;
-    } else {
-      double total_ns = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        auto c = write_cost(mr_by_lkey(s.lkey)->domain());
-        total_ns += static_cast<double>(s.length) / c.gbps;
-        write_lat = std::max(write_lat, c.latency);
-      }
-      write_gbps = static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1);
-    }
-  }
+  const DmaCost wcost = sge_cost(wr.sg_list, mrs, /*read=*/false);
 
   sim::Time t = start + wire_lat + remote_read.latency;  // request + first read
   sim::Time last_write = t;
@@ -509,11 +491,10 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
       t3 = ingress_.acquire(
           t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
     }
-    last_write =
-        dma_write_.acquire(t3, sim::transfer_time(n, write_gbps));
+    last_write = dma_write_.acquire(t3, sim::transfer_time(n, wcost.gbps));
     left -= n;
   } while (left > 0);
-  last_write += write_lat;
+  last_write += wcost.latency;
   if (sim::Tracer::current()) {
     sim::trace_span("node" + std::to_string(node()) + ".hca",
                     "rdma-read " + std::to_string(bytes) + "B", start,

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "ib/types.hpp"
 #include "pcie/pcie.hpp"
@@ -210,6 +211,11 @@ class Hca {
   };
   DmaCost read_cost(mem::Domain d) const;
   DmaCost write_cost(mem::Domain d) const;
+  /// Byte-weighted cost of gathering from (`read`) or scattering into the
+  /// SGEs whose MRs `mrs` holds index-aligned: bandwidth is the bytes over
+  /// the summed per-SGE transfer times, latency the slowest SGE's.
+  DmaCost sge_cost(const std::vector<Sge>& sges,
+                   const std::vector<MemoryRegion*>& mrs, bool read) const;
 
   void execute_send(QueuePair* qp, SendWr wr);
   /// Runs on the *destination* HCA when a Send arrives; matches a posted
@@ -222,11 +228,13 @@ class Hca {
   /// Gather total byte length of an SGE list.
   static std::size_t total_length(const std::vector<Sge>& sges);
 
-  /// Validate each SGE against an MR (lkey, bounds, pd). Returns the first
-  /// failing status or nullopt when all pass.
+  /// Validate each SGE against an MR (lkey, bounds, pd), leaving the MRs
+  /// found in `mrs`, index-aligned with `sges` (nullptr for zero-length
+  /// SGEs). Returns the first failing status or nullopt when all pass.
   std::optional<WcStatus> check_sges(ProtectionDomain& pd,
                                      const std::vector<Sge>& sges,
-                                     bool need_local_write);
+                                     bool need_local_write,
+                                     std::vector<MemoryRegion*>& mrs);
 
   void complete(QueuePair* qp, CompletionQueue& cq, const SendWr& wr,
                 WcOpcode op, WcStatus status, std::size_t bytes,
@@ -253,10 +261,14 @@ class Hca {
   std::uint64_t mr_reg_count_ = 0;
 
   std::map<int, std::unique_ptr<ProtectionDomain>> pds_;
-  std::map<MKey, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
-  std::map<MKey, MemoryRegion*> mrs_by_rkey_;
+  // Probed on every WR and only ever found, emplaced or erased, never
+  // iterated, so hashing cannot leak an order into the simulation.
+  std::unordered_map<MKey, std::unique_ptr<MemoryRegion>> mrs_by_lkey_;
+  std::unordered_map<MKey, MemoryRegion*> mrs_by_rkey_;
   std::map<int, std::unique_ptr<CompletionQueue>> cqs_;
-  std::map<Qpn, std::unique_ptr<QueuePair>> qps_;
+  std::unordered_map<Qpn, std::unique_ptr<QueuePair>> qps_;
+  /// check_sges output for the WR being posted, reused across posts.
+  std::vector<MemoryRegion*> sge_mrs_;
   std::vector<std::function<void(MKey)>> remote_write_observers_;
 
   void notify_remote_write(MKey rkey) {

@@ -781,6 +781,7 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
   res.elapsed = rt.elapsed();
   res.check_events = rt.sim().checker().events();
   res.events = rt.sim().events_executed();
+  res.ctx_switches = rt.sim().switches();
   for (const Engine::Stats& st : rt.rank_stats()) {
     res.totals = stats_add(res.totals, st);
   }

@@ -167,10 +167,12 @@ struct ScenarioResult {
   /// death-to-adoption gap (0 when nothing died). The headline robustness
   /// metric for the ft_shrink scenarios.
   std::uint64_t failure_detect_max_ns = 0;
-  /// Deterministic host-work counters: simulator events executed, and
-  /// every rank's engine Stats summed over the whole run (setup and
-  /// teardown included), e.g. totals.endpoint_polls vs totals.packets_rx.
+  /// Deterministic host-work counters: simulator events executed, fiber
+  /// resumes, and every rank's engine Stats summed over the whole run
+  /// (setup and teardown included), e.g. totals.endpoint_polls vs
+  /// totals.packets_rx.
   std::uint64_t events = 0;
+  std::uint64_t ctx_switches = 0;
   Engine::Stats totals{};
 };
 

@@ -92,7 +92,7 @@ std::string chan_str(const char* role, int rank, int peer, std::uint32_t comm,
 // assignment/acceptance. The ledger stores the last seen id; map presence
 // distinguishes "nothing yet" from "last was 0", keeping the first id
 // strictly checked too.
-void Checker::check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
+void Checker::check_seq(Ledger<ChannelKey, std::uint64_t>& ledger,
                         const char* role, int rank, int peer,
                         std::uint32_t comm, int tag, std::uint64_t seq) {
   count();
@@ -110,7 +110,11 @@ void Checker::check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
                 std::to_string(seq) + " (expected " +
                 std::to_string(expected) + ", " +
                 chan_str(role, rank, peer, comm, tag) + ")");
-  ledger[key] = seq;
+  if (it == ledger.end()) {
+    ledger.emplace(key, seq);
+  } else {
+    it->second = seq;
+  }
 }
 
 namespace {

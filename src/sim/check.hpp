@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/vclock.hpp"
@@ -305,21 +306,34 @@ class Checker {
     int peer;
     std::uint32_t comm;
     int tag;
-    bool operator<(const ChannelKey& o) const {
-      if (rank != o.rank) return rank < o.rank;
-      if (peer != o.peer) return peer < o.peer;
-      if (comm != o.comm) return comm < o.comm;
-      return tag < o.tag;
-    }
+    bool operator==(const ChannelKey&) const = default;
   };
   struct PairKey {
     int rank;
     int peer;
-    bool operator<(const PairKey& o) const {
-      if (rank != o.rank) return rank < o.rank;
-      return peer < o.peer;
+    bool operator==(const PairKey&) const = default;
+  };
+  using MrKey = std::pair<const void*, std::uint64_t>;  // (owner PD, key)
+  struct LedgerHash {
+    static std::uint64_t pack(int hi, int lo) {
+      return static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32 |
+             static_cast<std::uint32_t>(lo);
+    }
+    std::size_t operator()(const ChannelKey& k) const {
+      return splitmix64(pack(k.rank, k.peer) ^
+                        splitmix64(static_cast<std::uint64_t>(k.comm) << 32 |
+                                   static_cast<std::uint32_t>(k.tag)));
+    }
+    std::size_t operator()(const PairKey& k) const {
+      return splitmix64(pack(k.rank, k.peer));
+    }
+    std::size_t operator()(const MrKey& k) const {
+      return splitmix64(reinterpret_cast<std::uintptr_t>(k.first) ^
+                        splitmix64(k.second));
     }
   };
+  template <class K, class V>
+  using Ledger = std::unordered_map<K, V, LedgerHash>;
   struct CreditState {
     std::uint64_t consumed = 0;        // packets this rank consumed from peer
     std::uint64_t written = 0;         // last credit value written to peer
@@ -343,7 +357,7 @@ class Checker {
 
   [[noreturn]] void violate(CheckKind kind, const std::string& what);
   void count() { ++events_; }
-  void check_seq(std::map<ChannelKey, std::uint64_t>& ledger,
+  void check_seq(Ledger<ChannelKey, std::uint64_t>& ledger,
                  const char* role, int rank, int peer, std::uint32_t comm,
                  int tag, std::uint64_t seq);
 
@@ -389,16 +403,19 @@ class Checker {
     std::set<std::uint64_t> claimed;
   };
 
-  std::map<ChannelKey, std::uint64_t> send_seq_;    // last assigned send seq
-  std::map<ChannelKey, std::uint64_t> recv_seq_;    // last assigned recv seq
-  std::map<ChannelKey, AcceptState> accepted_;
-  std::map<PairKey, CreditState> credit_;
-  std::map<PairKey, std::uint32_t> epoch_;
+  // The ledgers the per-packet and per-WR hooks probe are hashed and
+  // find-only: nothing iterates them, so their (address-dependent) order
+  // never reaches a report, a counter or any other event-visible state.
+  Ledger<ChannelKey, std::uint64_t> send_seq_;  // last assigned send seq
+  Ledger<ChannelKey, std::uint64_t> recv_seq_;  // last assigned recv seq
+  Ledger<ChannelKey, AcceptState> accepted_;
+  Ledger<PairKey, CreditState> credit_;
+  Ledger<PairKey, std::uint32_t> epoch_;
   // Keyed by (protection domain, key): key counters are per-Hca, so the
   // same numeric key legitimately recurs across ranks. Within one PD keys
   // are monotonic and never reused (ib::Hca hands out next_key_++), so a
   // dead key stays in the map forever as a tombstone.
-  std::map<std::pair<const void*, std::uint64_t>, MrState> mrs_;
+  Ledger<MrKey, MrState> mrs_;
   // (rank, comm, slot) -> check_id; ranks share the checker but each has
   // its own independent copy of the rotating window.
   std::map<std::tuple<int, std::uint32_t, int>, std::uint64_t> window_;

@@ -79,6 +79,10 @@ class Engine {
   /// Total events executed so far (for determinism tests and stats).
   std::uint64_t events_executed() const { return events_executed_; }
 
+  /// Total fiber resumes so far: each is a round trip through the context
+  /// switch, out to the process and back.
+  std::uint64_t switches() const { return switches_; }
+
   /// The scheduler configuration this engine runs under.
   const SchedConfig& sched_config() const { return sched_; }
 
@@ -119,6 +123,7 @@ class Engine {
   bool process_failed_ = false;  // set by Process when a body dies on an exception
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
+  std::uint64_t switches_ = 0;
   std::size_t live_ = 0;
   SchedConfig sched_;
   /// Binary heap under EventOrder (std::push_heap/pop_heap), so the top

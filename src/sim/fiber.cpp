@@ -6,10 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <string>
 
-// Sanitizer detection. Neither sanitizer follows a bare swapcontext, so
+// Sanitizer detection. Neither sanitizer follows a bare stack switch, so
 // every switch below is annotated: ASan through the
 // __sanitizer_*_switch_fiber protocol (foreign stacks and fake stacks), TSan
 // through __tsan_*_fiber (one TSan context per fiber). TSan switches pass
@@ -49,13 +50,69 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+#if !defined(__x86_64__) || !defined(__ELF__)
+#error "sim::Fiber's context switch is written for x86-64 System V (ELF) only; add this target's switch routine beside it in fiber.cpp"
+#endif
+
+// dcfa_fiber_switch(save_sp, load_sp): push what the System V ABI makes a
+// call preserve (rbx, rbp, r12-r15, the MXCSR control bits, the x87
+// control word), store rsp through save_sp, adopt load_sp and pop the same
+// layout from there. Every other register is caller-saved, so the compiler
+// already treats it as clobbered by the call. The signal mask is not part
+// of the context: nothing in the simulator changes it.
+extern "C" void dcfa_fiber_switch(void** save_sp, void* load_sp);
+asm(R"(
+  .pushsection .text
+  .globl dcfa_fiber_switch
+  .hidden dcfa_fiber_switch
+  .type dcfa_fiber_switch, @function
+  .p2align 4
+dcfa_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size dcfa_fiber_switch, .-dcfa_fiber_switch
+  .popsection
+)");
+
 namespace dcfa::sim {
 
 namespace {
 
-// makecontext's entry function takes no usable pointer-sized argument
-// portably; the fiber being entered parks itself here just before the
-// switch, on the same thread that will run the trampoline.
+// What the first switch into a fiber pops, lowest address first: the
+// control words and callee-saved registers dcfa_fiber_switch restores, the
+// address it "returns" to, and a null return address above that which ends
+// any unwind walking up out of the trampoline.
+struct InitialFrame {
+  std::uint32_t mxcsr = 0x1F80;   // all exceptions masked, round to nearest
+  std::uint16_t x87_cw = 0x037F;  // likewise, 64-bit precision
+  std::uint16_t pad = 0;
+  std::uint64_t r15 = 0, r14 = 0, r13 = 0, r12 = 0, rbx = 0, rbp = 0;
+  void (*entry)() = nullptr;
+  std::uint64_t end_of_stack = 0;
+};
+static_assert(sizeof(InitialFrame) == 72);
+
+// The trampoline takes no argument; the fiber being entered parks itself
+// here just before the switch, on the same thread that will run it.
 thread_local Fiber* tl_entering = nullptr;
 
 std::size_t page_size() {
@@ -192,23 +249,24 @@ void Fiber::enter() {
 #ifdef DCFA_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  // Leave by jumping straight back into resume() rather than returning
-  // through uc_link: under TSan the epilogues of enter() and trampoline()
-  // would run after the switch above and pop the resumer's shadow stack.
-  setcontext(&return_ctx_);
-  std::abort();  // setcontext returns only on failure
+  // Leave by switching straight back into resume() rather than returning:
+  // under TSan the epilogues of enter() and trampoline() would run after the
+  // switch above and pop the resumer's shadow stack. A done fiber is never
+  // resumed, so this switch does not come back.
+  dcfa_fiber_switch(&sp_, return_sp_);
+  std::abort();
 }
 
 void Fiber::resume() {
   if (done_) return;
   if (!started_) {
     started_ = true;
-    if (getcontext(&self_) != 0) {
-      throw std::runtime_error("Fiber: getcontext failed");
-    }
-    self_.uc_stack.ss_sp = stack_base_;
-    self_.uc_stack.ss_size = stack_size_;
-    makecontext(&self_, &Fiber::trampoline, 0);
+    // The stack top is page-aligned, so the trampoline starts with
+    // rsp = top - 8: the alignment a call instruction leaves.
+    char* top = static_cast<char*>(stack_base_) + stack_size_;
+    auto* frame = new (top - sizeof(InitialFrame)) InitialFrame{};
+    frame->entry = &Fiber::trampoline;
+    sp_ = frame;
     tl_entering = this;
   }
 #ifdef DCFA_FIBER_ASAN
@@ -219,7 +277,7 @@ void Fiber::resume() {
   tsan_resumer_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_ctx_, &self_);
+  dcfa_fiber_switch(&return_sp_, sp_);
 #ifdef DCFA_FIBER_ASAN
   __sanitizer_finish_switch_fiber(resumer_fake_stack_, nullptr, nullptr);
 #endif
@@ -233,7 +291,7 @@ void Fiber::yield() {
 #ifdef DCFA_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_resumer_, 0);
 #endif
-  swapcontext(&self_, &return_ctx_);
+  dcfa_fiber_switch(&sp_, return_sp_);
 #ifdef DCFA_FIBER_ASAN
   // Re-record the resumer's stack on every entry: it is always the engine
   // thread, but recording what finish reports is what the protocol asks.

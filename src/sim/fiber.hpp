@@ -2,19 +2,18 @@
 
 // The execution context behind every sim::Process (docs/simulator.md).
 //
-// A Fiber is a resumable execution context over ucontext with its own
-// mmap'd stack: a guard page at the low end, the rest lazily paged, so
-// thousands of simulated ranks cost virtual address space instead of OS
-// threads. The engine resumes fibers inline on its own thread, one at a
-// time, and only from events it has popped, so a fiber switch never
-// changes the event order — every trace and Stats bag is a pure function
-// of the inputs.
+// A Fiber is a resumable execution context, switched by a register-only
+// routine in fiber.cpp (x86-64 System V), with its own mmap'd stack: a
+// guard page at the low end, the rest lazily paged, so thousands of
+// simulated ranks cost virtual address space instead of OS threads. The
+// engine resumes fibers inline on its own thread, one at a time, and only
+// from events it has popped, so a fiber switch never changes the event
+// order — every trace and Stats bag is a pure function of the inputs.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <ucontext.h>
 
 namespace dcfa::sim {
 
@@ -60,7 +59,7 @@ struct SchedConfig {
 
 /// One resumable context. resume() and yield() must pair on the same OS
 /// thread for any given fiber (the engine's thread resumes them all);
-/// sanitizer stack bookkeeping and ucontext both require this.
+/// sanitizer stack bookkeeping requires this.
 class Fiber {
  public:
   Fiber(std::function<void()> body, std::size_t stack_bytes);
@@ -79,8 +78,8 @@ class Fiber {
   bool started() const { return started_; }
 
  private:
-  static void trampoline();
-  void enter();  ///< never returns: leaves through setcontext
+  [[noreturn]] static void trampoline();
+  [[noreturn]] void enter();  ///< leaves through the switch, never resumed
 
   std::function<void()> body_;
   void* map_ = nullptr;  ///< mmap base (guard page first)
@@ -89,8 +88,10 @@ class Fiber {
   std::size_t stack_size_ = 0;
   bool started_ = false;
   bool done_ = false;
-  ucontext_t self_{};
-  ucontext_t return_ctx_{};
+  // Saved stack pointers: each addresses the callee-saved registers and
+  // control words the switch routine pushed before leaving that stack.
+  void* sp_ = nullptr;         ///< this fiber's, while it is not running
+  void* return_sp_ = nullptr;  ///< the resumer's, while the fiber runs
   // ASan fiber-switch bookkeeping (__sanitizer_*_switch_fiber protocol):
   // the resumer's fake-stack handle, the fiber's own handle across yields,
   // and the stack we most recently arrived from (switched back to on yield).

@@ -57,6 +57,7 @@ void Process::resume() {
 void Process::switch_in() {
   Process* prev = tl_current_;
   tl_current_ = this;
+  ++engine_.switches_;
   fiber_->resume();
   tl_current_ = prev;
 }

@@ -27,8 +27,9 @@ struct AbandonedProcess {};
 ///
 /// The resumable context is a stackful Fiber (sim/fiber.hpp) that the
 /// engine resumes inline on its own thread: thousands of ranks cost
-/// lazily-paged stack mappings, not OS threads, and a switch is a
-/// swapcontext with no kernel scheduler involved.
+/// lazily-paged stack mappings, not OS threads, and a switch saves and
+/// loads a handful of registers with no system call and no kernel
+/// scheduler involved.
 ///
 /// Schedule exploration (DCFA_SIM_SCHED=explore) needs no cooperation from
 /// this layer, and that is a load-bearing property: *every* way a process

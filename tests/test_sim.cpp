@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -208,10 +211,10 @@ TEST(Process, ExceptionBeatsDeadlockReport) {
   try {
     engine.run();
     FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "root cause");
   } catch (const DeadlockError&) {
     FAIL() << "deadlock masked the real error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "root cause");
   }
 }
 
@@ -247,6 +250,195 @@ TEST(Engine, DeterministicEventCountAcrossRuns) {
     return std::pair(engine.now(), engine.events_executed());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- Fiber context switch: what a switch must carry across a yield --------
+
+namespace {
+
+struct Churned {
+  std::uint64_t ints = 0;
+  double doubles = 0;
+  bool operator==(const Churned&) const = default;
+};
+
+/// Keeps eight integers and four doubles live across every `yield()`, so at
+/// -O2 the integers sit in callee-saved registers the switch must restore
+/// (the doubles are spilled: no xmm register survives a call).
+template <class Yield>
+Churned churn(std::uint64_t seed, int rounds, Yield yield) {
+  std::uint64_t a = seed, b = seed * 3, c = seed * 5, d = seed * 7;
+  std::uint64_t e = seed * 11, f = seed * 13, g = seed * 17, h = seed * 19;
+  double w = static_cast<double>(seed), x = w * 0.5, y = w * 0.25, z = 1.0;
+  for (int i = 0; i < rounds; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    a += b ^ u;
+    b = (b << 7 | b >> 57) + c;
+    c ^= d + u;
+    d += e * 3;
+    e ^= f >> 3;
+    f += g ^ a;
+    g = (g << 13 | g >> 51) ^ h;
+    h += a + u;
+    w = w * 0.75 + x;
+    x = x * 0.5 + y + 1.0;
+    y = y * 0.25 + z;
+    z = z * 0.125 + 2.0;
+    yield();
+  }
+  return {a ^ b ^ c ^ d ^ e ^ f ^ g ^ h, w + x + y + z};
+}
+
+/// Hides an address from the optimizer, so an alignment check on it is
+/// evaluated at run time rather than folded from the declared alignment.
+std::uintptr_t opaque_address(const void* p) {
+  asm volatile("" : "+r"(p));
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+}  // namespace
+
+TEST(Fiber, CalleeSavedStateSurvivesInterleavedYields) {
+  // Driven through Fiber directly, so the frames holding the live values
+  // call straight into the switch and no frame in between saves them.
+  constexpr int kRounds = 5000;
+  Churned got[2];
+  std::unique_ptr<Fiber> fibers[2];
+  for (int k = 0; k < 2; ++k) {
+    fibers[k] = std::make_unique<Fiber>(
+        [&got, &fibers, k] {
+          got[k] = churn(100 + k, kRounds, [&] { fibers[k]->yield(); });
+        },
+        64 * 1024);
+  }
+  // The resumer keeps its own values live across every resume, too.
+  const Churned resumer = churn(7, kRounds + 1, [&] {
+    for (auto& f : fibers) f->resume();
+  });
+  EXPECT_EQ(resumer, churn(7, kRounds + 1, [] {}));
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_TRUE(fibers[k]->done());
+    EXPECT_EQ(got[k], churn(100 + k, kRounds, [] {})) << "fiber " << k;
+  }
+}
+
+TEST(Fiber, RoundingModeIsPerContext) {
+  // One third is inexact: rounding up lands one ulp above the nearest.
+  volatile double one = 1.0, three = 3.0;
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = one / three;
+  int fiber_ok = 0, nearest_ok = 0;
+  constexpr int kYields = 200;
+  Engine engine;
+  engine.spawn("upward", [&](Process& p) {
+    std::fesetround(FE_UPWARD);
+    for (int i = 0; i < kYields; ++i) {
+      p.wait(1);
+      // fegetround reads the x87 control word; the division uses MXCSR.
+      if (std::fegetround() == FE_UPWARD && one / three > nearest) ++fiber_ok;
+    }
+  });
+  // A second fiber and the engine's own events must stay on the default.
+  engine.spawn("observer", [&](Process& p) {
+    for (int i = 0; i < kYields; ++i) {
+      p.wait(1);
+      if (std::fegetround() == FE_TONEAREST && one / three == nearest) {
+        ++nearest_ok;
+      }
+    }
+  });
+  for (Time t = 1; t <= kYields; ++t) {
+    engine.schedule_at(t, [&] {
+      if (std::fegetround() == FE_TONEAREST && one / three == nearest) {
+        ++nearest_ok;
+      }
+    });
+  }
+  engine.run();
+  std::fesetround(FE_TONEAREST);
+  EXPECT_EQ(fiber_ok, kYields);
+  EXPECT_EQ(nearest_ok, 2 * kYields);
+}
+
+TEST(Fiber, StackIsAbiAlignedOnEntryAndAfterYields) {
+  int misaligned = 0, checks = 0;
+  Fiber* self = nullptr;
+  Fiber fiber(
+      [&] {
+        alignas(16) double pair[2] = {1.0, 2.0};
+        for (int i = 0; i < 100; ++i) {
+          ++checks;
+          if (opaque_address(pair) % 16 != 0) ++misaligned;
+          self->yield();
+        }
+      },
+      64 * 1024);
+  self = &fiber;
+  while (!fiber.done()) fiber.resume();
+  EXPECT_EQ(checks, 100);
+  EXPECT_EQ(misaligned, 0);
+}
+
+TEST(Fiber, ExceptionThrownAndCaughtAcrossAYield) {
+  // Both fibers park inside their try blocks, then each throws through a
+  // frame with live locals and catches the exception it threw. No fiber
+  // yields inside a handler: the runtime's caught-exception stack is per
+  // thread, and a switch does not swap it (docs/simulator.md).
+  std::vector<std::string> caught;
+  Engine engine;
+  for (int k = 0; k < 2; ++k) {
+    engine.spawn("thrower" + std::to_string(k), [&caught, k](Process& p) {
+      const std::string tag = "from fiber " + std::to_string(k);
+      std::string what;
+      try {
+        [&] {
+          std::vector<int> frame_local(64, k);
+          p.wait(1);
+          throw std::runtime_error(tag);
+        }();
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      p.wait(1);
+      caught.push_back(what);
+    });
+  }
+  engine.run();
+  EXPECT_EQ(caught,
+            (std::vector<std::string>{"from fiber 0", "from fiber 1"}));
+}
+
+TEST(Fiber, ParkedFiberUnwindsWhenItsEngineDies) {
+  struct Guard {
+    int& destroyed;
+    ~Guard() { ++destroyed; }
+  };
+  int destroyed = 0;
+  {
+    Engine engine;
+    Condition never(engine, "never");
+    engine.spawn("parked", [&](Process& p) {
+      Guard outer{destroyed};
+      p.wait(1);
+      Guard inner{destroyed};
+      while (true) p.wait_on(never);
+    });
+    engine.run_until(10);
+    EXPECT_EQ(engine.live_processes(), 1u);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(Engine, SwitchesCountFiberResumes) {
+  Engine engine;
+  engine.spawn("a", [](Process& p) {
+    for (int i = 0; i < 3; ++i) p.wait(1);
+  });
+  engine.schedule_at(1, [] {});
+  engine.run();
+  // The first entry plus one resume per wait.
+  EXPECT_EQ(engine.switches(), 4u);
 }
 
 namespace {
