@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Eight rule families, each encoding an invariant the generic toolchain cannot
+Nine rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -54,6 +54,13 @@ see (docs/checking.md has the rationale and the paper references):
                   them; an inline reg_mr/dereg_mr copy is how the three
                   used to drift apart (a rebuilt MR leaking, a landing
                   route left stale).
+  dma-resolve     no AddressSpace::resolve call in src/ib/. The HCA reaches
+                  memory only through registrations: reg_mr pins the
+                  window once and every DMA landing moves bytes through
+                  MemoryRegion::host. A resolve there is a per-landing
+                  map search the registration already did, and it bypasses
+                  the pin that keeps a freed buffer's storage valid until
+                  dereg.
 
 A file can waive one rule with a justified marker comment:
 
@@ -156,6 +163,10 @@ ENDPOINT_REGION = re.compile(
     r"ring_mr|staging_mr|credit_mr|credit_src_mr|hb_cell_mr|hb_src_mr)\b"
 )
 MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
+
+# dma-resolve: the HCA model's data motion goes through the MR's pinned host
+# view; a simulated-address lookup in src/ib/ is the pre-registration path.
+DMA_RESOLVE = re.compile(r"(?:\.|->|\bAddressSpace::)\s*resolve\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -379,6 +390,16 @@ def check_endpoint_mr(path: Path, rel: str, text: str,
                     "lifecycle helpers so setup, rebuild and finalize agree")
 
 
+def check_dma_resolve(path: Path, rel: str, lines: list[str]) -> None:
+    if not rel.startswith("src/ib/"):
+        return
+    for i, line in enumerate(lines, 1):
+        if DMA_RESOLVE.search(strip_comments(line)):
+            finding(path, i, "dma-resolve",
+                    "AddressSpace::resolve in the HCA model; move DMA bytes "
+                    "through the registration's MemoryRegion::host view")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -418,6 +439,7 @@ def main() -> int:
         check_context_switch(path, rel, lines)
         check_os_thread(path, rel, lines)
         check_endpoint_mr(path, rel, text, lines)
+        check_dma_resolve(path, rel, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

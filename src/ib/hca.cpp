@@ -55,13 +55,14 @@ MemoryRegion* Hca::reg_mr(ProtectionDomain* pd, mem::Domain domain,
                           unsigned access) {
   if (!pd) throw std::invalid_argument("reg_mr: null PD");
   if (length == 0) throw std::invalid_argument("reg_mr: zero length");
-  if (!memory_.space(domain).contains(addr, length)) {
+  std::shared_ptr<std::byte> pinned = memory_.space(domain).pin(addr, length);
+  if (!pinned) {
     throw mem::BadAddress("reg_mr: window not backed by an allocation");
   }
   MKey lkey = next_key_++;
   MKey rkey = next_key_++;
   auto mr = std::make_unique<MemoryRegion>(*pd, domain, addr, length, access,
-                                           lkey, rkey);
+                                           lkey, rkey, std::move(pinned));
   MemoryRegion* p = mr.get();
   mrs_by_lkey_.emplace(lkey, std::move(mr));
   mrs_by_rkey_.emplace(rkey, p);
@@ -434,11 +435,13 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     // Move the bytes when the last chunk lands; ACK returns to the sender
     // one wire latency later.
     engine_.schedule_at(last_write, [this, wr, bytes, &remote] {
-      // Deregistering an MR or freeing a buffer with a WR in flight aborts
-      // the transfer (undefined behaviour on real hardware; we drop it
-      // loudly). Happens during endpoint teardown and connection recovery,
-      // so the remote MR is re-resolved by rkey here rather than captured —
-      // a recovery that deregistered it must not be a use-after-free.
+      // Deregistering an MR with a WR in flight aborts the transfer
+      // (undefined behaviour on real hardware; we drop it loudly). Happens
+      // during endpoint teardown and connection recovery, so each MR is
+      // re-found by key here rather than captured — a recovery that
+      // deregistered it must not be a use-after-free. A buffer freed under
+      // a live MR is still pinned by it, so the bytes move through the
+      // MR's host view into storage that stays valid until dereg.
       try {
         MemoryRegion* rmr = remote.mr_by_rkey(wr.rkey);
         if (!rmr) throw std::runtime_error("remote MR gone");
@@ -447,11 +450,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
           if (s.length == 0) continue;
           MemoryRegion* lmr = mr_by_lkey(s.lkey);
           if (!lmr) throw std::runtime_error("local MR gone");
-          const std::byte* src =
-              memory_.space(lmr->domain()).resolve(s.addr, s.length);
-          std::byte* dst = remote.memory_.space(rmr->domain())
-                               .resolve(wr.remote_addr + off, s.length);
-          std::memcpy(dst, src, s.length);
+          std::memcpy(rmr->host(wr.remote_addr + off), lmr->host(s.addr),
+                      s.length);
           off += s.length;
         }
         sim::Log::trace(engine_.now(), "hca", "rdma-write %zu bytes landed",
@@ -510,11 +510,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
         if (s.length == 0) continue;
         MemoryRegion* lmr = mr_by_lkey(s.lkey);
         if (!lmr) throw std::runtime_error("local MR gone");
-        const std::byte* src = remote.memory_.space(rmr->domain())
-                                   .resolve(wr.remote_addr + off, s.length);
-        std::byte* dst =
-            memory_.space(lmr->domain()).resolve(s.addr, s.length);
-        std::memcpy(dst, src, s.length);
+        std::memcpy(lmr->host(s.addr), rmr->host(wr.remote_addr + off),
+                    s.length);
         off += s.length;
       }
       sim::Log::trace(engine_.now(), "hca", "rdma-read %zu bytes landed",
@@ -602,18 +599,18 @@ void Hca::complete_matched_recv(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
 
   engine_.schedule_at(last_write, [this, wr, recv, bytes, &src_hca, dst_qp,
                                    src_qpn] {
-    // Gather from the sender's SGEs, scatter into the receiver's. MRs torn
-    // down with the WR in flight abort the data movement.
+    // Gather from the sender's SGEs, scatter into the receiver's, through
+    // the MRs' host views. MRs torn down with the WR in flight abort the
+    // data movement. The gather goes through a staging copy so that send
+    // and receive SGEs may overlap; the gather overwrites every byte of it.
     try {
-      std::vector<std::byte> staging(bytes);
+      auto staging = std::make_unique_for_overwrite<std::byte[]>(bytes);
       std::size_t off = 0;
       for (const Sge& s : wr.sg_list) {
         if (s.length == 0) continue;
         MemoryRegion* mr = src_hca.mr_by_lkey(s.lkey);
         if (!mr) throw std::runtime_error("sender MR gone");
-        const std::byte* p =
-            src_hca.memory_.space(mr->domain()).resolve(s.addr, s.length);
-        std::memcpy(staging.data() + off, p, s.length);
+        std::memcpy(staging.get() + off, mr->host(s.addr), s.length);
         off += s.length;
       }
       off = 0;
@@ -622,8 +619,7 @@ void Hca::complete_matched_recv(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
         const std::size_t n = std::min<std::size_t>(s.length, bytes - off);
         MemoryRegion* mr = mr_by_lkey(s.lkey);
         if (!mr) throw std::runtime_error("receiver MR gone");
-        std::byte* p = memory_.space(mr->domain()).resolve(s.addr, n);
-        std::memcpy(p, staging.data() + off, n);
+        std::memcpy(mr->host(s.addr), staging.get() + off, n);
         off += n;
       }
     } catch (const std::exception& e) {

@@ -31,18 +31,21 @@ class ProtectionDomain {
 /// Registered memory region. Registration is the precondition for any HCA
 /// access — the paper leans on this: registering from the Phi is expensive
 /// (CMD offload), which motivates both the MR cache pool and the offloading
-/// send buffer.
+/// send buffer. Registration also pins the window's storage: it stays valid
+/// until dereg, even if the buffer behind it is freed first.
 class MemoryRegion {
  public:
   MemoryRegion(ProtectionDomain& pd, mem::Domain domain, mem::SimAddr addr,
-               std::size_t length, unsigned access, MKey lkey, MKey rkey)
+               std::size_t length, unsigned access, MKey lkey, MKey rkey,
+               std::shared_ptr<std::byte> pinned)
       : pd_(pd),
         domain_(domain),
         addr_(addr),
         length_(length),
         access_(access),
         lkey_(lkey),
-        rkey_(rkey) {}
+        rkey_(rkey),
+        pinned_(std::move(pinned)) {}
 
   mem::SimAddr addr() const { return addr_; }
   std::size_t length() const { return length_; }
@@ -56,6 +59,10 @@ class MemoryRegion {
     return a >= addr_ && a + len <= addr_ + length_;
   }
 
+  /// The real bytes at simulated address `a`, which the caller has checked
+  /// with covers(): the HCA's DMA moves data through this view.
+  std::byte* host(mem::SimAddr a) const { return pinned_.get() + (a - addr_); }
+
  private:
   ProtectionDomain& pd_;
   mem::Domain domain_;
@@ -64,6 +71,7 @@ class MemoryRegion {
   unsigned access_;
   MKey lkey_;
   MKey rkey_;
+  std::shared_ptr<std::byte> pinned_;  ///< storage at addr_, held until dereg
 };
 
 enum class QpState { Reset, ReadyToSend, Error };

@@ -1,6 +1,7 @@
 #include "mem/memory.hpp"
 
-#include <cstring>
+#include <cstdlib>
+#include <new>
 
 namespace dcfa::mem {
 
@@ -42,10 +43,14 @@ Buffer AddressSpace::alloc(std::size_t size, std::size_t align) {
   // Leave a guard gap so off-by-one windows never touch a neighbour.
   next_addr_ = round_up(addr + size + kPage, kPage);
 
+  // calloc zeroes each allocation exactly once, and not at all on pages
+  // fresh from the kernel, so untouched simulated memory costs nothing.
+  auto* bytes = static_cast<std::byte*>(std::calloc(size, 1));
+  if (!bytes) throw std::bad_alloc();
   Region region;
-  region.storage = std::make_unique<std::byte[]>(size);
+  region.storage = std::shared_ptr<std::byte[]>(
+      bytes, [](std::byte* p) { std::free(p); });
   region.size = size;
-  std::memset(region.storage.get(), 0, size);
 
   Buffer buf;
   buf.data_ = region.storage.get();
@@ -87,11 +92,26 @@ std::byte* AddressSpace::resolve(SimAddr addr, std::size_t len) {
   return region.storage.get() + (addr - start);
 }
 
-bool AddressSpace::contains(SimAddr addr, std::size_t len) const {
+AddressSpace::RegionMap::const_iterator AddressSpace::containing(
+    SimAddr addr, std::size_t len) const {
   auto it = regions_.upper_bound(addr);
-  if (it == regions_.begin()) return false;
+  if (it == regions_.begin()) return regions_.end();
   --it;
-  return addr >= it->first && addr + len <= it->first + it->second.size;
+  const bool inside =
+      addr >= it->first && addr + len <= it->first + it->second.size;
+  return inside ? it : regions_.end();
+}
+
+bool AddressSpace::contains(SimAddr addr, std::size_t len) const {
+  return containing(addr, len) != regions_.end();
+}
+
+std::shared_ptr<std::byte> AddressSpace::pin(SimAddr addr,
+                                             std::size_t len) const {
+  auto it = containing(addr, len);
+  if (it == regions_.end()) return nullptr;
+  const std::shared_ptr<std::byte[]>& storage = it->second.storage;
+  return {storage, storage.get() + (addr - it->first)};
 }
 
 NodeMemory::NodeMemory(NodeId node, std::size_t host_bytes,

@@ -66,20 +66,29 @@ class AddressSpace {
 
   AddressSpace(NodeId node, Domain domain, std::size_t capacity_bytes);
 
-  /// Allocate `size` bytes aligned to `align` (power of two, >= 1).
-  /// The returned Buffer stays valid until free() or destruction.
+  /// Allocate `size` zero-filled bytes aligned to `align` (power of two,
+  /// >= 1). The returned Buffer stays valid until free() or destruction.
   Buffer alloc(std::size_t size, std::size_t align = 64);
 
-  /// Release a buffer. Resolving inside it afterwards throws BadAddress.
+  /// Release a buffer's simulated address at once: resolve() inside it
+  /// throws BadAddress from now on, pin() returns null and bytes_in_use()
+  /// drops. Its storage lives on only while an earlier pin() holds it.
   void free(const Buffer& buf);
 
   /// Resolve a simulated window to real bytes. Throws BadAddress when the
   /// window is not fully inside one live allocation — the simulated
-  /// equivalent of a DMA engine faulting on an unmapped page.
+  /// equivalent of a DMA engine faulting on an unmapped page. The pointer
+  /// is valid until the allocation is freed.
   std::byte* resolve(SimAddr addr, std::size_t len);
 
   /// True when [addr, addr+len) is fully inside one live allocation.
   bool contains(SimAddr addr, std::size_t len) const;
+
+  /// The real bytes of [addr, addr+len), sharing ownership of the
+  /// allocation's storage so that they outlive free() — registration
+  /// pinning, as on real verbs. Null when the window is not fully inside
+  /// one live allocation.
+  std::shared_ptr<std::byte> pin(SimAddr addr, std::size_t len) const;
 
   NodeId node() const { return node_; }
   Domain domain() const { return domain_; }
@@ -89,16 +98,20 @@ class AddressSpace {
 
  private:
   struct Region {
-    std::unique_ptr<std::byte[]> storage;
+    std::shared_ptr<std::byte[]> storage;
     std::size_t size;
   };
+  using RegionMap = std::map<SimAddr, Region>;
+
+  /// The live allocation holding all of [addr, addr+len), or end().
+  RegionMap::const_iterator containing(SimAddr addr, std::size_t len) const;
 
   NodeId node_;
   Domain domain_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
   SimAddr next_addr_;
-  std::map<SimAddr, Region> regions_;  // keyed by start address
+  RegionMap regions_;  // keyed by start address
 };
 
 /// All memory of one node: a host DRAM space and a Phi GDDR space. The Phi

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "ib/fabric.hpp"
@@ -444,6 +445,40 @@ TEST(Hca, RemoteWriteObserverFiresForMrDeregisteredInFlight) {
   // the now-stale rkey: listeners must tolerate keys they no longer know.
   EXPECT_EQ(dst.data()[0], std::byte{0});
   EXPECT_EQ(landed, std::vector<MKey>{rkey});
+}
+
+TEST(Hca, RegistrationPinsStorageAcrossFree) {
+  // Registration pins the window's pages, as on real verbs: freeing the
+  // buffer under a live MR releases its simulated address at once, but its
+  // storage stays valid for the HCA until the MR is deregistered.
+  Cluster c;
+  mem::AddressSpace& space = c.mem1.space(mem::Domain::HostDram);
+  mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 64);
+  mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 64);
+  MemoryRegion* smr =
+      c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 64, 0);
+  MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                    dst.addr(), 64, kRemoteWrite);
+  std::weak_ptr<std::byte> storage = space.pin(dst.addr(), 64);
+  const std::size_t in_use = space.bytes_in_use();
+  space.free(dst);
+  EXPECT_THROW(space.resolve(dst.addr(), 64), mem::BadAddress);
+  EXPECT_EQ(space.bytes_in_use(), in_use - 64);
+  EXPECT_FALSE(storage.expired());
+
+  for (int i = 0; i < 64; ++i) src.data()[i] = static_cast<std::byte>(i + 1);
+  SendWr wr;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.sg_list = {{src.addr(), 64, smr->lkey()}};
+  wr.remote_addr = dst.addr();
+  wr.rkey = dmr->rkey();
+  c.hca0.post_send(c.e0.qp, wr);
+  EXPECT_EQ(c.run_for_wc(c.e0.cq).status, WcStatus::Success);
+  // The bytes landed in the pinned storage; reading it is no use-after-free.
+  EXPECT_EQ(std::memcmp(dmr->host(dst.addr()), src.data(), 64), 0);
+
+  c.hca1.dereg_mr(dmr);
+  EXPECT_TRUE(storage.expired());
 }
 
 namespace {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "mem/memory.hpp"
 
 using namespace dcfa::mem;
@@ -21,10 +25,26 @@ TEST(AddressSpace, AllocatesAlignedDistinctRegions) {
 }
 
 TEST(AddressSpace, ZeroInitialised) {
-  AddressSpace space(0, Domain::PhiGddr, 1 << 20);
-  Buffer b = space.alloc(4096);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    EXPECT_EQ(b.data()[i], std::byte{0});
+  // Zero-filling is part of the determinism contract, for fresh pages and
+  // for storage the host allocator recycles from a freed buffer alike:
+  // each round dirties its buffers, so the next round's allocations see
+  // those bytes wherever the allocator hands the same chunks back.
+  const std::vector<std::size_t> sizes = {8, 4096, 64 << 10, 512 << 10,
+                                          4 << 20};
+  AddressSpace space(0, Domain::PhiGddr, 64 << 20);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Buffer> bufs;
+    for (std::size_t size : sizes) {
+      Buffer b = space.alloc(size);
+      std::byte* end = b.data() + b.size();
+      EXPECT_EQ(std::find_if(b.data(), end,
+                             [](std::byte v) { return v != std::byte{0}; }),
+                end)
+          << size << " bytes, round " << round;
+      std::memset(b.data(), 0xA5, b.size());
+      bufs.push_back(b);
+    }
+    for (const Buffer& b : bufs) space.free(b);
   }
 }
 
