@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Nine rule families, each encoding an invariant the generic toolchain cannot
+Ten rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -61,6 +61,13 @@ see (docs/checking.md has the rationale and the paper references):
                   map search the registration already did, and it bypasses
                   the pin that keeps a freed buffer's storage valid until
                   dereg.
+  telemetry       no Tracer::current, Tracer::install or sim::Log:: in src/,
+                  and no std::to_string(/std::string( inside the argument
+                  list of a telemetry call (span, instant, counter, event,
+                  log). Tracing belongs to one cluster's sim::Engine, and an
+                  event is a format literal plus its fields, formatted only
+                  when recorded or echoed; a string built at the call site
+                  costs an allocation on every event even with tracing off.
 
 A file can waive one rule with a justified marker comment:
 
@@ -167,6 +174,13 @@ MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
 # dma-resolve: the HCA model's data motion goes through the MR's pinned host
 # view; a simulated-address lookup in src/ib/ is the pre-registration path.
 DMA_RESOLVE = re.compile(r"(?:\.|->|\bAddressSpace::)\s*resolve\s*\(")
+
+# telemetry: the deleted process-global tracer and logger, and call sites
+# that build strings for a telemetry call whether or not it records.
+TELEMETRY_GLOBAL = re.compile(r"\bTracer::(?:current|install)\b|\bsim::Log::")
+TELEMETRY_CALL = re.compile(
+    r"(?:\.|->)\s*(?:span|instant|counter|event|log)\s*\(")
+STRING_BUILD = re.compile(r"\bstd::(?:to_string|string)\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -400,6 +414,28 @@ def check_dma_resolve(path: Path, rel: str, lines: list[str]) -> None:
                     "through the registration's MemoryRegion::host view")
 
 
+def check_telemetry(path: Path, rel: str, lines: list[str]) -> None:
+    if not rel.startswith("src/"):
+        return
+    code = [strip_comments(line) for line in lines]
+    for i, line in enumerate(code, 1):
+        if TELEMETRY_GLOBAL.search(line):
+            finding(path, i, "telemetry",
+                    "process-global tracer/logger; record through the "
+                    "cluster's sim::Engine::telemetry()")
+    # Argument lists may span lines: scan the joined text, map back.
+    text = "\n".join(code)
+    for m in TELEMETRY_CALL.finditer(text):
+        depth, pos = 1, m.end()
+        while pos < len(text) and depth:
+            depth += {"(": 1, ")": -1}.get(text[pos], 0)
+            pos += 1
+        if STRING_BUILD.search(text, m.end(), pos):
+            finding(path, text.count("\n", 0, m.start()) + 1, "telemetry",
+                    "string built in a telemetry call's arguments; pass a "
+                    "format literal and its fields instead")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -440,6 +476,7 @@ def main() -> int:
         check_os_thread(path, rel, lines)
         check_endpoint_mr(path, rel, text, lines)
         check_dma_resolve(path, rel, lines)
+        check_telemetry(path, rel, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

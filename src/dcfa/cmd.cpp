@@ -1,8 +1,5 @@
 #include "dcfa/cmd.hpp"
 
-#include "sim/log.hpp"
-#include "sim/trace.hpp"
-
 namespace dcfa::core {
 
 HostDelegate::HostDelegate(scif::Channel& channel, ib::Hca& hca,
@@ -77,11 +74,9 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
   // back. The objects it created survive (they live in the host kernel /
   // HCA), which is what makes failing over to the proxy path possible.
   if (crashed_) {
-    sim::trace_instant("node" + std::to_string(memory_.node()) + ".delegate",
-                       "cmd-while-crashed", channel_.engine().now());
-    sim::Log::trace(channel_.engine().now(), "dcfa.delegate",
-                    "dead: swallowing req %llu",
-                    static_cast<unsigned long long>(hdr.req_id));
+    tel().event(sim::Verbosity::Trace, track(), "cmd-while-crashed",
+                "dead: swallowing req %llu",
+                static_cast<unsigned long long>(hdr.req_id));
     return;
   }
   ++served_;
@@ -99,38 +94,29 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
       // the spec schedules a restart, the process comes back empty-handed
       // but with its object table intact (kernel-owned state).
       crashed_ = true;
-      sim::trace_instant("node" + std::to_string(memory_.node()) + ".delegate",
-                         "fault:delegate-crash", channel_.engine().now());
-      sim::Log::trace(channel_.engine().now(), "dcfa.delegate",
-                      "fault: crashing on req %llu",
-                      static_cast<unsigned long long>(hdr.req_id));
+      tel().event(sim::Verbosity::Trace, track(), "fault:delegate-crash",
+                  "crashing on req %llu",
+                  static_cast<unsigned long long>(hdr.req_id));
       if (const sim::Time restart = faults_->spec().delegate_restart_ns;
           restart > 0) {
         channel_.engine().schedule_after(restart, [this] {
           crashed_ = false;
-          sim::trace_instant(
-              "node" + std::to_string(memory_.node()) + ".delegate",
-              "delegate-restart", channel_.engine().now());
-          sim::Log::trace(channel_.engine().now(), "dcfa.delegate",
-                          "restarted");
+          tel().event(sim::Verbosity::Trace, track(), "delegate-restart",
+                      nullptr);
         });
       }
       return;
     }
     if (fate == sim::FaultInjector::CmdFate::Drop) {
-      sim::trace_instant("node" + std::to_string(memory_.node()) + ".delegate",
-                         "fault:cmd-drop", channel_.engine().now());
-      sim::Log::trace(channel_.engine().now(), "dcfa.delegate",
-                      "fault: swallowing req %llu",
-                      static_cast<unsigned long long>(hdr.req_id));
+      tel().event(sim::Verbosity::Trace, track(), "fault:cmd-drop",
+                  "swallowing req %llu",
+                  static_cast<unsigned long long>(hdr.req_id));
       return;
     }
     if (fate == sim::FaultInjector::CmdFate::Fail) {
-      sim::trace_instant("node" + std::to_string(memory_.node()) + ".delegate",
-                         "fault:cmd-fail", channel_.engine().now());
-      sim::Log::trace(channel_.engine().now(), "dcfa.delegate",
-                      "fault: failing req %llu",
-                      static_cast<unsigned long long>(hdr.req_id));
+      tel().event(sim::Verbosity::Trace, track(), "fault:cmd-fail",
+                  "failing req %llu",
+                  static_cast<unsigned long long>(hdr.req_id));
       reply(hdr.req_id, CmdStatus::Failed, {}, base);
       return;
     }
@@ -360,8 +346,7 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
     }
     reply(hdr.req_id, CmdStatus::BadArgument, {}, base);
   } catch (const std::exception& e) {
-    sim::Log::error(channel_.engine().now(), "dcfa.delegate",
-                    "command failed: %s", e.what());
+    tel().log(sim::Verbosity::Error, track(), "command failed: %s", e.what());
     reply(hdr.req_id, CmdStatus::Failed, {}, base);
   }
 }

@@ -155,6 +155,8 @@ class HostDelegate {
   void handle(std::vector<std::byte> msg);
   void reply(std::uint64_t req_id, CmdStatus status, scif::Writer payload,
              sim::Time service_time);
+  sim::Telemetry& tel() { return channel_.engine().telemetry(); }
+  sim::Track track() const { return {sim::Track::Delegate, memory_.node()}; }
 
   scif::Channel& channel_;
   ib::Hca& hca_;

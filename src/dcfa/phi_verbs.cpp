@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/log.hpp"
-#include "sim/trace.hpp"
-
 namespace dcfa::core {
 
 PhiVerbs::PhiVerbs(sim::Process& proc, ib::Fabric& fabric,
@@ -19,10 +16,9 @@ PhiVerbs::PhiVerbs(sim::Process& proc, ib::Fabric& fabric,
 void PhiVerbs::enter_proxy_fallback() {
   if (proxy_fallback_) return;
   proxy_fallback_ = true;
-  sim::trace_instant("node" + std::to_string(memory_.node()) + ".cmd",
-                     "proxy-fallback", channel_.engine().now());
-  sim::Log::info(channel_.engine().now(), "dcfa.cmd",
-                 "delegate dead: degrading to the host-proxy path");
+  channel_.engine().telemetry().event(
+      sim::Verbosity::Info, {sim::Track::Cmd, memory_.node()}, "proxy-fallback",
+      "delegate dead: degrading to the host-proxy path");
 }
 
 bool PhiVerbs::note_delegate_death() {
@@ -63,8 +59,10 @@ bool PhiVerbs::recv_reply(std::uint64_t req_id) {
         throw std::logic_error("DCFA CMD: reply for an unsent request");
       }
       // Reply of an earlier attempt that we already gave up on.
-      sim::Log::trace(eng.now(), "dcfa.cmd", "discarding stale reply %llu",
-                      static_cast<unsigned long long>(resp.req_id));
+      eng.telemetry().log(sim::Verbosity::Trace,
+                          {sim::Track::Cmd, memory_.node()},
+                          "discarding stale reply %llu",
+                          static_cast<unsigned long long>(resp.req_id));
     }
     if (eng.now() >= deadline) return false;
     proc_.wait_on(cond);
@@ -88,8 +86,8 @@ scif::Reader PhiVerbs::cmd_call(
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
     if (attempt > 0) {
       ++cmd_retries_;
-      sim::trace_instant("node" + std::to_string(memory_.node()) + ".cmd",
-                         "cmd-retry", channel_.engine().now());
+      channel_.engine().telemetry().instant({sim::Track::Cmd, memory_.node()},
+                                            "cmd-retry");
       proc_.wait(platform_.dcfa_cmd_retry_backoff << (attempt - 1));
     }
     const std::uint64_t req_id = next_req_id_++;
@@ -105,9 +103,10 @@ scif::Reader PhiVerbs::cmd_call(
     if (armed) {
       if (!recv_reply(req_id)) {
         ++cmd_timeouts_;
-        sim::Log::trace(channel_.engine().now(), "dcfa.cmd",
-                        "reply timeout on req %llu (attempt %d)",
-                        static_cast<unsigned long long>(req_id), attempt + 1);
+        channel_.engine().telemetry().log(
+            sim::Verbosity::Trace, {sim::Track::Cmd, memory_.node()},
+            "reply timeout on req %llu (attempt %d)",
+            static_cast<unsigned long long>(req_id), attempt + 1);
         continue;  // resend under a fresh request id
       }
     } else {

@@ -6,8 +6,6 @@
 #include "ib/fabric.hpp"
 #include "sim/check.hpp"
 #include "sim/engine.hpp"
-#include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace dcfa::ib {
 
@@ -213,9 +211,10 @@ void Hca::complete(QueuePair* qp, CompletionQueue& cq, const SendWr& wr,
 
 void Hca::fail_post(QueuePair* qp, const SendWr& wr, WcStatus status) {
   qp->state_ = QpState::Error;
-  sim::Log::error(engine_.now(), "hca", "WR %llu failed: %s",
-                  static_cast<unsigned long long>(wr.wr_id),
-                  wc_status_name(status));
+  engine_.telemetry().log(sim::Verbosity::Error, {sim::Track::Hca, node()},
+                          "WR %llu failed: %s",
+                          static_cast<unsigned long long>(wr.wr_id),
+                          wc_status_name(status));
   complete(qp, qp->send_cq(), wr, WcOpcode::Send, status, 0,
            engine_.now() + platform_.hca_wqe_overhead);
 }
@@ -291,38 +290,32 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   // pays a single branch here.
   auto fate = sim::FaultInjector::WcFate::Deliver;
   if (sim::FaultInjector* fi = fabric_.faults(); fi && wr.faultable) {
+    const sim::Track track{sim::Track::Hca, node()};
+    const unsigned long long wr_id = wr.wr_id;
     if (const sim::Time d = fi->dma_delay(); d > 0) {
       start += d;
-      sim::trace_instant("node" + std::to_string(node()) + ".hca",
-                         "fault:dma-delay", engine_.now());
+      engine_.telemetry().instant(track, "fault:dma-delay");
     }
     fate = fi->wc_fate();
-    if (fate == sim::FaultInjector::WcFate::Fatal) {
-      // The QP wedges in the error state for good: this WR gets an error
-      // CQE after the round trip, and every later post flushes immediately
-      // (WrFlushError). Only connection re-establishment — destroy, create,
-      // re-connect — revives the endpoint; that is mpi::Engine's job.
-      qp->state_ = QpState::Error;
-      sim::trace_instant("node" + std::to_string(node()) + ".hca",
-                         "fault:qp-fatal", engine_.now());
-      sim::Log::trace(engine_.now(), "hca", "fault: wedging QP %u on WR %llu",
-                      qp->qpn(), static_cast<unsigned long long>(wr.wr_id));
-      const WcOpcode op = wr.opcode == Opcode::Send ? WcOpcode::Send
-                          : wr.opcode == Opcode::RdmaWrite
-                              ? WcOpcode::RdmaWrite
-                              : WcOpcode::RdmaRead;
-      complete(qp, qp->send_cq(), wr, op, WcStatus::RetryExceeded, 0,
-               start + 2 * wire_lat);
-      return;
-    }
-    if (fate == sim::FaultInjector::WcFate::Error) {
-      // The transport gave up on this WR after its internal retries. Soft
-      // failure: no data moved, the QP stays ReadyToSend, the poster sees
-      // an error CQE one round trip later and owns recovery.
-      sim::trace_instant("node" + std::to_string(node()) + ".hca",
-                         "fault:wc-error", engine_.now());
-      sim::Log::trace(engine_.now(), "hca", "fault: erring WR %llu",
-                      static_cast<unsigned long long>(wr.wr_id));
+    if (fate == sim::FaultInjector::WcFate::Fatal ||
+        fate == sim::FaultInjector::WcFate::Error) {
+      if (fate == sim::FaultInjector::WcFate::Fatal) {
+        // The QP wedges in the error state for good: this WR gets an error
+        // CQE after the round trip, and every later post flushes
+        // immediately (WrFlushError). Only connection re-establishment —
+        // destroy, create, re-connect — revives the endpoint; that is
+        // mpi::Engine's job.
+        qp->state_ = QpState::Error;
+        engine_.telemetry().event(sim::Verbosity::Trace, track,
+                                  "fault:qp-fatal", "wedging QP %u on WR %llu",
+                                  qp->qpn(), wr_id);
+      } else {
+        // The transport gave up on this WR after its internal retries. Soft
+        // failure: no data moved, the QP stays ReadyToSend, the poster sees
+        // an error CQE one round trip later and owns recovery.
+        engine_.telemetry().event(sim::Verbosity::Trace, track,
+                                  "fault:wc-error", "erring WR %llu", wr_id);
+      }
       const WcOpcode op = wr.opcode == Opcode::Send ? WcOpcode::Send
                           : wr.opcode == Opcode::RdmaWrite
                               ? WcOpcode::RdmaWrite
@@ -334,10 +327,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     if (fate == sim::FaultInjector::WcFate::Drop) {
       // Data will move normally; only the completion is lost. (Applies to
       // the RDMA opcodes — the MPI data path; Send WRs complete remotely.)
-      sim::trace_instant("node" + std::to_string(node()) + ".hca",
-                         "fault:wc-drop", engine_.now());
-      sim::Log::trace(engine_.now(), "hca", "fault: dropping CQE of WR %llu",
-                      static_cast<unsigned long long>(wr.wr_id));
+      engine_.telemetry().event(sim::Verbosity::Trace, track, "fault:wc-drop",
+                                "dropping CQE of WR %llu", wr_id);
     }
   }
 
@@ -426,11 +417,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
       left -= n;
     } while (left > 0);
     last_write += wcost.latency;
-    if (sim::Tracer::current()) {
-      sim::trace_span("node" + std::to_string(node()) + ".hca",
-                      "rdma-write " + std::to_string(bytes) + "B", start,
-                      last_write);
-    }
+    engine_.telemetry().span({sim::Track::Hca, node()}, start, last_write,
+                             "rdma-write %zuB", bytes);
 
     // Move the bytes when the last chunk lands; ACK returns to the sender
     // one wire latency later.
@@ -454,12 +442,14 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
                       s.length);
           off += s.length;
         }
-        sim::Log::trace(engine_.now(), "hca", "rdma-write %zu bytes landed",
-                        bytes);
+        engine_.telemetry().log(sim::Verbosity::Trace,
+                                {sim::Track::Hca, remote.node()},
+                                "rdma-write %zu bytes landed", bytes);
       } catch (const std::exception& e) {
-        sim::Log::error(engine_.now(), "hca",
-                        "in-flight rdma-write dropped at teardown: %s",
-                        e.what());
+        engine_.telemetry().log(sim::Verbosity::Error,
+                                {sim::Track::Hca, remote.node()},
+                                "in-flight rdma-write dropped at teardown: %s",
+                                e.what());
       }
       remote.notify_remote_write(wr.rkey);
     });
@@ -495,11 +485,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     left -= n;
   } while (left > 0);
   last_write += wcost.latency;
-  if (sim::Tracer::current()) {
-    sim::trace_span("node" + std::to_string(node()) + ".hca",
-                    "rdma-read " + std::to_string(bytes) + "B", start,
-                    last_write);
-  }
+  engine_.telemetry().span({sim::Track::Hca, node()}, start, last_write,
+                           "rdma-read %zuB", bytes);
 
   engine_.schedule_at(last_write, [this, wr, bytes, &remote] {
     try {
@@ -514,11 +501,12 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
                     s.length);
         off += s.length;
       }
-      sim::Log::trace(engine_.now(), "hca", "rdma-read %zu bytes landed",
-                      bytes);
+      engine_.telemetry().log(sim::Verbosity::Trace, {sim::Track::Hca, node()},
+                              "rdma-read %zu bytes landed", bytes);
     } catch (const std::exception& e) {
-      sim::Log::error(engine_.now(), "hca",
-                      "in-flight rdma-read dropped at teardown: %s", e.what());
+      engine_.telemetry().log(sim::Verbosity::Error, {sim::Track::Hca, node()},
+                              "in-flight rdma-read dropped at teardown: %s",
+                              e.what());
     }
   });
   if (wr.signaled && fate != sim::FaultInjector::WcFate::Drop) {
@@ -533,7 +521,8 @@ void Hca::deliver_send(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
                        Hca& src_hca, sim::Time arrival) {
   if (dst_qp->recv_queue_.empty()) {
     // Receiver-not-ready: park until a receive is posted (post_recv retries).
-    sim::Log::trace(engine_.now(), "hca", "RNR on qp %u", dst_qp->qpn());
+    engine_.telemetry().log(sim::Verbosity::Trace, {sim::Track::Hca, node()},
+                            "RNR on qp %u", dst_qp->qpn());
     dst_qp->rnr_queue_.push_back(
         QueuePair::PendingArrival{std::move(wr), src_qpn, arrival, &src_hca});
     return;
@@ -623,8 +612,9 @@ void Hca::complete_matched_recv(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,
         off += n;
       }
     } catch (const std::exception& e) {
-      sim::Log::error(engine_.now(), "hca",
-                      "in-flight send dropped at teardown: %s", e.what());
+      engine_.telemetry().log(sim::Verbosity::Error, {sim::Track::Hca, node()},
+                              "in-flight send dropped at teardown: %s",
+                              e.what());
     }
     // Receive completion.
     Wc wc;

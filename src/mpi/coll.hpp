@@ -184,9 +184,12 @@ struct CollSchedule {
   /// Temporaries (scratch, accumulators) freed when the schedule completes.
   std::vector<mem::Buffer> owned;
   std::uint32_t comm_id = 0;
-  /// Trace span text ("allreduce.ring 1048576B"); built only when a tracer
-  /// is active. Empty = no span (barrier).
-  std::string label;
+  /// Trace span name: a printf format over (label_algo, label_bytes), such
+  /// as "allreduce.%s %zuB", formatted only if a tracer records it. Null =
+  /// no span (barrier).
+  const char* label = nullptr;
+  const char* label_algo = nullptr;
+  std::size_t label_bytes = 0;
   std::size_t bytes = 0;  ///< reported in the completion Status
   /// Per-algorithm Stats counter bumped once at completion (may be null).
   std::uint64_t* algo_counter = nullptr;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mpi/communicator.hpp"
-#include "sim/trace.hpp"
 
 namespace dcfa::mpi {
 
@@ -298,10 +297,9 @@ Request Communicator::ibcast(const mem::Buffer& buf, std::size_t offset,
     emit_bcast_binomial(*sched, tag_base, buf, offset, count, type, root);
     sched->algo_counter = &engine_.coll_stats().coll_bcast_binomial;
   }
-  if (sim::Tracer::current()) {
-    sched->label = std::string("bcast.") + coll_algo_name(algo) + " " +
-                   std::to_string(bytes) + "B";
-  }
+  sched->label = "bcast.%s %zuB";
+  sched->label_algo = coll_algo_name(algo);
+  sched->label_bytes = bytes;
   return engine_.start_coll(std::move(sched));
 }
 
@@ -616,10 +614,9 @@ Request Communicator::iallreduce(const mem::Buffer& sendbuf, std::size_t soff,
       sched->algo_counter = &st.coll_allreduce_binomial;
       break;
   }
-  if (sim::Tracer::current()) {
-    sched->label = std::string("allreduce.") + coll_algo_name(algo) + " " +
-                   std::to_string(bytes) + "B";
-  }
+  sched->label = "allreduce.%s %zuB";
+  sched->label_algo = coll_algo_name(algo);
+  sched->label_bytes = bytes;
   return engine_.start_coll(std::move(sched));
 }
 
@@ -677,9 +674,9 @@ Request Communicator::ireduce_scatter_block(const mem::Buffer& sendbuf,
   add_stage(*sched).locals.push_back(
       {CollLocal::Kind::Copy, recvbuf, roff, work, part.off[rank()] * es,
        block_bytes, nullptr, Op::Sum});
-  if (sim::Tracer::current()) {
-    sched->label = "reduce_scatter.ring " + std::to_string(count * es) + "B";
-  }
+  sched->label = "reduce_scatter.%s %zuB";
+  sched->label_algo = "ring";
+  sched->label_bytes = count * es;
   return engine_.start_coll(std::move(sched));
 }
 
@@ -807,10 +804,9 @@ Request Communicator::iallgather(const mem::Buffer& sendbuf, std::size_t soff,
                  tag_base + kPhaseAgRing);
     sched->algo_counter = &engine_.coll_stats().coll_allgather_ring;
   }
-  if (sim::Tracer::current()) {
-    sched->label = std::string("allgather.") + coll_algo_name(algo) + " " +
-                   std::to_string(bytes) + "B/rank";
-  }
+  sched->label = "allgather.%s %zuB/rank";
+  sched->label_algo = coll_algo_name(algo);
+  sched->label_bytes = bytes;
   return engine_.start_coll(std::move(sched));
 }
 

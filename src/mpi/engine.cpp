@@ -7,9 +7,7 @@
 
 #include "mpi/wire.hpp"
 #include "sim/engine.hpp"
-#include "sim/log.hpp"
 #include "sim/process.hpp"
-#include "sim/trace.hpp"
 
 namespace dcfa::mpi {
 
@@ -210,6 +208,7 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
       nranks_(nranks),
       ib_(std::move(ib)),
       phi_(dynamic_cast<core::PhiVerbs*>(ib_.get())),
+      tel_(ib_->process().engine().telemetry()),
       bootstrap_(bootstrap),
       options_(options),
       platform_(ib_->hca_ref().platform()),
@@ -342,9 +341,8 @@ void Engine::die() {
   hb_stop_ = true;  // beacons stop; survivors' liveness timers take it from here
   const sim::Time now = ib_->process().now();
   faults_->note_rank_kill();
-  sim::Log::info(now, "mpi", "rank %d killed (rank_kill fate)", rank_);
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults", "rank-killed",
-                     now);
+  tel_.event(sim::Verbosity::Info, {sim::Track::Faults, rank_}, "rank-killed",
+             "(rank_kill fate)");
   // Launcher-level ground truth; survivors adopt through the failure board
   // once one of them *detects* the silence (liveness timeout / retry
   // exhaustion) — the registry itself only short-circuits doomed reconnects
@@ -391,9 +389,8 @@ void Engine::finalize() {
     stats_.cmd_timeouts = phi_->cmd_timeouts();
     if (phi_->in_proxy_fallback()) stats_.proxy_failovers = 1;
   }
-  if (faults_armed_ && sim::Tracer::current()) {
-    sim::Tracer* t = sim::Tracer::current();
-    const std::string track = "rank" + std::to_string(rank_) + ".faults";
+  if (sim::Tracer* t = faults_armed_ ? tel_.tracer() : nullptr) {
+    const sim::Track track{sim::Track::Faults, rank_};
     const sim::Time at = ib_->process().now();
     t->counter(track, "retransmits", at, double(stats_.retransmits));
     t->counter(track, "wc_errors", at, double(stats_.wc_errors));
@@ -794,9 +791,8 @@ void Engine::tx_check(int peer, std::uint64_t idx, std::uint64_t epoch,
   }
   ++it->second.attempts;
   ++stats_.retransmits;
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "retransmit idx=" + std::to_string(idx),
-                     ib_->process().now());
+  tel_.instant({sim::Track::Faults, rank_}, "retransmit idx=%llu",
+               static_cast<unsigned long long>(idx));
   post_tx_record(ep, idx);
 }
 
@@ -809,9 +805,8 @@ void Engine::finish_tx_record(Endpoint& ep, std::uint64_t idx,
   ep.unacked.erase(it);
   if (wc.status != ib::WcStatus::Success) {
     ++stats_.retry_exhausted;
-    sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                       "retry-exhausted idx=" + std::to_string(idx),
-                       ib_->process().now());
+    tel_.instant({sim::Track::Faults, rank_}, "retry-exhausted idx=%llu",
+                 static_cast<unsigned long long>(idx));
   }
   if (wc.status != ib::WcStatus::Success) {
     // Blame scope: a failure delivered from here means the transport gave
@@ -932,8 +927,7 @@ void Engine::data_check(std::uint64_t op, std::uint64_t epoch,
   }
   ++d.attempts;
   ++stats_.data_op_retries;
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "data-op-retry", ib_->process().now());
+  tel_.instant({sim::Track::Faults, rank_}, "data-op-retry");
   post_data_op(op);
 }
 
@@ -964,16 +958,13 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
     // Unbounded error storms must still terminate: past the cumulative
     // budget the endpoint fails for good and operations raise MpiError.
     ep.conn_state = ConnState::Failed;
-    sim::Log::error(ib_->process().now(), "mpi",
-                    "rank %d endpoint %d: reconnect budget exhausted (%s)",
-                    rank_, ep.peer, why);
+    tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+             "endpoint %d: reconnect budget exhausted (%s)", ep.peer, why);
     return false;
   }
   ep.conn_state = ConnState::Suspect;
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "endpoint-suspect peer=" + std::to_string(ep.peer) +
-                         " (" + why + ")",
-                     ib_->process().now());
+  tel_.instant({sim::Track::Faults, rank_}, "endpoint-suspect peer=%d (%s)",
+               ep.peer, why);
   const std::uint32_t target = ep.epoch + 1;
   const int peer = ep.peer;
   bootstrap_.request_reconnect(rank_, peer, target);
@@ -1010,13 +1001,9 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.conn_state = ConnState::Reconnecting;
   ++ep.reconnects;
   ++stats_.reconnects;
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "reconnect-start peer=" + std::to_string(ep.peer) +
-                         " epoch=" + std::to_string(target_epoch),
-                     ib_->process().now());
-  sim::Log::info(ib_->process().now(), "mpi",
-                 "rank %d re-establishing endpoint %d at epoch %u", rank_,
-                 ep.peer, target_epoch);
+  tel_.event(sim::Verbosity::Info, {sim::Track::Faults, rank_},
+             "reconnect-start peer=%d epoch=%u", nullptr, ep.peer,
+             target_epoch);
 
   // --- Quiesce: defuse every pending timer and CQE callback, and snapshot
   // the packets that still need delivery through the new connection. The
@@ -1161,10 +1148,8 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   chk().epoch_advanced(rank_, ep.peer, target_epoch);
   ep.conn_state = (phi_ && phi_->in_proxy_fallback()) ? ConnState::Degraded
                                                       : ConnState::Healthy;
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "reconnect-done peer=" + std::to_string(ep.peer) +
-                         " epoch=" + std::to_string(target_epoch),
-                     ib_->process().now());
+  tel_.instant({sim::Track::Faults, rank_}, "reconnect-done peer=%d epoch=%u",
+               ep.peer, target_epoch);
 
   // --- Replay, in emission order. Sequence numbers are preserved, so if an
   // original write did land before the fault, the receiver's seq-level
@@ -1241,8 +1226,11 @@ void Engine::heartbeat_tick() {
     if (kill_armed_ && !pending) pending = expecting_from(ep);
     if (pending &&
         now - ep.last_heard > platform_.mpi_liveness_timeout + liveness_grace_) {
-      sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                         "liveness-timeout peer=" + std::to_string(p), now);
+      // Stamped at the tick's start: posting beacons can advance the clock.
+      if (sim::Tracer* t = tel_.tracer()) {
+        t->instant({sim::Track::Faults, rank_}, now, "liveness-timeout peer=%d",
+                   p);
+      }
       maybe_start_reconnect(ep, "liveness timeout");
     }
   }
@@ -1253,12 +1241,8 @@ void Engine::heartbeat_tick() {
 // ---------------------------------------------------------------------------
 
 void Engine::declare_failed(int peer, const char* why) {
-  sim::Log::error(ib_->process().now(), "mpi",
-                  "rank %d declares rank %d failed (%s)", rank_, peer, why);
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "declare-failed peer=" + std::to_string(peer) + " (" +
-                         why + ")",
-                     ib_->process().now());
+  tel_.event(sim::Verbosity::Error, {sim::Track::Faults, rank_},
+             "declare-failed peer=%d (%s)", nullptr, peer, why);
   bootstrap_.announce_failure(peer);
   adopt_failures();
 }
@@ -1283,10 +1267,9 @@ void Engine::adopt_failures() {
       }
     }
     chk().rank_failed(rank_, r);
-    sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                       "adopt-failure peer=" + std::to_string(r) + " epoch=" +
-                           std::to_string(known_fail_epoch_),
-                       now);
+    tel_.instant({sim::Track::Faults, rank_},
+                 "adopt-failure peer=%d epoch=%llu", r,
+                 static_cast<unsigned long long>(known_fail_epoch_));
     fail_peer_ops(r);
   }
 }
@@ -1438,11 +1421,8 @@ void Engine::revoke_comm(std::uint32_t comm_id) {
   if (!revoked_.insert(comm_id).second) return;  // each rank floods once
   ++stats_.comms_revoked;
   chk().comm_revoked(rank_, comm_id);
-  sim::Log::info(ib_->process().now(), "mpi", "rank %d: comm %u revoked",
-                 rank_, comm_id);
-  sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                     "comm-revoked comm=" + std::to_string(comm_id),
-                     ib_->process().now());
+  tel_.event(sim::Verbosity::Info, {sim::Track::Faults, rank_},
+             "comm-revoked comm=%u", nullptr, comm_id);
   poison_comm(comm_id, "communicator revoked");
   flood_revoke(comm_id);
 }
@@ -1566,9 +1546,11 @@ void Engine::dump_all(std::FILE* out) {
                    static_cast<long long>(ep.last_heard));
     }
     for (const auto& s : e->schedules_) {
-      std::fprintf(out, "  coll comm=%u stage=%zu/%zu outstanding=%zu %s\n",
+      std::fprintf(out, "  coll comm=%u stage=%zu/%zu outstanding=%zu ",
                    s->comm_id, s->stage, s->stages.size(),
-                   s->outstanding.size(), s->label.c_str());
+                   s->outstanding.size());
+      if (s->label) std::fprintf(out, s->label, s->label_algo, s->label_bytes);
+      std::fputc('\n', out);
     }
   }
   std::fflush(out);
@@ -1643,9 +1625,8 @@ bool Engine::scan_ring(Endpoint& ep) {
       std::memset(base, 0, sizeof hdr);
       std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.epoch_fenced;
-      sim::trace_instant("rank" + std::to_string(rank_) + ".faults",
-                         "epoch-fenced idx=" + std::to_string(hdr.ring_idx),
-                         ib_->process().now());
+      tel_.instant({sim::Track::Faults, rank_}, "epoch-fenced idx=%llu",
+                   static_cast<unsigned long long>(hdr.ring_idx));
       return true;
     }
     if (hdr.ring_idx != ep.my_consumed) {
@@ -1993,9 +1974,9 @@ void Engine::finish_schedule(CollSchedule& s) {
   auto& st = *s.req;
   st.status = Status{kAnySource, kAnyTag, s.bytes};
   st.phase = RequestState::Phase::Complete;
-  if (sim::Tracer::current() && !s.label.empty()) {
-    sim::trace_span("rank" + std::to_string(rank_), s.label, st.posted_at,
-                    ib_->process().now());
+  if (s.label) {
+    tel_.span({sim::Track::Rank, rank_}, st.posted_at, ib_->process().now(),
+              s.label, s.label_algo, s.label_bytes);
   }
   wake_.notify_all();
 }
@@ -2032,9 +2013,8 @@ void Engine::fail_schedule(CollSchedule& s, std::string why, MpiErrc errc,
     }
     condemned_.push_back(std::move(c));
   }
-  sim::Log::error(ib_->process().now(), "mpi",
-                  "rank %d collective schedule error: %s", rank_,
-                  why.c_str());
+  tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+           "collective schedule error: %s", why.c_str());
   auto& st = *s.req;
   st.error = std::move(why);
   st.errc = errc;
@@ -2058,16 +2038,11 @@ void Engine::complete(const std::shared_ptr<RequestState>& req, int source,
   }
   req->status = Status{source, tag, bytes};
   req->phase = RequestState::Phase::Complete;
-  if (sim::Tracer::current()) {
-    const char* what = req->kind == RequestState::Kind::Send
-                           ? (req->used_offload_shadow ? "send(offload)"
-                                                       : "send")
-                           : "recv";
-    sim::trace_span("rank" + std::to_string(rank_),
-                    std::string(what) + " " + std::to_string(bytes) +
-                        "B tag=" + std::to_string(req->tag),
-                    req->posted_at, ib_->process().now());
-  }
+  const char* what = req->kind == RequestState::Kind::Send
+                         ? (req->used_offload_shadow ? "send(offload)" : "send")
+                         : "recv";
+  tel_.span({sim::Track::Rank, rank_}, req->posted_at, ib_->process().now(),
+            "%s %zuB tag=%d", what, bytes, req->tag);
   if (auto it = packed_.find(req.get()); it != packed_.end()) {
     try {
       phi_->dereg_offload_mr(it->second);
@@ -2106,8 +2081,8 @@ void Engine::fail(const std::shared_ptr<RequestState>& req, std::string why,
            (peer >= 0 ? " peer=" + std::to_string(peer) : std::string()) + "]";
   }
   if (errc == MpiErrc::ProcFailed) ++stats_.proc_failed_ops;
-  sim::Log::error(ib_->process().now(), "mpi",
-                  "rank %d request error: %s", rank_, why.c_str());
+  tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+           "request error: %s", why.c_str());
   req->error = std::move(why);
   req->errc = errc;
   req->err_peer = peer;

@@ -666,7 +666,8 @@ class Engine {
   /// request to the bootstrap board, and queue perform_reconnect. Returns
   /// false when recovery is not available — fatal faults unarmed, or the
   /// cumulative reconnect budget is spent (the endpoint turns Failed and
-  /// the caller falls through to its normal failure path).
+  /// the caller falls through to its normal failure path). `why` is a
+  /// string literal: the trace keeps the pointer.
   bool maybe_start_reconnect(Endpoint& ep, const char* why);
   /// Re-establish `ep` at `target_epoch`: quiesce in-flight state, tear down
   /// and re-create the QP and ring/staging/credit/heartbeat MRs through the
@@ -820,6 +821,7 @@ class Engine {
   /// announce order) and fail every local operation depending on them.
   void adopt_failures();
   /// First-observer path: announce `peer` on the failure board, then adopt.
+  /// `why` is a string literal, as for maybe_start_reconnect.
   void declare_failed(int peer, const char* why);
   /// Fail everything that depends on dead `peer`: unacked and queued
   /// packets, rendezvous data ops, posted sends/recvs on its channels,
@@ -875,6 +877,7 @@ class Engine {
   int nranks_;
   std::unique_ptr<verbs::Ib> ib_;
   core::PhiVerbs* phi_;  ///< non-null when running on DCFA Phi verbs
+  sim::Telemetry& tel_;  ///< the cluster's trace/log sink
   Bootstrap& bootstrap_;
   Options options_;
   const sim::Platform& platform_;

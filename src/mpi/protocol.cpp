@@ -3,7 +3,6 @@
 
 #include "mpi/engine.hpp"
 #include "mpi/wire.hpp"
-#include "sim/log.hpp"
 
 namespace dcfa::mpi {
 
@@ -688,9 +687,9 @@ void Engine::handle_revoke(const PacketHeader& hdr) {
   // Gossip: first sight poisons local state and re-floods to the rest of
   // the group (revoke_comm is idempotent, so the flood terminates after
   // every member has seen the notice once).
-  sim::Log::info(ib_->process().now(), "mpi",
-                 "rank %d: revoke notice for comm %u from rank %d", rank_,
-                 hdr.comm_id, hdr.src_rank);
+  tel_.log(sim::Verbosity::Info, {sim::Track::Rank, rank_},
+           "revoke notice for comm %u from rank %d", hdr.comm_id,
+           hdr.src_rank);
   revoke_comm(hdr.comm_id);
 }
 
@@ -783,9 +782,9 @@ void Engine::handle_done(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
         ++stats_.dup_packets_dropped;
         return;
       }
-      sim::Log::error(ib_->process().now(), "mpi",
-                      "rank %d: DONE(to-sender) for unknown seq %llu", rank_,
-                      static_cast<unsigned long long>(hdr.seq));
+      tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+               "DONE(to-sender) for unknown seq %llu",
+               static_cast<unsigned long long>(hdr.seq));
       return;
     }
     auto req = it->second;
@@ -814,9 +813,9 @@ void Engine::handle_done(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
     ++stats_.dup_packets_dropped;
     return;
   }
-  sim::Log::error(ib_->process().now(), "mpi",
-                  "rank %d: DONE for unknown seq %llu", rank_,
-                  static_cast<unsigned long long>(hdr.seq));
+  tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+           "DONE for unknown seq %llu",
+           static_cast<unsigned long long>(hdr.seq));
 }
 
 void Engine::handle_err(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {

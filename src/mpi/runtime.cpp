@@ -1,7 +1,6 @@
 #include "mpi/runtime.hpp"
 
 #include "baselines/proxy_verbs.hpp"
-#include "sim/trace.hpp"
 
 namespace dcfa::mpi {
 
@@ -115,11 +114,9 @@ void Runtime::run(const std::function<void(RankCtx&)>& body) {
   if (ran_) throw MpiError("Runtime::run called twice");
   ran_ = true;
 
-  std::unique_ptr<sim::Tracer> tracer;
-  if (!config_.trace_path.empty()) {
-    tracer = std::make_unique<sim::Tracer>();
-    sim::Tracer::install(tracer.get());
-  }
+  sim::Tracer* tracer = config_.trace_path.empty()
+                            ? nullptr
+                            : &sim_->telemetry().enable_tracing();
 
   for (int r = 0; r < config_.nprocs; ++r) {
     RankSlot& slot = *slots_[r];
@@ -160,15 +157,15 @@ void Runtime::run(const std::function<void(RankCtx&)>& body) {
   try {
     sim_->run();
   } catch (...) {
-    // The global tracer pointer must not outlive `tracer`.
-    if (tracer) sim::Tracer::install(nullptr);
+    // A failed run's trace is the one most worth reading. The run's own
+    // error is the one to report, so a failed write does not replace it.
+    try {
+      if (tracer) tracer->write(config_.trace_path);
+    } catch (const std::runtime_error&) {
+    }
     throw;
   }
-
-  if (tracer) {
-    sim::Tracer::install(nullptr);
-    tracer->write(config_.trace_path);
-  }
+  if (tracer) tracer->write(config_.trace_path);
 }
 
 sim::Time Runtime::elapsed() const { return sim_->now(); }

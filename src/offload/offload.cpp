@@ -1,7 +1,5 @@
 #include "offload/offload.hpp"
 
-#include "sim/log.hpp"
-
 namespace dcfa::offload {
 
 mem::Buffer Engine::alloc_card_buffer(std::size_t size, std::size_t align) {

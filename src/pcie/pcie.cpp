@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "sim/log.hpp"
-#include "sim/trace.hpp"
-
 namespace dcfa::pcie {
 
 sim::Time PciePort::dma_async(mem::Domain src_domain, mem::SimAddr src,
@@ -19,16 +16,15 @@ sim::Time PciePort::dma_async(mem::Domain src_domain, mem::SimAddr src,
       platform_.phi_dma_setup +
       sim::transfer_time(len, platform_.phi_dma_gbps * bw_factor);
   const sim::Time done_at = phi_dma_.acquire(engine_.now(), cost);
-  if (sim::Tracer::current()) {
-    sim::trace_span("node" + std::to_string(memory_.node()) + ".dma",
-                    "phi-dma " + std::to_string(len) + "B", done_at - cost,
-                    done_at);
-  }
+  engine_.telemetry().span({sim::Track::Dma, memory_.node()}, done_at - cost,
+                           done_at, "phi-dma %zuB", len);
 
   engine_.schedule_at(done_at, [this, src_p, dst_p, len,
                                 on_done = std::move(on_done)] {
     std::memmove(dst_p, src_p, len);
-    sim::Log::trace(engine_.now(), "pcie", "dma complete, %zu bytes", len);
+    engine_.telemetry().log(sim::Verbosity::Trace,
+                            {sim::Track::Dma, memory_.node()},
+                            "dma complete, %zu bytes", len);
     if (on_done) on_done();
   });
   return done_at;

@@ -1,7 +1,5 @@
 #include "scif/scif.hpp"
 
-#include "sim/log.hpp"
-
 namespace dcfa::scif {
 
 void Channel::send(sim::Process& proc, Side from,

@@ -8,6 +8,7 @@
 
 #include "sim/fiber.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 
 namespace dcfa::sim {
 
@@ -91,6 +92,11 @@ class Engine {
   /// Engine — and therefore each test cluster — gets fresh shadow state.
   Checker& checker();
 
+  /// This cluster's telemetry sink: the Chrome-trace recorder (off until
+  /// Telemetry::enable_tracing) and the DCFA_SIM_LOG stderr echo, read when
+  /// the engine is built.
+  Telemetry& telemetry() { return telemetry_; }
+
  private:
   friend class Process;
 
@@ -131,6 +137,7 @@ class Engine {
   std::vector<Event> queue_;
   std::vector<std::unique_ptr<Process>> processes_;
   std::unique_ptr<Checker> checker_;
+  Telemetry telemetry_{now_};
 };
 
 /// Thrown by Engine::run() when all events have drained but processes are

@@ -1,41 +1,31 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
-#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace dcfa::sim {
 
-Tracer* Tracer::current_ = nullptr;
-
-int Tracer::track_id(const std::string& track) {
-  auto it = std::find(tracks_.begin(), tracks_.end(), track);
-  if (it != tracks_.end()) return static_cast<int>(it - tracks_.begin());
-  tracks_.push_back(track);
-  return static_cast<int>(tracks_.size()) - 1;
+std::string Tracer::track_name(Track track) {
+  static constexpr const char* kFormat[Track::kKinds] = {
+      "rank%d", "rank%d.faults", "node%d.cmd",
+      "node%d.delegate", "node%d.dma", "node%d.hca"};
+  return format(kFormat[track.kind], track.index);
 }
 
-void Tracer::span(const std::string& track, const std::string& name,
-                  Time start, Time end) {
-  events_.push_back(
-      Event{'X', track, name, start, end > start ? end - start : 0, 0});
-}
-
-void Tracer::instant(const std::string& track, const std::string& name,
-                     Time at) {
-  events_.push_back(Event{'i', track, name, at, 0, 0});
-}
-
-void Tracer::counter(const std::string& track, const std::string& series,
-                     Time at, double value) {
-  events_.push_back(Event{'C', track, series, at, 0, value});
+std::uint32_t Tracer::intern(Track track) {
+  std::vector<std::uint32_t>& tids = tids_[track.kind];
+  const auto idx = static_cast<std::size_t>(track.index);
+  if (idx >= tids.size()) tids.resize(idx + 1, 0);
+  if (tids[idx] == 0) {
+    tracks_.push_back(track);
+    tids[idx] = static_cast<std::uint32_t>(tracks_.size());
+  }
+  return tids[idx] - 1;
 }
 
 namespace {
-/// Escape a string for JSON output.
-std::string esc(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+/// Append `s`, escaped for a JSON string, to `out`.
+void append_escaped(std::string& out, const std::string& s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -51,67 +41,60 @@ std::string esc(const std::string& s) {
         }
     }
   }
-  return out;
 }
 }  // namespace
 
 std::string Tracer::to_json() const {
   // Timestamps in Chrome traces are microseconds (floating point allowed);
-  // the virtual clock is nanoseconds.
+  // the virtual clock is nanoseconds. Only the numeric head of each record
+  // goes through a fixed buffer; names are appended at their full length.
   std::string out = "{\"traceEvents\":[\n";
-  // Track name metadata.
-  Tracer* self = const_cast<Tracer*>(this);
-  bool first = true;
-  std::vector<std::string> tracks;
-  for (const Event& e : events_) {
-    if (std::find(tracks.begin(), tracks.end(), e.track) == tracks.end()) {
-      tracks.push_back(e.track);
-    }
-  }
-  char buf[256];
-  for (std::size_t i = 0; i < tracks.size(); ++i) {
+  const char* sep = "";
+  char buf[160];
+  for (std::size_t i = 0; i < tracks_.size(); ++i) {
     std::snprintf(buf, sizeof buf,
                   "{\"ph\":\"M\",\"pid\":1,\"tid\":%zu,\"name\":"
-                  "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                  i, esc(tracks[i]).c_str());
-    if (!first) out += ",\n";
+                  "\"thread_name\",\"args\":{\"name\":\"",
+                  i);
+    out += sep;
     out += buf;
-    first = false;
+    append_escaped(out, track_name(tracks_[i]));
+    out += "\"}}";
+    sep = ",\n";
   }
-  auto tid_of = [&](const std::string& track) {
-    return std::find(tracks.begin(), tracks.end(), track) - tracks.begin();
-  };
   for (const Event& e : events_) {
-    if (!first) out += ",\n";
-    first = false;
     const double ts = static_cast<double>(e.start) / 1e3;
     switch (e.phase) {
       case 'X':
         std::snprintf(buf, sizeof buf,
-                      "{\"ph\":\"X\",\"pid\":1,\"tid\":%zd,\"ts\":%.3f,"
-                      "\"dur\":%.3f,\"name\":\"%s\"}",
-                      tid_of(e.track), ts,
-                      static_cast<double>(e.duration) / 1e3,
-                      esc(e.name).c_str());
+                      "{\"ph\":\"X\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
+                      "\"dur\":%.3f,\"name\":\"",
+                      e.tid, ts, static_cast<double>(e.duration) / 1e3);
         break;
       case 'i':
         std::snprintf(buf, sizeof buf,
-                      "{\"ph\":\"i\",\"pid\":1,\"tid\":%zd,\"ts\":%.3f,"
-                      "\"s\":\"t\",\"name\":\"%s\"}",
-                      tid_of(e.track), ts, esc(e.name).c_str());
+                      "{\"ph\":\"i\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
+                      "\"s\":\"t\",\"name\":\"",
+                      e.tid, ts);
         break;
       case 'C':
         std::snprintf(buf, sizeof buf,
-                      "{\"ph\":\"C\",\"pid\":1,\"tid\":%zd,\"ts\":%.3f,"
-                      "\"name\":\"%s\",\"args\":{\"value\":%g}}",
-                      tid_of(e.track), ts, esc(e.name).c_str(), e.value);
+                      "{\"ph\":\"C\",\"pid\":1,\"tid\":%u,\"ts\":%.3f,"
+                      "\"name\":\"",
+                      e.tid, ts);
         break;
-      default:
-        continue;
     }
+    out += sep;
     out += buf;
+    append_escaped(out, e.render ? e.render(e.name, e.args) : e.name);
+    if (e.phase == 'C') {
+      std::snprintf(buf, sizeof buf, "\",\"args\":{\"value\":%g}}", e.value);
+      out += buf;
+    } else {
+      out += "\"}";
+    }
+    sep = ",\n";
   }
-  (void)self;
   out += "\n]}\n";
   return out;
 }
@@ -120,8 +103,29 @@ void Tracer::write(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) throw std::runtime_error("Tracer::write: cannot open " + path);
   const std::string json = to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
+  const bool wrote =
+      std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  // fclose flushes: a full device usually surfaces here, not in fwrite.
+  if (std::fclose(f) != 0 || !wrote) {
+    throw std::runtime_error("Tracer::write: cannot write " + path);
+  }
+}
+
+Telemetry::Telemetry(const Time& clock)
+    : clock_(clock), level_([] {
+        const char* env = std::getenv("DCFA_SIM_LOG");
+        const int v = env ? std::atoi(env) : 0;
+        return v >= 0 && v <= 3 ? static_cast<Verbosity>(v) : Verbosity::Off;
+      }()) {}
+
+Tracer& Telemetry::enable_tracing() {
+  if (!tracer_) tracer_ = std::make_unique<Tracer>();
+  return *tracer_;
+}
+
+void Telemetry::print(Track track, const std::string& text) const {
+  std::fprintf(stderr, "[%s] [%s] %s\n", format_time(clock_).c_str(),
+               Tracer::track_name(track).c_str(), text.c_str());
 }
 
 }  // namespace dcfa::sim
