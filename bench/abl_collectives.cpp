@@ -17,12 +17,12 @@ using namespace dcfa;
 
 namespace {
 
-sim::Time allreduce_time(const char* algo, std::size_t bytes, int nprocs,
+sim::Time allreduce_time(mpi::CollAlgo algo, std::size_t bytes, int nprocs,
                          int iters) {
   mpi::RunConfig cfg;
   cfg.mode = mpi::MpiMode::DcfaPhi;
   cfg.nprocs = nprocs;
-  cfg.engine_options.coll.allreduce = algo;
+  cfg.engine_options.allreduce_algo = algo;
   const std::size_t n = std::max<std::size_t>(bytes / sizeof(double), 1);
   return bench::max_rank_time(cfg, iters, [n](mpi::RankCtx& ctx) {
     mem::Buffer in = ctx.world.alloc(n * sizeof(double));
@@ -34,12 +34,12 @@ sim::Time allreduce_time(const char* algo, std::size_t bytes, int nprocs,
   });
 }
 
-sim::Time bcast_time(const char* algo, std::size_t bytes, int nprocs,
+sim::Time bcast_time(mpi::CollAlgo algo, std::size_t bytes, int nprocs,
                      int iters) {
   mpi::RunConfig cfg;
   cfg.mode = mpi::MpiMode::DcfaPhi;
   cfg.nprocs = nprocs;
-  cfg.engine_options.coll.bcast = algo;
+  cfg.engine_options.bcast_algo = algo;
   return bench::max_rank_time(cfg, iters, [bytes](mpi::RankCtx& ctx) {
     mem::Buffer buf = ctx.world.alloc(bytes);
     if (ctx.rank == 0) std::memset(buf.data(), 0x5a, bytes);
@@ -53,8 +53,8 @@ sim::Time ring_seg_time(std::size_t bytes, std::uint64_t seg, int nprocs,
   mpi::RunConfig cfg;
   cfg.mode = mpi::MpiMode::DcfaPhi;
   cfg.nprocs = nprocs;
-  cfg.engine_options.coll.allreduce = "ring";
-  cfg.engine_options.coll.segment_bytes = seg;
+  cfg.engine_options.allreduce_algo = mpi::CollAlgo::Ring;
+  cfg.platform.coll_segment_bytes = seg;
   const std::size_t n = bytes / sizeof(double);
   return bench::max_rank_time(cfg, iters, [n](mpi::RankCtx& ctx) {
     mem::Buffer in = ctx.world.alloc(n * sizeof(double));
@@ -85,7 +85,9 @@ int main(int argc, char** argv) {
                                        256 << 10, 1 << 20, 4 << 20};
 
   {
-    const std::vector<const char*> algos = {"binomial", "rd", "rab", "ring"};
+    const std::vector<mpi::CollAlgo> algos = {
+        mpi::CollAlgo::Binomial, mpi::CollAlgo::RecursiveDoubling,
+        mpi::CollAlgo::Rabenseifner, mpi::CollAlgo::Ring};
     bench::Table table({"allreduce", "binomial", "rd", "rab", "ring", "best"});
     for (std::size_t bytes : sizes) {
       std::vector<std::string> row{bench::fmt_size(bytes)};
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
           best_col = c;
         }
       }
-      row.push_back(algos[best_col]);
+      row.push_back(mpi::coll_algo_name(algos[best_col]));
       table.add_row(std::move(row));
     }
     table.print();
@@ -111,8 +113,10 @@ int main(int argc, char** argv) {
     bench::Table table({"bcast", "binomial", "scatter_ag", "best"});
     for (std::size_t bytes : sizes) {
       std::vector<std::string> row{bench::fmt_size(bytes)};
-      const sim::Time tb = bcast_time("binomial", bytes, nprocs, iters);
-      const sim::Time ts = bcast_time("scatter_ag", bytes, nprocs, iters);
+      const sim::Time tb =
+          bcast_time(mpi::CollAlgo::Binomial, bytes, nprocs, iters);
+      const sim::Time ts =
+          bcast_time(mpi::CollAlgo::ScatterAllgather, bytes, nprocs, iters);
       row.push_back(bench::fmt_us(tb));
       row.push_back(bench::fmt_us(ts));
       row.push_back(ts < tb ? "scatter_ag" : "binomial");

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < thresholds.size(); ++c) {
       mpi::RunConfig cfg;
       cfg.mode = mpi::MpiMode::DcfaPhi;
-      cfg.engine_options.eager_threshold = thresholds[c];
+      cfg.platform.eager_threshold = thresholds[c];
       auto r = apps::pingpong_blocking(cfg, bytes, quick ? 5 : 10);
       rtts.push_back(r.round_trip);
       if (r.round_trip < best) {

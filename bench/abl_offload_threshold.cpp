@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
     for (auto thr : thresholds) {
       mpi::RunConfig cfg;
       cfg.mode = mpi::MpiMode::DcfaPhi;
-      cfg.engine_options.offload_send_threshold = thr;
-      cfg.engine_options.eager_threshold =
+      cfg.platform.offload_send_threshold = thr;
+      cfg.platform.eager_threshold =
           std::min<std::uint64_t>(thr, 8 * 1024);
       auto r = apps::pingpong_nonblocking(cfg, bytes, quick ? 5 : 10);
       rtts.push_back(r.round_trip);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Ten rule families, each encoding an invariant the generic toolchain cannot
+Twelve rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -68,6 +68,18 @@ see (docs/checking.md has the rationale and the paper references):
                   event is a format literal plus its fields, formatted only
                   when recorded or echoed; a string built at the call site
                   costs an allocation on every event even with tracing off.
+  getenv          getenv may appear in src/ only in src/sim/fiber.cpp
+                  (SchedConfig::from_env), src/sim/check.cpp (DCFA_CHECK)
+                  and src/sim/trace.cpp (DCFA_SIM_LOG). Every other tunable
+                  is a sim::Platform field; an environment read elsewhere
+                  is a second, invisible source for a value the platform
+                  description claims to own.
+  catch-switch    no wait(, wait_on(, wait_until( or wait_until_ft( call
+                  inside a catch handler's braces in src/. A fiber that
+                  blocks there switches away while the C++ runtime's
+                  per-thread caught-exception stack holds its exception;
+                  the switch does not carry that stack, so a second fiber
+                  catching meanwhile corrupts it (docs/simulator.md).
 
 A file can waive one rule with a justified marker comment:
 
@@ -181,6 +193,15 @@ TELEMETRY_GLOBAL = re.compile(r"\bTracer::(?:current|install)\b|\bsim::Log::")
 TELEMETRY_CALL = re.compile(
     r"(?:\.|->)\s*(?:span|instant|counter|event|log)\s*\(")
 STRING_BUILD = re.compile(r"\bstd::(?:to_string|string)\s*\(")
+
+# getenv: the library's environment knobs live in these three files.
+GETENV_ALLOWED = ["src/sim/fiber.cpp", "src/sim/check.cpp",
+                  "src/sim/trace.cpp"]
+GETENV = re.compile(r"\b(?:secure_)?getenv\b")
+
+# catch-switch: a handler and the blocking calls that switch fibers.
+CATCH = re.compile(r"\bcatch\s*\(")
+BLOCKING_CALL = re.compile(r"\b(?:wait|wait_on|wait_until|wait_until_ft)\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -366,16 +387,22 @@ def check_os_thread(path: Path, rel: str, lines: list[str]) -> None:
                     "engine's event order")
 
 
+def matching(text: str, pos: int, open_: str, close: str) -> int:
+    """Index just past the `close` that balances the `open_` before pos."""
+    depth = 1
+    while pos < len(text) and depth:
+        depth += {open_: 1, close: -1}.get(text[pos], 0)
+        pos += 1
+    return pos
+
+
 def helper_line_ranges(text: str, names: tuple[str, ...]) -> list[range]:
     """1-based line ranges of the bodies of Engine::<name> definitions."""
     out: list[range] = []
     pat = re.compile(r"\bEngine::(?:" + "|".join(names) +
                      r")\s*\([^;{]*\)\s*(?:const\s*)?\{")
     for m in pat.finditer(text):
-        depth, pos = 1, m.end()
-        while pos < len(text) and depth:
-            depth += {"{": 1, "}": -1}.get(text[pos], 0)
-            pos += 1
+        pos = matching(text, m.end(), "{", "}")
         out.append(range(text.count("\n", 0, m.start()) + 1,
                          text.count("\n", 0, pos) + 2))
     return out
@@ -426,14 +453,41 @@ def check_telemetry(path: Path, rel: str, lines: list[str]) -> None:
     # Argument lists may span lines: scan the joined text, map back.
     text = "\n".join(code)
     for m in TELEMETRY_CALL.finditer(text):
-        depth, pos = 1, m.end()
-        while pos < len(text) and depth:
-            depth += {"(": 1, ")": -1}.get(text[pos], 0)
-            pos += 1
+        pos = matching(text, m.end(), "(", ")")
         if STRING_BUILD.search(text, m.end(), pos):
             finding(path, text.count("\n", 0, m.start()) + 1, "telemetry",
                     "string built in a telemetry call's arguments; pass a "
                     "format literal and its fields instead")
+
+
+def check_getenv(path: Path, rel: str, lines: list[str]) -> None:
+    if not rel.startswith("src/") or rel in GETENV_ALLOWED:
+        return
+    for i, line in enumerate(lines, 1):
+        if GETENV.search(strip_comments(line)):
+            finding(path, i, "getenv",
+                    "environment read outside src/sim/{fiber,check,trace}"
+                    ".cpp; make the value a sim::Platform field")
+
+
+def check_catch_switch(path: Path, rel: str, lines: list[str]) -> None:
+    if not rel.startswith("src/"):
+        return
+    text = "\n".join(strip_comments(line) for line in lines)
+    hit: set[int] = set()  # a wait inside nested handlers reports once
+    for m in CATCH.finditer(text):
+        body = text.find("{", matching(text, m.end(), "(", ")"))
+        if body < 0:
+            continue
+        end = matching(text, body + 1, "{", "}")
+        for w in BLOCKING_CALL.finditer(text, body, end):
+            lineno = text.count("\n", 0, w.start()) + 1
+            if lineno not in hit:
+                hit.add(lineno)
+                finding(path, lineno, "catch-switch",
+                        "blocking call inside a catch handler; the fiber "
+                        "switch does not carry the caught-exception stack "
+                        "— record the error and block after the handler")
 
 
 def run_clang_tidy(files: list[Path]) -> None:
@@ -477,6 +531,8 @@ def main() -> int:
         check_endpoint_mr(path, rel, text, lines)
         check_dma_resolve(path, rel, lines)
         check_telemetry(path, rel, lines)
+        check_getenv(path, rel, lines)
+        check_catch_switch(path, rel, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -1,6 +1,6 @@
 #include "mpi/coll.hpp"
 
-#include <cstdlib>
+#include <string>
 
 #include "mpi/types.hpp"
 #include "sim/platform.hpp"
@@ -19,111 +19,48 @@ const char* coll_algo_name(CollAlgo a) {
   return "?";
 }
 
-CollAlgo parse_coll_algo(const std::string& s) {
-  if (s.empty() || s == "auto") return CollAlgo::Auto;
-  if (s == "binomial") return CollAlgo::Binomial;
-  if (s == "rd" || s == "recursive_doubling") {
-    return CollAlgo::RecursiveDoubling;
-  }
-  if (s == "ring") return CollAlgo::Ring;
-  if (s == "rab" || s == "rabenseifner") return CollAlgo::Rabenseifner;
-  if (s == "scatter_ag" || s == "scatter_allgather") {
-    return CollAlgo::ScatterAllgather;
-  }
-  throw MpiError("unknown collective algorithm '" + s + "'");
-}
-
-namespace {
-
-CollAlgo pick_algo(const std::string& option, const char* env_key) {
-  if (!option.empty()) return parse_coll_algo(option);
-  if (const char* env = std::getenv(env_key)) return parse_coll_algo(env);
-  return CollAlgo::Auto;
-}
-
-std::uint64_t pick_bytes(const std::optional<std::uint64_t>& option,
-                         const char* env_key, std::uint64_t fallback) {
-  if (option) return *option;
-  if (const char* env = std::getenv(env_key)) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-      throw MpiError(std::string(env_key) + ": expected a byte count, got '" +
-                     env + "'");
-    }
-    return v;
-  }
-  return fallback;
-}
-
-}  // namespace
-
-CollTuning resolve_coll_tuning(const sim::Platform& platform,
-                               const CollOverrides& o) {
-  CollTuning t;
-  t.allreduce = pick_algo(o.allreduce, "DCFA_COLL_ALLREDUCE");
-  t.bcast = pick_algo(o.bcast, "DCFA_COLL_BCAST");
-  t.allgather = pick_algo(o.allgather, "DCFA_COLL_ALLGATHER");
-  t.segment_bytes =
-      pick_bytes(o.segment_bytes, "DCFA_COLL_SEGMENT_BYTES",
-                 platform.coll_segment_bytes);
-  if (t.segment_bytes == 0) {
-    throw MpiError("coll_segment_bytes must be positive");
-  }
-  t.allreduce_small_max =
-      pick_bytes(o.allreduce_small_max, "DCFA_COLL_ALLREDUCE_SMALL_MAX",
-                 platform.coll_allreduce_small_max);
-  t.allreduce_ring_min =
-      pick_bytes(o.allreduce_ring_min, "DCFA_COLL_ALLREDUCE_RING_MIN",
-                 platform.coll_allreduce_ring_min);
-  t.bcast_large_min = pick_bytes(o.bcast_large_min, "DCFA_COLL_BCAST_LARGE_MIN",
-                                 platform.coll_bcast_large_min);
-  return t;
-}
-
-CollAlgo select_allreduce(const CollTuning& t, std::uint64_t bytes,
-                          int comm_size) {
+CollAlgo select_allreduce(const sim::Platform& p, CollAlgo forced,
+                          std::uint64_t bytes, int comm_size) {
   (void)comm_size;
-  if (t.allreduce != CollAlgo::Auto) {
-    if (t.allreduce == CollAlgo::ScatterAllgather) {
+  if (forced != CollAlgo::Auto) {
+    if (forced == CollAlgo::ScatterAllgather) {
       throw MpiError("allreduce: cannot force algorithm 'scatter_ag'");
     }
-    return t.allreduce;
+    return forced;
   }
-  if (bytes < t.allreduce_small_max) return CollAlgo::RecursiveDoubling;
-  if (bytes >= t.allreduce_ring_min) return CollAlgo::Ring;
+  if (bytes < p.coll_allreduce_small_max) return CollAlgo::RecursiveDoubling;
+  if (bytes >= p.coll_allreduce_ring_min) return CollAlgo::Ring;
   return CollAlgo::Rabenseifner;
 }
 
-CollAlgo select_bcast(const CollTuning& t, std::uint64_t bytes,
-                      int comm_size) {
-  if (t.bcast != CollAlgo::Auto) {
-    if (t.bcast != CollAlgo::Binomial &&
-        t.bcast != CollAlgo::ScatterAllgather) {
+CollAlgo select_bcast(const sim::Platform& p, CollAlgo forced,
+                      std::uint64_t bytes, int comm_size) {
+  if (forced != CollAlgo::Auto) {
+    if (forced != CollAlgo::Binomial && forced != CollAlgo::ScatterAllgather) {
       throw MpiError(std::string("bcast: cannot force algorithm '") +
-                     coll_algo_name(t.bcast) + "'");
+                     coll_algo_name(forced) + "'");
     }
-    return t.bcast;
+    return forced;
   }
   // The scatter phase costs an extra log2(P) latency term; with fewer than
   // four ranks the binomial tree already moves <= 2 full copies per rank.
-  if (comm_size >= 4 && bytes >= t.bcast_large_min) {
+  if (comm_size >= 4 && bytes >= p.coll_bcast_large_min) {
     return CollAlgo::ScatterAllgather;
   }
   return CollAlgo::Binomial;
 }
 
-CollAlgo select_allgather(const CollTuning& t, std::uint64_t block_bytes,
-                          int comm_size) {
+CollAlgo select_allgather(const sim::Platform& p, CollAlgo forced,
+                          std::uint64_t block_bytes, int comm_size) {
   const bool pow2 = (comm_size & (comm_size - 1)) == 0;
-  CollAlgo a = t.allgather;
+  CollAlgo a = forced;
   if (a != CollAlgo::Auto && a != CollAlgo::Ring &&
       a != CollAlgo::RecursiveDoubling) {
     throw MpiError(std::string("allgather: cannot force algorithm '") +
                    coll_algo_name(a) + "'");
   }
   if (a == CollAlgo::Auto) {
-    a = (pow2 && block_bytes < t.allreduce_small_max)
+    a = (pow2 && block_bytes < p.coll_allreduce_small_max)
             ? CollAlgo::RecursiveDoubling
             : CollAlgo::Ring;
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mem/memory.hpp"
@@ -31,65 +30,33 @@ enum class CollAlgo {
   ScatterAllgather,   ///< scatter + ring allgather (van de Geijn bcast)
 };
 
-/// Short stable name ("ring", "rab", ...) for stats, traces and knobs.
+/// Short stable name ("ring", "rab", ...) for stats, traces and errors.
 const char* coll_algo_name(CollAlgo a);
 
-/// Parse a knob value: "auto", "binomial", "rd"/"recursive_doubling",
-/// "ring", "rab"/"rabenseifner", "scatter_ag"/"scatter_allgather".
-/// Throws MpiError on anything else.
-CollAlgo parse_coll_algo(const std::string& s);
-
-/// Per-collective forcing + threshold overrides carried in Engine::Options.
-/// Empty strings / nullopt defer to the DCFA_COLL_* environment variables,
-/// which in turn defer to the Platform knobs (explicit option > env >
-/// platform).
-struct CollOverrides {
-  std::string allreduce;  ///< forced allreduce algorithm name ("" = unset)
-  std::string bcast;      ///< forced bcast algorithm name
-  std::string allgather;  ///< forced allgather algorithm name
-  std::optional<std::uint64_t> segment_bytes;
-  std::optional<std::uint64_t> allreduce_small_max;
-  std::optional<std::uint64_t> allreduce_ring_min;
-  std::optional<std::uint64_t> bcast_large_min;
-};
-
-/// Resolved collective tuning for one engine, fixed at construction.
-struct CollTuning {
-  CollAlgo allreduce = CollAlgo::Auto;
-  CollAlgo bcast = CollAlgo::Auto;
-  CollAlgo allgather = CollAlgo::Auto;
-  std::uint64_t allreduce_small_max = 0;
-  std::uint64_t allreduce_ring_min = 0;
-  std::uint64_t bcast_large_min = 0;
-  std::uint64_t segment_bytes = 0;
-};
-
-/// Resolve the tuning: Options overrides beat DCFA_COLL_ALLREDUCE /
-/// DCFA_COLL_BCAST / DCFA_COLL_ALLGATHER / DCFA_COLL_SEGMENT_BYTES /
-/// DCFA_COLL_ALLREDUCE_SMALL_MAX / DCFA_COLL_ALLREDUCE_RING_MIN /
-/// DCFA_COLL_BCAST_LARGE_MIN, which beat the Platform defaults.
-CollTuning resolve_coll_tuning(const sim::Platform& platform,
-                               const CollOverrides& overrides);
+// Selection. The crossovers and the segment size are sim::Platform fields
+// (coll_allreduce_small_max, coll_allreduce_ring_min, coll_bcast_large_min,
+// coll_segment_bytes); `forced` is the matching Engine::Options algorithm
+// field (Auto = select by size).
 
 /// Allreduce selection: recursive doubling below allreduce_small_max,
 /// pipelined ring at and above allreduce_ring_min, Rabenseifner in between.
 /// Forced Binomial/RecursiveDoubling/Ring/Rabenseifner are honoured for any
 /// comm size (non-power-of-two sizes fold; short vectors leave ring blocks
 /// empty); anything else throws MpiError.
-CollAlgo select_allreduce(const CollTuning& t, std::uint64_t bytes,
-                          int comm_size);
+CollAlgo select_allreduce(const sim::Platform& p, CollAlgo forced,
+                          std::uint64_t bytes, int comm_size);
 
 /// Bcast selection: binomial tree below bcast_large_min or for comms too
 /// small to profit (< 4 ranks), scatter + ring allgather at and above it.
-CollAlgo select_bcast(const CollTuning& t, std::uint64_t bytes,
-                      int comm_size);
+CollAlgo select_bcast(const sim::Platform& p, CollAlgo forced,
+                      std::uint64_t bytes, int comm_size);
 
 /// Allgather selection: recursive doubling for power-of-two comms with
 /// small per-rank blocks (below allreduce_small_max), pipelined ring
 /// otherwise. Forcing RecursiveDoubling on a non-power-of-two comm falls
 /// back to ring (documented in docs/collectives.md).
-CollAlgo select_allgather(const CollTuning& t, std::uint64_t block_bytes,
-                          int comm_size);
+CollAlgo select_allgather(const sim::Platform& p, CollAlgo forced,
+                          std::uint64_t block_bytes, int comm_size);
 
 // ---------------------------------------------------------------------------
 // Collective schedules (nonblocking collectives engine; docs/collectives.md)

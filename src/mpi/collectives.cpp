@@ -274,7 +274,7 @@ void Communicator::emit_bcast_scatter_ag(CollSchedule& sched, int tag_base,
   }
 
   const std::size_t seg_elems =
-      std::max<std::size_t>(1, engine_.coll_tuning().segment_bytes / es);
+      std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
   emit_ag_ring(sched, buf, offset, part, type, seg_elems, vrank,
                real(vrank + 1), real(vrank - 1), tag_base + kPhaseAgRing);
 }
@@ -284,7 +284,8 @@ Request Communicator::ibcast(const mem::Buffer& buf, std::size_t offset,
                              int root) {
   if (size() == 1 || count == 0) return engine_.completed_request();
   const std::size_t bytes = count * type.size();
-  const CollAlgo algo = select_bcast(engine_.coll_tuning(), bytes, size());
+  const CollAlgo algo = select_bcast(
+      engine_.platform(), engine_.options().bcast_algo, bytes, size());
   auto sched = std::make_shared<CollSchedule>();
   sched->comm_id = id_;
   sched->bytes = bytes;
@@ -414,7 +415,7 @@ void Communicator::emit_allreduce_ring(CollSchedule& sched, int tag_base,
   const std::size_t es = type.size();
   const BlockPart part(count, P);
   const std::size_t seg_elems =
-      std::max<std::size_t>(1, engine_.coll_tuning().segment_bytes / es);
+      std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
   mem::Buffer scratch = alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
   sched.owned.push_back(scratch);
 
@@ -464,7 +465,7 @@ void Communicator::emit_allreduce_rab(CollSchedule& sched, int tag_base,
   if (newrank != -1) {
     const BlockPart part(count, pof2);
     const std::size_t seg_elems =
-        std::max<std::size_t>(1, engine_.coll_tuning().segment_bytes / es);
+        std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
     mem::Buffer scratch =
         alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
     sched.owned.push_back(scratch);
@@ -587,8 +588,8 @@ Request Communicator::iallreduce(const mem::Buffer& sendbuf, std::size_t soff,
     throw MpiError("reduce: datatype has no arithmetic kind");
   }
 
-  const CollAlgo algo =
-      select_allreduce(engine_.coll_tuning(), bytes, size());
+  const CollAlgo algo = select_allreduce(
+      engine_.platform(), engine_.options().allreduce_algo, bytes, size());
   auto sched = std::make_shared<CollSchedule>();
   sched->comm_id = id_;
   sched->bytes = bytes;
@@ -657,7 +658,7 @@ Request Communicator::ireduce_scatter_block(const mem::Buffer& sendbuf,
   const std::size_t count = recvcount * static_cast<std::size_t>(P);
   const BlockPart part(count, P);
   const std::size_t seg_elems =
-      std::max<std::size_t>(1, engine_.coll_tuning().segment_bytes / es);
+      std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
   mem::Buffer work = alloc(count * es);
   std::memcpy(work.data(), sendbuf.data() + soff, count * es);
   mem::Buffer scratch = alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
@@ -782,8 +783,8 @@ Request Communicator::iallgather(const mem::Buffer& sendbuf, std::size_t soff,
               bytes);
   if (size() == 1 || count == 0) return engine_.completed_request();
 
-  const CollAlgo algo =
-      select_allgather(engine_.coll_tuning(), bytes, size());
+  const CollAlgo algo = select_allgather(
+      engine_.platform(), engine_.options().allgather_algo, bytes, size());
   auto sched = std::make_shared<CollSchedule>();
   sched->comm_id = id_;
   sched->bytes = bytes;
@@ -795,7 +796,7 @@ Request Communicator::iallgather(const mem::Buffer& sendbuf, std::size_t soff,
   } else {
     // Pipelined ring over uniform per-rank blocks.
     const std::size_t seg_elems =
-        std::max<std::size_t>(1, engine_.coll_tuning().segment_bytes /
+        std::max<std::size_t>(1, engine_.platform().coll_segment_bytes /
                                      type.size());
     // Uniform partition: count*P splits evenly, so off[b] == b*count.
     const BlockPart part(count * static_cast<std::size_t>(size()), size());

@@ -212,19 +212,15 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
       bootstrap_(bootstrap),
       options_(options),
       platform_(ib_->hca_ref().platform()),
-      eager_threshold_(
-          options.eager_threshold.value_or(platform_.eager_threshold)),
-      offload_threshold_(options.offload_send_threshold.value_or(
-          platform_.offload_send_threshold)),
       layout_{std::max<std::uint64_t>(platform_.eager_max_payload,
-                                      eager_threshold_)},
+                                      platform_.eager_threshold)},
       wake_(ib_->process().engine(), "mpi.wake[" + std::to_string(rank) + "]") {
   if (rank < 0 || nranks <= 0 || rank >= nranks) {
     throw MpiError("Engine: bad rank/size");
   }
-  mpi_offload_threshold_ = options.mpi_offload_threshold.value_or(
-      platform_.mpi_offload_threshold);
-  coll_tuning_ = resolve_coll_tuning(platform_, options.coll);
+  if (platform_.coll_segment_bytes == 0) {
+    throw MpiError("coll_segment_bytes must be positive");
+  }
   faults_ = ib_->faults();
   faults_armed_ = faults_ != nullptr && faults_->armed();
   fatal_armed_ = faults_ != nullptr && faults_->spec().fatal_armed();
@@ -233,8 +229,6 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
   usable_slots_ = faults_armed_
                       ? static_cast<std::uint64_t>(faults_->credit_cap(slots()))
                       : static_cast<std::uint64_t>(slots());
-  retry_timeout_ = options.retry_timeout.value_or(platform_.mpi_retry_timeout);
-  max_retries_ = options.max_retries.value_or(platform_.mpi_max_retries);
   if (!phi_) {
     // The delegations only exist on co-processor endpoints.
     options_.offload_reductions = false;
@@ -720,7 +714,7 @@ void Engine::post_tx_record(Endpoint& ep, std::uint64_t idx) {
   ib_->post_send(ep.qp, std::move(wr));
 
   // Bounded exponential backoff: the per-attempt timeout doubles.
-  schedule_recovery(retry_timeout_ << (attempts - 1),
+  schedule_recovery(platform_.mpi_retry_timeout << (attempts - 1),
                     [this, peer, idx, epoch] {
                       tx_check(peer, idx, epoch, /*after_error=*/false);
                     });
@@ -750,13 +744,13 @@ void Engine::on_tx_wc(int peer, std::uint64_t idx, const ib::Wc& wc) {
       maybe_start_reconnect(ep, "qp error state")) {
     return;  // record stays parked in unacked; the reconnect replays it
   }
-  if (rec.attempts >= 1 + max_retries_) {
+  if (rec.attempts >= 1 + platform_.mpi_max_retries) {
     if (maybe_start_reconnect(ep, "retry budget exhausted")) return;
     finish_tx_record(ep, idx, wc);
     return;
   }
   const std::uint64_t epoch = rec.epoch;
-  schedule_recovery(retry_timeout_ << (rec.attempts - 1),
+  schedule_recovery(platform_.mpi_retry_timeout << (rec.attempts - 1),
                     [this, peer, idx, epoch] {
                       tx_check(peer, idx, epoch, /*after_error=*/true);
                     });
@@ -781,7 +775,7 @@ void Engine::tx_check(int peer, std::uint64_t idx, std::uint64_t epoch,
       return;
     }
     ++stats_.wc_timeouts;
-    if (it->second.attempts >= 1 + max_retries_) {
+    if (it->second.attempts >= 1 + platform_.mpi_max_retries) {
       if (maybe_start_reconnect(ep, "retry budget exhausted")) return;
       ib::Wc err{};
       err.status = ib::WcStatus::RetryExceeded;
@@ -857,7 +851,7 @@ void Engine::post_data_op(std::uint64_t op) {
     on_data_wc(op, wc);
   };
   ib_->post_send(qp, std::move(wr));
-  schedule_recovery(retry_timeout_ << (attempts - 1),
+  schedule_recovery(platform_.mpi_retry_timeout << (attempts - 1),
                     [this, op, epoch] {
                       data_check(op, epoch, /*after_error=*/false);
                     });
@@ -882,7 +876,7 @@ void Engine::on_data_wc(std::uint64_t op, const ib::Wc& wc) {
       maybe_start_reconnect(dep, "qp error state")) {
     return;  // the op stays in data_ops_; the reconnect re-posts it
   }
-  if (d.attempts >= 1 + max_retries_) {
+  if (d.attempts >= 1 + platform_.mpi_max_retries) {
     if (maybe_start_reconnect(dep, "data-op budget exhausted")) return;
     ++stats_.retry_exhausted;
     const int peer = d.peer;
@@ -895,7 +889,7 @@ void Engine::on_data_wc(std::uint64_t op, const ib::Wc& wc) {
     return;
   }
   const std::uint64_t epoch = d.epoch;
-  schedule_recovery(retry_timeout_ << (d.attempts - 1),
+  schedule_recovery(platform_.mpi_retry_timeout << (d.attempts - 1),
                     [this, op, epoch] {
                       data_check(op, epoch, /*after_error=*/true);
                     });
@@ -908,7 +902,7 @@ void Engine::data_check(std::uint64_t op, std::uint64_t epoch,
   DataOp& d = it->second;
   if (!after_error) {
     ++stats_.wc_timeouts;
-    if (d.attempts >= 1 + max_retries_) {
+    if (d.attempts >= 1 + platform_.mpi_max_retries) {
       if (maybe_start_reconnect(endpoint(d.peer), "data-op budget exhausted")) {
         return;
       }

@@ -178,13 +178,12 @@ class Bootstrap {
 ///    the threshold when running on a Xeon Phi endpoint.
 class Engine {
  public:
+  /// Protocol switches. Every tunable number (eager and offload
+  /// thresholds, retry timeout and budget, collective crossovers and
+  /// segment size) is a sim::Platform field, read from the HCA's platform.
   struct Options {
     /// Use the offloading send buffer design (only effective on PhiVerbs).
     bool offload_send_buffer = true;
-    /// Override Platform::eager_threshold when set (ablation benches).
-    std::optional<std::uint64_t> eager_threshold;
-    /// Override Platform::offload_send_threshold when set.
-    std::optional<std::uint64_t> offload_send_threshold;
     /// Disable the MR cache (ablation: register/deregister per message).
     bool mr_cache = true;
     /// Section VI future work, implemented: delegate large collective
@@ -194,17 +193,11 @@ class Engine {
     /// packing to the host CPU (DCFA-MPI CMD PackShadow); the packed host
     /// buffer doubles as the offloading send buffer.
     bool offload_datatypes = false;
-    /// Vector-size floor for the two delegations (defaults to
-    /// Platform::mpi_offload_threshold).
-    std::optional<std::uint64_t> mpi_offload_threshold;
-    /// Override Platform::mpi_retry_timeout (fault recovery base timeout).
-    std::optional<sim::Time> retry_timeout;
-    /// Override Platform::mpi_max_retries (fault recovery budget).
-    std::optional<int> max_retries;
-    /// Collectives engine: forced algorithms and crossover/segment
-    /// overrides (ablation benches, tests). See mpi/coll.hpp for the
-    /// option > DCFA_COLL_* env > Platform precedence.
-    CollOverrides coll;
+    /// Forced collective algorithms (ablation benches, tests); Auto selects
+    /// by message and comm size (see mpi/coll.hpp).
+    CollAlgo allreduce_algo = CollAlgo::Auto;
+    CollAlgo bcast_algo = CollAlgo::Auto;
+    CollAlgo allgather_algo = CollAlgo::Auto;
     /// Wire endpoints on first touch instead of building the full N-1 mesh
     /// in setup(). At thousands of ranks the mesh is the dominant memory
     /// (rings + staging per pair) and setup becomes O(N^2) cluster-wide;
@@ -290,8 +283,8 @@ class Engine {
   int size() const { return nranks_; }
   verbs::Ib& ib() { return *ib_; }
   const Stats& stats() const { return stats_; }
-  /// Resolved collective tuning (fixed at construction).
-  const CollTuning& coll_tuning() const { return coll_tuning_; }
+  const Options& options() const { return options_; }
+  const sim::Platform& platform() const { return platform_; }
   /// Collectives-engine counters live in Stats but are bumped by the
   /// Communicator collectives (collectives.cpp), which sit outside Engine.
   Stats& coll_stats() { return stats_; }
@@ -854,9 +847,6 @@ class Engine {
   /// Free parked scratch from failed schedules whose transfers have all
   /// reached a terminal phase (see CondemnedScratch).
   void reap_condemned();
-  bool tag_compatible(const RequestState& req, const PacketHeader& hdr) const {
-    return req.tag == kAnyTag || req.tag == hdr.tag;
-  }
 
   void poll_cq();
   /// DcfaCheck (full): after a progress pass, every endpoint outside
@@ -870,8 +860,6 @@ class Engine {
     return ep.channels[{comm_id, tag}];
   }
 
-  std::uint64_t eager_threshold() const { return eager_threshold_; }
-
   // --- Members ---------------------------------------------------------------
   int rank_;
   int nranks_;
@@ -881,8 +869,6 @@ class Engine {
   Bootstrap& bootstrap_;
   Options options_;
   const sim::Platform& platform_;
-  std::uint64_t eager_threshold_;
-  std::uint64_t offload_threshold_;
   SlotLayout layout_;
 
   ib::ProtectionDomain* pd_ = nullptr;
@@ -906,8 +892,6 @@ class Engine {
   /// Host-packed send payloads awaiting completion (offload_datatypes).
   std::map<const RequestState*, core::OffloadRegion> packed_;
   std::uint64_t next_wr_id_ = 1;
-  std::uint64_t mpi_offload_threshold_ = 0;
-  CollTuning coll_tuning_;
   /// Collective schedules in flight (removed as they complete or fail).
   std::vector<std::shared_ptr<CollSchedule>> schedules_;
   /// Scratch owned by a failed schedule cannot be freed at failure time:
@@ -960,8 +944,6 @@ class Engine {
   int blame_peer_ = -1;
   bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
-  sim::Time retry_timeout_ = 0;
-  int max_retries_ = 0;
   std::map<std::uint64_t, DataOp> data_ops_;
   std::uint64_t next_data_op_ = 1;
   /// Recovery work handed from timer events to the rank process (drained

@@ -244,7 +244,7 @@ void Engine::start_send(const std::shared_ptr<RequestState>& req) {
   Endpoint& ep = endpoint(req->peer);
   Channel& ch = channel(ep, req->comm_id, req->tag);
 
-  if (req->bytes < eager_threshold() && !req->sync_mode) {
+  if (req->bytes < platform_.eager_threshold && !req->sync_mode) {
     // A stale RTR may already be waiting (receiver predicted rendezvous);
     // the eager data will satisfy the receive, the RTR is dropped.
     if (ch.arrived_rtr.erase(req->seq) > 0) {
@@ -321,7 +321,7 @@ Engine::Exposure Engine::expose_send_payload(
   const mem::Buffer& pbuf = req->has_pack ? req->pack_buf : req->buffer;
   const std::size_t poff = req->has_pack ? 0 : req->offset;
 
-  if (shadow_cache_ && req->bytes >= offload_threshold_ &&
+  if (shadow_cache_ && req->bytes >= platform_.offload_send_threshold &&
       pbuf.domain() == mem::Domain::PhiGddr) {
     // Offloading send buffer (IV-B4): sync the latest data into the host
     // shadow with the Phi DMA engine, then let the HCA read host memory.
@@ -363,7 +363,7 @@ void Engine::release_window(const mem::Buffer& buf, ib::MemoryRegion* mr) {
 
 bool Engine::try_offload_pack(const std::shared_ptr<RequestState>& req) {
   if (!options_.offload_datatypes || !phi_) return false;
-  if (req->bytes < mpi_offload_threshold_) return false;
+  if (req->bytes < platform_.mpi_offload_threshold) return false;
   const Datatype& type = *req->type;
   const std::size_t extent_bytes = req->count * type.extent();
 
@@ -420,7 +420,8 @@ void Engine::combine(Op op, const Datatype& type, const mem::Buffer& acc,
   }
   const std::size_t bytes = count * type.size();
 
-  if (options_.offload_reductions && phi_ && bytes >= mpi_offload_threshold_) {
+  if (options_.offload_reductions && phi_ &&
+      bytes >= platform_.mpi_offload_threshold) {
     // DCFA-MPI CMD ReduceShadow: stage both operands host-side, let the
     // Xeon crunch them, pull the result back (Section VI future work).
     mem::NodeMemory& node = phi_->node_memory();
@@ -532,7 +533,7 @@ void Engine::activate_recv(Endpoint& ep, Channel& ch,
     return;
   }
 
-  if (req->bytes >= eager_threshold()) {
+  if (req->bytes >= platform_.eager_threshold) {
     // Predicted rendezvous: Receiver-First protocol — expose the receive
     // buffer and invite the sender to RDMA-write into it.
     const mem::Buffer& target = req->has_pack ? req->pack_buf : req->buffer;

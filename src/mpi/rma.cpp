@@ -49,7 +49,7 @@ void Engine::rma_write(int peer, const mem::Buffer& local, std::size_t loff,
   // large payload leaving a co-processor.
   mem::SimAddr src_addr;
   ib::MKey lkey;
-  if (shadow_cache_ && bytes >= offload_threshold_ &&
+  if (shadow_cache_ && bytes >= platform_.offload_send_threshold &&
       local.domain() == mem::Domain::PhiGddr) {
     const core::OffloadRegion& region = shadow_cache_->get(local);
     phi_->sync_offload_mr(region, local, loff, bytes);
@@ -184,7 +184,7 @@ std::pair<mem::SimAddr, ib::MKey> Engine::rma_stage(const mem::Buffer& local,
                                                     std::size_t loff,
                                                     std::size_t bytes,
                                                     ib::MKey direct_lkey) {
-  if (shadow_cache_ && bytes >= offload_threshold_ &&
+  if (shadow_cache_ && bytes >= platform_.offload_send_threshold &&
       local.domain() == mem::Domain::PhiGddr) {
     const core::OffloadRegion& region = shadow_cache_->get(local);
     phi_->sync_offload_mr(region, local, loff, bytes);

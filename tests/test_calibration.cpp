@@ -169,10 +169,10 @@ TEST(Calibration, HostMpiSmallRttRealistic) {
 namespace {
 /// Virtual time of one forced-algorithm allreduce of `bytes` on 8 Phi
 /// ranks (max over ranks — the collective's completion time).
-sim::Time allreduce_algo_time(const char* algo, std::size_t bytes) {
+sim::Time allreduce_algo_time(mpi::CollAlgo algo, std::size_t bytes) {
   mpi::RunConfig cfg = mode_cfg(mpi::MpiMode::DcfaPhi);
   cfg.nprocs = 8;
-  cfg.engine_options.coll.allreduce = algo;
+  cfg.engine_options.allreduce_algo = algo;
   const std::size_t n = std::max<std::size_t>(bytes / sizeof(double), 1);
   std::vector<double> elapsed(cfg.nprocs, 0.0);
   mpi::run_mpi(cfg, [&](mpi::RankCtx& ctx) {
@@ -198,11 +198,12 @@ TEST(Calibration, CollectivesBandwidthOptimalBeatReduceBcastAt1MB) {
   // composition by well over 1.5x — the binomial root serializes log2(P)
   // full-vector combines at Phi reduce throughput while ring/Rabenseifner
   // spread 2(P-1)/P of the vector's combines across all ranks.
-  const double binomial =
-      static_cast<double>(allreduce_algo_time("binomial", 1 << 20));
+  const double binomial = static_cast<double>(
+      allreduce_algo_time(mpi::CollAlgo::Binomial, 1 << 20));
   const double ring =
-      static_cast<double>(allreduce_algo_time("ring", 1 << 20));
-  const double rab = static_cast<double>(allreduce_algo_time("rab", 1 << 20));
+      static_cast<double>(allreduce_algo_time(mpi::CollAlgo::Ring, 1 << 20));
+  const double rab = static_cast<double>(
+      allreduce_algo_time(mpi::CollAlgo::Rabenseifner, 1 << 20));
   EXPECT_GT(binomial / ring, 1.5);
   EXPECT_GT(binomial / rab, 1.5);
 }
@@ -211,8 +212,8 @@ TEST(Calibration, CollectivesRecursiveDoublingWinsAt4B) {
   // At 4 bytes the collective is pure latency: recursive doubling's
   // log2(P) rounds beat reduce+bcast's two trees and the ring's 2(P-1)
   // hops — this is why coll_allreduce_small_max exists.
-  const auto rd = allreduce_algo_time("rd", 4);
-  EXPECT_LT(rd, allreduce_algo_time("binomial", 4));
-  EXPECT_LT(rd, allreduce_algo_time("ring", 4));
-  EXPECT_LT(rd, allreduce_algo_time("rab", 4));
+  const auto rd = allreduce_algo_time(mpi::CollAlgo::RecursiveDoubling, 4);
+  EXPECT_LT(rd, allreduce_algo_time(mpi::CollAlgo::Binomial, 4));
+  EXPECT_LT(rd, allreduce_algo_time(mpi::CollAlgo::Ring, 4));
+  EXPECT_LT(rd, allreduce_algo_time(mpi::CollAlgo::Rabenseifner, 4));
 }

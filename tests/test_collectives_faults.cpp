@@ -30,7 +30,7 @@ RunConfig fault_cfg(int nprocs, const std::string& spec) {
   cfg.fault_seed = 42;
   // Tight retry clock so dropped completions recover in simulated
   // microseconds, not the wall-clock-calibrated default.
-  cfg.engine_options.retry_timeout = sim::microseconds(2);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(2);
   return cfg;
 }
 
@@ -65,11 +65,11 @@ struct FaultRun {
 /// One allreduce of `count` doubles under `spec`, forced `algo`, checked on
 /// every rank against the sequential reference.
 FaultRun allreduce_under_faults(int nprocs, std::size_t count,
-                                const std::string& algo,
+                                CollAlgo algo,
                                 const std::string& spec) {
   RunConfig cfg = fault_cfg(nprocs, spec);
-  cfg.engine_options.coll.allreduce = algo;
-  cfg.engine_options.coll.segment_bytes = 512;
+  cfg.engine_options.allreduce_algo = algo;
+  cfg.platform.coll_segment_bytes = 512;
   const auto in = draw_inputs(0xfa1175ull + nprocs, nprocs, count);
   std::vector<double> expect = in[0];
   for (int r = 1; r < nprocs; ++r) {
@@ -86,7 +86,8 @@ FaultRun allreduce_under_faults(int nprocs, std::size_t count,
     comm.allreduce(ib, 0, ob, 0, count, type_double(), Op::Sum);
     std::vector<double> got(count);
     std::memcpy(got.data(), ob.data(), count * sizeof(double));
-    EXPECT_EQ(got, expect) << "algo=" << algo << " spec=" << spec
+    EXPECT_EQ(got, expect) << "algo=" << coll_algo_name(algo)
+                           << " spec=" << spec
                            << " P=" << nprocs << " rank=" << comm.rank();
     if (comm.rank() == 0) out.result = got;
     comm.free(ib);
@@ -102,10 +103,10 @@ FaultRun allreduce_under_faults(int nprocs, std::size_t count,
 // Transient faults: every algorithm completes correctly under loss + error
 // ---------------------------------------------------------------------------
 
-class AllreduceFaultSweep : public ::testing::TestWithParam<const char*> {};
+class AllreduceFaultSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(AllreduceFaultSweep, SurvivesDropAndErrStorm) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::uint64_t injected = 0;
   for (int nprocs : {3, 4, 8}) {
     const auto run = allreduce_under_faults(nprocs, 1024, algo,
@@ -113,19 +114,22 @@ TEST_P(AllreduceFaultSweep, SurvivesDropAndErrStorm) {
     injected += run.counters.wc_dropped + run.counters.wc_errored;
   }
   // The storm must have actually hit something, or this test proves nothing.
-  EXPECT_GT(injected, 0u) << "algo=" << algo;
+  EXPECT_GT(injected, 0u) << "algo=" << coll_algo_name(algo);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, AllreduceFaultSweep,
-                         ::testing::Values("binomial", "rd", "ring", "rab"),
+                         ::testing::Values(CollAlgo::Binomial,
+                                           CollAlgo::RecursiveDoubling,
+                                           CollAlgo::Ring,
+                                           CollAlgo::Rabenseifner),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 TEST(AllgatherFaults, RingSurvivesDropStorm) {
   RunConfig cfg = fault_cfg(5, "drop_wc=0.08");
-  cfg.engine_options.coll.allgather = "ring";
-  cfg.engine_options.coll.segment_bytes = 512;
+  cfg.engine_options.allgather_algo = CollAlgo::Ring;
+  cfg.platform.coll_segment_bytes = 512;
   const std::size_t count = 700;
   const auto in = draw_inputs(99, 5, count);
   std::vector<double> expect;
@@ -154,7 +158,7 @@ TEST(AllgatherFaults, RingSurvivesDropStorm) {
 
 TEST(CollectiveFatalFault, RingAllreduceSurvivesQpWedge) {
   const auto run = allreduce_under_faults(
-      4, 1024, "ring", "qp_fatal=1,qp_fatal_skip=20,qp_fatal_max=1");
+      4, 1024, CollAlgo::Ring, "qp_fatal=1,qp_fatal_skip=20,qp_fatal_max=1");
   EXPECT_EQ(run.counters.qp_fatal, 1u);
 }
 
@@ -164,9 +168,9 @@ TEST(CollectiveFatalFault, RingAllreduceSurvivesQpWedge) {
 // ---------------------------------------------------------------------------
 
 TEST(CollectiveFaultDeterminism, SameSpecSeedSameOutcome) {
-  const auto a = allreduce_under_faults(8, 2048, "ring",
+  const auto a = allreduce_under_faults(8, 2048, CollAlgo::Ring,
                                         "drop_wc=0.05,err_wc=0.03");
-  const auto b = allreduce_under_faults(8, 2048, "ring",
+  const auto b = allreduce_under_faults(8, 2048, CollAlgo::Ring,
                                         "drop_wc=0.05,err_wc=0.03");
   EXPECT_EQ(a.result, b.result);
   EXPECT_EQ(a.counters.wc_dropped, b.counters.wc_dropped);

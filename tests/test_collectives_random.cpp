@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -88,12 +90,12 @@ std::vector<T> get_vec(const mem::Buffer& buf, std::size_t n) {
 /// result bytes of rank 0 (for the determinism digest).
 template <typename T>
 std::vector<T> allreduce_trial(int nprocs, std::size_t count, Op op,
-                               const Datatype& dt, const std::string& algo,
+                               const Datatype& dt, CollAlgo algo,
                                std::uint64_t seg,
                                const std::vector<std::vector<T>>& in) {
   RunConfig cfg = dcfa_cfg(nprocs);
-  cfg.engine_options.coll.allreduce = algo;
-  cfg.engine_options.coll.segment_bytes = seg;
+  cfg.engine_options.allreduce_algo = algo;
+  cfg.platform.coll_segment_bytes = seg;
   const std::vector<T> expect = reference_reduce(in, op);
   std::vector<T> rank0(count);
   run_mpi(cfg, [&](RankCtx& ctx) {
@@ -103,7 +105,8 @@ std::vector<T> allreduce_trial(int nprocs, std::size_t count, Op op,
     put_vec(ib, in[comm.rank()]);
     comm.allreduce(ib, 0, ob, 0, count, dt, op);
     const auto got = get_vec<T>(ob, count);
-    EXPECT_EQ(got, expect) << "algo=" << algo << " P=" << nprocs
+    EXPECT_EQ(got, expect) << "algo=" << coll_algo_name(algo)
+                           << " P=" << nprocs
                            << " count=" << count << " rank=" << comm.rank();
     if (comm.rank() == 0) rank0 = got;
     comm.free(ib);
@@ -122,10 +125,10 @@ struct TypeCase {
 // Allreduce: every algorithm x comm sizes 1..13 x randomized trials
 // ---------------------------------------------------------------------------
 
-class AllreduceAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class AllreduceAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(AllreduceAlgoSweep, MatchesSequentialReference) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed);
   // Counts: empty, single, prime (never divisible by P>1), mid-size, and
   // one that splits into blocks crossing the forced segment size.
@@ -166,20 +169,22 @@ TEST_P(AllreduceAlgoSweep, MatchesSequentialReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, AllreduceAlgoSweep,
-                         ::testing::Values("auto", "binomial", "rd", "ring",
-                                           "rab"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Binomial,
+                                           CollAlgo::RecursiveDoubling,
+                                           CollAlgo::Ring,
+                                           CollAlgo::Rabenseifner),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
 // Bcast: both algorithms, every root, random payloads
 // ---------------------------------------------------------------------------
 
-class BcastAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class BcastAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(BcastAlgoSweep, DeliversRootPayloadToAllRanks) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed + 1);
   for (int nprocs = 1; nprocs <= 13; ++nprocs) {
     const std::size_t counts[] = {0, 1, 13, 4097};
@@ -187,8 +192,8 @@ TEST_P(BcastAlgoSweep, DeliversRootPayloadToAllRanks) {
     auto in = draw_inputs<double>(rng, 1, count);
     const int root = static_cast<int>(rng() % nprocs);
     RunConfig cfg = dcfa_cfg(nprocs);
-    cfg.engine_options.coll.bcast = algo;
-    cfg.engine_options.coll.segment_bytes = 512;
+    cfg.engine_options.bcast_algo = algo;
+    cfg.platform.coll_segment_bytes = 512;
     run_mpi(cfg, [&](RankCtx& ctx) {
       auto& comm = ctx.world;
       mem::Buffer buf =
@@ -196,7 +201,8 @@ TEST_P(BcastAlgoSweep, DeliversRootPayloadToAllRanks) {
       if (comm.rank() == root) put_vec(buf, in[0]);
       comm.bcast(buf, 0, count, type_double(), root);
       EXPECT_EQ(get_vec<double>(buf, count), in[0])
-          << "algo=" << algo << " P=" << nprocs << " root=" << root
+          << "algo=" << coll_algo_name(algo) << " P=" << nprocs
+          << " root=" << root
           << " rank=" << comm.rank();
       comm.free(buf);
     });
@@ -204,19 +210,20 @@ TEST_P(BcastAlgoSweep, DeliversRootPayloadToAllRanks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, BcastAlgoSweep,
-                         ::testing::Values("auto", "binomial", "scatter_ag"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Binomial,
+                                           CollAlgo::ScatterAllgather),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
 // Allgather: ring and recursive doubling (falls back to ring off-pow2)
 // ---------------------------------------------------------------------------
 
-class AllgatherAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class AllgatherAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(AllgatherAlgoSweep, ConcatenatesAllContributions) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed + 2);
   for (int nprocs = 1; nprocs <= 13; ++nprocs) {
     const std::size_t counts[] = {0, 1, 130, 1001};
@@ -225,8 +232,8 @@ TEST_P(AllgatherAlgoSweep, ConcatenatesAllContributions) {
     std::vector<int> expect;
     for (const auto& v : in) expect.insert(expect.end(), v.begin(), v.end());
     RunConfig cfg = dcfa_cfg(nprocs);
-    cfg.engine_options.coll.allgather = algo;
-    cfg.engine_options.coll.segment_bytes = 512;
+    cfg.engine_options.allgather_algo = algo;
+    cfg.platform.coll_segment_bytes = 512;
     run_mpi(cfg, [&](RankCtx& ctx) {
       auto& comm = ctx.world;
       const std::size_t total = count * comm.size();
@@ -237,7 +244,8 @@ TEST_P(AllgatherAlgoSweep, ConcatenatesAllContributions) {
       put_vec(ib, in[comm.rank()]);
       comm.allgather(ib, 0, count, type_int(), ob, 0);
       EXPECT_EQ(get_vec<int>(ob, total), expect)
-          << "algo=" << algo << " P=" << nprocs << " rank=" << comm.rank();
+          << "algo=" << coll_algo_name(algo) << " P=" << nprocs
+          << " rank=" << comm.rank();
       comm.free(ib);
       comm.free(ob);
     });
@@ -245,9 +253,10 @@ TEST_P(AllgatherAlgoSweep, ConcatenatesAllContributions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, AllgatherAlgoSweep,
-                         ::testing::Values("auto", "ring", "rd"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Ring,
+                                           CollAlgo::RecursiveDoubling),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -263,7 +272,7 @@ TEST(ReduceScatterBlock, EachRankGetsItsReducedBlock) {
       auto in = draw_inputs<double>(rng, nprocs, total);
       const auto expect = reference_reduce(in, Op::Sum);
       RunConfig cfg = dcfa_cfg(nprocs);
-      cfg.engine_options.coll.segment_bytes = 512;
+      cfg.platform.coll_segment_bytes = 512;
       run_mpi(cfg, [&](RankCtx& ctx) {
         auto& comm = ctx.world;
         mem::Buffer ib =
@@ -293,7 +302,8 @@ TEST(CollectivesDeterminism, SameSeedSameBytes) {
   auto digest = [] {
     std::mt19937_64 rng(kSeed + 4);
     std::vector<double> all;
-    for (const char* algo : {"rd", "ring", "rab"}) {
+    for (CollAlgo algo : {CollAlgo::RecursiveDoubling, CollAlgo::Ring,
+                          CollAlgo::Rabenseifner}) {
       for (int nprocs : {3, 8, 13}) {
         auto in = draw_inputs<double>(rng, nprocs, 513);
         auto r = allreduce_trial<double>(nprocs, 513, Op::Sum, type_double(),
@@ -333,11 +343,8 @@ Engine::Stats p2p_stats(std::size_t bytes) {
   return rt.rank_stats()[0];
 }
 
-/// Rank-0 stats of one allreduce of `bytes` bytes with the given knobs.
-Engine::Stats allreduce_stats(std::size_t bytes, CollOverrides coll,
-                              int nprocs = 4) {
-  RunConfig cfg = dcfa_cfg(nprocs);
-  cfg.engine_options.coll = std::move(coll);
+/// Rank-0 stats of one allreduce of `bytes` bytes under `cfg`.
+Engine::Stats allreduce_stats(std::size_t bytes, const RunConfig& cfg) {
   Runtime rt(cfg);
   const std::size_t n = bytes / sizeof(double);
   rt.run([&](RankCtx& ctx) {
@@ -367,35 +374,35 @@ TEST(CollectiveBoundaries, EagerThresholdExact) {
 }
 
 TEST(CollectiveBoundaries, AllreduceSmallMaxCrossover) {
-  CollOverrides coll;
-  coll.allreduce_small_max = 4096;
-  coll.allreduce_ring_min = 1 << 20;
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.platform.coll_allreduce_small_max = 4096;
+  cfg.platform.coll_allreduce_ring_min = 1 << 20;
   // One element below the knob: recursive doubling. At the knob (strict <):
   // the next tier (Rabenseifner).
-  const Engine::Stats below = allreduce_stats(4096 - sizeof(double), coll);
+  const Engine::Stats below = allreduce_stats(4096 - sizeof(double), cfg);
   EXPECT_EQ(below.coll_allreduce_rd, 1u);
   EXPECT_EQ(below.coll_allreduce_rab, 0u);
-  const Engine::Stats at = allreduce_stats(4096, coll);
+  const Engine::Stats at = allreduce_stats(4096, cfg);
   EXPECT_EQ(at.coll_allreduce_rd, 0u);
   EXPECT_EQ(at.coll_allreduce_rab, 1u);
 }
 
 TEST(CollectiveBoundaries, AllreduceRingMinCrossover) {
-  CollOverrides coll;
-  coll.allreduce_small_max = 64;
-  coll.allreduce_ring_min = 65536;
-  const Engine::Stats below = allreduce_stats(65536 - sizeof(double), coll);
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.platform.coll_allreduce_small_max = 64;
+  cfg.platform.coll_allreduce_ring_min = 65536;
+  const Engine::Stats below = allreduce_stats(65536 - sizeof(double), cfg);
   EXPECT_EQ(below.coll_allreduce_rab, 1u);
   EXPECT_EQ(below.coll_allreduce_ring, 0u);
-  const Engine::Stats at = allreduce_stats(65536, coll);
+  const Engine::Stats at = allreduce_stats(65536, cfg);
   EXPECT_EQ(at.coll_allreduce_rab, 0u);
   EXPECT_EQ(at.coll_allreduce_ring, 1u);
 }
 
 TEST(CollectiveBoundaries, BcastLargeMinCrossover) {
-  auto bcast_stats = [](std::size_t bytes, CollOverrides coll) {
-    RunConfig cfg = dcfa_cfg(4);
-    cfg.engine_options.coll = std::move(coll);
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.platform.coll_bcast_large_min = 32768;
+  auto bcast_stats = [&cfg](std::size_t bytes) {
     Runtime rt(cfg);
     rt.run([&](RankCtx& ctx) {
       auto& comm = ctx.world;
@@ -405,12 +412,10 @@ TEST(CollectiveBoundaries, BcastLargeMinCrossover) {
     });
     return rt.rank_stats()[0];
   };
-  CollOverrides coll;
-  coll.bcast_large_min = 32768;
-  const Engine::Stats below = bcast_stats(32767, coll);
+  const Engine::Stats below = bcast_stats(32767);
   EXPECT_EQ(below.coll_bcast_binomial, 1u);
   EXPECT_EQ(below.coll_bcast_scatter_ag, 0u);
-  const Engine::Stats at = bcast_stats(32768, coll);
+  const Engine::Stats at = bcast_stats(32768);
   EXPECT_EQ(at.coll_bcast_binomial, 0u);
   EXPECT_EQ(at.coll_bcast_scatter_ag, 1u);
 }
@@ -419,14 +424,80 @@ TEST(CollectiveBoundaries, SegmentCountEdge) {
   // Ring allreduce at P=4 over n bytes: each of the 3+3 pipelined steps
   // moves one P-th of the vector in seg-sized segments, counted on both
   // the sending and receiving side of each step.
-  CollOverrides coll;
-  coll.allreduce = "ring";
-  coll.segment_bytes = 1024;
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.engine_options.allreduce_algo = CollAlgo::Ring;
+  cfg.platform.coll_segment_bytes = 1024;
   // Block = exactly one segment: 6 steps x (1 out + 1 in) = 12.
-  const Engine::Stats one = allreduce_stats(4 * 1024, coll);
+  const Engine::Stats one = allreduce_stats(4 * 1024, cfg);
   EXPECT_EQ(one.coll_segments, 12u);
   // One element more per block: every block needs a second segment.
   const Engine::Stats two = allreduce_stats(4 * 1024 + 4 * sizeof(double),
-                                            coll);
+                                            cfg);
   EXPECT_EQ(two.coll_segments, 24u);
+}
+
+// ---------------------------------------------------------------------------
+// Rejections: forced algorithms a collective cannot run, zero segment size
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The MpiError message `body` raises on the ranks of `cfg` ("" if none).
+std::string mpi_error(const RunConfig& cfg,
+                      const std::function<void(Communicator&)>& body) {
+  try {
+    run_mpi(cfg, [&](RankCtx& ctx) { body(ctx.world); });
+  } catch (const MpiError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(CollectiveRejections, AllreduceRefusesScatterAllgather) {
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.engine_options.allreduce_algo = CollAlgo::ScatterAllgather;
+  const std::string what = mpi_error(cfg, [](Communicator& comm) {
+    mem::Buffer ib = comm.alloc(64);
+    mem::Buffer ob = comm.alloc(64);
+    comm.allreduce(ib, 0, ob, 0, 8, type_double(), Op::Sum);
+  });
+  EXPECT_NE(what.find("allreduce"), std::string::npos) << what;
+  EXPECT_NE(what.find("'scatter_ag'"), std::string::npos) << what;
+}
+
+TEST(CollectiveRejections, BcastRefusesRing) {
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.engine_options.bcast_algo = CollAlgo::Ring;
+  const std::string what = mpi_error(cfg, [](Communicator& comm) {
+    mem::Buffer buf = comm.alloc(64);
+    comm.bcast(buf, 0, 64, type_byte(), 0);
+  });
+  EXPECT_NE(what.find("bcast"), std::string::npos) << what;
+  EXPECT_NE(what.find("'ring'"), std::string::npos) << what;
+}
+
+TEST(CollectiveRejections, AllgatherRefusesRabenseifner) {
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.engine_options.allgather_algo = CollAlgo::Rabenseifner;
+  const std::string what = mpi_error(cfg, [](Communicator& comm) {
+    mem::Buffer ib = comm.alloc(8);
+    mem::Buffer ob = comm.alloc(8 * comm.size());
+    comm.allgather(ib, 0, 8, type_byte(), ob, 0);
+  });
+  EXPECT_NE(what.find("allgather"), std::string::npos) << what;
+  EXPECT_NE(what.find("'rab'"), std::string::npos) << what;
+}
+
+TEST(CollectiveRejections, ZeroSegmentBytesThrowsAtConstruction) {
+  RunConfig cfg = dcfa_cfg(4);
+  cfg.platform.coll_segment_bytes = 0;
+  bool body_ran = false;
+  const std::string what =
+      mpi_error(cfg, [&](Communicator&) { body_ran = true; });
+  EXPECT_NE(what.find("coll_segment_bytes must be positive"),
+            std::string::npos)
+      << what;
+  EXPECT_FALSE(body_ran);
 }

@@ -35,7 +35,7 @@ RunConfig fatal_cfg(const std::string& spec) {
   cfg.nprocs = 2;
   cfg.fault_spec = spec;
   cfg.fault_seed = 42;
-  cfg.engine_options.retry_timeout = sim::microseconds(2);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(2);
   return cfg;
 }
 

@@ -33,7 +33,7 @@ RunConfig pingpong_cfg(const std::string& trace_path) {
   cfg.nprocs = 2;
   cfg.fault_spec = "drop_wc=0.1";
   cfg.fault_seed = 42;
-  cfg.engine_options.retry_timeout = sim::microseconds(2);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(2);
   cfg.trace_path = trace_path;
   return cfg;
 }
@@ -135,7 +135,7 @@ TEST(FaultDeterminism, DifferentSeedStillRecoversCorrectly) {
   cfg.nprocs = 2;
   cfg.fault_spec = "drop_wc=0.1";
   cfg.fault_seed = 7;
-  cfg.engine_options.retry_timeout = sim::microseconds(2);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(2);
   Runtime rt(cfg);
   rt.run([&](RankCtx& ctx) {
     auto& comm = ctx.world;

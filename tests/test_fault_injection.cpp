@@ -121,7 +121,7 @@ TEST(FaultInjection, DroppedEagerCompletionRetransmitsExactlyOnce) {
   // and retransmit into the same slot, and the receiver must see the
   // message exactly once.
   auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
-  cfg.engine_options.retry_timeout = sim::microseconds(10);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(10);
   sim::FaultInjector::Counters injected;
   auto s = one_faulty_message(kSmall, 0, sim::microseconds(100), cfg,
                               &injected);
@@ -138,7 +138,7 @@ TEST(FaultInjection, CreditActsAsImplicitAckWhenCqeIsLost) {
   // write reaches the sender before the (long) retry timer: the packet is
   // confirmed by credit alone, with no retransmission at all.
   auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
-  cfg.engine_options.retry_timeout = sim::milliseconds(1);
+  cfg.platform.mpi_retry_timeout = sim::milliseconds(1);
   auto s = one_faulty_message(kSmall, 0, 0, cfg);
   EXPECT_GE(s.sender.credit_acked, 1u);
   EXPECT_EQ(s.sender.retransmits, 0u);
@@ -151,7 +151,7 @@ TEST(FaultInjection, StaleRetransmitIsDiscardedByRingIndex) {
   // rewrites an already-consumed slot and must be recognised as stale by
   // its absolute ring index when the ring wraps around to scan it.
   auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
-  cfg.engine_options.retry_timeout = sim::microseconds(1);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(1);
   const int kMsgs = 17;  // one more than the ring depth: forces a wrap
   Runtime rt(cfg);
   rt.run([&](RankCtx& ctx) {
@@ -278,7 +278,7 @@ TEST(FaultInjection, RetryBudgetExhaustionRaisesMpiError) {
   // Every faultable WR errors, forever: the sender burns its whole retry
   // budget and the operation must surface as a clean MpiError, not a hang.
   auto cfg = fault_cfg("err_wc=1");
-  cfg.engine_options.retry_timeout = sim::microseconds(1);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(1);
   EXPECT_THROW(run_mpi(cfg,
                        [&](RankCtx& ctx) {
                          auto& comm = ctx.world;

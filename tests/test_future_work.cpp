@@ -74,7 +74,7 @@ TEST(OffloadedReduce, StatsCountDelegations) {
   // Pin the binomial algorithm: the counts below rely on the reduce+bcast
   // shape (one combine, at the root). The auto-selected ring would spread
   // segment combines over both ranks.
-  cfg.engine_options.coll.allreduce = "binomial";
+  cfg.engine_options.allreduce_algo = CollAlgo::Binomial;
   Runtime rt(cfg);
   rt.run([&](RankCtx& ctx) {
     auto& comm = ctx.world;

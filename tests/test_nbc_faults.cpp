@@ -27,7 +27,7 @@ RunConfig fault_cfg(int nprocs, const std::string& spec) {
   cfg.nprocs = nprocs;
   cfg.fault_spec = spec;
   cfg.fault_seed = 42;
-  cfg.engine_options.retry_timeout = sim::microseconds(2);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(2);
   return cfg;
 }
 
@@ -50,11 +50,11 @@ struct FaultRun {
 /// One iallreduce of `count` doubles under `spec` with forced `algo`,
 /// completed nonblocking (test-spin, then wait), checked on every rank.
 FaultRun iallreduce_under_faults(int nprocs, std::size_t count,
-                                 const std::string& algo,
+                                 CollAlgo algo,
                                  const std::string& spec) {
   RunConfig cfg = fault_cfg(nprocs, spec);
-  cfg.engine_options.coll.allreduce = algo;
-  cfg.engine_options.coll.segment_bytes = 512;
+  cfg.engine_options.allreduce_algo = algo;
+  cfg.platform.coll_segment_bytes = 512;
   const auto in = draw_inputs(0x1bcfa117ull + nprocs, nprocs, count);
   std::vector<double> expect = in[0];
   for (int r = 1; r < nprocs; ++r) {
@@ -75,7 +75,8 @@ FaultRun iallreduce_under_faults(int nprocs, std::size_t count,
     comm.wait(req);
     std::vector<double> got(count);
     std::memcpy(got.data(), ob.data(), count * sizeof(double));
-    EXPECT_EQ(got, expect) << "algo=" << algo << " spec=" << spec
+    EXPECT_EQ(got, expect) << "algo=" << coll_algo_name(algo)
+                           << " spec=" << spec
                            << " P=" << nprocs << " rank=" << comm.rank();
     if (comm.rank() == 0) out.result = got;
     comm.free(ib);
@@ -91,23 +92,26 @@ FaultRun iallreduce_under_faults(int nprocs, std::size_t count,
 // Transient faults: every algorithm's schedule recovers under loss + error
 // ---------------------------------------------------------------------------
 
-class IallreduceFaultSweep : public ::testing::TestWithParam<const char*> {};
+class IallreduceFaultSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(IallreduceFaultSweep, SurvivesDropAndErrStorm) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::uint64_t injected = 0;
   for (int nprocs : {3, 4, 8}) {
     const auto run = iallreduce_under_faults(nprocs, 1024, algo,
                                              "drop_wc=0.05,err_wc=0.03");
     injected += run.counters.wc_dropped + run.counters.wc_errored;
   }
-  EXPECT_GT(injected, 0u) << "algo=" << algo;
+  EXPECT_GT(injected, 0u) << "algo=" << coll_algo_name(algo);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, IallreduceFaultSweep,
-                         ::testing::Values("binomial", "rd", "ring", "rab"),
+                         ::testing::Values(CollAlgo::Binomial,
+                                           CollAlgo::RecursiveDoubling,
+                                           CollAlgo::Ring,
+                                           CollAlgo::Rabenseifner),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(Engine, IallreduceFaultSweep,
 
 TEST(NbcFatalFault, RingIallreduceSurvivesQpWedge) {
   const auto run = iallreduce_under_faults(
-      4, 1024, "ring", "qp_fatal=1,qp_fatal_skip=20,qp_fatal_max=1");
+      4, 1024, CollAlgo::Ring, "qp_fatal=1,qp_fatal_skip=20,qp_fatal_max=1");
   EXPECT_EQ(run.counters.qp_fatal, 1u);
 }
 
@@ -130,8 +134,8 @@ TEST(NbcOverlapFaults, ConcurrentSchedulesSurviveDropStorm) {
   const int nprocs = 4;
   const std::size_t count = 768;
   RunConfig cfg = fault_cfg(nprocs, "drop_wc=0.05,err_wc=0.02");
-  cfg.engine_options.coll.allreduce = "ring";
-  cfg.engine_options.coll.segment_bytes = 512;
+  cfg.engine_options.allreduce_algo = CollAlgo::Ring;
+  cfg.platform.coll_segment_bytes = 512;
   const auto in_a = draw_inputs(0xaaull, nprocs, count);
   const auto in_b = draw_inputs(0xbbull, nprocs, count);
   std::vector<double> expect_a = in_a[0], expect_b = in_b[0];
@@ -176,9 +180,9 @@ TEST(NbcOverlapFaults, ConcurrentSchedulesSurviveDropStorm) {
 // ---------------------------------------------------------------------------
 
 TEST(NbcFaultDeterminism, SameSpecSeedSameOutcome) {
-  const auto a = iallreduce_under_faults(8, 2048, "ring",
+  const auto a = iallreduce_under_faults(8, 2048, CollAlgo::Ring,
                                          "drop_wc=0.05,err_wc=0.03");
-  const auto b = iallreduce_under_faults(8, 2048, "ring",
+  const auto b = iallreduce_under_faults(8, 2048, CollAlgo::Ring,
                                          "drop_wc=0.05,err_wc=0.03");
   EXPECT_EQ(a.result, b.result);
   EXPECT_EQ(a.counters.wc_dropped, b.counters.wc_dropped);

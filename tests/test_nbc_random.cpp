@@ -82,12 +82,12 @@ std::vector<T> get_vec(const mem::Buffer& buf, std::size_t n) {
 /// wait. Checked on every rank; returns rank 0's result (for digests).
 template <typename T>
 std::vector<T> iallreduce_trial(int nprocs, std::size_t count, Op op,
-                                const Datatype& dt, const std::string& algo,
+                                const Datatype& dt, CollAlgo algo,
                                 std::uint64_t seg,
                                 const std::vector<std::vector<T>>& in) {
   RunConfig cfg = dcfa_cfg(nprocs);
-  cfg.engine_options.coll.allreduce = algo;
-  cfg.engine_options.coll.segment_bytes = seg;
+  cfg.engine_options.allreduce_algo = algo;
+  cfg.platform.coll_segment_bytes = seg;
   const std::vector<T> expect = reference_reduce(in, op);
   std::vector<T> rank0(count);
   run_mpi(cfg, [&](RankCtx& ctx) {
@@ -103,7 +103,8 @@ std::vector<T> iallreduce_trial(int nprocs, std::size_t count, Op op,
     comm.wait(req);
     EXPECT_TRUE(req.done());
     const auto got = get_vec<T>(ob, count);
-    EXPECT_EQ(got, expect) << "algo=" << algo << " P=" << nprocs
+    EXPECT_EQ(got, expect) << "algo=" << coll_algo_name(algo)
+                           << " P=" << nprocs
                            << " count=" << count << " rank=" << comm.rank();
     if (comm.rank() == 0) rank0 = got;
     comm.free(ib);
@@ -118,10 +119,10 @@ std::vector<T> iallreduce_trial(int nprocs, std::size_t count, Op op,
 // Iallreduce: every forced algorithm x comm sizes 1..13
 // ---------------------------------------------------------------------------
 
-class IallreduceAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class IallreduceAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(IallreduceAlgoSweep, MatchesSequentialReference) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed);
   const std::size_t counts[] = {0, 1, 13, 1000, 4097};
   const Op ops[] = {Op::Sum, Op::Prod, Op::Max, Op::Min};
@@ -141,20 +142,22 @@ TEST_P(IallreduceAlgoSweep, MatchesSequentialReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, IallreduceAlgoSweep,
-                         ::testing::Values("auto", "binomial", "rd", "ring",
-                                           "rab"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Binomial,
+                                           CollAlgo::RecursiveDoubling,
+                                           CollAlgo::Ring,
+                                           CollAlgo::Rabenseifner),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 // ---------------------------------------------------------------------------
 // Ibcast / Iallgather / Ireduce_scatter_block / Ibarrier
 // ---------------------------------------------------------------------------
 
-class IbcastAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class IbcastAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(IbcastAlgoSweep, DeliversRootPayloadToAllRanks) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed + 1);
   for (int nprocs = 1; nprocs <= 13; ++nprocs) {
     const std::size_t counts[] = {0, 1, 13, 4097};
@@ -162,8 +165,8 @@ TEST_P(IbcastAlgoSweep, DeliversRootPayloadToAllRanks) {
     auto in = draw_inputs<double>(rng, 1, count);
     const int root = static_cast<int>(rng() % nprocs);
     RunConfig cfg = dcfa_cfg(nprocs);
-    cfg.engine_options.coll.bcast = algo;
-    cfg.engine_options.coll.segment_bytes = 512;
+    cfg.engine_options.bcast_algo = algo;
+    cfg.platform.coll_segment_bytes = 512;
     run_mpi(cfg, [&](RankCtx& ctx) {
       auto& comm = ctx.world;
       mem::Buffer buf =
@@ -172,7 +175,8 @@ TEST_P(IbcastAlgoSweep, DeliversRootPayloadToAllRanks) {
       Request req = comm.ibcast(buf, 0, count, type_double(), root);
       comm.wait(req);
       EXPECT_EQ(get_vec<double>(buf, count), in[0])
-          << "algo=" << algo << " P=" << nprocs << " root=" << root
+          << "algo=" << coll_algo_name(algo) << " P=" << nprocs
+          << " root=" << root
           << " rank=" << comm.rank();
       comm.free(buf);
     });
@@ -180,15 +184,16 @@ TEST_P(IbcastAlgoSweep, DeliversRootPayloadToAllRanks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, IbcastAlgoSweep,
-                         ::testing::Values("auto", "binomial", "scatter_ag"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Binomial,
+                                           CollAlgo::ScatterAllgather),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
-class IallgatherAlgoSweep : public ::testing::TestWithParam<const char*> {};
+class IallgatherAlgoSweep : public ::testing::TestWithParam<CollAlgo> {};
 
 TEST_P(IallgatherAlgoSweep, ConcatenatesAllContributions) {
-  const std::string algo = GetParam();
+  const CollAlgo algo = GetParam();
   std::mt19937_64 rng(kSeed + 2);
   for (int nprocs = 1; nprocs <= 13; ++nprocs) {
     const std::size_t counts[] = {0, 1, 130, 1001};
@@ -197,8 +202,8 @@ TEST_P(IallgatherAlgoSweep, ConcatenatesAllContributions) {
     std::vector<int> expect;
     for (const auto& v : in) expect.insert(expect.end(), v.begin(), v.end());
     RunConfig cfg = dcfa_cfg(nprocs);
-    cfg.engine_options.coll.allgather = algo;
-    cfg.engine_options.coll.segment_bytes = 512;
+    cfg.engine_options.allgather_algo = algo;
+    cfg.platform.coll_segment_bytes = 512;
     run_mpi(cfg, [&](RankCtx& ctx) {
       auto& comm = ctx.world;
       const std::size_t total = count * comm.size();
@@ -210,7 +215,8 @@ TEST_P(IallgatherAlgoSweep, ConcatenatesAllContributions) {
       Request req = comm.iallgather(ib, 0, count, type_int(), ob, 0);
       comm.wait(req);
       EXPECT_EQ(get_vec<int>(ob, total), expect)
-          << "algo=" << algo << " P=" << nprocs << " rank=" << comm.rank();
+          << "algo=" << coll_algo_name(algo) << " P=" << nprocs
+          << " rank=" << comm.rank();
       comm.free(ib);
       comm.free(ob);
     });
@@ -218,9 +224,10 @@ TEST_P(IallgatherAlgoSweep, ConcatenatesAllContributions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engine, IallgatherAlgoSweep,
-                         ::testing::Values("auto", "ring", "rd"),
+                         ::testing::Values(CollAlgo::Auto, CollAlgo::Ring,
+                                           CollAlgo::RecursiveDoubling),
                          [](const auto& info) {
-                           return std::string(info.param);
+                           return std::string(coll_algo_name(info.param));
                          });
 
 TEST(IreduceScatterBlock, EachRankGetsItsReducedBlock) {
@@ -232,7 +239,7 @@ TEST(IreduceScatterBlock, EachRankGetsItsReducedBlock) {
       auto in = draw_inputs<double>(rng, nprocs, total);
       const auto expect = reference_reduce(in, Op::Sum);
       RunConfig cfg = dcfa_cfg(nprocs);
-      cfg.engine_options.coll.segment_bytes = 512;
+      cfg.platform.coll_segment_bytes = 512;
       run_mpi(cfg, [&](RankCtx& ctx) {
         auto& comm = ctx.world;
         mem::Buffer ib =
@@ -272,7 +279,8 @@ TEST(Ibarrier, CompletesOnEveryRank) {
 
 TEST(ConcurrentCollectives, OverlappingSchedulesShuffledWaits) {
   std::mt19937_64 rng(kSeed + 4);
-  const char* algos[] = {"binomial", "rd", "ring", "rab"};
+  const CollAlgo algos[] = {CollAlgo::Binomial, CollAlgo::RecursiveDoubling,
+                            CollAlgo::Ring, CollAlgo::Rabenseifner};
   for (int nprocs : {2, 3, 4, 7, 8, 13}) {
     const std::size_t count = 1 + rng() % 700;
     auto in_a = draw_inputs<double>(rng, nprocs, count);
@@ -285,8 +293,8 @@ TEST(ConcurrentCollectives, OverlappingSchedulesShuffledWaits) {
       expect_c.insert(expect_c.end(), v.begin(), v.end());
     }
     RunConfig cfg = dcfa_cfg(nprocs);
-    cfg.engine_options.coll.allreduce = algos[rng() % std::size(algos)];
-    cfg.engine_options.coll.segment_bytes = 512;
+    cfg.engine_options.allreduce_algo = algos[rng() % std::size(algos)];
+    cfg.platform.coll_segment_bytes = 512;
     run_mpi(cfg, [&](RankCtx& ctx) {
       auto& comm = ctx.world;
       const std::size_t total = count * comm.size();
@@ -424,7 +432,8 @@ TEST(NbcDeterminism, SameSeedSameBytes) {
   auto digest = [] {
     std::mt19937_64 rng(kSeed + 8);
     std::vector<double> all;
-    for (const char* algo : {"rd", "ring", "rab"}) {
+    for (CollAlgo algo : {CollAlgo::RecursiveDoubling, CollAlgo::Ring,
+                          CollAlgo::Rabenseifner}) {
       for (int nprocs : {3, 8, 13}) {
         auto in = draw_inputs<double>(rng, nprocs, 513);
         auto r = iallreduce_trial<double>(nprocs, 513, Op::Sum,

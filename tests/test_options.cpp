@@ -37,12 +37,12 @@ std::uint64_t run_workload(const OptionCombo& combo) {
   RunConfig cfg;
   cfg.mode = MpiMode::DcfaPhi;
   cfg.nprocs = 3;
-  cfg.engine_options.eager_threshold = combo.eager_threshold;
+  cfg.platform.eager_threshold = combo.eager_threshold;
   cfg.engine_options.offload_send_buffer = combo.offload_send_buffer;
   cfg.engine_options.mr_cache = combo.mr_cache;
   cfg.engine_options.offload_reductions = combo.offload_reductions;
   cfg.engine_options.offload_datatypes = combo.offload_datatypes;
-  cfg.engine_options.mpi_offload_threshold = 16 * 1024;
+  cfg.platform.mpi_offload_threshold = 16 * 1024;
 
   std::uint64_t fp = 0;
   run_mpi(cfg, [&](RankCtx& ctx) {

@@ -384,7 +384,7 @@ TEST(Protocols, TruncationIsStillDetectedUnderFaults) {
   // truncation error even when the RTS needed a retransmission to arrive.
   RunConfig cfg = dcfa_cfg();
   cfg.fault_spec = "err_wc=1,err_wc_max=1";  // candidate #0 is the RTS
-  cfg.engine_options.retry_timeout = sim::microseconds(10);
+  cfg.platform.mpi_retry_timeout = sim::microseconds(10);
   EXPECT_THROW(run_mpi(cfg,
                        [](RankCtx& ctx) {
                          auto& comm = ctx.world;
