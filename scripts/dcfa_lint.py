@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Twelve rule families, each encoding an invariant the generic toolchain cannot
+Thirteen rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -80,6 +80,12 @@ see (docs/checking.md has the rationale and the paper references):
                   per-thread caught-exception stack holds its exception;
                   the switch does not carry that stack, so a second fiber
                   catching meanwhile corrupts it (docs/simulator.md).
+  signaled-post   in src/mpi/, the CQE-callback table Engine::outstanding_
+                  is written (outstanding_[, .emplace, .insert) only inside
+                  Engine::post_signaled, which assigns the wr_id, registers
+                  the callback and posts. An inline registration is how
+                  wr_id order and the signaled flag drift between the
+                  eager, rendezvous, RMA and retry paths.
 
 A file can waive one rule with a justified marker comment:
 
@@ -202,6 +208,13 @@ GETENV = re.compile(r"\b(?:secure_)?getenv\b")
 # catch-switch: a handler and the blocking calls that switch fibers.
 CATCH = re.compile(r"\bcatch\s*\(")
 BLOCKING_CALL = re.compile(r"\b(?:wait|wait_on|wait_until|wait_until_ft)\s*\(")
+
+# signaled-post: the one helper that registers CQE callbacks, and what a
+# registration looks like.
+SIGNALED_POST_HELPERS = ("post_signaled",)
+OUTSTANDING_WRITE = re.compile(
+    r"\boutstanding_\s*"
+    r"(?:\[|\.\s*(?:emplace\w*|insert\w*|try_emplace)\s*\()")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -490,6 +503,19 @@ def check_catch_switch(path: Path, rel: str, lines: list[str]) -> None:
                         "— record the error and block after the handler")
 
 
+def check_signaled_post(path: Path, rel: str, text: str,
+                        lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, SIGNALED_POST_HELPERS)
+    for i, line in enumerate(lines, 1):
+        if (OUTSTANDING_WRITE.search(strip_comments(line))
+                and not any(i in r for r in helpers)):
+            finding(path, i, "signaled-post",
+                    "CQE callback registered outside Engine::post_signaled; "
+                    "post signaled work requests through the helper")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -533,6 +559,7 @@ def main() -> int:
         check_telemetry(path, rel, lines)
         check_getenv(path, rel, lines)
         check_catch_switch(path, rel, lines)
+        check_signaled_post(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -367,10 +367,12 @@ void Engine::finalize() {
   }
   for (;;) {
     progress();
-    bool idle = outstanding_.empty() && data_ops_.empty() &&
-                pending_recovery_.empty();
+    bool idle = outstanding_.empty() && pending_recovery_.empty();
     for (auto& [p, ep] : endpoints_) {
-      if (!ep.pending_tx.empty() || !ep.unacked.empty()) idle = false;
+      if (!ep.pending_tx.empty() || !ep.unacked.empty() ||
+          !ep.data_ops.empty()) {
+        idle = false;
+      }
     }
     if (idle) break;
     ib_->process().wait_on(wake_);
@@ -591,11 +593,9 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
     // old occupant, so any record still parked there (fault mode) is
     // implicitly acknowledged now.
     const std::uint64_t old = idx - slots();
-    if (ep.unacked.count(old) > 0) {
+    if (auto it = ep.unacked.find(old); it != ep.unacked.end()) {
       ++stats_.credit_acked;
-      ib::Wc ack{};
-      ack.status = ib::WcStatus::Success;
-      finish_tx_record(ep, old, ack);
+      finish_tracked(ep, it->second, ib::Wc{});
     }
     ep.delivered.erase(old);  // slot reuse proves the peer consumed it
   }
@@ -610,28 +610,28 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   const PacketTail tail = kPacketMagic;
   wire::put(ep.staging.buf, layout_.tail_off(slot, len), tail);
 
+  ib::SendWr wr = ring_write(ep, slot, len);
   if (faults_armed_) {
     // Reliable path: track the packet until a CQE or a returning credit
     // confirms delivery.
-    TxRecord rec;
+    TrackedWr& rec = ep.unacked[idx];
+    rec.ring = true;
+    rec.key = idx;
+    rec.wr = std::move(wr);
+    rec.on_result = std::move(on_complete);
+    rec.owner = std::move(owner);
     rec.hdr = hdr;
     rec.payload_len = len;
-    rec.on_delivered = std::move(on_complete);
-    rec.owner = std::move(owner);
-    ep.unacked.emplace(idx, std::move(rec));
     ++ep.sent_packets;
-    post_tx_record(ep, idx);
+    post_tracked(ep, rec);
     return;
   }
-  ib::SendWr wr = ring_write(ep, slot, len);
   if (on_complete) {
-    wr.signaled = true;
-    wr.wr_id = next_wr_id_++;
-    outstanding_[wr.wr_id] = std::move(on_complete);
+    post_signaled(ep.qp, std::move(wr), std::move(on_complete));
   } else {
     wr.signaled = false;
+    ib_->post_send(ep.qp, std::move(wr));
   }
-  ib_->post_send(ep.qp, std::move(wr));
   ++ep.sent_packets;
 }
 
@@ -692,241 +692,179 @@ void Engine::schedule_recovery(sim::Time delay, std::function<void()> fn) {
       });
 }
 
-void Engine::post_tx_record(Endpoint& ep, std::uint64_t idx) {
-  TxRecord& rec = ep.unacked.at(idx);
-  const int slot = static_cast<int>(idx % slots());
-  const int attempts = rec.attempts;
-  ++rec.epoch;
-  const std::uint64_t epoch = rec.epoch;
-  const int peer = ep.peer;
-
-  // The staging slot still holds header+payload+tail (it cannot be reused
-  // before the peer's credit proves consumption), so a retransmit re-posts
-  // the very same SGEs.
-  ib::SendWr wr = ring_write(ep, slot, rec.payload_len);
-  wr.faultable = true;
+std::uint64_t Engine::post_signaled(ib::QueuePair* qp, ib::SendWr wr,
+                                    std::function<void(const ib::Wc&)> on_wc) {
   wr.signaled = true;
   wr.wr_id = next_wr_id_++;
-  rec.wr_ids.push_back(wr.wr_id);
-  outstanding_[wr.wr_id] = [this, peer, idx](const ib::Wc& wc) {
-    on_tx_wc(peer, idx, wc);
-  };
-  ib_->post_send(ep.qp, std::move(wr));
-
-  // Bounded exponential backoff: the per-attempt timeout doubles.
-  schedule_recovery(platform_.mpi_retry_timeout << (attempts - 1),
-                    [this, peer, idx, epoch] {
-                      tx_check(peer, idx, epoch, /*after_error=*/false);
-                    });
-}
-
-void Engine::on_tx_wc(int peer, std::uint64_t idx, const ib::Wc& wc) {
-  auto eit = endpoints_.find(peer);
-  if (eit == endpoints_.end()) return;
-  Endpoint& ep = eit->second;
-  auto it = ep.unacked.find(idx);
-  if (it == ep.unacked.end()) return;  // already credit-acknowledged
-  if (wc.status == ib::WcStatus::Success) {
-    // Delivered, but not yet provably consumed: park the header so a later
-    // reconnect (which rebuilds the peer's ring) can replay it. The credit
-    // counter purges the entry once consumption is proven.
-    ep.delivered[idx] =
-        Endpoint::DeliveredTx{it->second.hdr, it->second.payload_len};
-    finish_tx_record(ep, idx, wc);
-    return;
-  }
-  // Injected transport error: the write never happened. Retry after the
-  // current backoff, or give up when the budget is spent.
-  ++stats_.wc_errors;
-  TxRecord& rec = it->second;
-  ++rec.epoch;  // defuse the pending timeout timer
-  if (ep.qp->state() == ib::QpState::Error &&
-      maybe_start_reconnect(ep, "qp error state")) {
-    return;  // record stays parked in unacked; the reconnect replays it
-  }
-  if (rec.attempts >= 1 + platform_.mpi_max_retries) {
-    if (maybe_start_reconnect(ep, "retry budget exhausted")) return;
-    finish_tx_record(ep, idx, wc);
-    return;
-  }
-  const std::uint64_t epoch = rec.epoch;
-  schedule_recovery(platform_.mpi_retry_timeout << (rec.attempts - 1),
-                    [this, peer, idx, epoch] {
-                      tx_check(peer, idx, epoch, /*after_error=*/true);
-                    });
-}
-
-void Engine::tx_check(int peer, std::uint64_t idx, std::uint64_t epoch,
-                      bool after_error) {
-  auto eit = endpoints_.find(peer);
-  if (eit == endpoints_.end()) return;
-  Endpoint& ep = eit->second;
-  auto it = ep.unacked.find(idx);
-  if (it == ep.unacked.end() || it->second.epoch != epoch) return;
-  if (!after_error) {
-    // The CQE may have been lost while the data landed: the peer's credit
-    // counter is the implicit acknowledgement.
-    read_credit_cell(ep);
-    if (ep.consumed_by_peer > idx) {
-      ++stats_.credit_acked;
-      ib::Wc ack{};
-      ack.status = ib::WcStatus::Success;
-      finish_tx_record(ep, idx, ack);
-      return;
-    }
-    ++stats_.wc_timeouts;
-    if (it->second.attempts >= 1 + platform_.mpi_max_retries) {
-      if (maybe_start_reconnect(ep, "retry budget exhausted")) return;
-      ib::Wc err{};
-      err.status = ib::WcStatus::RetryExceeded;
-      finish_tx_record(ep, idx, err);
-      return;
-    }
-  }
-  ++it->second.attempts;
-  ++stats_.retransmits;
-  tel_.instant({sim::Track::Faults, rank_}, "retransmit idx=%llu",
-               static_cast<unsigned long long>(idx));
-  post_tx_record(ep, idx);
-}
-
-void Engine::finish_tx_record(Endpoint& ep, std::uint64_t idx,
-                              const ib::Wc& wc) {
-  auto it = ep.unacked.find(idx);
-  auto cb = std::move(it->second.on_delivered);
-  auto owner = std::move(it->second.owner);
-  forget_wr_ids(it->second.wr_ids);
-  ep.unacked.erase(it);
-  if (wc.status != ib::WcStatus::Success) {
-    ++stats_.retry_exhausted;
-    tel_.instant({sim::Track::Faults, rank_}, "retry-exhausted idx=%llu",
-                 static_cast<unsigned long long>(idx));
-  }
-  if (wc.status != ib::WcStatus::Success) {
-    // Blame scope: a failure delivered from here means the transport gave
-    // up on a known peer — requests failed by the callback inherit the
-    // taxonomy (MpiError carries errc + peer on retry exhaustion).
-    BlameScope blame(*this, MpiErrc::RetryExhausted, ep.peer);
-    if (cb) {
-      cb(wc);
-    } else if (owner && !owner->done()) {
-      fail(owner, std::string("transport retry budget exhausted (") +
-                      ib::wc_status_name(wc.status) + ")");
-    }
-  } else if (cb) {
-    cb(wc);
-  }
-  wake_.notify_all();
+  const std::uint64_t id = wr.wr_id;
+  outstanding_[id] = std::move(on_wc);
+  ib_->post_send(qp, std::move(wr));
+  return id;
 }
 
 void Engine::post_data_wr(Endpoint& ep, ib::SendWr wr,
                           std::function<void(const ib::Wc&)> on_result) {
   if (!faults_armed_) {
-    wr.signaled = true;
-    wr.wr_id = next_wr_id_++;
-    outstanding_[wr.wr_id] = std::move(on_result);
-    ib_->post_send(ep.qp, std::move(wr));
+    post_signaled(ep.qp, std::move(wr), std::move(on_result));
     return;
   }
-  const std::uint64_t op = next_data_op_++;
-  DataOp& d = data_ops_[op];
-  d.peer = ep.peer;
-  d.wr = std::move(wr);
-  d.on_result = std::move(on_result);
-  post_data_op(op);
+  const std::uint64_t key = ep.data_ops_posted++;
+  TrackedWr& rec = ep.data_ops[key];
+  rec.key = key;
+  rec.wr = std::move(wr);
+  rec.on_result = std::move(on_result);
+  post_tracked(ep, rec);
 }
 
-void Engine::post_data_op(std::uint64_t op) {
-  DataOp& d = data_ops_.at(op);
-  ++d.epoch;
-  const std::uint64_t epoch = d.epoch;
-  const int attempts = d.attempts;
-  ib::QueuePair* qp = endpoint(d.peer).qp;
-  ib::SendWr wr = d.wr;
-  wr.signaled = true;
+void Engine::post_tracked(Endpoint& ep, TrackedWr& rec) {
+  ++rec.epoch;
+  const int peer = ep.peer;
+  const bool ring = rec.ring;
+  const std::uint64_t key = rec.key;
+  const std::uint64_t epoch = rec.epoch;
+  ib::SendWr wr = rec.wr;
   wr.faultable = true;
-  wr.wr_id = next_wr_id_++;
-  d.wr_ids.push_back(wr.wr_id);
-  outstanding_[wr.wr_id] = [this, op](const ib::Wc& wc) {
-    on_data_wc(op, wc);
-  };
-  ib_->post_send(qp, std::move(wr));
-  schedule_recovery(platform_.mpi_retry_timeout << (attempts - 1),
-                    [this, op, epoch] {
-                      data_check(op, epoch, /*after_error=*/false);
+  rec.wr_ids.push_back(post_signaled(
+      ep.qp, std::move(wr), [this, peer, ring, key](const ib::Wc& wc) {
+        on_tracked_wc(peer, ring, key, wc);
+      }));
+  // Bounded exponential backoff: the per-attempt timeout doubles.
+  schedule_recovery(platform_.mpi_retry_timeout << (rec.attempts - 1),
+                    [this, peer, ring, key, epoch] {
+                      tracked_check(peer, ring, key, epoch,
+                                    /*after_error=*/false);
                     });
 }
 
-void Engine::on_data_wc(std::uint64_t op, const ib::Wc& wc) {
-  auto it = data_ops_.find(op);
-  if (it == data_ops_.end()) return;
-  DataOp& d = it->second;
+Engine::TrackedWr* Engine::find_tracked(int peer, bool ring,
+                                        std::uint64_t key) {
+  auto eit = endpoints_.find(peer);
+  if (eit == endpoints_.end()) return nullptr;
+  auto& store = ring ? eit->second.unacked : eit->second.data_ops;
+  auto it = store.find(key);
+  return it == store.end() ? nullptr : &it->second;
+}
+
+void Engine::on_tracked_wc(int peer, bool ring, std::uint64_t key,
+                           const ib::Wc& wc) {
+  TrackedWr* rec = find_tracked(peer, ring, key);
+  if (rec == nullptr) return;  // already credit-acknowledged or quiesced
+  Endpoint& ep = endpoints_.at(peer);
   if (wc.status == ib::WcStatus::Success) {
-    auto cb = std::move(d.on_result);
-    forget_wr_ids(d.wr_ids);
-    data_ops_.erase(it);
-    cb(wc);
-    wake_.notify_all();
+    // A delivered ring packet is not yet provably consumed: park the header
+    // so a later reconnect (which rebuilds the peer's ring) can replay it.
+    // The credit counter purges the entry once consumption is proven.
+    if (ring) {
+      ep.delivered[key] = Endpoint::DeliveredTx{rec->hdr, rec->payload_len};
+    }
+    finish_tracked(ep, *rec, wc);
     return;
   }
+  // Injected transport error: the WR never took effect. Retry after the
+  // current backoff, or give up when the budget is spent.
   ++stats_.wc_errors;
-  ++d.epoch;
-  Endpoint& dep = endpoint(d.peer);
-  if (dep.qp->state() == ib::QpState::Error &&
-      maybe_start_reconnect(dep, "qp error state")) {
-    return;  // the op stays in data_ops_; the reconnect re-posts it
+  ++rec->epoch;  // defuse the pending timeout timer
+  if (ep.qp->state() == ib::QpState::Error &&
+      maybe_start_reconnect(ep, "qp error state")) {
+    return;  // the record stays parked; the reconnect re-posts it
   }
-  if (d.attempts >= 1 + platform_.mpi_max_retries) {
-    if (maybe_start_reconnect(dep, "data-op budget exhausted")) return;
-    ++stats_.retry_exhausted;
-    const int peer = d.peer;
-    auto cb = std::move(d.on_result);
-    forget_wr_ids(d.wr_ids);
-    data_ops_.erase(it);
-    BlameScope blame(*this, MpiErrc::RetryExhausted, peer);
-    cb(wc);  // the protocol callbacks turn a bad status into fail(req)
-    wake_.notify_all();
-    return;
-  }
-  const std::uint64_t epoch = d.epoch;
-  schedule_recovery(platform_.mpi_retry_timeout << (d.attempts - 1),
-                    [this, op, epoch] {
-                      data_check(op, epoch, /*after_error=*/true);
+  if (budget_spent(ep, *rec, wc)) return;
+  const std::uint64_t epoch = rec->epoch;
+  schedule_recovery(platform_.mpi_retry_timeout << (rec->attempts - 1),
+                    [this, peer, ring, key, epoch] {
+                      tracked_check(peer, ring, key, epoch,
+                                    /*after_error=*/true);
                     });
 }
 
-void Engine::data_check(std::uint64_t op, std::uint64_t epoch,
-                        bool after_error) {
-  auto it = data_ops_.find(op);
-  if (it == data_ops_.end() || it->second.epoch != epoch) return;
-  DataOp& d = it->second;
+void Engine::tracked_check(int peer, bool ring, std::uint64_t key,
+                           std::uint64_t epoch, bool after_error) {
+  TrackedWr* rec = find_tracked(peer, ring, key);
+  if (rec == nullptr || rec->epoch != epoch) return;
+  Endpoint& ep = endpoints_.at(peer);
   if (!after_error) {
-    ++stats_.wc_timeouts;
-    if (d.attempts >= 1 + platform_.mpi_max_retries) {
-      if (maybe_start_reconnect(endpoint(d.peer), "data-op budget exhausted")) {
+    // A ring packet's CQE may have been lost while the data landed: the
+    // peer's credit counter is the implicit acknowledgement.
+    if (ring) {
+      read_credit_cell(ep);
+      if (ep.consumed_by_peer > key) {
+        ++stats_.credit_acked;
+        finish_tracked(ep, *rec, ib::Wc{});
         return;
       }
-      ++stats_.retry_exhausted;
-      const int peer = d.peer;
-      auto cb = std::move(d.on_result);
-      ib::Wc err{};
-      err.status = ib::WcStatus::RetryExceeded;
-      forget_wr_ids(d.wr_ids);
-      data_ops_.erase(it);
-      BlameScope blame(*this, MpiErrc::RetryExhausted, peer);
-      cb(err);
-      wake_.notify_all();
+    }
+    ++stats_.wc_timeouts;
+    if (budget_spent(ep, *rec, {.status = ib::WcStatus::RetryExceeded})) {
       return;
     }
   }
-  ++d.attempts;
-  ++stats_.data_op_retries;
-  tel_.instant({sim::Track::Faults, rank_}, "data-op-retry");
-  post_data_op(op);
+  ++rec->attempts;
+  if (ring) {
+    ++stats_.retransmits;
+    tel_.instant({sim::Track::Faults, rank_}, "retransmit idx=%llu",
+                 static_cast<unsigned long long>(key));
+  } else {
+    ++stats_.data_op_retries;
+    tel_.instant({sim::Track::Faults, rank_}, "data-op-retry");
+  }
+  post_tracked(ep, *rec);
 }
 
-void Engine::forget_wr_ids(const std::vector<std::uint64_t>& ids) {
-  for (std::uint64_t id : ids) outstanding_.erase(id);
+bool Engine::budget_spent(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc) {
+  if (rec.attempts < 1 + platform_.mpi_max_retries) return false;
+  if (!maybe_start_reconnect(ep, rec.ring ? "retry budget exhausted"
+                                          : "data-op budget exhausted")) {
+    finish_tracked(ep, rec, wc);
+  }
+  return true;
+}
+
+void Engine::finish_tracked(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc) {
+  TrackedWr done = std::move(rec);
+  (done.ring ? ep.unacked : ep.data_ops).erase(done.key);
+  for (std::uint64_t id : done.wr_ids) outstanding_.erase(id);
+  if (wc.status != ib::WcStatus::Success) {
+    ++stats_.retry_exhausted;
+    if (done.ring) {
+      tel_.instant({sim::Track::Faults, rank_}, "retry-exhausted idx=%llu",
+                   static_cast<unsigned long long>(done.key));
+    } else {
+      tel_.instant({sim::Track::Faults, rank_}, "retry-exhausted data-op");
+    }
+    // Blame scope: a failure delivered from here means the transport gave
+    // up on a known peer — requests failed by the callback inherit the
+    // taxonomy (MpiError carries errc + peer on retry exhaustion).
+    BlameScope blame(*this, MpiErrc::RetryExhausted, ep.peer);
+    fail_tracked(done, wc, std::string("transport retry budget exhausted (") +
+                               ib::wc_status_name(wc.status) + ")");
+  } else if (done.on_result) {
+    done.on_result(wc);
+  }
+  wake_.notify_all();
+}
+
+std::vector<Engine::TrackedWr> Engine::quiesce(Endpoint& ep) {
+  std::vector<TrackedWr> recs;
+  recs.reserve(ep.unacked.size() + ep.data_ops.size());
+  for (auto* store : {&ep.unacked, &ep.data_ops}) {
+    for (auto& [key, rec] : *store) {
+      ++rec.epoch;  // defuse the pending tracked_check timer
+      for (std::uint64_t id : rec.wr_ids) outstanding_.erase(id);
+      rec.wr_ids.clear();
+      recs.push_back(std::move(rec));
+    }
+    store->clear();
+  }
+  return recs;
+}
+
+void Engine::fail_tracked(TrackedWr& rec, const ib::Wc& err,
+                          const std::string& why) {
+  if (rec.on_result) {
+    rec.on_result(err);
+  } else if (rec.owner && !rec.owner->done()) {
+    fail(rec.owner, why);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,74 +942,51 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   // staged payload is copied out now because the staging slots are about to
   // be scrubbed and reassigned.
   struct Replay {
-    std::uint64_t idx = 0;
-    PacketHeader hdr;
+    TrackedWr rec;
     std::vector<std::byte> payload;
-    std::function<void(const ib::Wc&)> cb;
-    std::shared_ptr<RequestState> owner;
   };
   std::vector<Replay> replay;
-  auto copy_payload = [&](std::uint64_t idx, std::size_t len, Replay& r) {
-    if (len == 0) return;
-    const int slot = static_cast<int>(idx % slots());
-    const std::byte* src = ep.staging.buf.data() + layout_.payload_off(slot);
-    r.payload.assign(src, src + len);
+  const auto stage_replay = [&](TrackedWr rec) {
+    Replay r{std::move(rec), {}};
+    if (r.rec.payload_len > 0) {
+      const int slot = static_cast<int>(r.rec.key % slots());
+      const std::byte* src = ep.staging.buf.data() + layout_.payload_off(slot);
+      r.payload.assign(src, src + r.rec.payload_len);
+    }
+    replay.push_back(std::move(r));
   };
   // Delivered-but-unconsumed packets are about to be destroyed with the
   // peer's ring; their completions already fired, so they replay with no
   // callback — the receive-side seq dedup keeps delivery exactly-once if
   // the peer did consume one before stalling.
   for (auto& [idx, d] : ep.delivered) {
-    Replay r;
-    r.idx = idx;
-    r.hdr = d.hdr;
-    copy_payload(idx, d.payload_len, r);
-    replay.push_back(std::move(r));
+    TrackedWr rec;
+    rec.key = idx;
+    rec.hdr = d.hdr;
+    rec.payload_len = d.payload_len;
+    stage_replay(std::move(rec));
   }
   ep.delivered.clear();
-  for (auto& [idx, rec] : ep.unacked) {
-    ++rec.epoch;  // defuse the pending tx_check timer
-    forget_wr_ids(rec.wr_ids);
-    Replay r;
-    r.idx = idx;
-    r.hdr = rec.hdr;
-    copy_payload(idx, rec.payload_len, r);
-    r.cb = std::move(rec.on_delivered);
-    r.owner = std::move(rec.owner);
-    replay.push_back(std::move(r));
+  for (TrackedWr& rec : quiesce(ep)) {
+    if (rec.ring) {
+      stage_replay(std::move(rec));
+      continue;
+    }
+    // Data ops stay parked on the endpoint, defused, until the re-post
+    // below, so fail_peer_ops still reaches them if the peer dies meanwhile.
+    rec.attempts = 1;
+    ep.data_ops.emplace(rec.key, std::move(rec));
   }
-  ep.unacked.clear();
-  std::sort(replay.begin(), replay.end(),
-            [](const Replay& a, const Replay& b) { return a.idx < b.idx; });
-  std::vector<std::uint64_t> ops;
-  for (auto& [id, d] : data_ops_) {
-    if (d.peer != ep.peer) continue;
-    ++d.epoch;  // defuse the pending data_check timer
-    forget_wr_ids(d.wr_ids);
-    d.wr_ids.clear();
-    d.attempts = 1;
-    ops.push_back(id);
-  }
+  std::sort(replay.begin(), replay.end(), [](const Replay& a, const Replay& b) {
+    return a.rec.key < b.rec.key;
+  });
   // Giving up: the endpoint turns Failed and every quiesced packet and
   // data op fails (the caller's blame scope, if any, classifies them).
   const auto abandon = [&](const char* why) {
     ep.conn_state = ConnState::Failed;
-    ib::Wc err{};
-    err.status = ib::WcStatus::RetryExceeded;
-    for (auto& r : replay) {
-      if (r.cb) {
-        r.cb(err);
-      } else if (r.owner && !r.owner->done()) {
-        fail(r.owner, why);
-      }
-    }
-    for (std::uint64_t id : ops) {
-      auto oit = data_ops_.find(id);
-      if (oit == data_ops_.end()) continue;
-      auto cb = std::move(oit->second.on_result);
-      data_ops_.erase(oit);
-      cb(err);
-    }
+    const ib::Wc err{.status = ib::WcStatus::RetryExceeded};
+    for (auto& r : replay) fail_tracked(r.rec, err, why);
+    for (TrackedWr& rec : quiesce(ep)) fail_tracked(rec, err, why);
   };
 
   // --- Tear down and rebuild: destroy the (possibly error-wedged) QP and
@@ -1149,14 +1064,12 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   // original write did land before the fault, the receiver's seq-level
   // duplicate suppression keeps MPI-level delivery exactly-once.
   for (auto& r : replay) {
-    emit_packet(ep, r.hdr, r.payload.data(), r.payload.size(),
-                std::move(r.cb), std::move(r.owner));
+    emit_packet(ep, r.rec.hdr, r.payload.data(), r.payload.size(),
+                std::move(r.rec.on_result), std::move(r.rec.owner));
   }
   // Rendezvous RDMA ops are idempotent (same bytes, same addresses, and the
   // user-buffer MRs survived the reconnect): a plain re-post suffices.
-  for (std::uint64_t id : ops) {
-    if (data_ops_.count(id) > 0) post_data_op(id);
-  }
+  for (auto& [key, rec] : ep.data_ops) post_tracked(ep, rec);
   drain_tx(ep);
   wake_pending_ = true;
   wake_.notify_all();
@@ -1273,31 +1186,22 @@ void Engine::fail_peer_ops(int r) {
   if (eit != endpoints_.end()) {
     Endpoint& ep = eit->second;
     ep.conn_state = ConnState::Failed;
-    // Unacked ring packets: defuse the retry timers and pull the records
-    // out before delivering verdicts (a verdict callback may re-enter the
-    // endpoint). The blame scope classifies callback-mediated fail() calls.
-    std::vector<TxRecord> recs;
-    recs.reserve(ep.unacked.size());
-    for (auto& [idx, rec] : ep.unacked) {
-      ++rec.epoch;
-      forget_wr_ids(rec.wr_ids);
-      recs.push_back(std::move(rec));
-    }
-    ep.unacked.clear();
+    // Tracked WRs: defuse the retry timers and pull the records out before
+    // delivering verdicts (a verdict callback may re-enter the endpoint).
+    // The blame scope classifies callback-mediated fail() calls.
+    std::vector<TrackedWr> recs = quiesce(ep);
+    const auto ops =
+        std::partition_point(recs.begin(), recs.end(),
+                             [](const TrackedWr& rec) { return rec.ring; });
     // Parked delivered records need no verdicts (their completions already
     // fired) and can never be replayed toward a dead peer.
     ep.delivered.clear();
     std::deque<Endpoint::PendingTx> queued;
     queued.swap(ep.pending_tx);
-    ib::Wc err{};
-    err.status = ib::WcStatus::RetryExceeded;
+    const ib::Wc err{.status = ib::WcStatus::RetryExceeded};
     BlameScope blame(*this, MpiErrc::ProcFailed, r);
-    for (auto& rec : recs) {
-      if (rec.on_delivered) {
-        rec.on_delivered(err);
-      } else if (rec.owner && !rec.owner->done()) {
-        fail(rec.owner, "peer rank died", MpiErrc::ProcFailed, r);
-      }
+    for (auto it = recs.begin(); it != ops; ++it) {
+      fail_tracked(*it, err, "peer rank died");
     }
     for (auto& ptx : queued) {
       if (ptx.owner && !ptx.owner->done()) {
@@ -1321,23 +1225,10 @@ void Engine::fail_peer_ops(int r) {
       }
       ch.posted.clear();
     }
-  }
-  // Rendezvous RDMA operations targeting the dead peer.
-  std::vector<std::uint64_t> doomed;
-  for (auto& [id, d] : data_ops_) {
-    if (d.peer == r) doomed.push_back(id);
-  }
-  for (std::uint64_t id : doomed) {
-    auto it = data_ops_.find(id);
-    if (it == data_ops_.end()) continue;
-    ++it->second.epoch;  // defuse data_check timers
-    auto cb = std::move(it->second.on_result);
-    forget_wr_ids(it->second.wr_ids);
-    data_ops_.erase(it);
-    ib::Wc err{};
-    err.status = ib::WcStatus::RetryExceeded;
-    BlameScope blame(*this, MpiErrc::ProcFailed, r);
-    cb(err);
+    // Rendezvous RDMA operations targeting the dead peer.
+    for (auto it = ops; it != recs.end(); ++it) {
+      fail_tracked(*it, err, "peer rank died");
+    }
   }
   // Deferred receives: explicit receives from the dead rank, and wildcard
   // receives on any communicator containing it. The wildcard case is
@@ -1519,9 +1410,8 @@ void Engine::dump_all(std::FILE* out) {
                  e->dead_ ? " (dead)" : "",
                  static_cast<unsigned long long>(e->known_fail_epoch_));
     for (int r : e->known_failed_) std::fprintf(out, " %d", r);
-    std::fprintf(out, " } outstanding=%zu data_ops=%zu pending_recovery=%zu\n",
-                 e->outstanding_.size(), e->data_ops_.size(),
-                 e->pending_recovery_.size());
+    std::fprintf(out, " } outstanding=%zu pending_recovery=%zu\n",
+                 e->outstanding_.size(), e->pending_recovery_.size());
     for (const auto& [p, ep] : e->endpoints_) {
       const char* st = "?";
       switch (ep.conn_state) {
@@ -1532,9 +1422,10 @@ void Engine::dump_all(std::FILE* out) {
         case ConnState::Failed: st = "failed"; break;
       }
       std::fprintf(out,
-                   "  -> peer %d: %s epoch=%u unacked=%zu pending_tx=%zu "
-                   "sent=%llu acked=%llu last_heard=%lld\n",
-                   p, st, ep.epoch, ep.unacked.size(), ep.pending_tx.size(),
+                   "  -> peer %d: %s epoch=%u unacked=%zu data_ops=%zu "
+                   "pending_tx=%zu sent=%llu acked=%llu last_heard=%lld\n",
+                   p, st, ep.epoch, ep.unacked.size(), ep.data_ops.size(),
+                   ep.pending_tx.size(),
                    static_cast<unsigned long long>(ep.sent_packets),
                    static_cast<unsigned long long>(ep.consumed_by_peer),
                    static_cast<long long>(ep.last_heard));
@@ -1979,15 +1870,7 @@ void Engine::fail_schedule(CollSchedule& s, std::string why, MpiErrc errc,
                            int peer) {
   if (s.req->done()) return;
   chk().coll_failed(s.check_id);
-  if (errc == MpiErrc::Other) {
-    errc = blame_errc_;
-    if (peer < 0) peer = blame_peer_;
-  }
-  if (errc != MpiErrc::Other) {
-    why += std::string(" [errc=") + errc_name(errc) +
-           (peer >= 0 ? " peer=" + std::to_string(peer) : std::string()) + "]";
-  }
-  if (errc == MpiErrc::ProcFailed) ++stats_.proc_failed_ops;
+  classify_failure(why, errc, peer);
   // Owned temporaries cannot be freed here — transfers of the cancelled
   // stage may still land in them. Park them with every still-pending
   // request state; reap_condemned() frees the lot once all are terminal
@@ -2063,9 +1946,20 @@ void Engine::fail(const std::shared_ptr<RequestState>& req, std::string why,
     chk().race_end(req->race_id);
     req->race_id = 0;
   }
-  // Callbacks that predate the FT layer call fail() with no taxonomy; an
-  // active blame scope (set around callback invocation by whoever knows the
-  // real cause) supplies it so the classification survives the indirection.
+  classify_failure(why, errc, peer);
+  tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
+           "request error: %s", why.c_str());
+  req->error = std::move(why);
+  req->errc = errc;
+  req->err_peer = peer;
+  req->phase = RequestState::Phase::Error;
+  wake_.notify_all();
+}
+
+void Engine::classify_failure(std::string& why, MpiErrc& errc, int& peer) {
+  // Callbacks that predate the FT layer fail with no taxonomy; an active
+  // blame scope (set around callback invocation by whoever knows the real
+  // cause) supplies it so the classification survives the indirection.
   if (errc == MpiErrc::Other) {
     errc = blame_errc_;
     if (peer < 0) peer = blame_peer_;
@@ -2075,13 +1969,6 @@ void Engine::fail(const std::shared_ptr<RequestState>& req, std::string why,
            (peer >= 0 ? " peer=" + std::to_string(peer) : std::string()) + "]";
   }
   if (errc == MpiErrc::ProcFailed) ++stats_.proc_failed_ops;
-  tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
-           "request error: %s", why.c_str());
-  req->error = std::move(why);
-  req->errc = errc;
-  req->err_peer = peer;
-  req->phase = RequestState::Phase::Error;
-  wake_.notify_all();
 }
 
 Status Engine::wait(Request& req) {

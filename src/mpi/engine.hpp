@@ -176,6 +176,10 @@ class Bootstrap {
 ///  * the MR buffer-cache pool;
 ///  * the offloading send buffer (host shadow staging) for sends crossing
 ///    the threshold when running on a Xeon Phi endpoint.
+///
+/// Under fault injection both work-request kinds that move bytes — eager
+/// ring writes and rendezvous RDMA reads/writes — are tracked by one
+/// record (TrackedWr) through one retry cycle (docs/faults.md).
 class Engine {
  public:
   /// Protocol switches. Every tunable number (eager and offload
@@ -448,17 +452,24 @@ class Engine {
     std::map<std::uint64_t, PacketHeader> arrived_rtr;
   };
 
-  /// Book-keeping for one in-flight ring packet under fault injection. The
-  /// staging slot itself keeps the bytes (it cannot be reused before the
-  /// peer's credit proves consumption), so a retransmit is a bare re-post.
-  struct TxRecord {
-    PacketHeader hdr;
-    std::size_t payload_len = 0;
+  /// One tracked work request under fault injection: a ring packet or a
+  /// rendezvous RDMA read/write. Both are idempotent (same bytes, same
+  /// addresses; a ring packet's staging slot cannot be reused before the
+  /// peer's credit proves consumption), so recovery is a plain re-post of
+  /// `wr` with backoff until the budget runs out.
+  struct TrackedWr {
+    /// Ring packet (keyed by absolute ring index), else a rendezvous data
+    /// op (keyed by the endpoint's data-op post count).
+    bool ring = false;
+    std::uint64_t key = 0;
+    ib::SendWr wr;  ///< template; wr_id/signaled/faultable set per post
     /// Fires once with the final verdict (Success, or RetryExceeded after
     /// the budget). Empty for control packets — their owner is failed
     /// directly on exhaustion.
-    std::function<void(const ib::Wc&)> on_delivered;
+    std::function<void(const ib::Wc&)> on_result;
     std::shared_ptr<RequestState> owner;
+    PacketHeader hdr;             ///< ring packets: the staged header
+    std::size_t payload_len = 0;  ///< ring packets: the staged payload
     /// Every wr_id posted for this record. A dropped CQE never fires its
     /// completion callback, so the ids are garbage-collected when the
     /// record finishes — otherwise outstanding_ never drains.
@@ -467,18 +478,6 @@ class Engine {
     /// Bumped on every (re)post; a pending retry timer whose epoch no
     /// longer matches is stale and must not fire (events can't be
     /// cancelled in the simulator).
-    std::uint64_t epoch = 0;
-  };
-
-  /// A rendezvous RDMA data operation (write after RTR / read after RTS)
-  /// under fault injection. Both are idempotent — same bytes, same
-  /// addresses — so recovery is a plain re-post with backoff.
-  struct DataOp {
-    int peer = -1;
-    ib::SendWr wr;  ///< template; wr_id/signaled/faultable set per post
-    std::function<void(const ib::Wc&)> on_result;
-    std::vector<std::uint64_t> wr_ids;  ///< GC'd at finish, like TxRecord's
-    int attempts = 1;
     std::uint64_t epoch = 0;
   };
 
@@ -497,7 +496,8 @@ class Engine {
     unsigned access = 0;
   };
 
-  /// Per-peer connection: QP, rings, staging, credits, deferred emissions.
+  /// Per-peer connection: QP, rings, staging, credits, deferred emissions
+  /// and, under fault injection, the tracked WRs in flight toward the peer.
   struct Endpoint {
     int peer = -1;
     ib::QueuePair* qp = nullptr;
@@ -545,9 +545,12 @@ class Engine {
     };
     std::deque<PendingTx> pending_tx;
 
-    /// Fault mode only: packets posted but not yet confirmed delivered
-    /// (keyed by absolute ring index = the sent_packets value at emission).
-    std::map<std::uint64_t, TxRecord> unacked;
+    /// Fault mode only: tracked WRs not yet confirmed. Ring packets are
+    /// keyed by absolute ring index (the sent_packets value at emission),
+    /// rendezvous data ops by post order.
+    std::map<std::uint64_t, TrackedWr> unacked;
+    std::map<std::uint64_t, TrackedWr> data_ops;
+    std::uint64_t data_ops_posted = 0;
 
     /// Fault mode only: packets whose CQE succeeded but whose consumption
     /// the peer's credit has not yet proven (the payload still sits in the
@@ -627,31 +630,46 @@ class Engine {
   ib::SendWr ring_write(const Endpoint& ep, int slot, std::size_t len) const;
 
   // --- Fault recovery (see docs/faults.md) -----------------------------------
-  /// (Re)post the staged packet for `idx` as a signaled faultable WR and arm
-  /// its retry timer with the current backoff.
-  void post_tx_record(Endpoint& ep, std::uint64_t idx);
-  /// CQE for a tracked ring packet: success finishes it, an injected error
-  /// schedules a backoff retransmit.
-  void on_tx_wc(int peer, std::uint64_t idx, const ib::Wc& wc);
-  /// Retry timer body: credit-ack if the peer consumed the slot meanwhile,
-  /// otherwise retransmit (after_error skips the credit check — an error
-  /// CQE means nothing was delivered).
-  void tx_check(int peer, std::uint64_t idx, std::uint64_t epoch,
-                bool after_error);
-  /// Deliver the final verdict to the record's callback/owner and drop it.
-  void finish_tx_record(Endpoint& ep, std::uint64_t idx, const ib::Wc& wc);
-  /// Post a rendezvous RDMA data WR; with faults armed it is tracked in
-  /// data_ops_ and re-posted on error/timeout until the budget runs out.
+  /// Post `wr` signaled under a fresh wr_id whose CQE runs `on_wc`; returns
+  /// the wr_id. The only writer of outstanding_ (dcfa_lint signaled-post).
+  std::uint64_t post_signaled(ib::QueuePair* qp, ib::SendWr wr,
+                              std::function<void(const ib::Wc&)> on_wc);
+  /// Post a rendezvous RDMA data WR; with faults armed it is tracked in the
+  /// endpoint's data_ops and re-posted on error/timeout until the budget
+  /// runs out.
   void post_data_wr(Endpoint& ep, ib::SendWr wr,
                     std::function<void(const ib::Wc&)> on_result);
-  void post_data_op(std::uint64_t op);
-  void on_data_wc(std::uint64_t op, const ib::Wc& wc);
-  void data_check(std::uint64_t op, std::uint64_t epoch, bool after_error);
+  /// (Re)post a tracked record as a signaled faultable WR and arm its retry
+  /// timer with the current backoff.
+  void post_tracked(Endpoint& ep, TrackedWr& rec);
+  /// The record of (peer, kind, key), or null once it finished.
+  TrackedWr* find_tracked(int peer, bool ring, std::uint64_t key);
+  /// CQE for a tracked record: success finishes it, an injected error
+  /// schedules a backoff re-post.
+  void on_tracked_wc(int peer, bool ring, std::uint64_t key, const ib::Wc& wc);
+  /// Retry timer body: re-post, or give up once the budget is spent. Before
+  /// that a ring packet is credit-acked if the peer consumed its slot
+  /// meanwhile (after_error skips both checks — an error CQE means nothing
+  /// was delivered and was already judged against the budget).
+  void tracked_check(int peer, bool ring, std::uint64_t key,
+                     std::uint64_t epoch, bool after_error);
+  /// Once `rec` has spent its retry budget, hand the endpoint to a
+  /// reconnect or, failing that, finish `rec` with `wc`. Returns whether
+  /// the budget was spent.
+  bool budget_spent(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc);
+  /// Deliver the final verdict to the record's callback/owner and drop it.
+  void finish_tracked(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc);
+  /// Defuse every tracked record of `ep` (no retry timer or CQE callback of
+  /// theirs fires any more) and hand them back, removed from the endpoint:
+  /// ring packets in index order, then data ops in post order.
+  std::vector<TrackedWr> quiesce(Endpoint& ep);
+  /// Failure verdict for a record pulled out by quiesce: its callback gets
+  /// `err`, else its owner is failed with `why` (the caller's blame scope
+  /// classifies both).
+  void fail_tracked(TrackedWr& rec, const ib::Wc& err, const std::string& why);
   /// Enqueue `fn` to run in the rank's process context after `delay`
   /// (timers fire in engine context where post_send is illegal).
   void schedule_recovery(sim::Time delay, std::function<void()> fn);
-  /// Drop completion callbacks of attempts whose CQE will never arrive.
-  void forget_wr_ids(const std::vector<std::uint64_t>& ids);
 
   // --- Fatal-fault recovery (connection re-establishment) --------------------
   /// React to a death signal on `ep` (QP wedged in the error state, retry
@@ -783,6 +801,10 @@ class Engine {
   /// failure paths like retry exhaustion) supplies the taxonomy instead.
   void fail(const std::shared_ptr<RequestState>& req, std::string why,
             MpiErrc errc = MpiErrc::Other, int peer = -1);
+  /// fail() and fail_schedule()'s shared classification: inherit the
+  /// ambient blame when no taxonomy was given, append " [errc=… peer=…]"
+  /// to `why`, and count PROC_FAILED operations.
+  void classify_failure(std::string& why, MpiErrc& errc, int& peer);
 
   /// Scoped ambient blame (see blame_errc_/blame_peer_ below): opened around
   /// callback chains whose fail() calls cannot name the culprit themselves.
@@ -944,8 +966,6 @@ class Engine {
   int blame_peer_ = -1;
   bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
-  std::map<std::uint64_t, DataOp> data_ops_;
-  std::uint64_t next_data_op_ = 1;
   /// Recovery work handed from timer events to the rank process (drained
   /// at the top of progress()).
   std::deque<std::function<void()>> pending_recovery_;

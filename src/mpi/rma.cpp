@@ -65,21 +65,18 @@ void Engine::rma_write(int peer, const mem::Buffer& local, std::size_t loff,
 
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
-  wr.signaled = true;
-  wr.wr_id = next_wr_id_++;
   wr.sg_list = {{src_addr, static_cast<std::uint32_t>(bytes), lkey}};
   wr.remote_addr = remote_addr;
   wr.rkey = rkey;
-  outstanding_[wr.wr_id] = [this, race, on_done = std::move(on_done)](
-                               const ib::Wc& wc) {
-    if (wc.status != ib::WcStatus::Success) {
-      throw MpiError(std::string("RMA write failed: ") +
-                     ib::wc_status_name(wc.status));
-    }
-    chk().race_end(race);
-    if (on_done) on_done();
-  };
-  ib_->post_send(ep.qp, std::move(wr));
+  post_signaled(ep.qp, std::move(wr),
+                [this, race, on_done = std::move(on_done)](const ib::Wc& wc) {
+                  if (wc.status != ib::WcStatus::Success) {
+                    throw MpiError(std::string("RMA write failed: ") +
+                                   ib::wc_status_name(wc.status));
+                  }
+                  chk().race_end(race);
+                  if (on_done) on_done();
+                });
 }
 
 void Engine::rma_read(int peer, const mem::Buffer& local, std::size_t loff,
@@ -109,22 +106,19 @@ void Engine::rma_read(int peer, const mem::Buffer& local, std::size_t loff,
 
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaRead;
-  wr.signaled = true;
-  wr.wr_id = next_wr_id_++;
   wr.sg_list = {{local.addr() + loff, static_cast<std::uint32_t>(bytes),
                  mr->lkey()}};
   wr.remote_addr = remote_addr;
   wr.rkey = rkey;
-  outstanding_[wr.wr_id] = [this, race, on_done = std::move(on_done)](
-                               const ib::Wc& wc) {
-    if (wc.status != ib::WcStatus::Success) {
-      throw MpiError(std::string("RMA read failed: ") +
-                     ib::wc_status_name(wc.status));
-    }
-    chk().race_end(race);
-    if (on_done) on_done();
-  };
-  ib_->post_send(ep.qp, std::move(wr));
+  post_signaled(ep.qp, std::move(wr),
+                [this, race, on_done = std::move(on_done)](const ib::Wc& wc) {
+                  if (wc.status != ib::WcStatus::Success) {
+                    throw MpiError(std::string("RMA read failed: ") +
+                                   ib::wc_status_name(wc.status));
+                  }
+                  chk().race_end(race);
+                  if (on_done) on_done();
+                });
 }
 
 void Engine::rma_write_prereg(int peer, mem::SimAddr local_addr,
@@ -163,21 +157,18 @@ void Engine::rma_write_prereg(int peer, mem::SimAddr local_addr,
 
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
-  wr.signaled = true;
-  wr.wr_id = next_wr_id_++;
   wr.sg_list = {{local_addr, static_cast<std::uint32_t>(bytes), lkey}};
   wr.remote_addr = remote_addr;
   wr.rkey = rkey;
-  outstanding_[wr.wr_id] = [this, race, on_done = std::move(on_done)](
-                               const ib::Wc& wc) {
-    if (wc.status != ib::WcStatus::Success) {
-      throw MpiError(std::string("channel post failed: ") +
-                     ib::wc_status_name(wc.status));
-    }
-    chk().race_end(race);
-    if (on_done) on_done();
-  };
-  ib_->post_send(ep.qp, std::move(wr));
+  post_signaled(ep.qp, std::move(wr),
+                [this, race, on_done = std::move(on_done)](const ib::Wc& wc) {
+                  if (wc.status != ib::WcStatus::Success) {
+                    throw MpiError(std::string("channel post failed: ") +
+                                   ib::wc_status_name(wc.status));
+                  }
+                  chk().race_end(race);
+                  if (on_done) on_done();
+                });
 }
 
 std::pair<mem::SimAddr, ib::MKey> Engine::rma_stage(const mem::Buffer& local,

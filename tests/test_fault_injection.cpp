@@ -274,24 +274,65 @@ TEST(FaultInjection, SwallowedCmdTimesOutAndRetries) {
 // Budget exhaustion, credit squeeze, pure delays
 // ---------------------------------------------------------------------------
 
-TEST(FaultInjection, RetryBudgetExhaustionRaisesMpiError) {
-  // Every faultable WR errors, forever: the sender burns its whole retry
-  // budget and the operation must surface as a clean MpiError, not a hang.
-  auto cfg = fault_cfg("err_wc=1");
+// Every faultable WR past the spec's err_wc_skip errors, forever: the side that
+// posts the doomed WR burns its whole retry budget and the operation must
+// surface as a clean MpiError blaming the other rank, not a hang.
+struct ExhaustionCase {
+  const char* name;
+  std::size_t bytes;
+  const char* spec;
+  sim::Time recv_delay;
+  int exhausted_rank;
+  std::uint64_t Engine::Stats::*retries;  ///< the kind's retry counter
+};
+
+class RetryExhaustion : public ::testing::TestWithParam<ExhaustionCase> {};
+
+TEST_P(RetryExhaustion, RaisesRetryExhaustedMpiError) {
+  const ExhaustionCase& c = GetParam();
+  auto cfg = fault_cfg(c.spec);
   cfg.platform.mpi_retry_timeout = sim::microseconds(1);
-  EXPECT_THROW(run_mpi(cfg,
-                       [&](RankCtx& ctx) {
-                         auto& comm = ctx.world;
-                         mem::Buffer buf = comm.alloc(kSmall);
-                         if (ctx.rank == 0) {
-                           comm.send(buf, 0, kSmall, type_byte(), 1, 1);
-                         } else {
-                           comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
-                         }
-                         comm.free(buf);
-                       }),
-               MpiError);
+  Engine::Stats exhausted{};
+  try {
+    run_mpi(cfg, [&](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      mem::Buffer buf = comm.alloc(c.bytes);
+      try {
+        if (ctx.rank == 0) {
+          comm.send(buf, 0, c.bytes, type_byte(), 1, 1);
+        } else {
+          ctx.proc.wait(c.recv_delay);
+          comm.recv(buf, 0, c.bytes, type_byte(), 0, 1);
+        }
+      } catch (const MpiError&) {
+        if (ctx.rank == c.exhausted_rank) exhausted = comm.engine().stats();
+        throw;
+      }
+      comm.free(buf);
+    });
+    ADD_FAILURE() << "retry exhaustion raised no MpiError";
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.errc(), MpiErrc::RetryExhausted) << e.what();
+    EXPECT_EQ(e.peer(), 1 - c.exhausted_rank) << e.what();
+  }
+  EXPECT_GE(exhausted.retry_exhausted, 1u);
+  EXPECT_GE(exhausted.*c.retries, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultInjection, RetryExhaustion,
+    ::testing::Values(
+        // The sender's eager ring packet.
+        ExhaustionCase{"RingPacket", kSmall, "err_wc=1", 0, 0,
+                       &Engine::Stats::retransmits},
+        // Candidate #0 is the RTS (delivered); the receiver, posting late,
+        // then RDMA-reads the payload and that rendezvous data op exhausts.
+        ExhaustionCase{"RendezvousRead", kLarge, "err_wc=1,err_wc_skip=1",
+                       sim::milliseconds(1), 1,
+                       &Engine::Stats::data_op_retries}),
+    [](const ::testing::TestParamInfo<ExhaustionCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(FaultInjection, CreditSqueezeStallsBurstButCompletes) {
   // The fault spec caps the eager ring at 2 usable credits: a 32-message

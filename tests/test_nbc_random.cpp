@@ -39,6 +39,7 @@ T combine1(Op op, T a, T b) {
     case Op::Prod: return a * b;
     case Op::Max: return std::max(a, b);
     case Op::Min: return std::min(a, b);
+    case Op::Replace: return b;  // MPI_REPLACE keeps the incoming value
   }
   return a;
 }
