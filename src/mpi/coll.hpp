@@ -113,7 +113,9 @@ struct CollLocal {
 /// in_len elements at in_off from `from`, both split into seg_elems-element
 /// segments. With has_op, incoming segments land in the double-buffered
 /// scratch and are folded into the in-place block while the next segment is
-/// in flight; without it they land directly.
+/// in flight; without it they land directly. A schedule's folding pipes share
+/// one scratch sized to the largest block they fold, capped at two segments
+/// (Communicator::attach_fold_scratch).
 struct CollPipe {
   mem::Buffer buf;
   std::size_t base = 0;
@@ -125,7 +127,7 @@ struct CollPipe {
   std::size_t seg_elems = 0;
   int to = 0, from = 0;  ///< world ranks
   int tag = 0;
-  mem::Buffer scratch;  ///< 2 segments when has_op; unused otherwise
+  mem::Buffer scratch;  ///< has_op: >= min(in_len, 2 segments); else unused
 
   // Runtime state (owned by the engine's executor).
   bool started = false;

@@ -110,7 +110,7 @@ void Communicator::emit_rs_ring(CollSchedule& sched, const mem::Buffer& buf,
                                 std::size_t base, const BlockPart& part,
                                 const Datatype& type, Op op,
                                 std::size_t seg_elems, int final_block,
-                                const mem::Buffer& scratch, int tag) {
+                                int tag) {
   const int P = size();
   const int to = to_world((rank() + 1) % P);
   const int from = to_world((rank() - 1 + P) % P);
@@ -134,7 +134,6 @@ void Communicator::emit_rs_ring(CollSchedule& sched, const mem::Buffer& buf,
     p.to = to;
     p.from = from;
     p.tag = tag;
-    p.scratch = scratch;
     add_stage(sched).pipe = std::move(p);
   }
 }
@@ -163,6 +162,24 @@ void Communicator::emit_ag_ring(CollSchedule& sched, const mem::Buffer& buf,
     p.from = wfrom;
     p.tag = tag;
     add_stage(sched).pipe = std::move(p);
+  }
+}
+
+void Communicator::attach_fold_scratch(CollSchedule& sched) {
+  // pipe_advance lands incoming segment j at (j % 2) * seg_bytes, so a pipe
+  // folding in_len elements touches the first min(in_len, 2 * seg_elems).
+  std::size_t bytes = 0;
+  for (const CollStage& st : sched.stages) {
+    if (!st.pipe || !st.pipe->has_op) continue;
+    const CollPipe& p = *st.pipe;
+    bytes = std::max(bytes,
+                     std::min(p.in_len, 2 * p.seg_elems) * p.type->size());
+  }
+  if (bytes == 0) return;
+  mem::Buffer scratch = alloc(bytes);
+  sched.owned.push_back(scratch);
+  for (CollStage& st : sched.stages) {
+    if (st.pipe && st.pipe->has_op) st.pipe->scratch = scratch;
   }
 }
 
@@ -416,14 +433,12 @@ void Communicator::emit_allreduce_ring(CollSchedule& sched, int tag_base,
   const BlockPart part(count, P);
   const std::size_t seg_elems =
       std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
-  mem::Buffer scratch = alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
-  sched.owned.push_back(scratch);
 
   // Reduce-scatter leaves this rank with block (rank+1) complete — exactly
   // the block the allgather ring starts forwarding.
   const int my_block = (rank() + 1) % P;
   emit_rs_ring(sched, recvbuf, roff, part, type, op, seg_elems, my_block,
-               scratch, tag_base + kPhaseRsRing);
+               tag_base + kPhaseRsRing);
   emit_ag_ring(sched, recvbuf, roff, part, type, seg_elems, my_block,
                (rank() + 1) % P, (rank() - 1 + P) % P,
                tag_base + kPhaseAgRing);
@@ -466,9 +481,6 @@ void Communicator::emit_allreduce_rab(CollSchedule& sched, int tag_base,
     const BlockPart part(count, pof2);
     const std::size_t seg_elems =
         std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
-    mem::Buffer scratch =
-        alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
-    sched.owned.push_back(scratch);
     const auto peer_of = [&](int pn) {
       return pn < rem ? pn * 2 + 1 : pn + rem;
     };
@@ -499,7 +511,6 @@ void Communicator::emit_allreduce_rab(CollSchedule& sched, int tag_base,
       p.to = to_world(peer);
       p.from = to_world(peer);
       p.tag = tag_rd;
-      p.scratch = scratch;
       add_stage(sched).pipe = std::move(p);
       lo = keep_lo;
       hi = keep_hi;
@@ -615,6 +626,7 @@ Request Communicator::iallreduce(const mem::Buffer& sendbuf, std::size_t soff,
       sched->algo_counter = &st.coll_allreduce_binomial;
       break;
   }
+  attach_fold_scratch(*sched);
   sched->label = "allreduce.%s %zuB";
   sched->label_algo = coll_algo_name(algo);
   sched->label_bytes = bytes;
@@ -661,17 +673,16 @@ Request Communicator::ireduce_scatter_block(const mem::Buffer& sendbuf,
       std::max<std::size_t>(1, engine_.platform().coll_segment_bytes / es);
   mem::Buffer work = alloc(count * es);
   std::memcpy(work.data(), sendbuf.data() + soff, count * es);
-  mem::Buffer scratch = alloc(std::max<std::size_t>(2 * seg_elems * es, 1));
 
   auto sched = std::make_shared<CollSchedule>();
   sched->comm_id = id_;
   sched->bytes = block_bytes;
   sched->owned.push_back(work);
-  sched->owned.push_back(scratch);
   const int tag_base = next_coll_tag_base();
   sched->tag_base = tag_base;
-  emit_rs_ring(*sched, work, 0, part, type, op, seg_elems, rank(), scratch,
+  emit_rs_ring(*sched, work, 0, part, type, op, seg_elems, rank(),
                tag_base + kPhaseRsRing);
+  attach_fold_scratch(*sched);
   add_stage(*sched).locals.push_back(
       {CollLocal::Kind::Copy, recvbuf, roff, work, part.off[rank()] * es,
        block_bytes, nullptr, Op::Sum});

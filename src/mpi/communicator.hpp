@@ -271,7 +271,11 @@ class Communicator {
   void emit_rs_ring(CollSchedule& sched, const mem::Buffer& buf,
                     std::size_t base, const BlockPart& part,
                     const Datatype& type, Op op, std::size_t seg_elems,
-                    int final_block, const mem::Buffer& scratch, int tag);
+                    int final_block, int tag);
+  /// Give every folding (has_op) pipe of the emitted schedule one shared,
+  /// schedule-owned scratch sized to the largest block they fold, capped at
+  /// two segments. No-op when the schedule has no folding pipe.
+  void attach_fold_scratch(CollSchedule& sched);
   /// Ring allgather over `part`: this rank starts owning `my_block` and,
   /// after P-1 pipelined stages through neighbours `to`/`from` (comm
   /// ranks), holds every block. Block ids live in communicator rank space

@@ -703,6 +703,7 @@ std::uint64_t Engine::post_signaled(ib::QueuePair* qp, ib::SendWr wr,
 }
 
 void Engine::post_data_wr(Endpoint& ep, ib::SendWr wr,
+                          std::shared_ptr<RequestState> owner,
                           std::function<void(const ib::Wc&)> on_result) {
   if (!faults_armed_) {
     post_signaled(ep.qp, std::move(wr), std::move(on_result));
@@ -713,6 +714,7 @@ void Engine::post_data_wr(Endpoint& ep, ib::SendWr wr,
   rec.key = key;
   rec.wr = std::move(wr);
   rec.on_result = std::move(on_result);
+  rec.owner = std::move(owner);
   post_tracked(ep, rec);
 }
 
@@ -724,6 +726,10 @@ void Engine::post_tracked(Endpoint& ep, TrackedWr& rec) {
   const std::uint64_t epoch = rec.epoch;
   ib::SendWr wr = rec.wr;
   wr.faultable = true;
+  // A landed data op needs no more bytes moved, only proof that no earlier
+  // attempt is still moving them: a zero-length WR completes after all of
+  // them (posting order) at no DMA cost.
+  if (rec.landed) wr.sg_list.clear();
   rec.wr_ids.push_back(post_signaled(
       ep.qp, std::move(wr), [this, peer, ring, key](const ib::Wc& wc) {
         on_tracked_wc(peer, ring, key, wc);
@@ -750,6 +756,24 @@ void Engine::on_tracked_wc(int peer, bool ring, std::uint64_t key,
   TrackedWr* rec = find_tracked(peer, ring, key);
   if (rec == nullptr) return;  // already credit-acknowledged or quiesced
   Endpoint& ep = endpoints_.at(peer);
+  if (!ring) {
+    // A data op re-posted on timeout may have been slow rather than lost,
+    // so an earlier attempt can land while a later one is still queued
+    // behind it. Handing the target on then would let that later attempt
+    // overwrite it after the owner reused it (a pipe's scratch half, a user
+    // buffer). So an earlier attempt's success only marks the op landed
+    // (later re-posts are zero-length probes), and the latest attempt's CQE
+    // finishes it with success: one QP completes its WRs in posting order,
+    // so by then every attempt has landed or failed.
+    if (wc.wr_id != rec->wr_ids.back()) {
+      if (wc.status == ib::WcStatus::Success) rec->landed = true;
+      return;
+    }
+    if (rec->landed) {
+      finish_tracked(ep, *rec, ib::Wc{});
+      return;
+    }
+  }
   if (wc.status == ib::WcStatus::Success) {
     // A delivered ring packet is not yet provably consumed: park the header
     // so a later reconnect (which rebuilds the peer's ring) can replay it.
@@ -782,6 +806,7 @@ void Engine::tracked_check(int peer, bool ring, std::uint64_t key,
   TrackedWr* rec = find_tracked(peer, ring, key);
   if (rec == nullptr || rec->epoch != epoch) return;
   Endpoint& ep = endpoints_.at(peer);
+  if (!ring && settle_orphan(ep, *rec)) return;
   if (!after_error) {
     // A ring packet's CQE may have been lost while the data landed: the
     // peer's credit counter is the implicit acknowledgement.
@@ -794,6 +819,11 @@ void Engine::tracked_check(int peer, bool ring, std::uint64_t key,
       }
     }
     ++stats_.wc_timeouts;
+    if (rec->landed && rec->attempts >= 1 + platform_.mpi_max_retries) {
+      // Every probe's CQE was lost, but the bytes are in place.
+      finish_tracked(ep, *rec, ib::Wc{});
+      return;
+    }
     if (budget_spent(ep, *rec, {.status = ib::WcStatus::RetryExceeded})) {
       return;
     }
@@ -819,10 +849,15 @@ bool Engine::budget_spent(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc) {
   return true;
 }
 
-void Engine::finish_tracked(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc) {
+Engine::TrackedWr Engine::take_tracked(Endpoint& ep, TrackedWr& rec) {
   TrackedWr done = std::move(rec);
   (done.ring ? ep.unacked : ep.data_ops).erase(done.key);
   for (std::uint64_t id : done.wr_ids) outstanding_.erase(id);
+  return done;
+}
+
+void Engine::finish_tracked(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc) {
+  TrackedWr done = take_tracked(ep, rec);
   if (wc.status != ib::WcStatus::Success) {
     ++stats_.retry_exhausted;
     if (done.ring) {
@@ -865,6 +900,16 @@ void Engine::fail_tracked(TrackedWr& rec, const ib::Wc& err,
   } else if (rec.owner && !rec.owner->done()) {
     fail(rec.owner, why);
   }
+}
+
+bool Engine::settle_orphan(Endpoint& ep, TrackedWr& rec) {
+  if (!rec.owner || !rec.owner->done()) return false;
+  TrackedWr done = take_tracked(ep, rec);
+  // The callback's failure path only unhooks the channel entry: fail() on
+  // the terminal owner is a no-op.
+  fail_tracked(done, {.status = ib::WcStatus::WrFlushError},
+               "owner already terminal");
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,8 +1113,12 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
                 std::move(r.rec.on_result), std::move(r.rec.owner));
   }
   // Rendezvous RDMA ops are idempotent (same bytes, same addresses, and the
-  // user-buffer MRs survived the reconnect): a plain re-post suffices.
-  for (auto& [key, rec] : ep.data_ops) post_tracked(ep, rec);
+  // user-buffer MRs survived the reconnect): a plain re-post suffices, for
+  // every op whose owner is still waiting on it.
+  for (auto it = ep.data_ops.begin(); it != ep.data_ops.end();) {
+    TrackedWr& rec = (it++)->second;
+    if (!settle_orphan(ep, rec)) post_tracked(ep, rec);
+  }
   drain_tx(ep);
   wake_pending_ = true;
   wake_.notify_all();

@@ -467,6 +467,8 @@ class Engine {
     /// the budget). Empty for control packets — their owner is failed
     /// directly on exhaustion.
     std::function<void(const ib::Wc&)> on_result;
+    /// The request the record serves. A data op whose owner has already
+    /// turned terminal is settled instead of re-posted (settle_orphan).
     std::shared_ptr<RequestState> owner;
     PacketHeader hdr;             ///< ring packets: the staged header
     std::size_t payload_len = 0;  ///< ring packets: the staged payload
@@ -475,6 +477,10 @@ class Engine {
     /// record finishes — otherwise outstanding_ never drains.
     std::vector<std::uint64_t> wr_ids;
     int attempts = 1;
+    /// Data ops: an attempt before the latest one completed successfully.
+    /// The bytes are in place; re-posts become zero-length probes and the
+    /// latest CQE finishes the op with success.
+    bool landed = false;
     /// Bumped on every (re)post; a pending retry timer whose epoch no
     /// longer matches is stale and must not fire (events can't be
     /// cancelled in the simulator).
@@ -634,10 +640,11 @@ class Engine {
   /// the wr_id. The only writer of outstanding_ (dcfa_lint signaled-post).
   std::uint64_t post_signaled(ib::QueuePair* qp, ib::SendWr wr,
                               std::function<void(const ib::Wc&)> on_wc);
-  /// Post a rendezvous RDMA data WR; with faults armed it is tracked in the
-  /// endpoint's data_ops and re-posted on error/timeout until the budget
-  /// runs out.
+  /// Post a rendezvous RDMA data WR for `owner`; with faults armed it is
+  /// tracked in the endpoint's data_ops and re-posted on error/timeout until
+  /// the budget runs out.
   void post_data_wr(Endpoint& ep, ib::SendWr wr,
+                    std::shared_ptr<RequestState> owner,
                     std::function<void(const ib::Wc&)> on_result);
   /// (Re)post a tracked record as a signaled faultable WR and arm its retry
   /// timer with the current backoff.
@@ -645,9 +652,11 @@ class Engine {
   /// The record of (peer, kind, key), or null once it finished.
   TrackedWr* find_tracked(int peer, bool ring, std::uint64_t key);
   /// CQE for a tracked record: success finishes it, an injected error
-  /// schedules a backoff re-post.
+  /// schedules a backoff re-post. A data op is decided by its latest
+  /// attempt's CQE; an earlier attempt's success only marks it landed.
   void on_tracked_wc(int peer, bool ring, std::uint64_t key, const ib::Wc& wc);
-  /// Retry timer body: re-post, or give up once the budget is spent. Before
+  /// Retry timer body: re-post, or give up once the budget is spent (a
+  /// landed data op then finishes with success). Before
   /// that a ring packet is credit-acked if the peer consumed its slot
   /// meanwhile (after_error skips both checks — an error CQE means nothing
   /// was delivered and was already judged against the budget).
@@ -657,6 +666,9 @@ class Engine {
   /// reconnect or, failing that, finish `rec` with `wc`. Returns whether
   /// the budget was spent.
   bool budget_spent(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc);
+  /// Remove `rec` from its endpoint store and unhook its CQE callbacks;
+  /// returns the record.
+  TrackedWr take_tracked(Endpoint& ep, TrackedWr& rec);
   /// Deliver the final verdict to the record's callback/owner and drop it.
   void finish_tracked(Endpoint& ep, TrackedWr& rec, const ib::Wc& wc);
   /// Defuse every tracked record of `ep` (no retry timer or CQE callback of
@@ -667,6 +679,13 @@ class Engine {
   /// `err`, else its owner is failed with `why` (the caller's blame scope
   /// classifies both).
   void fail_tracked(TrackedWr& rec, const ib::Wc& err, const std::string& why);
+  /// A data op whose owner turned terminal while the op waited for a
+  /// re-post (a revoke or a peer death failed it elsewhere) may target
+  /// memory freed since: a schedule temporary reaped by reap_condemned, or
+  /// a user buffer the failed request handed back. Remove it from `ep` and
+  /// deliver a flush verdict instead of re-posting. Returns whether `rec`
+  /// was settled.
+  bool settle_orphan(Endpoint& ep, TrackedWr& rec);
   /// Enqueue `fn` to run in the rank's process context after `delay`
   /// (timers fire in engine context where post_send is illegal).
   void schedule_recovery(sim::Time delay, std::function<void()> fn);

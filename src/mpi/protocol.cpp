@@ -494,7 +494,7 @@ void Engine::rdma_write_to(Endpoint& ep,
   wr.sg_list = {{e.addr, static_cast<std::uint32_t>(req->bytes), e.lkey}};
   wr.remote_addr = rtr.buf_addr;
   wr.rkey = rtr.rkey;
-  post_data_wr(ep, std::move(wr), [this, &ep, req](const ib::Wc& wc) {
+  post_data_wr(ep, std::move(wr), req, [this, &ep, req](const ib::Wc& wc) {
     Channel& c = channel(ep, req->comm_id, req->tag);
     c.sends.erase(req->seq);
     if (wc.status != ib::WcStatus::Success) {
@@ -623,7 +623,8 @@ void Engine::start_rdma_read(Endpoint& ep,
   wr.remote_addr = rts.buf_addr;
   wr.rkey = rts.rkey;
   const PacketHeader rts_copy = rts;
-  post_data_wr(ep, std::move(wr), [this, &ep, req, rts_copy](const ib::Wc& wc) {
+  post_data_wr(ep, std::move(wr), req,
+               [this, &ep, req, rts_copy](const ib::Wc& wc) {
     Channel& c = channel(ep, rts_copy.comm_id, rts_copy.tag);
     c.posted.erase(req->seq);
     if (wc.status != ib::WcStatus::Success) {
@@ -727,6 +728,13 @@ void Engine::handle_eager(Endpoint& ep, Channel& ch, const PacketHeader& hdr,
 void Engine::handle_rts(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
   auto it = ch.posted.find(hdr.seq);
   if (it != ch.posted.end()) {
+    if (it->second->phase == RequestState::Phase::ReadingData) {
+      // A reconnect replayed the RTS whose RDMA read is already in flight
+      // (the receive stays posted until that read completes): admitting it
+      // again would start a second read and a second DONE.
+      ++stats_.dup_packets_dropped;
+      return;
+    }
     if (it->second->phase != RequestState::Phase::RtrSent) {
       chk().packet_accepted(rank_, hdr.src_rank, hdr.comm_id, hdr.tag,
                             hdr.seq);

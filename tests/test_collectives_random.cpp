@@ -438,6 +438,116 @@ TEST(CollectiveBoundaries, SegmentCountEdge) {
 }
 
 // ---------------------------------------------------------------------------
+// Fold scratch sizing: each schedule's scratch covers the largest block its
+// folding steps receive (one segment, or two once a block spans more). The
+// counts put blocks empty, just under, at and just over one and two
+// segments. A scratch one element short is caught when the receive into it
+// is posted ("irecv: window escapes buffer").
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kScratchSeg = 256;  // bytes: 32 doubles per segment
+
+/// Element counts around P, seg_elems and 2 * seg_elems * P.
+std::vector<std::size_t> scratch_edge_counts(int P) {
+  const std::size_t seg = kScratchSeg / sizeof(double);
+  const std::size_t p = static_cast<std::size_t>(P);
+  return {1,           p - 1,           p,           p + 1,
+          seg - 1,     seg,             seg + 1,     seg * p,
+          seg * p + 1, 2 * seg * p - 1, 2 * seg * p, 2 * seg * p + 1};
+}
+
+RunConfig scratch_cfg(MpiMode mode, int P) {
+  RunConfig cfg;
+  cfg.mode = mode;
+  cfg.nprocs = P;
+  cfg.platform.coll_segment_bytes = kScratchSeg;
+  return cfg;
+}
+
+struct ScratchCase {
+  MpiMode mode;
+  int nprocs;
+};
+
+std::string scratch_case_name(
+    const ::testing::TestParamInfo<ScratchCase>& info) {
+  return std::string(info.param.mode == MpiMode::DcfaPhi ? "Phi" : "Host") +
+         std::to_string(info.param.nprocs);
+}
+
+}  // namespace
+
+class FoldScratchEdges : public ::testing::TestWithParam<ScratchCase> {};
+
+TEST_P(FoldScratchEdges, AllreduceRingAndRabenseifner) {
+  const auto [mode, P] = GetParam();
+  std::mt19937_64 rng(kSeed + 5);
+  const std::vector<std::size_t> counts = scratch_edge_counts(P);
+  std::vector<std::vector<std::vector<double>>> inputs;
+  for (std::size_t n : counts) inputs.push_back(draw_inputs<double>(rng, P, n));
+  for (CollAlgo algo : {CollAlgo::Ring, CollAlgo::Rabenseifner}) {
+    RunConfig cfg = scratch_cfg(mode, P);
+    cfg.engine_options.allreduce_algo = algo;
+    run_mpi(cfg, [&](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        const std::size_t n = counts[i];
+        mem::Buffer ib = comm.alloc(n * sizeof(double));
+        mem::Buffer ob = comm.alloc(n * sizeof(double));
+        put_vec(ib, inputs[i][comm.rank()]);
+        comm.allreduce(ib, 0, ob, 0, n, type_double(), Op::Sum);
+        EXPECT_EQ(get_vec<double>(ob, n), reference_reduce(inputs[i], Op::Sum))
+            << coll_algo_name(algo) << " P=" << P << " count=" << n
+            << " rank=" << comm.rank();
+        comm.free(ib);
+        comm.free(ob);
+      }
+    });
+  }
+}
+
+TEST_P(FoldScratchEdges, ReduceScatterBlock) {
+  const auto [mode, P] = GetParam();
+  std::mt19937_64 rng(kSeed + 6);
+  const std::size_t seg = kScratchSeg / sizeof(double);
+  const std::vector<std::size_t> recvcounts = {1,       seg - 1, seg,
+                                               seg + 1, 2 * seg, 2 * seg + 1};
+  std::vector<std::vector<std::vector<double>>> inputs;
+  for (std::size_t n : recvcounts) {
+    inputs.push_back(draw_inputs<double>(rng, P, n * P));
+  }
+  run_mpi(scratch_cfg(mode, P), [&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    for (std::size_t i = 0; i < recvcounts.size(); ++i) {
+      const std::size_t n = recvcounts[i];
+      mem::Buffer ib = comm.alloc(n * P * sizeof(double));
+      mem::Buffer ob = comm.alloc(n * sizeof(double));
+      put_vec(ib, inputs[i][comm.rank()]);
+      comm.reduce_scatter_block(ib, 0, ob, 0, n, type_double(), Op::Sum);
+      const auto expect = reference_reduce(inputs[i], Op::Sum);
+      const std::vector<double> want(expect.begin() + comm.rank() * n,
+                                     expect.begin() + (comm.rank() + 1) * n);
+      EXPECT_EQ(get_vec<double>(ob, n), want)
+          << "P=" << P << " recvcount=" << n << " rank=" << comm.rank();
+      comm.free(ib);
+      comm.free(ob);
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndSizes, FoldScratchEdges,
+    ::testing::Values(ScratchCase{MpiMode::HostMpi, 3},
+                      ScratchCase{MpiMode::HostMpi, 5},
+                      ScratchCase{MpiMode::HostMpi, 16},
+                      ScratchCase{MpiMode::DcfaPhi, 3},
+                      ScratchCase{MpiMode::DcfaPhi, 5},
+                      ScratchCase{MpiMode::DcfaPhi, 16}),
+    scratch_case_name);
+
+// ---------------------------------------------------------------------------
 // Rejections: forced algorithms a collective cannot run, zero segment size
 // ---------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@
 
 #include "ib/hca.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/traffic.hpp"
 #include "sim/fault.hpp"
 
 using namespace dcfa;
@@ -364,6 +365,131 @@ TEST(FatalFaults, AnySourceRendezvousSurvivesReconnect) {
   }
   // At least one sweep point actually hit the exchange and reconnected.
   EXPECT_GE(total_reconnects, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// A reconnect replays every RTS the sender cannot prove consumed. When the
+// receiver already consumed it and its RDMA read is still in flight (the
+// receive stays posted in ReadingData until the read lands), the replay is
+// a duplicate: admitting it again would start a second read and a second
+// DONE, which DcfaCheck reports as "accept seq N admitted twice". The wedge
+// sweep lands the fatal on every faultable WR of three Sender-First
+// rounds; several points hit that window.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, ReplayedRtsDuringReadIsDroppedNotReadmitted) {
+  constexpr std::size_t kRndvBytes = 32 * 1024;  // > eager_threshold
+  constexpr int kRounds = 3;
+  std::uint64_t total_dups = 0;
+  for (std::uint64_t skip = 0; skip <= 24; ++skip) {
+    SCOPED_TRACE("qp_fatal_skip=" + std::to_string(skip));
+    Runtime rt(fatal_cfg("qp_fatal=1,qp_fatal_max=1,qp_fatal_skip=" +
+                         std::to_string(skip)));
+    rt.run([&](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      mem::Buffer small = comm.alloc(kEagerBytes);
+      mem::Buffer big = comm.alloc(kRndvBytes);
+      for (int round = 0; round < kRounds; ++round) {
+        const auto fill = static_cast<std::byte>(0x30 + round);
+        if (ctx.rank == 0) {
+          comm.send(small, 0, kEagerBytes, type_byte(), 1, 7);
+          std::memset(big.data(), static_cast<int>(fill), kRndvBytes);
+          comm.send(big, 0, kRndvBytes, type_byte(), 1, 9);
+          comm.recv(small, 0, kEagerBytes, type_byte(), 1, 11);
+        } else {
+          // Posted before the RTS can arrive: Sender-First, read in place.
+          Request rndv = comm.irecv(big, 0, kRndvBytes, type_byte(), 0, 9);
+          comm.recv(small, 0, kEagerBytes, type_byte(), 0, 7);
+          const Status st = comm.wait(rndv);
+          EXPECT_EQ(st.bytes, kRndvBytes);
+          EXPECT_EQ(big.data()[0], fill);
+          EXPECT_EQ(big.data()[kRndvBytes - 1], fill);
+          comm.send(small, 0, kEagerBytes, type_byte(), 0, 11);
+        }
+      }
+      comm.free(small);
+      comm.free(big);
+    });
+    const auto& s0 = rt.rank_stats()[0];
+    const auto& s1 = rt.rank_stats()[1];
+    EXPECT_EQ(s0.retry_exhausted + s1.retry_exhausted, 0u);
+    EXPECT_GE(s0.reconnects + s1.reconnects, 1u);
+    total_dups += s1.dup_packets_dropped;
+  }
+  // Some sweep point replayed a packet the receiver had already admitted.
+  EXPECT_GE(total_dups, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The delegate crash of faulty_soak's fault spec, moved from endpoint wiring
+// (about 1,800-2,000 delegated CMDs on this cluster) into the traffic. On a
+// 16-rank, one-rank-per-node DcfaPhi cluster running a mixed p2p and
+// iallreduce load, the outage stalls registrations long enough for peers
+// to reconnect mid-rendezvous. Every sweep point must either deliver every
+// payload exactly once (run_scenario checks each one and the per-phase
+// send/receive counts must match) or stop with a named MpiError; a checker
+// violation fails the test. Which points reach a given recovery window
+// shifts with any timing change; ReplayedRtsDuringReadIsDroppedNotReadmitted
+// pins the replayed-RTS window deterministically.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, DelegateCrashInTrafficEndsCleanOrNamed) {
+  namespace tg = traffic;
+  tg::Scenario sc;
+  sc.name = "crash_sweep";
+  sc.nprocs = 16;
+  sc.seed = 4;
+  sc.fault_seed = 31677;
+  const std::string soak =
+      tg::make_scenario("faulty_soak", sc.nprocs, sc.seed, false).fault_spec;
+  const std::string wiring_skip = "delegate_crash_skip=25,";
+  const std::size_t at = soak.find(wiring_skip);
+  ASSERT_NE(at, std::string::npos) << soak;
+  constexpr int kSteps = 12;
+  sc.phases.push_back({.name = "p2p",
+                       .kind = tg::PhaseKind::P2P,
+                       .sizes = tg::SizeDist::lognormal(4096, 1.5, 16, 1 << 20),
+                       .rounds = kSteps,
+                       .msgs_per_rank = 2});
+  sc.phases.push_back({.name = "churn",
+                       .kind = tg::PhaseKind::P2P,
+                       .sizes = tg::SizeDist::uniform(8 << 10, 64 << 10),
+                       .rounds = kSteps});
+  sc.phases.push_back(
+      {.name = "iallreduce",
+       .kind = tg::PhaseKind::Allreduce,
+       .sizes = tg::SizeDist::lognormal(16 << 10, 1.2, 1 << 10, 256 << 10),
+       .rounds = kSteps,
+       .burst = 3});
+  RunConfig cfg;
+  cfg.mode = MpiMode::DcfaPhi;
+  cfg.platform.nodes = sc.nprocs;
+  const std::uint64_t reference = tg::schedule_digest(tg::build_schedule(sc));
+
+  std::uint64_t reconnects = 0;
+  for (int skip : {1900, 2100, 2200, 2300, 2400, 2500, 2600, 3000}) {
+    SCOPED_TRACE("delegate_crash_skip=" + std::to_string(skip));
+    tg::Scenario run = sc;
+    run.fault_spec = soak;
+    run.fault_spec.replace(at, wiring_skip.size(),
+                           "delegate_crash_skip=" + std::to_string(skip) + ",");
+    try {
+      const tg::ScenarioResult res = tg::run_scenario(run, cfg);
+      EXPECT_EQ(res.injected.delegate_crashes, 1u);
+      EXPECT_EQ(res.digest, reference);
+      for (const tg::PhaseMetrics& m : res.phases) {
+        EXPECT_EQ(m.msgs_sent, m.msgs_recv) << m.phase;
+        EXPECT_EQ(m.bytes_sent, m.bytes_recv) << m.phase;
+      }
+      reconnects += res.totals.reconnects;
+    } catch (const MpiError& e) {
+      // A named failure (retry or reconnect budget spent) is an accepted
+      // outcome; it must carry its classification.
+      EXPECT_NE(e.errc(), MpiErrc::Other) << e.what();
+    }
+  }
+  // The crash did land where endpoints were carrying traffic.
+  EXPECT_GE(reconnects, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -213,6 +213,113 @@ TEST(FaultInjection, SenderFirstSurvivesErroredRdmaRead) {
   EXPECT_EQ(s.receiver.retry_exhausted, 0u);
 }
 
+TEST(FaultInjection, RetryOfFailedReceiveNeverTouchesItsFreedBuffer) {
+  // #1 is again the receiver's RDMA read. While it waits out its retry
+  // backoff, the receiver revokes the communicator: the receive fails, so
+  // MPI hands the buffer back and the rank frees it, which deregisters its
+  // MR. The retry timer must then settle the read, not re-post it with the
+  // dead lkey (DcfaCheck mr-use-after-dereg).
+  RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1,err_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::microseconds(400);
+  Runtime rt(cfg);
+  MpiErrc errc[2] = {MpiErrc::Other, MpiErrc::Other};
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(kLarge);
+    const auto poll_for = [&](double seconds) {
+      const double until = ctx.wtime() + seconds;
+      while (ctx.wtime() < until) comm.iprobe(kAnySource, 99);
+    };
+    if (ctx.rank == 0) {
+      try {
+        comm.send(buf, 0, kLarge, type_byte(), 1, 1);
+      } catch (const MpiError& e) {
+        errc[0] = e.errc();
+      }
+    } else {
+      ctx.proc.wait(sim::milliseconds(1));
+      Request r = comm.irecv(buf, 0, kLarge, type_byte(), 0, 1);
+      poll_for(100e-6);  // the read errors and starts its backoff
+      comm.revoke();
+      try {
+        comm.wait(r);
+      } catch (const MpiError& e) {
+        errc[1] = e.errc();
+      }
+      comm.free(buf);
+      poll_for(1e-3);  // past the retry timer
+      return;
+    }
+    comm.free(buf);
+  });
+  EXPECT_EQ(rt.faults()->counters().wc_errored, 1u);
+  EXPECT_EQ(errc[0], MpiErrc::Revoked);
+  EXPECT_EQ(errc[1], MpiErrc::Revoked);
+  // The settled read was never re-posted.
+  EXPECT_EQ(rt.rank_stats()[1].data_op_retries, 0u);
+}
+
+TEST(FaultInjection, SlowDataOpRetryNeverOverwritesACompletedReceive) {
+  // A retry timeout far below the read's transfer time re-posts the RDMA
+  // read while its first attempt is still moving bytes. Meanwhile the next
+  // message (eager, already stashed) waits for the same buffer. If the first
+  // attempt's CQE completed the receive, the later attempts would land on
+  // top of that message after it was delivered. The spec only arms
+  // tracking: its skip is never reached.
+  for (const int timeout_us : {5, 10, 20, 40}) {
+    SCOPED_TRACE("mpi_retry_timeout_us=" + std::to_string(timeout_us));
+    RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1000000");
+    cfg.platform.mpi_retry_timeout = sim::microseconds(timeout_us);
+    Runtime rt(cfg);
+    rt.run([&](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      mem::Buffer big = comm.alloc(kLarge);
+      mem::Buffer small = comm.alloc(kSmall);
+      if (ctx.rank == 0) {
+        std::memset(big.data(), 0xAA, kLarge);
+        std::memset(small.data(), 0xBB, kSmall);
+        Request r[2] = {comm.isend(big, 0, kLarge, type_byte(), 1, 1),
+                        comm.isend(small, 0, kSmall, type_byte(), 1, 2)};
+        comm.waitall(r);
+      } else {
+        ctx.proc.wait(sim::microseconds(100));  // RTS and eager both land
+        comm.recv(big, 0, kLarge, type_byte(), 0, 1);
+        comm.recv(big, 0, kSmall, type_byte(), 0, 2);
+        ctx.proc.wait(sim::milliseconds(1));
+        comm.iprobe(0, 99);
+        std::size_t stale = 0;
+        for (std::size_t i = 0; i < kSmall; ++i) {
+          stale += big.data()[i] != std::byte{0xBB};
+        }
+        EXPECT_EQ(stale, 0u);
+      }
+      comm.barrier();
+      comm.free(big);
+      comm.free(small);
+    });
+    EXPECT_GE(rt.rank_stats()[1].data_op_retries, 1u);
+  }
+}
+
+TEST(FaultInjection, ReadSlowerThanTheRetryScheduleStillCompletes) {
+  // An 8 MiB rendezvous read (offloaded, so read from host memory) takes
+  // 1.4 ms per attempt. At the default retry timeout its timer re-posts it
+  // several times while the first attempt is still moving bytes, and the
+  // duplicates queue behind it, so the last one lands after the budget's
+  // final timeout. Once an earlier attempt lands, the op must finish on the
+  // latest CQE (its re-posts are then zero-length probes), not spend its
+  // budget on a transfer that succeeded. The spec only arms tracking: its
+  // skip is never reached. Registering such a buffer through the delegate
+  // outlasts the default CMD reply timeout, which is not under test here:
+  // it is raised.
+  RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1000000");
+  cfg.platform.dcfa_cmd_timeout = sim::milliseconds(10);
+  auto s = one_faulty_message(std::size_t{8} << 20, 0, sim::milliseconds(1),
+                              cfg);
+  EXPECT_GE(s.receiver.data_op_retries, 1u);
+  EXPECT_EQ(s.receiver.retry_exhausted, 0u);
+}
+
 TEST(FaultInjection, SenderFirstSurvivesErroredDone) {
   // Candidates: #0 RTS, #1 RDMA read, #2 the receiver's DONE control
   // packet. Losing the DONE leaves the sender waiting; the receiver's

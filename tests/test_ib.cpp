@@ -73,10 +73,11 @@ TEST(Hca, RegMrValidatesBacking) {
   EXPECT_NE(mr->lkey(), mr->rkey());
   EXPECT_TRUE(mr->covers(b.addr() + 100, 100));
   EXPECT_FALSE(mr->covers(b.addr() + 4000, 200));
-  EXPECT_THROW(c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, b.addr() + 1,
-                             4096, 0),
+  EXPECT_THROW([[maybe_unused]] MemoryRegion* unbacked = c.hca0.reg_mr(
+                   c.e0.pd, mem::Domain::HostDram, b.addr() + 1, 4096, 0),
                mem::BadAddress);
-  EXPECT_THROW(c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, b.addr(), 0, 0),
+  EXPECT_THROW([[maybe_unused]] MemoryRegion* empty = c.hca0.reg_mr(
+                   c.e0.pd, mem::Domain::HostDram, b.addr(), 0, 0),
                std::invalid_argument);
   const std::uint32_t lkey = mr->lkey();
   EXPECT_EQ(c.hca0.mr_by_lkey(lkey), mr);
