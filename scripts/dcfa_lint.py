@@ -47,7 +47,7 @@ see (docs/checking.md has the rationale and the paper references):
                   neither orders nor replays. (The test deadline watchdog
                   in tests/ is the one OS thread the repo runs.)
   endpoint-mr     in src/mpi/, endpoint memory (the ring, staging, credit
-                  and heartbeat regions of mpi::Engine::Endpoint) is
+                  and probe-cell regions of mpi::Engine::Endpoint) is
                   registered and deregistered only inside the lifecycle
                   helpers Engine::reg_endpoint / Engine::dereg_endpoint.
                   Setup, the reconnect rebuild and finalize all go through
@@ -145,7 +145,7 @@ WIRE_TYPE_OK = re.compile(
 # registered-MR target anywhere in src/mpi.
 MEMCPY_BANNED_FILES = ["src/mpi/engine.cpp"]
 MEMCPY_MR_DESTS = re.compile(
-    r"memcpy\s*\(\s*(?:ep\.)?(?:ring|staging|credit_src|credit_cell|hb_src|hb_cell)\b"
+    r"memcpy\s*\(\s*(?:ep\.)?(?:ring|staging|credit_src|credit_cell|pulse_cell)\b"
 )
 
 UNCHECKED_CALL = re.compile(
@@ -184,8 +184,8 @@ OS_THREAD = re.compile(r"\bstd::(?:thread|condition_variable(?:_any)?)\b")
 # Region member, or a per-region MR pointer field named after one).
 ENDPOINT_MR_HELPERS = ("reg_endpoint", "dereg_endpoint")
 ENDPOINT_REGION = re.compile(
-    r"(?:\.|->)(?:ring|staging|credit_cell|credit_src|hb_cell|hb_src|"
-    r"ring_mr|staging_mr|credit_mr|credit_src_mr|hb_cell_mr|hb_src_mr)\b"
+    r"(?:\.|->)(?:ring|staging|credit_cell|credit_src|pulse_cell|"
+    r"ring_mr|staging_mr|credit_mr|credit_src_mr|pulse_cell_mr)\b"
 )
 MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
 

@@ -28,6 +28,7 @@ SUITES = {
     "nbc": r"^(test_collectives|test_nbc_random|test_collective_storm)$",
     "rma": r"^(test_window|test_rma_random|test_persistent)$",
     "traffic": r"^(test_traffic_gen)$",
+    "faults": r"^(test_fatal_faults|test_rank_failure|test_traffic_soak)$",
 }
 
 TOKEN_RE = re.compile(r"\[schedule=(x1:[0-9a-f]+)\]")

@@ -2,6 +2,38 @@
 
 namespace dcfa::core {
 
+sim::Time cmd_service_time(const sim::Platform& p, CmdOp op, CmdSize size) {
+  const sim::Time base = p.host_reg_mr_base;  // syscall-order cost
+  const sim::Time pin = p.host_reg_mr_per_page *
+                        static_cast<sim::Time>(
+                            (size.reg_bytes + mem::AddressSpace::kPage - 1) /
+                            mem::AddressSpace::kPage);
+  switch (op) {
+    case CmdOp::RegMr:
+      return base + pin;
+    case CmdOp::DeregMr:
+    case CmdOp::DestroyQp:
+    case CmdOp::DeregOffloadMr:
+      return base / 2;
+    case CmdOp::RegOffloadMr:
+      // Allocation of the shadow buffer plus registration.
+      return base + sim::microseconds(5) + pin;
+    case CmdOp::ReduceShadow:
+      // Both operands stream through the host core.
+      return sim::microseconds(2) +
+             sim::transfer_time(2 * size.work_bytes, p.host_reduce_gbps);
+    case CmdOp::PackShadow:
+      return base + sim::microseconds(5) + pin +
+             sim::transfer_time(size.work_bytes, p.host_pack_gbps);
+    case CmdOp::AllocPd:
+    case CmdOp::CreateCq:
+    case CmdOp::CreateQp:
+    case CmdOp::ConnectQp:
+      break;
+  }
+  return base;
+}
+
 HostDelegate::HostDelegate(scif::Channel& channel, ib::Hca& hca,
                            mem::NodeMemory& memory)
     : channel_(channel),
@@ -129,7 +161,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
         Handle h = next_handle_++;
         objects_[h] = pd;
         payload.put(h).put(reinterpret_cast<std::uintptr_t>(pd));
-        reply(hdr.req_id, CmdStatus::Ok, std::move(payload), base);
+        reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::RegMr: {
@@ -155,11 +188,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
             .put(mr_p->lkey())
             .put(mr_p->rkey())
             .put(reinterpret_cast<std::uintptr_t>(mr_p));
-        const std::size_t pages =
-            (len + mem::AddressSpace::kPage - 1) / mem::AddressSpace::kPage;
         reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
-              base + platform_.host_reg_mr_per_page *
-                         static_cast<sim::Time>(pages));
+              cmd_service_time(platform_, hdr.op, {.reg_bytes = len}));
         return;
       }
       case CmdOp::DeregMr: {
@@ -171,7 +201,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
         }
         hca_.dereg_mr(mr_p);
         objects_.erase(h);
-        reply(hdr.req_id, CmdStatus::Ok, {}, base / 2);
+        reply(hdr.req_id, CmdStatus::Ok, {},
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::CreateCq: {
@@ -180,7 +211,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
         Handle h = next_handle_++;
         objects_[h] = cq_p;
         payload.put(h).put(reinterpret_cast<std::uintptr_t>(cq_p));
-        reply(hdr.req_id, CmdStatus::Ok, std::move(payload), base);
+        reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::CreateQp: {
@@ -201,7 +233,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
             .put(qp_p->qpn())
             .put(hca_.lid())
             .put(reinterpret_cast<std::uintptr_t>(qp_p));
-        reply(hdr.req_id, CmdStatus::Ok, std::move(payload), base);
+        reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::ConnectQp: {
@@ -214,7 +247,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
           return;
         }
         hca_.connect(qp_p, lid, qpn);
-        reply(hdr.req_id, CmdStatus::Ok, {}, base);
+        reply(hdr.req_id, CmdStatus::Ok, {},
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::DestroyQp: {
@@ -226,7 +260,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
         }
         hca_.destroy_qp(qp_p);
         objects_.erase(qp_h);
-        reply(hdr.req_id, CmdStatus::Ok, {}, base / 2);
+        reply(hdr.req_id, CmdStatus::Ok, {},
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
       case CmdOp::RegOffloadMr: {
@@ -251,13 +286,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
                            entry.mr->rkey()};
         objects_[h] = std::move(entry);
         payload.put(info);
-        const std::size_t pages =
-            (size + mem::AddressSpace::kPage - 1) / mem::AddressSpace::kPage;
-        // Allocation of the shadow buffer plus registration.
         reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
-              base + sim::microseconds(5) +
-                  platform_.host_reg_mr_per_page *
-                      static_cast<sim::Time>(pages));
+              cmd_service_time(platform_, hdr.op, {.reg_bytes = size}));
         return;
       }
       case CmdOp::ReduceShadow: {
@@ -277,9 +307,7 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
             memory_.space(mem::Domain::HostDram).resolve(addr_b, bytes);
         apply_reduce(kind, fn, a, b, count);
         reply(hdr.req_id, CmdStatus::Ok, {},
-              sim::microseconds(2) +
-                  sim::transfer_time(2 * bytes,
-                                     platform_.host_reduce_gbps));
+              cmd_service_time(platform_, hdr.op, {.work_bytes = bytes}));
         return;
       }
       case CmdOp::PackShadow: {
@@ -317,15 +345,10 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
                            entry.mr->lkey(), entry.mr->rkey()};
         objects_[h] = std::move(entry);
         payload.put(info);
-        const std::size_t pages =
-            (packed_bytes + mem::AddressSpace::kPage - 1) /
-            mem::AddressSpace::kPage;
         reply(hdr.req_id, CmdStatus::Ok, std::move(payload),
-              base + sim::microseconds(5) +
-                  platform_.host_reg_mr_per_page *
-                      static_cast<sim::Time>(pages) +
-                  sim::transfer_time(count * extent,
-                                     platform_.host_pack_gbps));
+              cmd_service_time(platform_, hdr.op,
+                               {.reg_bytes = packed_bytes,
+                                .work_bytes = count * extent}));
         return;
       }
       case CmdOp::DeregOffloadMr: {
@@ -340,7 +363,8 @@ void HostDelegate::handle(std::vector<std::byte> msg) {
         hca_.dereg_mr(entry.mr);
         memory_.space(mem::Domain::HostDram).free(entry.shadow);
         objects_.erase(it);
-        reply(hdr.req_id, CmdStatus::Ok, {}, base / 2);
+        reply(hdr.req_id, CmdStatus::Ok, {},
+              cmd_service_time(platform_, hdr.op, {}));
         return;
       }
     }

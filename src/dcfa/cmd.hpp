@@ -74,6 +74,21 @@ inline sim::FaultInjector::CmdOpClass cmd_op_class(CmdOp op) {
   return sim::FaultInjector::CmdOpClass::Other;
 }
 
+/// The sizes a CMD's host service time grows with.
+struct CmdSize {
+  /// Bytes the delegate registers: RegMr's length, RegOffloadMr's shadow,
+  /// PackShadow's packed buffer.
+  std::uint64_t reg_bytes = 0;
+  /// Bytes the host CPU streams: ReduceShadow's operand length, PackShadow's
+  /// source span.
+  std::uint64_t work_bytes = 0;
+};
+
+/// Host service time the delegate charges a successful CMD before it
+/// replies. The delegate charges it and the Phi client's reply timeout grows
+/// with it, so both read this one formula.
+sim::Time cmd_service_time(const sim::Platform& p, CmdOp op, CmdSize size);
+
 struct CmdHeader {
   CmdOp op;
   std::uint64_t req_id;

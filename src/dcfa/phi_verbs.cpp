@@ -39,9 +39,9 @@ void PhiVerbs::charge_proxy_verb(sim::Time host_cost) {
   proc_.wait(2 * platform_.scif_msg_latency + host_cost);
 }
 
-bool PhiVerbs::recv_reply(std::uint64_t req_id) {
+bool PhiVerbs::recv_reply(std::uint64_t req_id, sim::Time timeout) {
   sim::Engine& eng = channel_.engine();
-  const sim::Time deadline = eng.now() + platform_.dcfa_cmd_timeout;
+  const sim::Time deadline = eng.now() + timeout;
   auto& cond = channel_.arrival(scif::Channel::Side::Phi);
   // The process API has no timed wait; one engine event at the deadline
   // wakes the wait_on loop so it can observe the timeout.
@@ -70,7 +70,8 @@ bool PhiVerbs::recv_reply(std::uint64_t req_id) {
 }
 
 scif::Reader PhiVerbs::cmd_call(
-    CmdOp op, const std::function<void(scif::Writer&)>& params) {
+    CmdOp op, const std::function<void(scif::Writer&)>& params,
+    CmdSize size) {
   if (proxy_fallback_) {
     // The delegate is gone for good; don't burn the reply-timeout budget
     // against it. Offload verbs have no proxy equivalent — callers fall
@@ -82,6 +83,12 @@ scif::Reader PhiVerbs::cmd_call(
   sim::FaultInjector* fi = faults();
   const bool armed = fi && fi->armed();
   const int attempts_allowed = 1 + (armed ? platform_.dcfa_cmd_max_retries : 0);
+  // dcfa_cmd_timeout covers a CMD's fixed cost and the round trip; the wait
+  // grows by the part of the delegate's service time that scales with the
+  // request (pages pinned, bytes reduced or packed).
+  const sim::Time timeout = platform_.dcfa_cmd_timeout +
+                            cmd_service_time(platform_, op, size) -
+                            cmd_service_time(platform_, op, {});
 
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
     if (attempt > 0) {
@@ -101,7 +108,7 @@ scif::Reader PhiVerbs::cmd_call(
     channel_.send(proc_, scif::Channel::Side::Phi, w.bytes());
 
     if (armed) {
-      if (!recv_reply(req_id)) {
+      if (!recv_reply(req_id, timeout)) {
         ++cmd_timeouts_;
         channel_.engine().telemetry().log(
             sim::Verbosity::Trace, {sim::Track::Cmd, memory_.node()},
@@ -173,12 +180,15 @@ ib::MemoryRegion* PhiVerbs::reg_mr(ib::ProtectionDomain* pd,
     return mr;
   }
   try {
-    auto r = cmd_call(CmdOp::RegMr, [&](scif::Writer& w) {
-      w.put(pd_h)
-          .put(buf.addr())
-          .put(static_cast<std::uint64_t>(buf.size()))
-          .put(static_cast<std::uint32_t>(access));
-    });
+    auto r = cmd_call(
+        CmdOp::RegMr,
+        [&](scif::Writer& w) {
+          w.put(pd_h)
+              .put(buf.addr())
+              .put(static_cast<std::uint64_t>(buf.size()))
+              .put(static_cast<std::uint32_t>(access));
+        },
+        {.reg_bytes = buf.size()});
     const auto handle = r.get<Handle>();
     (void)r.get<ib::MKey>();  // lkey (embedded in the returned object)
     (void)r.get<ib::MKey>();  // rkey
@@ -363,9 +373,12 @@ OffloadRegion PhiVerbs::reg_offload_mr(ib::ProtectionDomain* pd,
     }
     pd_h = it->second;
   }
-  auto r = cmd_call(CmdOp::RegOffloadMr, [&](scif::Writer& w) {
-    w.put(pd_h).put(static_cast<std::uint64_t>(size));
-  });
+  auto r = cmd_call(
+      CmdOp::RegOffloadMr,
+      [&](scif::Writer& w) {
+        w.put(pd_h).put(static_cast<std::uint64_t>(size));
+      },
+      {.reg_bytes = size});
   const auto info = r.get<OffloadMrInfo>();
   return OffloadRegion{info.handle, info.host_addr, info.size, info.lkey,
                        info.rkey};
@@ -396,9 +409,13 @@ sim::Time PhiVerbs::sync_offload_mr_async(const OffloadRegion& region,
 
 void PhiVerbs::reduce_shadow(mem::SimAddr a, mem::SimAddr b,
                              std::size_t count, ElemKind kind, ReduceFn fn) {
-  cmd_call(CmdOp::ReduceShadow, [&](scif::Writer& w) {
-    w.put(a).put(b).put(static_cast<std::uint64_t>(count)).put(kind).put(fn);
-  });
+  cmd_call(
+      CmdOp::ReduceShadow,
+      [&](scif::Writer& w) {
+        w.put(a).put(b).put(static_cast<std::uint64_t>(count));
+        w.put(kind).put(fn);
+      },
+      {.work_bytes = count * elem_size(kind)});
 }
 
 OffloadRegion PhiVerbs::pack_shadow(ib::ProtectionDomain* pd,
@@ -414,15 +431,18 @@ OffloadRegion PhiVerbs::pack_shadow(ib::ProtectionDomain* pd,
     }
     pd_h = it->second;
   }
-  auto r = cmd_call(CmdOp::PackShadow, [&](scif::Writer& w) {
-    w.put(pd_h)
-        .put(src_addr)
-        .put(static_cast<std::uint64_t>(count))
-        .put(static_cast<std::uint64_t>(extent))
-        .put(static_cast<std::uint64_t>(packed_bytes))
-        .put(static_cast<std::uint64_t>(blocks.size()));
-    for (const PackBlock& b : blocks) w.put(b);
-  });
+  auto r = cmd_call(
+      CmdOp::PackShadow,
+      [&](scif::Writer& w) {
+        w.put(pd_h)
+            .put(src_addr)
+            .put(static_cast<std::uint64_t>(count))
+            .put(static_cast<std::uint64_t>(extent))
+            .put(static_cast<std::uint64_t>(packed_bytes))
+            .put(static_cast<std::uint64_t>(blocks.size()));
+        for (const PackBlock& b : blocks) w.put(b);
+      },
+      {.reg_bytes = packed_bytes, .work_bytes = count * extent});
   const auto info = r.get<OffloadMrInfo>();
   return OffloadRegion{info.handle, info.host_addr, info.size, info.lkey,
                        info.rkey};

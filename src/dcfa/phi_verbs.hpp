@@ -125,13 +125,16 @@ class PhiVerbs : public verbs::Ib {
   /// back, host service time. Returns a reader over the reply payload
   /// (header already consumed and checked). When faults are armed, adds a
   /// reply timeout with bounded-backoff resend; exhaustion throws CmdError.
-  scif::Reader cmd_call(CmdOp op, const std::function<void(scif::Writer&)>&
-                            params = {});
+  /// `size` names what the request's host service time grows with; the
+  /// reply timeout grows by that size-dependent part (cmd_service_time).
+  scif::Reader cmd_call(CmdOp op,
+                        const std::function<void(scif::Writer&)>& params = {},
+                        CmdSize size = {});
 
   /// Fault-armed reply wait: blocks until the reply for `req_id` arrives or
-  /// the CMD timeout elapses (returns false). Stale replies of earlier
-  /// timed-out attempts are discarded.
-  bool recv_reply(std::uint64_t req_id);
+  /// `timeout` elapses (returns false). Stale replies of earlier timed-out
+  /// attempts are discarded.
+  bool recv_reply(std::uint64_t req_id, sim::Time timeout);
 
   /// Cost of one resource verb served by the host proxy daemon (fallback
   /// mode): SCIF round trip + the host-side verb cost.

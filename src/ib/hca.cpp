@@ -163,6 +163,29 @@ Hca::DmaCost Hca::sge_cost(const std::vector<Sge>& sges,
   return {static_cast<double>(bytes) / (total_ns > 0 ? total_ns : 1), latency};
 }
 
+sim::Time Hca::stream_time(const QueuePair* qp, const SendWr& wr) {
+  const std::size_t bytes = total_length(wr.sg_list);
+  if (bytes == 0) return 0;
+  const bool read = wr.opcode == Opcode::RdmaRead;
+  double gbps = platform_.ib_wire_gbps;
+  // The local side gathers (send, write) or scatters (read) the SGEs.
+  for (const Sge& s : wr.sg_list) {
+    MemoryRegion* mr = s.length > 0 ? mr_by_lkey(s.lkey) : nullptr;
+    if (mr == nullptr) continue;
+    const mem::Domain d = mr->domain();
+    gbps = std::min(gbps, read ? write_cost(d).gbps : read_cost(d).gbps);
+  }
+  if (wr.opcode != Opcode::Send) {
+    Hca& remote = fabric_.hca_by_lid(qp->remote_lid());
+    if (MemoryRegion* rmr = remote.mr_by_rkey(wr.rkey)) {
+      const mem::Domain d = rmr->domain();
+      gbps = std::min(
+          gbps, read ? remote.read_cost(d).gbps : remote.write_cost(d).gbps);
+    }
+  }
+  return sim::transfer_time(bytes, gbps);
+}
+
 std::size_t Hca::total_length(const std::vector<Sge>& sges) {
   std::size_t n = 0;
   for (const Sge& s : sges) n += s.length;

@@ -169,6 +169,13 @@ class Hca {
   void post_send(QueuePair* qp, SendWr wr);
   void post_recv(QueuePair* qp, RecvWr wr);
 
+  /// Uncontended time to stream `wr`'s bytes over `qp`'s path: the bytes at
+  /// the slowest of the local SGEs' DMA rates, the wire and (for RDMA) the
+  /// remote MR's DMA rate, from the same cost model post_send charges. No
+  /// latency, no queueing: what a poster can add to a completion timeout.
+  /// Keys that resolve to no MR contribute no term.
+  sim::Time stream_time(const QueuePair* qp, const SendWr& wr);
+
   /// Look up an MR by its local key / remote key.
   MemoryRegion* mr_by_lkey(MKey lkey);
   MemoryRegion* mr_by_rkey(MKey rkey);

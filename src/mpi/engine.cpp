@@ -76,6 +76,14 @@ std::uint32_t Bootstrap::reconnect_requested(int from, int to) const {
   return it == reconnect_board_.end() ? 0 : it->second;
 }
 
+void Bootstrap::abandon_pair(int from, int to) {
+  if (abandoned_.insert({from, to}).second) notify();
+}
+
+bool Bootstrap::pair_abandoned(int from, int to) const {
+  return abandoned_.count({from, to}) != 0;
+}
+
 void Bootstrap::set_watch(int rank, std::function<void()> fn) {
   if (fn) {
     watches_[rank] = std::move(fn);
@@ -283,6 +291,16 @@ void Engine::setup() {
         *phi_, *pd_, platform_.mr_cache_entries);
   }
 
+  if (fatal_armed_) {
+    // The liveness pulse: one remote-readable region per rank, published
+    // with every endpoint's half. The counter starts at 1 so a landed
+    // probe never reads as the cleared cell.
+    pulse_ = Region{ib_->alloc_buffer(2 * sizeof(std::uint64_t), 64),
+                    nullptr, ib::kRemoteRead};
+    pulse_.mr = ib_->reg_mr(pd_, pulse_.buf, pulse_.access);
+    wire::put(pulse_.buf, 0, std::uint64_t{1});
+  }
+
   if (lazy_) {
     // First-touch wiring: no endpoints yet — endpoint() establishes pairs
     // on demand and progress() answers peers' connect requests. The watch
@@ -332,7 +350,7 @@ void Engine::setup() {
 void Engine::die() {
   if (dead_) return;
   dead_ = true;
-  hb_stop_ = true;  // beacons stop; survivors' liveness timers take it from here
+  hb_stop_ = true;  // the pulse freezes; survivors' probes take it from here
   const sim::Time now = ib_->process().now();
   faults_->note_rank_kill();
   tel_.event(sim::Verbosity::Info, {sim::Track::Faults, rank_}, "rank-killed",
@@ -402,6 +420,7 @@ void Engine::finalize() {
     t->counter(track, "reconnects", at, double(stats_.reconnects));
     t->counter(track, "proxy_failovers", at, double(stats_.proxy_failovers));
     t->counter(track, "epoch_fenced", at, double(stats_.epoch_fenced));
+    t->counter(track, "liveness_probes", at, double(stats_.liveness_probes));
   }
 
   if (mr_cache_) mr_cache_->clear();
@@ -411,6 +430,10 @@ void Engine::finalize() {
     for (Region* r : ep.regions()) {
       if (r->buf.valid()) ib_->free_buffer(r->buf);
     }
+  }
+  if (pulse_.mr) {
+    ib_->dereg_mr(pulse_.mr);
+    ib_->free_buffer(pulse_.buf);
   }
   finalized_ = true;
 }
@@ -429,13 +452,9 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
   ep.credit_cell = region(sizeof(std::uint64_t), 64, kRemote);
   ep.credit_src = region(sizeof(std::uint64_t), 64, ib::kLocalWrite);
   if (fatal_armed_) {
-    // Peer-liveness heartbeat cells; beacons are non-faultable, like
-    // credit updates. Only fatal specs pay for these so non-fatal runs
-    // keep their exact event schedule. Two words per beacon: the liveness
-    // counter and the sender's known-failure epoch (failure dissemination
-    // rides the heartbeat as well as the packet headers).
-    ep.hb_cell = region(2 * sizeof(std::uint64_t), 64, kRemote);
-    ep.hb_src = region(2 * sizeof(std::uint64_t), 64, ib::kLocalWrite);
+    // Where probes of the peer's two-word pulse land. Only fatal specs pay
+    // for it, so non-fatal runs keep their exact event schedule.
+    ep.pulse_cell = region(2 * sizeof(std::uint64_t), 64, ib::kLocalWrite);
   }
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
@@ -470,8 +489,8 @@ Bootstrap::PeerInfo Engine::peer_info(const Endpoint& ep) const {
           ep.ring.mr->rkey(),
           ep.credit_cell.buf.addr(),
           ep.credit_cell.mr->rkey(),
-          ep.hb_cell.buf.addr(),
-          ep.hb_cell.mr ? ep.hb_cell.mr->rkey() : ib::MKey{0}};
+          pulse_.buf.addr(),
+          pulse_.mr ? pulse_.mr->rkey() : ib::MKey{0}};
 }
 
 void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
@@ -480,8 +499,8 @@ void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
   ep.remote_ring_rkey = info.ring_rkey;
   ep.remote_credit = info.credit_addr;
   ep.remote_credit_rkey = info.credit_rkey;
-  ep.remote_hb = info.hb_addr;
-  ep.remote_hb_rkey = info.hb_rkey;
+  ep.remote_pulse = info.hb_addr;
+  ep.remote_pulse_rkey = info.hb_rkey;
   ep.last_heard = ib_->process().now();
 }
 
@@ -730,16 +749,19 @@ void Engine::post_tracked(Endpoint& ep, TrackedWr& rec) {
   // attempt is still moving them: a zero-length WR completes after all of
   // them (posting order) at no DMA cost.
   if (rec.landed) wr.sg_list.clear();
+  // Bounded exponential backoff: the per-attempt timeout doubles. A data
+  // op's deadline also covers streaming its un-landed bytes over its own
+  // path (the HCA's cost model for its local and remote MRs), so a
+  // transfer slower than the timeout is not re-posted while it streams.
+  sim::Time deadline = platform_.mpi_retry_timeout << (rec.attempts - 1);
+  if (!ring) deadline += ib_->hca_ref().stream_time(ep.qp, wr);
   rec.wr_ids.push_back(post_signaled(
       ep.qp, std::move(wr), [this, peer, ring, key](const ib::Wc& wc) {
         on_tracked_wc(peer, ring, key, wc);
       }));
-  // Bounded exponential backoff: the per-attempt timeout doubles.
-  schedule_recovery(platform_.mpi_retry_timeout << (rec.attempts - 1),
-                    [this, peer, ring, key, epoch] {
-                      tracked_check(peer, ring, key, epoch,
-                                    /*after_error=*/false);
-                    });
+  schedule_recovery(deadline, [this, peer, ring, key, epoch] {
+    tracked_check(peer, ring, key, epoch, /*after_error=*/false);
+  });
 }
 
 Engine::TrackedWr* Engine::find_tracked(int peer, bool ring,
@@ -934,9 +956,15 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
   if (ep.reconnects >= platform_.mpi_max_reconnects) {
     // Unbounded error storms must still terminate: past the cumulative
     // budget the endpoint fails for good and operations raise MpiError.
-    ep.conn_state = ConnState::Failed;
     tel_.log(sim::Verbosity::Error, {sim::Track::Rank, rank_},
              "endpoint %d: reconnect budget exhausted (%s)", ep.peer, why);
+    ep.conn_state = ConnState::Failed;
+    // A QP wedged in the error state cannot carry the pair any further:
+    // give the pair up on both sides. A working QP (the budget went on
+    // liveness suspicions) keeps carrying traffic; only recovery stops.
+    if (ep.qp->state() == ib::QpState::Error) {
+      abandon_endpoint(ep, "connection abandoned: reconnect budget exhausted");
+    }
     return false;
   }
   ep.conn_state = ConnState::Suspect;
@@ -957,6 +985,13 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
 void Engine::service_reconnect_requests(int except_peer) {
   for (auto& [p, ep] : endpoints_) {
     if (p == except_peer) continue;
+    if (!ep.abandoned && ep.conn_state != ConnState::Reconnecting &&
+        bootstrap_.pair_abandoned(p, rank_)) {
+      ep.abandoned = true;
+      fail_endpoint(ep, MpiErrc::RetryExhausted,
+                    "peer abandoned the connection");
+      continue;
+    }
     const std::uint32_t e = bootstrap_.reconnect_requested(p, rank_);
     if (e > ep.epoch && ep.conn_state != ConnState::Reconnecting) {
       perform_reconnect(ep, e);
@@ -968,8 +1003,8 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   if (ep.epoch >= target_epoch || ep.conn_state == ConnState::Reconnecting) {
     return;  // a concurrent signal already got here
   }
-  if (kill_armed_ && ep.conn_state == ConnState::Failed) {
-    return;  // terminal under kills
+  if (ep.abandoned || (kill_armed_ && ep.conn_state == ConnState::Failed)) {
+    return;  // terminal: the pair was given up, or failed under kills
   }
   if (bootstrap_.is_dead(ep.peer)) {
     declare_failed(ep.peer, "reconnect target is dead");
@@ -1025,13 +1060,15 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   std::sort(replay.begin(), replay.end(), [](const Replay& a, const Replay& b) {
     return a.rec.key < b.rec.key;
   });
-  // Giving up: the endpoint turns Failed and every quiesced packet and
-  // data op fails (the caller's blame scope, if any, classifies them).
-  const auto abandon = [&](const char* why) {
-    ep.conn_state = ConnState::Failed;
+  // Giving up: the pair is abandoned (the peer learns it from the board),
+  // and every quiesced packet, parked data op and posted operation on the
+  // endpoint fails with taxonomy `errc`.
+  const auto abandon = [&](MpiErrc errc, const char* why) {
+    mark_abandoned(ep);
     const ib::Wc err{.status = ib::WcStatus::RetryExceeded};
+    BlameScope blame(*this, errc, ep.peer);
     for (auto& r : replay) fail_tracked(r.rec, err, why);
-    for (TrackedWr& rec : quiesce(ep)) fail_tracked(rec, err, why);
+    fail_endpoint(ep, errc, why);
   };
 
   // --- Tear down and rebuild: destroy the (possibly error-wedged) QP and
@@ -1050,14 +1087,14 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     dereg_endpoint(ep);
     std::memset(ep.ring.buf.data(), 0, ep.ring.buf.size());
     std::memset(ep.credit_cell.buf.data(), 0, ep.credit_cell.buf.size());
-    std::memset(ep.hb_cell.buf.data(), 0, ep.hb_cell.buf.size());
+    std::memset(ep.pulse_cell.buf.data(), 0, ep.pulse_cell.buf.size());
     reg_endpoint(ep);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
   } catch (const core::CmdError&) {
     // Only reachable when proxy failover was not eligible; the endpoint is
-    // unrecoverable — fail every parked operation cleanly.
-    abandon("connection re-establishment failed (delegate dead)");
-    wake_.notify_all();
+    // unrecoverable — fail every parked and posted operation cleanly.
+    abandon(MpiErrc::Other,
+            "connection re-establishment failed (delegate dead)");
     return;
   }
 
@@ -1067,8 +1104,10 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.consumed_by_peer = 0;
   ep.my_consumed = 0;
   ep.my_consumed_reported = 0;
-  ep.hb_seq = 0;
-  ep.hb_seen = 0;
+  // The rebuilt cell lost any probe in flight; the next one sets a fresh
+  // baseline.
+  ep.probe_out = false;
+  ep.pulse_seen = 0;
 
   bootstrap_.put_epoch(rank_, ep.peer, target_epoch, peer_info(ep));
   bootstrap_.request_reconnect(rank_, ep.peer, target_epoch);
@@ -1081,13 +1120,17 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     check_alive();  // our own kill fate can fire while blocked here
     if (bootstrap_.is_dead(ep.peer)) {
       // The peer died mid-handshake: its epoch publication will never come.
-      // The in-flight state was already quiesced into `replay`/`ops`, out
-      // of fail_peer_ops' reach — fail it here, then put the death on the
-      // board so the rest of this rank's dependent state gets purged too.
-      BlameScope blame(*this, MpiErrc::ProcFailed, ep.peer);
-      abandon("peer died during connection re-establishment");
+      // The replay set was already quiesced out of fail_peer_ops' reach —
+      // fail it here, then put the death on the board so the rest of this
+      // rank's dependent state gets purged too.
+      abandon(MpiErrc::ProcFailed,
+              "peer died during connection re-establishment");
       declare_failed(ep.peer, "peer died during reconnect handshake");
-      wake_.notify_all();
+      return;
+    }
+    if (bootstrap_.pair_abandoned(ep.peer, rank_)) {
+      // The peer gave up on the pair: its publication will never come.
+      abandon(MpiErrc::RetryExhausted, "peer abandoned the connection");
       return;
     }
     pi = bootstrap_.try_get(ep.peer, rank_, target_epoch);
@@ -1139,56 +1182,86 @@ void Engine::schedule_heartbeat() {
 void Engine::heartbeat_tick() {
   if (hb_stop_ || finalized_) return;
   const sim::Time now = ib_->process().now();
+  // Prove this rank alive: plain stores into the pulse, no post, no time.
+  wire::put(pulse_.buf, 0, wire::get<std::uint64_t>(pulse_.buf, 0) + 1);
+  wire::put(pulse_.buf, sizeof(std::uint64_t), known_fail_epoch_);
   for (auto& [p, ep] : endpoints_) {
     if (ep.conn_state == ConnState::Reconnecting ||
         ep.conn_state == ConnState::Failed) {
       continue;
     }
-    // Adopt the peer's beacon — and, under rank kills, the failure-epoch
-    // word riding in the beacon's second half (heartbeat-borne failure
-    // dissemination for ranks with no packet traffic to piggyback on).
-    const std::uint64_t v = wire::get<std::uint64_t>(ep.hb_cell.buf, 0);
-    if (v != ep.hb_seen) {
-      ep.hb_seen = v;
-      ep.last_heard = now;
+    if (ep.probe_out) {
+      const std::uint64_t v = wire::get<std::uint64_t>(ep.pulse_cell.buf, 0);
+      if (v != 0) {
+        // The probe landed. A pulse that moved since the last reading
+        // proves the peer ticked after that read. A first reading only
+        // starts the clock: before it this rank holds no evidence either
+        // way. The second word carries the peer's known-failure epoch
+        // (dissemination to ranks with no packet traffic to piggyback on).
+        ep.probe_out = false;
+        if (v != ep.pulse_seen) {
+          ep.last_heard = std::max(ep.last_heard, ep.probe_at);
+        }
+        ep.pulse_seen = v;
+        const std::uint64_t fe = wire::get<std::uint64_t>(
+            ep.pulse_cell.buf, sizeof(std::uint64_t));
+        if (fe > known_fail_epoch_) adopt_failures();
+        if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
+      }
     }
-    const std::uint64_t fe =
-        wire::get<std::uint64_t>(ep.hb_cell.buf, sizeof(std::uint64_t));
-    if (fe > known_fail_epoch_) adopt_failures();
-    if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
-    // Write mine: non-faultable and unsignaled, like a credit update.
-    ++ep.hb_seq;
-    wire::put(ep.hb_src.buf, 0, ep.hb_seq);
-    wire::put(ep.hb_src.buf, sizeof(std::uint64_t), known_fail_epoch_);
-    ib::SendWr wr;
-    wr.opcode = ib::Opcode::RdmaWrite;
-    wr.signaled = false;
-    wr.sg_list = {{ep.hb_src.buf.addr(),
-                   static_cast<std::uint32_t>(2 * sizeof ep.hb_seq),
-                   ep.hb_src.mr->lkey()}};
-    wr.remote_addr = ep.remote_hb;
-    wr.rkey = ep.remote_hb_rkey;
-    ib_->post_send(ep.qp, std::move(wr));
-    // Liveness: a peer can only be declared dead when traffic depends on it
-    // — an idle endpoint has nothing to recover, and a spurious reconnect
-    // at the tail of a run would wait on a peer that already finalized.
-    // Under rank kills the dependency test also covers the receive side
-    // (posted receives, wildcard receives, in-flight schedules): a dead
-    // *sender* leaves nothing in unacked/pending_tx, yet blocked receivers
-    // still need the timeout to fire. The grace term suppresses false
-    // positives when injected compute stragglers legitimately stall whole
-    // ranks near the timeout (see set_liveness_grace).
-    bool pending = !ep.unacked.empty() || !ep.pending_tx.empty();
-    if (kill_armed_ && !pending) pending = expecting_from(ep);
-    if (pending &&
-        now - ep.last_heard > platform_.mpi_liveness_timeout + liveness_grace_) {
-      // Stamped at the tick's start: posting beacons can advance the clock.
+    // Watched: traffic depends on the peer. An idle endpoint has nothing to
+    // recover, and a spurious reconnect at the tail of a run would wait on
+    // a peer that already finalized. Under rank kills the dependency test
+    // also covers the receive side (posted receives, wildcard receives,
+    // in-flight schedules): a dead *sender* leaves nothing in
+    // unacked/pending_tx, yet blocked receivers still need the timeout.
+    bool watched = !ep.unacked.empty() || !ep.pending_tx.empty();
+    if (kill_armed_ && !watched) watched = expecting_from(ep);
+    if (!watched) {
+      ep.watched = false;
+      continue;
+    }
+    if (!ep.watched) {
+      // The liveness clock starts with the watch: nobody probed an idle
+      // peer, so neither its old silence nor an old baseline counts.
+      ep.watched = true;
+      ep.last_heard = std::max(ep.last_heard, now);
+      ep.pulse_seen = 0;
+    }
+    // Judge only on fresh evidence: the last probe landed and was posted
+    // less than two periods ago. A rank that was stalled itself probes
+    // first, since its peers may have ticked all through its stall. The
+    // grace term suppresses false positives when injected compute
+    // stragglers legitimately stall whole ranks near the timeout (see
+    // set_liveness_grace).
+    const sim::Time period = platform_.mpi_heartbeat_period;
+    const bool fresh = !ep.probe_out && now - ep.probe_at < 2 * period;
+    if (fresh && now - ep.last_heard >
+                     platform_.mpi_liveness_timeout + liveness_grace_) {
+      // Stamped at the tick's start: earlier probes advanced the clock.
       if (sim::Tracer* t = tel_.tracer()) {
         t->instant({sim::Track::Faults, rank_}, now, "liveness-timeout peer=%d",
                    p);
       }
       maybe_start_reconnect(ep, "liveness timeout");
+      continue;
     }
+    if (ep.probe_out || now - ep.last_heard < period) continue;
+    // Silent for a period: read the peer's pulse. Non-faultable and
+    // unsignaled, like a credit update; the cleared cell marks it in flight.
+    std::memset(ep.pulse_cell.buf.data(), 0, ep.pulse_cell.buf.size());
+    ep.probe_out = true;
+    ep.probe_at = now;
+    ++stats_.liveness_probes;
+    ib::SendWr wr;
+    wr.opcode = ib::Opcode::RdmaRead;
+    wr.signaled = false;
+    wr.sg_list = {{ep.pulse_cell.buf.addr(),
+                   static_cast<std::uint32_t>(ep.pulse_cell.buf.size()),
+                   ep.pulse_cell.mr->lkey()}};
+    wr.remote_addr = ep.remote_pulse;
+    wr.rkey = ep.remote_pulse_rkey;
+    ib_->post_send(ep.qp, std::move(wr));
   }
 }
 
@@ -1230,54 +1303,62 @@ void Engine::adopt_failures() {
   }
 }
 
+void Engine::fail_endpoint(Endpoint& ep, MpiErrc errc, const char* why) {
+  ep.conn_state = ConnState::Failed;
+  // Tracked WRs: defuse the retry timers and pull the records out before
+  // delivering verdicts (a verdict callback may re-enter the endpoint).
+  // The blame scope classifies callback-mediated fail() calls.
+  std::vector<TrackedWr> recs = quiesce(ep);
+  const auto ops =
+      std::partition_point(recs.begin(), recs.end(),
+                           [](const TrackedWr& rec) { return rec.ring; });
+  // Parked delivered records need no verdicts (their completions already
+  // fired) and can never be replayed over a failed pair.
+  ep.delivered.clear();
+  std::deque<Endpoint::PendingTx> queued;
+  queued.swap(ep.pending_tx);
+  const ib::Wc err{.status = ib::WcStatus::RetryExceeded};
+  BlameScope blame(*this, errc, ep.peer);
+  for (auto it = recs.begin(); it != ops; ++it) fail_tracked(*it, err, why);
+  for (auto& ptx : queued) {
+    if (ptx.owner && !ptx.owner->done()) fail(ptx.owner, why, errc, ep.peer);
+  }
+  // Channel state: sends awaiting DONE/credit and posted receives can
+  // never complete over a failed pair.
+  for (auto& [key, ch] : ep.channels) {
+    for (auto& [seq, st] : ch.sends) {
+      if (st && !st->done()) fail(st, why, errc, ep.peer);
+    }
+    ch.sends.clear();
+    for (auto& [seq, st] : ch.posted) {
+      if (st && !st->done()) fail(st, why, errc, ep.peer);
+    }
+    ch.posted.clear();
+  }
+  // Rendezvous RDMA operations over the pair.
+  for (auto it = ops; it != recs.end(); ++it) fail_tracked(*it, err, why);
+  wake_pending_ = true;
+  wake_.notify_all();
+}
+
+void Engine::mark_abandoned(Endpoint& ep) {
+  ep.conn_state = ConnState::Failed;
+  ep.abandoned = true;
+  bootstrap_.abandon_pair(rank_, ep.peer);
+}
+
+void Engine::abandon_endpoint(Endpoint& ep, const char* why) {
+  mark_abandoned(ep);
+  const int peer = ep.peer;
+  schedule_recovery(0, [this, peer, why] {
+    fail_endpoint(endpoints_.at(peer), MpiErrc::RetryExhausted, why);
+  });
+}
+
 void Engine::fail_peer_ops(int r) {
   auto eit = endpoints_.find(r);
   if (eit != endpoints_.end()) {
-    Endpoint& ep = eit->second;
-    ep.conn_state = ConnState::Failed;
-    // Tracked WRs: defuse the retry timers and pull the records out before
-    // delivering verdicts (a verdict callback may re-enter the endpoint).
-    // The blame scope classifies callback-mediated fail() calls.
-    std::vector<TrackedWr> recs = quiesce(ep);
-    const auto ops =
-        std::partition_point(recs.begin(), recs.end(),
-                             [](const TrackedWr& rec) { return rec.ring; });
-    // Parked delivered records need no verdicts (their completions already
-    // fired) and can never be replayed toward a dead peer.
-    ep.delivered.clear();
-    std::deque<Endpoint::PendingTx> queued;
-    queued.swap(ep.pending_tx);
-    const ib::Wc err{.status = ib::WcStatus::RetryExceeded};
-    BlameScope blame(*this, MpiErrc::ProcFailed, r);
-    for (auto it = recs.begin(); it != ops; ++it) {
-      fail_tracked(*it, err, "peer rank died");
-    }
-    for (auto& ptx : queued) {
-      if (ptx.owner && !ptx.owner->done()) {
-        fail(ptx.owner, "peer rank died before emission", MpiErrc::ProcFailed,
-             r);
-      }
-    }
-    // Channel state: sends awaiting DONE/credit and posted receives can
-    // never complete against a dead peer.
-    for (auto& [key, ch] : ep.channels) {
-      for (auto& [seq, st] : ch.sends) {
-        if (st && !st->done()) {
-          fail(st, "peer rank died", MpiErrc::ProcFailed, r);
-        }
-      }
-      ch.sends.clear();
-      for (auto& [seq, st] : ch.posted) {
-        if (st && !st->done()) {
-          fail(st, "peer rank died", MpiErrc::ProcFailed, r);
-        }
-      }
-      ch.posted.clear();
-    }
-    // Rendezvous RDMA operations targeting the dead peer.
-    for (auto it = ops; it != recs.end(); ++it) {
-      fail_tracked(*it, err, "peer rank died");
-    }
+    fail_endpoint(eit->second, MpiErrc::ProcFailed, "peer rank died");
   }
   // Deferred receives: explicit receives from the dead rank, and wildcard
   // receives on any communicator containing it. The wildcard case is
@@ -1623,7 +1704,7 @@ void Engine::progress() {
   if (fatal_armed_) service_reconnect_requests();
   if (lazy_) service_connect_requests();
   // Direct board pull: piggybacked epochs cover ranks with traffic, the
-  // heartbeat covers idle pairs, and this covers a rank woken by the
+  // pulse covers probed pairs, and this covers a rank woken by the
   // bootstrap watch with neither (e.g. blocked in wait with nothing
   // in flight toward anyone).
   if (bootstrap_.fail_epoch() > known_fail_epoch_) adopt_failures();
@@ -1879,7 +1960,7 @@ Engine::PipeState Engine::pipe_advance(CollSchedule& s, CollPipe& p) {
 
   for (Request& r : p.sends) {
     if (r.state_->phase == RequestState::Phase::Error) {
-      fail_schedule(s, r.state_->error);
+      fail_schedule(s, r.state_->error, r.state_->errc, r.state_->err_peer);
       return PipeState::Failed;
     }
     if (!r.done()) return PipeState::Busy;

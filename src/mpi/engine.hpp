@@ -38,7 +38,8 @@ class Bootstrap {
     ib::MKey ring_rkey = 0;
     mem::SimAddr credit_addr = 0;
     ib::MKey credit_rkey = 0;
-    /// Peer-liveness heartbeat cell (zero unless fatal faults are armed).
+    /// The publishing rank's liveness pulse, which peers RDMA-read (zero
+    /// unless fatal faults are armed).
     mem::SimAddr hb_addr = 0;
     ib::MKey hb_rkey = 0;
   };
@@ -62,6 +63,11 @@ class Bootstrap {
   void request_reconnect(int from, int to, std::uint32_t epoch);
   /// Highest epoch `from` has requested of `to` (0 = none).
   std::uint32_t reconnect_requested(int from, int to) const;
+  /// `from` gave up on its pair with `to` for good (its endpoint turned
+  /// Failed). `to` then fails what still depends on the pair instead of
+  /// waiting for traffic, or a reconnect publication, that never comes.
+  void abandon_pair(int from, int to);
+  bool pair_abandoned(int from, int to) const;
   /// Per-rank change notification: `fn` runs on every publish/request so a
   /// rank blocked in its own wait loop learns it has recovery work. Pass an
   /// empty function to clear.
@@ -147,6 +153,7 @@ class Bootstrap {
   /// Published connection info keyed by (from, to, epoch).
   std::map<std::tuple<int, int, std::uint32_t>, PeerInfo> peers_;
   std::map<std::pair<int, int>, std::uint32_t> reconnect_board_;
+  std::set<std::pair<int, int>> abandoned_;  ///< (from, to) given up
   std::map<int, std::vector<int>> connect_requests_;  ///< target -> requesters
   std::map<int, std::function<void()>> watches_;
   std::map<int, sim::Time> dead_;           ///< rank -> virtual death time
@@ -241,6 +248,7 @@ class Engine {
     std::uint64_t reconnects = 0;        ///< endpoint epoch bumps completed
     std::uint64_t proxy_failovers = 0;   ///< endpoints degraded to proxy path
     std::uint64_t epoch_fenced = 0;      ///< stale cross-epoch packets dropped
+    std::uint64_t liveness_probes = 0;   ///< RDMA reads of a peer's pulse
     // --- Collectives engine (per-algorithm invocation counts) ---------------
     std::uint64_t coll_allreduce_rd = 0;        ///< recursive doubling
     std::uint64_t coll_allreduce_ring = 0;      ///< pipelined ring
@@ -530,16 +538,22 @@ class Engine {
     /// on receive; bumped by each successful reconnect.
     std::uint32_t epoch = 0;
     int reconnects = 0;  ///< cumulative epoch bumps (budget: mpi_max_reconnects)
-    sim::Time last_heard = 0;  ///< last beacon/credit/packet from this peer
-    /// Heartbeat cells (allocated only when fatal faults are armed): the
-    /// peer writes an incrementing beacon into hb_cell; hb_src is my beacon
-    /// RDMA source. Beacons are non-faultable, like credit updates.
-    Region hb_cell;
-    Region hb_src;
-    mem::SimAddr remote_hb = 0;
-    ib::MKey remote_hb_rkey = 0;
-    std::uint64_t hb_seq = 0;   ///< my beacon counter towards this peer
-    std::uint64_t hb_seen = 0;  ///< last beacon value read from the peer
+    /// The pair was given up for good, by this side or the peer (see
+    /// abandon_endpoint): terminal, its operations already failed.
+    bool abandoned = false;
+    sim::Time last_heard = 0;  ///< last packet/credit/pulse change heard
+    /// Liveness probe landing cell (allocated only when fatal faults are
+    /// armed): a probe RDMA-reads the peer's two-word pulse into it. Only
+    /// this rank writes it, so it is registered for local writes only.
+    Region pulse_cell;
+    mem::SimAddr remote_pulse = 0;
+    ib::MKey remote_pulse_rkey = 0;
+    /// Pulse counter of the last landed probe; 0 = no reading since the
+    /// watch started (a first reading only starts the liveness clock).
+    std::uint64_t pulse_seen = 0;
+    sim::Time probe_at = 0;   ///< tick at which the last probe was posted
+    bool probe_out = false;   ///< a probe is in flight (cell cleared)
+    bool watched = false;     ///< traffic depended on the peer at last tick
 
     /// Emissions deferred for credit. The owner rides alongside the opaque
     /// closure so failure handling can fail the request a queued packet
@@ -577,10 +591,10 @@ class Engine {
     /// user messages) interleave freely.
     std::map<std::pair<std::uint32_t, int>, Channel> channels;
 
-    /// Every region in registration order; unallocated ones (heartbeat
-    /// cells of an unarmed run) have an invalid buffer.
-    std::array<Region*, 6> regions() {
-      return {&ring, &staging, &credit_cell, &credit_src, &hb_cell, &hb_src};
+    /// Every region in registration order; an unallocated one (the probe
+    /// cell of an unarmed run) has an invalid buffer.
+    std::array<Region*, 5> regions() {
+      return {&ring, &staging, &credit_cell, &credit_src, &pulse_cell};
     }
   };
 
@@ -700,7 +714,7 @@ class Engine {
   /// string literal: the trace keeps the pointer.
   bool maybe_start_reconnect(Endpoint& ep, const char* why);
   /// Re-establish `ep` at `target_epoch`: quiesce in-flight state, tear down
-  /// and re-create the QP and ring/staging/credit/heartbeat MRs through the
+  /// and re-create the QP and ring/staging/credit/probe-cell MRs through the
   /// transport (DCFA CMD on a Phi endpoint), re-exchange connection info via
   /// the bootstrap, then replay every still-pending packet and re-post every
   /// pending rendezvous data operation. Both sides run this symmetrically.
@@ -712,7 +726,7 @@ class Engine {
 
   // --- Endpoint lifecycle ------------------------------------------------------
   /// Create this side of the pair with `peer` (rings, staging, credit,
-  /// heartbeat cells when armed, QP) and publish it on the bootstrap.
+  /// probe cell when armed, QP) and publish it on the bootstrap.
   Endpoint& open_endpoint(int peer);
   /// Register `ep`'s allocated regions in Endpoint::regions() order and
   /// route landings on its ring and credit cell to its active mark. This
@@ -737,8 +751,9 @@ class Engine {
   /// Responder half, run from progress(): build + publish our side for
   /// every queued requester. Never blocks (publish-before-request).
   void service_connect_requests();
-  /// Heartbeat body (runs in process context): read peer beacons, write
-  /// ours, declare silent peers Suspect when traffic is pending on them.
+  /// Heartbeat body (runs in process context): bump this rank's pulse,
+  /// adopt landed probes, probe watched peers that have been silent for a
+  /// period, and declare a watched peer Suspect past the liveness timeout.
   void heartbeat_tick();
   /// Arm the self-rescheduling heartbeat timer (fatal faults only).
   void schedule_heartbeat();
@@ -857,11 +872,23 @@ class Engine {
   /// First-observer path: announce `peer` on the failure board, then adopt.
   /// `why` is a string literal, as for maybe_start_reconnect.
   void declare_failed(int peer, const char* why);
-  /// Fail everything that depends on dead `peer`: unacked and queued
-  /// packets, rendezvous data ops, posted sends/recvs on its channels,
+  /// Fail everything that depends on dead `peer`: fail_endpoint's set,
   /// deferred wildcard receives it could have satisfied, and collective
   /// schedules whose group contains it.
   void fail_peer_ops(int peer);
+  /// Turn `ep` Failed and fail what rides on the pair: unacked and queued
+  /// packets, rendezvous data ops, and posted sends/recvs on its channels,
+  /// with taxonomy `errc`. `why` is a string literal.
+  void fail_endpoint(Endpoint& ep, MpiErrc errc, const char* why);
+  /// This side gives up on `ep` for good (reconnect budget spent on a
+  /// wedged QP, rebuild impossible): the endpoint turns Failed and
+  /// abandoned, and the peer learns through the bootstrap's abandoned-pair
+  /// board. The caller fails the endpoint's operations.
+  void mark_abandoned(Endpoint& ep);
+  /// mark_abandoned, then fail the endpoint's remaining operations on the
+  /// next progress pass (a caller may still hold a reference into the
+  /// endpoint's records).
+  void abandon_endpoint(Endpoint& ep, const char* why);
   /// Fail every pending operation on a revoked communicator.
   void poison_comm(std::uint32_t comm_id, const char* why);
   bool comm_contains(std::uint32_t comm_id, int rank) const;
@@ -956,9 +983,9 @@ class Engine {
   /// tracking and retransmission, the finalize credit flush, the fault
   /// counters in the trace.
   bool faults_armed_ = false;
-  /// qp_fatal or delegate_crash armed: heartbeat cells and timer, the
-  /// bootstrap watch (eager mesh), reconnects and the per-pass scan of the
-  /// reconnect board.
+  /// qp_fatal or delegate_crash armed: the pulse, probe cells and tick
+  /// timer, the bootstrap watch (eager mesh), reconnects and the per-pass
+  /// scan of the reconnect board.
   bool fatal_armed_ = false;
   /// rank_kill armed: the kill timer, receive-side liveness (a silent
   /// sender with receives pending on it) and Failed as a terminal
@@ -984,6 +1011,10 @@ class Engine {
   MpiErrc blame_errc_ = MpiErrc::Other;
   int blame_peer_ = -1;
   bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
+  /// This rank's liveness pulse (fatal faults only): {tick counter, known
+  /// failure epoch}, bumped by plain stores each tick and RDMA-read by
+  /// peers' probes. Registered once, for remote reads, at setup.
+  Region pulse_;
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
   /// Recovery work handed from timer events to the rank process (drained
   /// at the top of progress()).

@@ -10,7 +10,7 @@
 
 /// Bounds-checked copies between wire-format structs and registered memory.
 ///
-/// Every eager-ring / credit-cell / heartbeat copy in the engine goes through
+/// Every eager-ring / credit-cell / pulse copy in the engine goes through
 /// these helpers instead of naked memcpy so that (a) an offset bug raises a
 /// structured DcfaCheck wire-bounds diagnostic instead of corrupting the
 /// neighbouring slot, and (b) `scripts/dcfa_lint.py` can forbid raw memcpy

@@ -195,10 +195,12 @@ struct Platform {
   int dcfa_cmd_max_retries = 4;
 
   // --- Connection recovery (active only when *fatal* faults are armed) -----
-  /// Peer-liveness heartbeat: each endpoint writes a non-faultable beacon to
-  /// every peer at this period and declares a peer Suspect when nothing —
-  /// beacon, credit, packet, or CQE — was heard for the timeout. Sized so a
-  /// healthy-but-idle peer (worst case: one service hop) never trips it.
+  /// Peer liveness: each rank bumps its remote-readable pulse at this
+  /// period, RDMA-reads the pulse of a peer its traffic depends on once that
+  /// peer has been silent for a period, and declares the peer Suspect when
+  /// nothing — packet, credit or a moved pulse — was heard for the timeout.
+  /// Sized so a healthy-but-idle peer (worst case: one service hop) never
+  /// trips it.
   Time mpi_heartbeat_period = microseconds(50);
   Time mpi_liveness_timeout = microseconds(400);
   /// Cumulative reconnect budget per endpoint: after this many epoch bumps

@@ -424,13 +424,16 @@ TEST(FatalFaults, ReplayedRtsDuringReadIsDroppedNotReadmitted) {
 // The delegate crash of faulty_soak's fault spec, moved from endpoint wiring
 // (about 1,800-2,000 delegated CMDs on this cluster) into the traffic. On a
 // 16-rank, one-rank-per-node DcfaPhi cluster running a mixed p2p and
-// iallreduce load, the outage stalls registrations long enough for peers
-// to reconnect mid-rendezvous. Every sweep point must either deliver every
-// payload exactly once (run_scenario checks each one and the per-phase
-// send/receive counts must match) or stop with a named MpiError; a checker
-// violation fails the test. Which points reach a given recovery window
-// shifts with any timing change; ReplayedRtsDuringReadIsDroppedNotReadmitted
-// pins the replayed-RTS window deterministically.
+// iallreduce load, the outage stalls the crashed rank's registrations while
+// a dozen QP wedges (the added qp_fatal term) force reconnects across the
+// cluster, so replays land mid-rendezvous: with handle_rts's ReadingData
+// drop removed, five of the eight points trip the checker's "admitted
+// twice". Every sweep point must either deliver every payload exactly once
+// (run_scenario checks each one and the per-phase send/receive counts must
+// match) or stop with a named MpiError; a checker violation fails the test.
+// Which points reach a given recovery window shifts with any timing change;
+// ReplayedRtsDuringReadIsDroppedNotReadmitted pins the replayed-RTS window
+// deterministically.
 // ---------------------------------------------------------------------------
 
 TEST(FatalFaults, DelegateCrashInTrafficEndsCleanOrNamed) {
@@ -473,6 +476,7 @@ TEST(FatalFaults, DelegateCrashInTrafficEndsCleanOrNamed) {
     run.fault_spec = soak;
     run.fault_spec.replace(at, wiring_skip.size(),
                            "delegate_crash_skip=" + std::to_string(skip) + ",");
+    run.fault_spec += ",qp_fatal=0.002,qp_fatal_max=12";
     try {
       const tg::ScenarioResult res = tg::run_scenario(run, cfg);
       EXPECT_EQ(res.injected.delegate_crashes, 1u);
@@ -488,7 +492,7 @@ TEST(FatalFaults, DelegateCrashInTrafficEndsCleanOrNamed) {
       EXPECT_NE(e.errc(), MpiErrc::Other) << e.what();
     }
   }
-  // The crash did land where endpoints were carrying traffic.
+  // Endpoints did reconnect while carrying traffic.
   EXPECT_GE(reconnects, 1u);
 }
 
@@ -511,5 +515,76 @@ TEST(FatalFaults, RetryExhaustionCarriesTaxonomy) {
     EXPECT_NE(std::string(e.what()).find("RETRY_EXHAUSTED"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pull liveness costs nothing while every watched peer talks: a 16-rank
+// ping-pong with a never-firing fatal spec posts no probe, and its 4-byte
+// round trip is bit-identical to the same run armed with a transient-only
+// spec (no pulse, no probe cells, no tick timer).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct PingPongTiming {
+  sim::Time rtt = 0;
+  std::uint64_t probes = 0;
+  bool explore = false;  ///< ran under a DCFA_SIM_SCHED=explore schedule
+};
+
+PingPongTiming tiny_pingpong_16(const std::string& spec) {
+  RunConfig cfg;
+  cfg.mode = MpiMode::DcfaPhi;
+  cfg.nprocs = 16;
+  cfg.fault_spec = spec;
+  constexpr int kRounds = 64;
+  PingPongTiming out;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(64);
+    comm.barrier();
+    if (ctx.rank < 2) {
+      const int peer = 1 - ctx.rank;
+      const sim::Time t0 = ctx.proc.now();
+      for (int i = 0; i < kRounds; ++i) {
+        if (ctx.rank == 0) {
+          comm.send(buf, 0, 4, type_byte(), peer, 1);
+          comm.recv(buf, 0, 4, type_byte(), peer, 1);
+        } else {
+          comm.recv(buf, 0, 4, type_byte(), peer, 1);
+          comm.send(buf, 0, 4, type_byte(), peer, 1);
+        }
+      }
+      if (ctx.rank == 0) out.rtt = (ctx.proc.now() - t0) / kRounds;
+    }
+    comm.barrier();
+    comm.free(buf);
+  });
+  for (const Engine::Stats& s : rt.rank_stats()) {
+    out.probes += s.liveness_probes;
+  }
+  out.explore = rt.sim().sched_config().explore();
+  return out;
+}
+
+}  // namespace
+
+TEST(FatalFaults, ArmedLivenessCostsATalkingPingPongNothing) {
+  const PingPongTiming fatal =
+      tiny_pingpong_16("delegate_crash=1,delegate_crash_skip=1000000000");
+  const PingPongTiming transient =
+      tiny_pingpong_16("err_wc=1,err_wc_skip=1000000000");
+  EXPECT_EQ(fatal.probes, 0u);
+  EXPECT_EQ(transient.probes, 0u);
+  EXPECT_GT(transient.rtt, 0);
+  if (transient.explore) {
+    // An explored schedule permutes same-instant events, and the two specs
+    // schedule different event sets, so only the FIFO order is comparable
+    // to the nanosecond.
+    EXPECT_NEAR(fatal.rtt, transient.rtt, transient.rtt / 100);
+  } else {
+    EXPECT_EQ(fatal.rtt, transient.rtt);
   }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -260,15 +261,19 @@ TEST(FaultInjection, RetryOfFailedReceiveNeverTouchesItsFreedBuffer) {
 }
 
 TEST(FaultInjection, SlowDataOpRetryNeverOverwritesACompletedReceive) {
-  // A retry timeout far below the read's transfer time re-posts the RDMA
-  // read while its first attempt is still moving bytes. Meanwhile the next
-  // message (eager, already stashed) waits for the same buffer. If the first
-  // attempt's CQE completed the receive, the later attempts would land on
-  // top of that message after it was delivered. The spec only arms
+  // The RDMA read's first attempt starts late (candidates: #0 RTS, #1 the
+  // eager packet, #2 the read, delayed 200us), so its retry timer re-posts
+  // it while that attempt is still pending: a data op's deadline covers its
+  // own transfer time, so only a delayed start outlasts it. Meanwhile the
+  // next message (eager, already stashed) waits for the same buffer. If the
+  // first attempt's CQE completed the receive, the later attempts would land
+  // on top of that message after it was delivered. The err_wc key only arms
   // tracking: its skip is never reached.
   for (const int timeout_us : {5, 10, 20, 40}) {
     SCOPED_TRACE("mpi_retry_timeout_us=" + std::to_string(timeout_us));
-    RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1000000");
+    RunConfig cfg = fault_cfg(
+        "err_wc=1,err_wc_skip=1000000,delay_dma=1,delay_dma_skip=2,"
+        "delay_dma_max=1,delay_dma_ns=200000");
     cfg.platform.mpi_retry_timeout = sim::microseconds(timeout_us);
     Runtime rt(cfg);
     rt.run([&](RankCtx& ctx) {
@@ -302,22 +307,127 @@ TEST(FaultInjection, SlowDataOpRetryNeverOverwritesACompletedReceive) {
 }
 
 TEST(FaultInjection, ReadSlowerThanTheRetryScheduleStillCompletes) {
-  // An 8 MiB rendezvous read (offloaded, so read from host memory) takes
-  // 1.4 ms per attempt. At the default retry timeout its timer re-posts it
-  // several times while the first attempt is still moving bytes, and the
-  // duplicates queue behind it, so the last one lands after the budget's
-  // final timeout. Once an earlier attempt lands, the op must finish on the
-  // latest CQE (its re-posts are then zero-length probes), not spend its
-  // budget on a transfer that succeeded. The spec only arms tracking: its
-  // skip is never reached. Registering such a buffer through the delegate
-  // outlasts the default CMD reply timeout, which is not under test here:
-  // it is raised.
-  RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1000000");
-  cfg.platform.dcfa_cmd_timeout = sim::milliseconds(10);
+  // An 8 MiB rendezvous read (offloaded, so read from host memory) whose
+  // first attempt starts 8 ms late (candidates: #0 RTS, #1 the read) — past
+  // its deadline, which covers the 1.4 ms transfer at the slowest rate on
+  // the path. Its timer re-posts it while the first attempt is still
+  // pending, and the first attempt lands after the re-post. Once an earlier
+  // attempt lands, the op must finish on the latest CQE (its re-posts are
+  // then zero-length probes), not spend its budget on a transfer that
+  // succeeded. The err_wc key only arms tracking: its skip is never reached.
+  // The delegated registration of the 8 MiB buffers fits the CMD reply
+  // timeout at the default Platform, which scales with the pages registered.
+  RunConfig cfg = fault_cfg(
+      "err_wc=1,err_wc_skip=1000000,delay_dma=1,delay_dma_skip=2,"
+      "delay_dma_max=1,delay_dma_ns=8000000");
   auto s = one_faulty_message(std::size_t{8} << 20, 0, sim::milliseconds(1),
                               cfg);
   EXPECT_GE(s.receiver.data_op_retries, 1u);
   EXPECT_EQ(s.receiver.retry_exhausted, 0u);
+}
+
+TEST(FaultInjection, LargeReadDeadlineCoversItsTransfer) {
+  // A 16 MiB rendezvous read takes about 2.8 ms per attempt, far beyond the
+  // 60 us retry timeout. Its deadline adds the transfer time of its bytes at
+  // the slowest rate on the path, so the armed tracking (err_wc's skip is
+  // never reached) re-posts nothing at the default Platform.
+  auto s = one_faulty_message(std::size_t{16} << 20, 0, sim::milliseconds(1),
+                              fault_cfg("err_wc=1,err_wc_skip=1000000"));
+  EXPECT_EQ(s.receiver.data_op_retries, 0u);
+  EXPECT_EQ(s.receiver.retry_exhausted, 0u);
+  EXPECT_EQ(s.receiver.wc_timeouts, 0u);
+}
+
+TEST(FaultInjection, LostLargeReadCqeRetriesAfterItsOwnTransfer) {
+  // The same 16 MiB read with its CQE dropped (the read is the exchange's
+  // third faultable WR). The bytes land but the receiver cannot know, so it
+  // re-posts the read once its deadline passes. That deadline is the retry
+  // timeout plus the read's own stream time (sender's host shadow -> wire
+  // -> receiver's Phi memory: about 2.8 ms), so the loss costs one
+  // deadline, well under two transfers.
+  const auto recv_time = [](const std::string& spec, Engine::Stats* out) {
+    constexpr std::size_t kBytes = std::size_t{16} << 20;
+    sim::Time took = 0;
+    Runtime rt(fault_cfg(spec));
+    rt.run([&](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      mem::Buffer buf = comm.alloc(kBytes);
+      if (ctx.rank == 0) {
+        std::memset(buf.data(), 0x5A, kBytes);
+        comm.send(buf, 0, kBytes, type_byte(), 1, 1);
+      } else {
+        ctx.proc.wait(sim::milliseconds(1));
+        const sim::Time t0 = ctx.proc.now();
+        comm.recv(buf, 0, kBytes, type_byte(), 0, 1);
+        took = ctx.proc.now() - t0;
+        EXPECT_EQ(buf.data()[kBytes - 1], std::byte{0x5A});
+      }
+      comm.free(buf);
+    });
+    *out = rt.rank_stats()[1];
+    return took;
+  };
+  Engine::Stats clean_rx, lossy_rx;
+  const sim::Time clean =
+      recv_time("err_wc=1,err_wc_skip=1000000", &clean_rx);
+  const sim::Time lossy =
+      recv_time("drop_wc=1,drop_wc_skip=2,drop_wc_max=1", &lossy_rx);
+  EXPECT_EQ(clean_rx.data_op_retries, 0u);
+  EXPECT_EQ(lossy_rx.data_op_retries, 1u);
+  const sim::Platform p;
+  const sim::Time transfer = sim::transfer_time(
+      std::size_t{16} << 20,
+      std::min({p.hca_read_host_gbps, p.ib_wire_gbps, p.hca_write_phi_gbps}));
+  EXPECT_GT(lossy - clean, transfer);
+  EXPECT_LT(lossy - clean, 2 * transfer);
+}
+
+TEST(FaultInjection, CmdReplyTimeoutScalesWithRegisteredPages) {
+  // A 4 MiB rendezvous receive registers its 1,024-page window through the
+  // delegate, which takes host_reg_mr_base + 1,024 x host_reg_mr_per_page
+  // (about 166 us) before it replies: longer than the flat 100 us
+  // dcfa_cmd_timeout. The reply deadline grows by the size-dependent part
+  // of that service time, so the armed run registers without a resend.
+  auto s = one_faulty_message(std::size_t{4} << 20, 0, 0,
+                              fault_cfg("err_wc=1,err_wc_skip=1000000"));
+  for (const Engine::Stats* st : {&s.sender, &s.receiver}) {
+    EXPECT_EQ(st->cmd_timeouts, 0u);
+    EXPECT_EQ(st->cmd_retries, 0u);
+  }
+  EXPECT_EQ(s.sender.rndv_sends, 1u);
+}
+
+TEST(FaultInjection, CmdReplyTimeoutScalesWithReducedBytes) {
+  // A host-delegated combine of 512 KiB streams 1 MiB through the host core
+  // at host_reduce_gbps (about 131 us), longer than the flat
+  // dcfa_cmd_timeout. Its reply deadline grows by that, so the armed run
+  // delegates the combine once and never falls back.
+  constexpr std::size_t kDoubles = 64 * 1024;
+  RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1000000");
+  cfg.engine_options.offload_reductions = true;
+  cfg.engine_options.allreduce_algo = CollAlgo::Binomial;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer in = comm.alloc(kDoubles * sizeof(double));
+    mem::Buffer out = comm.alloc(kDoubles * sizeof(double));
+    std::vector<double> mine(kDoubles, ctx.rank + 1.0);
+    std::memcpy(in.data(), mine.data(), in.size());
+    comm.allreduce(in, 0, out, 0, kDoubles, type_double(), Op::Sum);
+    double first = 0;
+    std::memcpy(&first, out.data(), sizeof(first));
+    EXPECT_EQ(first, 3.0);
+    comm.free(in);
+    comm.free(out);
+  });
+  std::uint64_t offloaded = 0;
+  for (const Engine::Stats& s : rt.rank_stats()) {
+    offloaded += s.reductions_offloaded;
+    EXPECT_EQ(s.offload_fallbacks, 0u);
+    EXPECT_EQ(s.cmd_timeouts, 0u);
+    EXPECT_EQ(s.cmd_retries, 0u);
+  }
+  EXPECT_EQ(offloaded, 1u);
 }
 
 TEST(FaultInjection, SenderFirstSurvivesErroredDone) {

@@ -327,7 +327,7 @@ std::uint64_t stalled_peer_reconnects(sim::Time grace) {
     } else {
       // Straggler: stalls past mpi_liveness_timeout (400us) before
       // draining, like a compute quantum stretched by OS noise. No
-      // progress runs during the stall, so no beacons are written.
+      // progress runs during the stall, so its pulse does not move.
       ctx.proc.wait(sim::microseconds(550));
       for (int i = 0; i < 3; ++i) {
         comm.recv(buf, 0, 512, type_byte(), 0, 3);
@@ -380,5 +380,148 @@ TEST(RankFailure, SurvivorSoakShrinksAndStaysDeterministic) {
     EXPECT_EQ(a.phases[i].bytes_recv, b.phases[i].bytes_recv);
     EXPECT_EQ(a.phases[i].seconds, b.phases[i].seconds);
     EXPECT_EQ(a.phases[i].p99_us, b.phases[i].p99_us);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pairwise exchange under kills plus transport faults. One side of a pair
+// spends its reconnect budget and gives the pair up while the other still
+// waits on it (a send awaiting DONE): the abandoned-pair board must fail
+// that side too, so the run ends in completion or a named error on every
+// rank instead of running the liveness timer forever.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct PairwiseOutcome {
+  sim::Time elapsed = -1;
+  std::vector<int> rounds;  ///< exchange rounds each rank completed
+  std::vector<int> errc;    ///< MpiErrc that ended the rank's exchange, or -1
+};
+
+PairwiseOutcome run_pairwise_under_faults() {
+  RunConfig cfg;
+  cfg.nprocs = 6;
+  cfg.fault_spec =
+      "rank_kill=3+4,rank_kill_at_ns=200000+250000,qp_fatal=0.1,"
+      "qp_fatal_max=6,err_wc=0.1,drop_wc=0.05";
+  cfg.fault_seed = 7;
+  constexpr std::size_t kSizes[] = {64, 4096, 65536, 200000};
+  constexpr int kRounds = 8;
+  PairwiseOutcome out;
+  out.rounds.assign(cfg.nprocs, 0);
+  out.errc.assign(cfg.nprocs, -1);
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    const int partner = ctx.rank ^ 1;
+    mem::Buffer sbuf = comm.alloc(200000);
+    mem::Buffer rbuf = comm.alloc(200000);
+    try {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t bytes : kSizes) {
+          std::memset(sbuf.data(), ctx.rank + round, bytes);
+          std::vector<Request> reqs;
+          reqs.push_back(comm.irecv(rbuf, 0, bytes, type_byte(), partner, 7));
+          reqs.push_back(comm.isend(sbuf, 0, bytes, type_byte(), partner, 7));
+          comm.waitall(std::span<Request>(reqs));
+          EXPECT_EQ(rbuf.data()[bytes - 1],
+                    static_cast<std::byte>(partner + round));
+        }
+        out.rounds[ctx.rank] = round + 1;
+      }
+    } catch (const MpiError& e) {
+      out.errc[ctx.rank] = static_cast<int>(e.errc());
+    }
+    comm.free(sbuf);
+    comm.free(rbuf);
+  });
+  out.elapsed = rt.elapsed();
+  EXPECT_EQ(rt.faults()->counters().rank_kills, 2u);
+  return out;
+}
+
+}  // namespace
+
+TEST(RankFailure, PairwiseExchangeUnderKillsAndQpFaultsEnds) {
+  const PairwiseOutcome a = run_pairwise_under_faults();
+  for (int r = 0; r < 6; ++r) {
+    if (r == 3 || r == 4) continue;  // killed mid-exchange
+    SCOPED_TRACE(r);
+    // Every survivor either finished or stopped on a named error.
+    EXPECT_TRUE(a.rounds[r] == 8 || a.errc[r] >= 0);
+  }
+  // The partners of the victims cannot have finished.
+  EXPECT_EQ(a.errc[2], static_cast<int>(MpiErrc::ProcFailed));
+  EXPECT_EQ(a.errc[5], static_cast<int>(MpiErrc::ProcFailed));
+  const PairwiseOutcome b = run_pairwise_under_faults();
+  EXPECT_EQ(a.elapsed, b.elapsed);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.errc, b.errc);
+}
+
+// ---------------------------------------------------------------------------
+// Pull liveness detection bound: a survivor watching a killed peer (a
+// receive only the victim could satisfy) probes the victim's pulse once it
+// has been silent for a period, and declares it between the liveness
+// timeout and timeout + 2 periods + one probe round trip after the death,
+// identically on rerun.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Engine::Stats watcher_of_killed_peer(sim::Time kill_at) {
+  RunConfig cfg;
+  cfg.nprocs = 2;
+  cfg.fault_spec = "rank_kill=1,rank_kill_at_ns=" + std::to_string(kill_at);
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(256);
+    if (ctx.rank == 0) {
+      try {
+        comm.recv(buf, 0, 256, type_byte(), 1, 1);
+        ADD_FAILURE() << "the receive must fail with the dead sender";
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.errc(), MpiErrc::ProcFailed);
+        EXPECT_EQ(e.peer(), 1);
+      }
+    } else {
+      // Victim: park inside the engine so the scheduled death unwinds it.
+      comm.recv(buf, 0, 256, type_byte(), 0, 99);
+      ADD_FAILURE() << "rank 1 should have been killed";
+    }
+    comm.free(buf);
+  });
+  EXPECT_EQ(rt.faults()->counters().rank_kills, 1u);
+  return rt.rank_stats()[0];
+}
+
+}  // namespace
+
+TEST(RankFailure, WatchedDeadPeerIsDeclaredWithinTheLivenessBound) {
+  const sim::Platform p{};
+  // One probe round trip between two Phi ranks: the post, the request on
+  // the wire, the remote read, the reply on the wire and the local landing.
+  const sim::Time wire = p.ib_hops * p.ib_hop_latency;
+  const sim::Time probe_rtt = p.phi_post_overhead + p.hca_wqe_overhead +
+                              2 * wire + p.hca_read_phi_latency +
+                              p.hca_write_phi_latency +
+                              sim::microseconds(1);  // 16 B on three links
+  const sim::Time lo = p.mpi_liveness_timeout;
+  const sim::Time hi =
+      p.mpi_liveness_timeout + 2 * p.mpi_heartbeat_period + probe_rtt;
+  // Kill times spread over one heartbeat period, so the death lands at
+  // every phase of the watcher's ticks. Setup ends near 300 us, so by then
+  // the watch is on and the victim's pulse has been moving.
+  for (const sim::Time kill_at : {600000, 612500, 625000, 637500}) {
+    SCOPED_TRACE("kill_at_ns=" + std::to_string(kill_at));
+    const Engine::Stats a = watcher_of_killed_peer(kill_at);
+    EXPECT_GE(static_cast<sim::Time>(a.failure_detect_max_ns), lo);
+    EXPECT_LE(static_cast<sim::Time>(a.failure_detect_max_ns), hi);
+    EXPECT_GT(a.liveness_probes, 0u);
+    const Engine::Stats b = watcher_of_killed_peer(kill_at);
+    EXPECT_EQ(a.failure_detect_max_ns, b.failure_detect_max_ns);
+    EXPECT_EQ(a.liveness_probes, b.liveness_probes);
   }
 }
