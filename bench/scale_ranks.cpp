@@ -7,8 +7,8 @@
 //
 // Emitted BENCH_scale_ranks.json separates the two kinds of numbers:
 //   * metric() rows are virtual-time results (elapsed ms, message counts)
-//     and host-work counters (simulator events, endpoint polls) —
-//     deterministic, gated by bench_trajectory.py.
+//     and host-work counters (simulator events, endpoint polls, MR
+//     registrations) — deterministic, gated by bench_trajectory.py.
 //   * config() rows are host measurements (wall-clock ms, peak RSS MiB per
 //     sweep point) — machine-dependent, recorded for trending but never
 //     gated.
@@ -84,6 +84,7 @@ void report_work(bench::JsonReport& rep, const std::string& label,
              static_cast<double>(res.totals.endpoint_polls), "count");
   rep.metric(label, "ctx_switches", static_cast<double>(res.ctx_switches),
              "count");
+  rep.metric(label, "mr_regs", static_cast<double>(res.mr_regs), "count");
 }
 
 std::string hex_digest(std::uint64_t d) {

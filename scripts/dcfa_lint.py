@@ -19,10 +19,11 @@ see (docs/checking.md has the rationale and the paper references):
                   use fixed-width field types and carry a
                   trivially-copyable static_assert; `int`/`size_t` fields
                   change layout between host and co-processor ABIs.
-  naked-memcpy    src/mpi/engine.cpp must not memcpy into registered ring
-                  or staging MRs directly; mpi/wire.hpp's bounds-checked
-                  put/get helpers are the only sanctioned path. (ib/hca.cpp
-                  is exempt: it *is* the simulated DMA engine.)
+  naked-memcpy    src/mpi/engine.cpp must not memcpy into an endpoint's
+                  registered blocks (remote_block, local_block) directly;
+                  mpi/wire.hpp's bounds-checked put/get helpers are the
+                  only sanctioned path. (ib/hca.cpp is exempt: it *is*
+                  the simulated DMA engine.)
   rma-epoch       work requests with Opcode::RdmaWrite/RdmaRead may only be
                   built in the files whose entry points run the window
                   epoch hooks (engine.cpp, rma.cpp, protocol.cpp). A raw
@@ -46,8 +47,8 @@ see (docs/checking.md has the rationale and the paper references):
                   a second execution backend whose scheduling the engine
                   neither orders nor replays. (The test deadline watchdog
                   in tests/ is the one OS thread the repo runs.)
-  endpoint-mr     in src/mpi/, endpoint memory (the ring, staging, credit
-                  and probe-cell regions of mpi::Engine::Endpoint) is
+  endpoint-mr     in src/mpi/, endpoint memory (the remote_block and
+                  local_block of mpi::Engine::Endpoint) is
                   registered and deregistered only inside the lifecycle
                   helpers Engine::reg_endpoint / Engine::dereg_endpoint.
                   Setup, the reconnect rebuild and finalize all go through
@@ -145,7 +146,7 @@ WIRE_TYPE_OK = re.compile(
 # registered-MR target anywhere in src/mpi.
 MEMCPY_BANNED_FILES = ["src/mpi/engine.cpp"]
 MEMCPY_MR_DESTS = re.compile(
-    r"memcpy\s*\(\s*(?:ep\.)?(?:ring|staging|credit_src|credit_cell|pulse_cell)\b"
+    r"memcpy\s*\(\s*(?:ep(?:\.|->))?(?:remote_block|local_block)\b"
 )
 
 UNCHECKED_CALL = re.compile(
@@ -180,13 +181,10 @@ UCONTEXT_HEADER = re.compile(r"#\s*include\s*[<\"](?:sys/)?ucontext\.h[>\"]")
 OS_THREAD = re.compile(r"\bstd::(?:thread|condition_variable(?:_any)?)\b")
 
 # endpoint-mr: the helper pair that owns endpoint-memory registration, and
-# what an endpoint region looks like at a reg_mr/dereg_mr call site (a
-# Region member, or a per-region MR pointer field named after one).
+# what endpoint memory looks like at a reg_mr/dereg_mr call site (one of the
+# two Endpoint blocks that EndpointLayout lays out).
 ENDPOINT_MR_HELPERS = ("reg_endpoint", "dereg_endpoint")
-ENDPOINT_REGION = re.compile(
-    r"(?:\.|->)(?:ring|staging|credit_cell|credit_src|pulse_cell|"
-    r"ring_mr|staging_mr|credit_mr|credit_src_mr|pulse_cell_mr)\b"
-)
+ENDPOINT_REGION = re.compile(r"(?:\.|->)(?:remote_block|local_block)\b")
 MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
 
 # dma-resolve: the HCA model's data motion goes through the MR's pinned host

@@ -335,11 +335,6 @@ void PhiVerbs::post_send(ib::QueuePair* qp, ib::SendWr wr) {
   hca_.post_send(qp, std::move(wr));
 }
 
-void PhiVerbs::post_recv(ib::QueuePair* qp, ib::RecvWr wr) {
-  proc_.wait(platform_.phi_post_overhead);
-  hca_.post_recv(qp, std::move(wr));
-}
-
 int PhiVerbs::poll_cq(ib::CompletionQueue* cq, int max, ib::Wc* out) {
   int n = cq->poll(max, out);
   if (n > 0) proc_.wait(platform_.phi_poll_overhead);
@@ -392,19 +387,6 @@ void PhiVerbs::sync_offload_mr(const OffloadRegion& region,
   }
   channel_.pcie().dma(proc_, src.domain(), src.addr() + offset,
                       mem::Domain::HostDram, region.host_addr + offset, len);
-}
-
-sim::Time PhiVerbs::sync_offload_mr_async(const OffloadRegion& region,
-                                          mem::SimAddr src_addr,
-                                          std::size_t offset, std::size_t len,
-                                          std::function<void()> on_done) {
-  if (offset + len > region.size) {
-    throw std::out_of_range("sync_offload_mr_async: window escapes shadow");
-  }
-  return channel_.pcie().dma_async(mem::Domain::PhiGddr, src_addr,
-                                   mem::Domain::HostDram,
-                                   region.host_addr + offset, len,
-                                   std::move(on_done));
 }
 
 void PhiVerbs::reduce_shadow(mem::SimAddr a, mem::SimAddr b,

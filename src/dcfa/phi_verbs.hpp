@@ -49,7 +49,6 @@ class PhiVerbs : public verbs::Ib {
   verbs::QpAddress address(ib::QueuePair* qp) override;
 
   void post_send(ib::QueuePair* qp, ib::SendWr wr) override;
-  void post_recv(ib::QueuePair* qp, ib::RecvWr wr) override;
   int poll_cq(ib::CompletionQueue* cq, int max, ib::Wc* out) override;
   void wait_cq(ib::CompletionQueue* cq) override;
 
@@ -72,11 +71,6 @@ class PhiVerbs : public verbs::Ib {
   /// the same offset. Must precede the post_send that reads the shadow.
   void sync_offload_mr(const OffloadRegion& region, const mem::Buffer& src,
                        std::size_t offset, std::size_t len);
-  /// Asynchronous variant for overlap; `on_done` fires at DMA completion.
-  sim::Time sync_offload_mr_async(const OffloadRegion& region,
-                                  mem::SimAddr src_addr, std::size_t offset,
-                                  std::size_t len,
-                                  std::function<void()> on_done = {});
   /// Tear down the shadow: deregister on the host, free the buffer.
   void dereg_offload_mr(const OffloadRegion& region);
 

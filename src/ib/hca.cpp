@@ -42,12 +42,6 @@ ProtectionDomain* Hca::alloc_pd() {
   return p;
 }
 
-void Hca::dealloc_pd(ProtectionDomain* pd) {
-  if (!pd || pds_.erase(pd->id()) == 0) {
-    throw std::invalid_argument("dealloc_pd: unknown PD");
-  }
-}
-
 MemoryRegion* Hca::reg_mr(ProtectionDomain* pd, mem::Domain domain,
                           mem::SimAddr addr, std::size_t length,
                           unsigned access) {
@@ -85,12 +79,6 @@ CompletionQueue* Hca::create_cq(int capacity) {
   CompletionQueue* p = cq.get();
   cqs_.emplace(id, std::move(cq));
   return p;
-}
-
-void Hca::destroy_cq(CompletionQueue* cq) {
-  if (!cq || cqs_.erase(cq->id()) == 0) {
-    throw std::invalid_argument("destroy_cq: unknown CQ");
-  }
 }
 
 QueuePair* Hca::create_qp(ProtectionDomain* pd, CompletionQueue* send_cq,

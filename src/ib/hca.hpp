@@ -144,7 +144,6 @@ class Hca {
   // [[nodiscard]]: a discarded handle is a leak the simulation never
   // reclaims (dcfa_lint unchecked-result rule).
   [[nodiscard]] ProtectionDomain* alloc_pd();
-  void dealloc_pd(ProtectionDomain* pd);
 
   [[nodiscard]] MemoryRegion* reg_mr(ProtectionDomain* pd, mem::Domain domain,
                                      mem::SimAddr addr, std::size_t length,
@@ -152,7 +151,6 @@ class Hca {
   void dereg_mr(MemoryRegion* mr);
 
   [[nodiscard]] CompletionQueue* create_cq(int capacity);
-  void destroy_cq(CompletionQueue* cq);
 
   [[nodiscard]] QueuePair* create_qp(ProtectionDomain* pd,
                                      CompletionQueue* send_cq,

@@ -221,7 +221,8 @@ Engine::Engine(int rank, int nranks, std::unique_ptr<verbs::Ib> ib,
       options_(options),
       platform_(ib_->hca_ref().platform()),
       layout_{std::max<std::uint64_t>(platform_.eager_max_payload,
-                                      platform_.eager_threshold)},
+                                      platform_.eager_threshold),
+              platform_.eager_slots},
       wake_(ib_->process().engine(), "mpi.wake[" + std::to_string(rank) + "]") {
   if (rank < 0 || nranks <= 0 || rank >= nranks) {
     throw MpiError("Engine: bad rank/size");
@@ -276,8 +277,8 @@ void Engine::setup() {
   });
   write_observer_id_ =
       ib_->hca_ref().add_remote_write_observer([this](ib::MKey rkey) {
-        // Every landing wakes the rank; one on an endpoint's ring or
-        // credit cell also marks that endpoint for the next progress pass.
+        // Every landing wakes the rank; one on an endpoint's remote block
+        // also marks that endpoint for the next progress pass.
         auto it = landing_peer_.find(rkey);
         if (it != landing_peer_.end()) active_.insert(it->second);
         wake_pending_ = true;
@@ -427,9 +428,7 @@ void Engine::finalize() {
   if (shadow_cache_) shadow_cache_->clear();
   for (auto& [p, ep] : endpoints_) {
     dereg_endpoint(ep);
-    for (Region* r : ep.regions()) {
-      if (r->buf.valid()) ib_->free_buffer(r->buf);
-    }
+    for (Region* r : ep.regions()) ib_->free_buffer(r->buf);
   }
   if (pulse_.mr) {
     ib_->dereg_mr(pulse_.mr);
@@ -439,23 +438,15 @@ void Engine::finalize() {
 }
 
 Engine::Endpoint& Engine::open_endpoint(int peer) {
-  const std::size_t ring_bytes = layout_.stride() * slots();
-  constexpr unsigned kRemote = ib::kLocalWrite | ib::kRemoteWrite;
-  const auto region = [this](std::size_t bytes, std::size_t align,
-                             unsigned access) {
-    return Region{ib_->alloc_buffer(bytes, align), nullptr, access};
+  const auto region = [this](std::uint64_t bytes, unsigned access) {
+    return Region{ib_->alloc_buffer(bytes, mem::AddressSpace::kPage), nullptr,
+                  access};
   };
   Endpoint& ep = endpoints_[peer];
   ep.peer = peer;
-  ep.ring = region(ring_bytes, mem::AddressSpace::kPage, kRemote);
-  ep.staging = region(ring_bytes, mem::AddressSpace::kPage, ib::kLocalWrite);
-  ep.credit_cell = region(sizeof(std::uint64_t), 64, kRemote);
-  ep.credit_src = region(sizeof(std::uint64_t), 64, ib::kLocalWrite);
-  if (fatal_armed_) {
-    // Where probes of the peer's two-word pulse land. Only fatal specs pay
-    // for it, so non-fatal runs keep their exact event schedule.
-    ep.pulse_cell = region(2 * sizeof(std::uint64_t), 64, ib::kLocalWrite);
-  }
+  ep.remote_block = region(layout_.remote_bytes(),
+                           ib::kLocalWrite | ib::kRemoteWrite);
+  ep.local_block = region(layout_.local_bytes(), ib::kLocalWrite);
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
   if (lazy_) {
@@ -467,14 +458,12 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
 }
 
 void Engine::reg_endpoint(Endpoint& ep) {
-  for (Region* r : ep.regions()) {
-    if (r->buf.valid()) r->mr = ib_->reg_mr(pd_, r->buf, r->access);
-  }
-  landing_peer_[ep.ring.mr->rkey()] = ep.peer;
-  landing_peer_[ep.credit_cell.mr->rkey()] = ep.peer;
+  for (Region* r : ep.regions()) r->mr = ib_->reg_mr(pd_, r->buf, r->access);
+  landing_peer_[ep.remote_block.mr->rkey()] = ep.peer;
 }
 
 void Engine::dereg_endpoint(Endpoint& ep) {
+  // A rebuild that failed part-way leaves a block unregistered.
   for (Region* r : ep.regions()) {
     if (!r->mr) continue;
     landing_peer_.erase(r->mr->rkey());
@@ -485,20 +474,16 @@ void Engine::dereg_endpoint(Endpoint& ep) {
 
 Bootstrap::PeerInfo Engine::peer_info(const Endpoint& ep) const {
   return {ib_->address(ep.qp),
-          ep.ring.buf.addr(),
-          ep.ring.mr->rkey(),
-          ep.credit_cell.buf.addr(),
-          ep.credit_cell.mr->rkey(),
+          ep.remote_block.buf.addr(),
+          ep.remote_block.mr->rkey(),
           pulse_.buf.addr(),
           pulse_.mr ? pulse_.mr->rkey() : ib::MKey{0}};
 }
 
 void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
   ib_->connect(ep.qp, info.qp);
-  ep.remote_ring = info.ring_addr;
-  ep.remote_ring_rkey = info.ring_rkey;
-  ep.remote_credit = info.credit_addr;
-  ep.remote_credit_rkey = info.credit_rkey;
+  ep.peer_block = info.block_addr;
+  ep.peer_rkey = info.block_rkey;
   ep.remote_pulse = info.hb_addr;
   ep.remote_pulse_rkey = info.hb_rkey;
   ep.last_heard = ib_->process().now();
@@ -621,13 +606,14 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
 
   // Stage header, payload (the eager one-copy) and tail into the slot.
   const int slot = static_cast<int>(idx % slots());
-  wire::put(ep.staging.buf, layout_.header_off(slot), hdr);
+  const SlotLayout& stage = layout_.staging;
+  wire::put(ep.local_block.buf, stage.header_off(slot), hdr);
   if (len > 0) {
-    wire::put_bytes(ep.staging.buf, layout_.payload_off(slot), payload, len);
+    wire::put_bytes(ep.local_block.buf, stage.payload_off(slot), payload, len);
     ib_->charge_memcpy(len);
   }
   const PacketTail tail = kPacketMagic;
-  wire::put(ep.staging.buf, layout_.tail_off(slot, len), tail);
+  wire::put(ep.local_block.buf, stage.tail_off(slot, len), tail);
 
   ib::SendWr wr = ring_write(ep, slot, len);
   if (faults_armed_) {
@@ -659,18 +645,18 @@ ib::SendWr Engine::ring_write(const Endpoint& ep, int slot,
   // Header SGE + data SGE + tail SGE, exactly as the paper describes.
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
-  const mem::SimAddr base = ep.staging.buf.addr();
-  const ib::MKey lkey = ep.staging.mr->lkey();
+  const SlotLayout& stage = layout_.staging;
+  const mem::SimAddr base = ep.local_block.buf.addr();
+  const ib::MKey lkey = ep.local_block.mr->lkey();
   wr.sg_list = {
-      {base + layout_.header_off(slot),
+      {base + stage.header_off(slot),
        static_cast<std::uint32_t>(sizeof(PacketHeader)), lkey},
-      {base + layout_.payload_off(slot), static_cast<std::uint32_t>(len),
-       lkey},
-      {base + layout_.tail_off(slot, len),
+      {base + stage.payload_off(slot), static_cast<std::uint32_t>(len), lkey},
+      {base + stage.tail_off(slot, len),
        static_cast<std::uint32_t>(sizeof(PacketTail)), lkey},
   };
-  wr.remote_addr = ep.remote_ring + layout_.header_off(slot);
-  wr.rkey = ep.remote_ring_rkey;
+  wr.remote_addr = ep.peer_block + layout_.ring.header_off(slot);
+  wr.rkey = ep.peer_rkey;
   return wr;
 }
 
@@ -1030,7 +1016,8 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     Replay r{std::move(rec), {}};
     if (r.rec.payload_len > 0) {
       const int slot = static_cast<int>(r.rec.key % slots());
-      const std::byte* src = ep.staging.buf.data() + layout_.payload_off(slot);
+      const std::byte* src =
+          ep.local_block.buf.data() + layout_.staging.payload_off(slot);
       r.payload.assign(src, src + r.rec.payload_len);
     }
     replay.push_back(std::move(r));
@@ -1071,23 +1058,23 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     fail_endpoint(ep, errc, why);
   };
 
-  // --- Tear down and rebuild: destroy the (possibly error-wedged) QP and
-  // re-register every connection MR, so in-flight writes against the old
-  // generation lose their rkeys and are dropped at landing. On a Phi
+  // --- Tear down and rebuild: destroy the (possibly error-wedged) QP, then
+  // clear and re-register both endpoint blocks, so in-flight writes against
+  // the old generation lose their rkey and are dropped at landing. On a Phi
   // endpoint each verb is a DCFA CMD round trip; when the delegate is dead
   // the verbs layer retries through CMD up to its strike budget and then
   // degrades to the host-proxy path (PhiVerbs::note_delegate_death), after
-  // which this same rebuild completes through the proxy. Each ring and
-  // credit rkey stops marking the endpoint once its MR is gone. Reconnects
+  // which this same rebuild completes through the proxy. The old remote
+  // block's rkey stops marking the endpoint once its MR is gone. Reconnects
   // run ahead of progress()'s endpoint walk, so marking the endpoint here
   // gives it a visit in this very pass, whichever way the rebuild ends.
   active_.insert(ep.peer);
   try {
     ib_->destroy_qp(ep.qp);
     dereg_endpoint(ep);
-    std::memset(ep.ring.buf.data(), 0, ep.ring.buf.size());
-    std::memset(ep.credit_cell.buf.data(), 0, ep.credit_cell.buf.size());
-    std::memset(ep.pulse_cell.buf.data(), 0, ep.pulse_cell.buf.size());
+    for (Region* r : ep.regions()) {
+      std::memset(r->buf.data(), 0, r->buf.size());
+    }
     reg_endpoint(ep);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
   } catch (const core::CmdError&) {
@@ -1191,7 +1178,8 @@ void Engine::heartbeat_tick() {
       continue;
     }
     if (ep.probe_out) {
-      const std::uint64_t v = wire::get<std::uint64_t>(ep.pulse_cell.buf, 0);
+      const std::uint64_t v = wire::get<std::uint64_t>(
+          ep.local_block.buf, EndpointLayout::kProbeCellOff);
       if (v != 0) {
         // The probe landed. A pulse that moved since the last reading
         // proves the peer ticked after that read. A first reading only
@@ -1204,7 +1192,8 @@ void Engine::heartbeat_tick() {
         }
         ep.pulse_seen = v;
         const std::uint64_t fe = wire::get<std::uint64_t>(
-            ep.pulse_cell.buf, sizeof(std::uint64_t));
+            ep.local_block.buf,
+            EndpointLayout::kProbeCellOff + sizeof(std::uint64_t));
         if (fe > known_fail_epoch_) adopt_failures();
         if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
       }
@@ -1249,16 +1238,18 @@ void Engine::heartbeat_tick() {
     if (ep.probe_out || now - ep.last_heard < period) continue;
     // Silent for a period: read the peer's pulse. Non-faultable and
     // unsignaled, like a credit update; the cleared cell marks it in flight.
-    std::memset(ep.pulse_cell.buf.data(), 0, ep.pulse_cell.buf.size());
+    constexpr std::uint64_t kCell = EndpointLayout::kProbeCellOff;
+    constexpr std::uint64_t kCellBytes = EndpointLayout::kProbeCellBytes;
+    std::memset(ep.local_block.buf.data() + kCell, 0, kCellBytes);
     ep.probe_out = true;
     ep.probe_at = now;
     ++stats_.liveness_probes;
     ib::SendWr wr;
     wr.opcode = ib::Opcode::RdmaRead;
     wr.signaled = false;
-    wr.sg_list = {{ep.pulse_cell.buf.addr(),
-                   static_cast<std::uint32_t>(ep.pulse_cell.buf.size()),
-                   ep.pulse_cell.mr->lkey()}};
+    wr.sg_list = {{ep.local_block.buf.addr() + kCell,
+                   static_cast<std::uint32_t>(kCellBytes),
+                   ep.local_block.mr->lkey()}};
     wr.remote_addr = ep.remote_pulse;
     wr.rkey = ep.remote_pulse_rkey;
     ib_->post_send(ep.qp, std::move(wr));
@@ -1575,15 +1566,15 @@ void Engine::send_credit(Endpoint& ep) {
   // RDMA-write the consumption counter into the peer's credit cell. No ring
   // slot needed — this is what keeps the flow control deadlock-free.
   chk().credit_written(rank_, ep.peer, ep.my_consumed);
-  wire::put(ep.credit_src.buf, 0, ep.my_consumed);
+  wire::put(ep.local_block.buf, EndpointLayout::kCreditSrcOff, ep.my_consumed);
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
   wr.signaled = false;
-  wr.sg_list = {{ep.credit_src.buf.addr(),
+  wr.sg_list = {{ep.local_block.buf.addr() + EndpointLayout::kCreditSrcOff,
                  static_cast<std::uint32_t>(sizeof ep.my_consumed),
-                 ep.credit_src.mr->lkey()}};
-  wr.remote_addr = ep.remote_credit;
-  wr.rkey = ep.remote_credit_rkey;
+                 ep.local_block.mr->lkey()}};
+  wr.remote_addr = ep.peer_block + EndpointLayout::kCreditCellOff;
+  wr.rkey = ep.peer_rkey;
   ib_->post_send(ep.qp, std::move(wr));
   ep.my_consumed_reported = ep.my_consumed;
   ++stats_.credits_sent;
@@ -1609,7 +1600,8 @@ void Engine::poll_cq() {
 }
 
 void Engine::read_credit_cell(Endpoint& ep) {
-  const std::uint64_t value = wire::get<std::uint64_t>(ep.credit_cell.buf, 0);
+  const std::uint64_t value = wire::get<std::uint64_t>(
+      ep.remote_block.buf, EndpointLayout::kCreditCellOff);
   if (value > ep.consumed_by_peer) {
     chk().credit_read(rank_, ep.peer, value);
     ep.consumed_by_peer = value;
@@ -1625,20 +1617,21 @@ bool Engine::scan_ring(Endpoint& ep) {
   const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
   for (;;) {
     const int slot = static_cast<int>(ep.my_consumed % slots());
-    const mem::Buffer& ring = ep.ring.buf;
-    std::byte* base = ring.data() + layout_.header_off(slot);
-    const auto hdr = wire::get<PacketHeader>(ring, layout_.header_off(slot));
+    const mem::Buffer& block = ep.remote_block.buf;
+    const SlotLayout& ring = layout_.ring;
+    std::byte* base = block.data() + ring.header_off(slot);
+    const auto hdr = wire::get<PacketHeader>(block, ring.header_off(slot));
     if (hdr.magic != kPacketMagic) return false;
     const std::uint64_t plen =
         hdr.type == PacketType::Eager ? hdr.msg_bytes : 0;
-    const auto tail = wire::get<PacketTail>(ring, layout_.tail_off(slot, plen));
+    const auto tail = wire::get<PacketTail>(block, ring.tail_off(slot, plen));
     if (tail != kPacketMagic) return true;  // data still in flight
     if (hdr.conn_epoch != ep.epoch) {
       // Cross-epoch traffic: a pre-recovery packet landing in the rebuilt
       // ring (or one that raced the teardown). Fence it out — its sequence
       // number is replayed under the current epoch if it still matters.
       std::memset(base, 0, sizeof hdr);
-      std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
+      std::memset(block.data() + ring.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.epoch_fenced;
       tel_.instant({sim::Track::Faults, rank_}, "epoch-fenced idx=%llu",
                    static_cast<unsigned long long>(hdr.ring_idx));
@@ -1649,7 +1642,7 @@ bool Engine::scan_ring(Endpoint& ep) {
       // lost on the sender side): scrub the slot so it reads empty again,
       // and do NOT advance — the slot's real next packet comes later.
       std::memset(base, 0, sizeof hdr);
-      std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
+      std::memset(block.data() + ring.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.dup_packets_dropped;
       return true;
     }
@@ -1664,12 +1657,12 @@ bool Engine::scan_ring(Endpoint& ep) {
     // a dead rank is handled with that knowledge in place.
     if (hdr.fail_epoch > known_fail_epoch_) adopt_failures();
 
-    const std::byte* payload = ring.data() + layout_.payload_off(slot);
+    const std::byte* payload = block.data() + ring.payload_off(slot);
     handle_packet(ep, hdr, payload);
 
     // Release the slot, then occasionally tell the sender.
     std::memset(base, 0, sizeof hdr);
-    std::memset(ring.data() + layout_.tail_off(slot, plen), 0, sizeof tail);
+    std::memset(block.data() + ring.tail_off(slot, plen), 0, sizeof tail);
     ++ep.my_consumed;
     chk().packet_consumed(rank_, ep.peer, ep.my_consumed);
     ++stats_.packets_rx;
@@ -1743,11 +1736,13 @@ void Engine::check_idle_endpoints() {
   for (const auto& [p, ep] : endpoints_) {
     if (active_.count(p) > 0) continue;
     const int slot = static_cast<int>(ep.my_consumed % slots());
+    const mem::Buffer& block = ep.remote_block.buf;
     const auto hdr =
-        wire::get<PacketHeader>(ep.ring.buf, layout_.header_off(slot));
+        wire::get<PacketHeader>(block, layout_.ring.header_off(slot));
     chk().endpoint_idle(rank_, p, hdr.magic != kPacketMagic,
                         ep.pending_tx.empty(),
-                        wire::get<std::uint64_t>(ep.credit_cell.buf, 0) <=
+                        wire::get<std::uint64_t>(
+                            block, EndpointLayout::kCreditCellOff) <=
                             ep.consumed_by_peer);
   }
 }

@@ -27,17 +27,16 @@
 namespace dcfa::mpi {
 
 /// Out-of-band wiring table (the PMI / mpirun role): each rank publishes,
-/// for every peer, its QP address plus where that peer should RDMA-write
-/// packets (ring) and credit updates (credit cell). Ranks block until their
-/// peers have published.
+/// for every peer, its QP address plus the one block that peer RDMA-writes
+/// packets and credit updates into (EndpointLayout's remote block). Ranks
+/// block until their peers have published.
 class Bootstrap {
  public:
   struct PeerInfo {
     verbs::QpAddress qp;
-    mem::SimAddr ring_addr = 0;
-    ib::MKey ring_rkey = 0;
-    mem::SimAddr credit_addr = 0;
-    ib::MKey credit_rkey = 0;
+    /// The publisher's remote block: credit cell, then ring.
+    mem::SimAddr block_addr = 0;
+    ib::MKey block_rkey = 0;
     /// The publishing rank's liveness pulse, which peers RDMA-read (zero
     /// unless fatal faults are armed).
     mem::SimAddr hb_addr = 0;
@@ -510,22 +509,20 @@ class Engine {
     unsigned access = 0;
   };
 
-  /// Per-peer connection: QP, rings, staging, credits, deferred emissions
-  /// and, under fault injection, the tracked WRs in flight toward the peer.
+  /// Per-peer connection: QP, its two registered blocks, credits, deferred
+  /// emissions and, under fault injection, the tracked WRs in flight toward
+  /// the peer.
   struct Endpoint {
     int peer = -1;
     ib::QueuePair* qp = nullptr;
 
-    Region ring;  ///< my receive ring for this peer's packets
-    mem::SimAddr remote_ring = 0;  ///< peer's ring (where I write)
-    ib::MKey remote_ring_rkey = 0;
-
-    Region staging;  ///< eager headers+payload+tail source slots
-
-    Region credit_cell;  ///< peer reports its consumption here
-    Region credit_src;   ///< my consumption counter (RDMA source)
-    mem::SimAddr remote_credit = 0;
-    ib::MKey remote_credit_rkey = 0;
+    /// The endpoint's memory, laid out by EndpointLayout: the remote block
+    /// (credit cell + receive ring) that the peer writes, and the local
+    /// block (credit source + probe cell + staging) that only I write.
+    Region remote_block;
+    Region local_block;
+    mem::SimAddr peer_block = 0;  ///< the peer's remote block (where I write)
+    ib::MKey peer_rkey = 0;
 
     std::uint64_t sent_packets = 0;
     std::uint64_t consumed_by_peer = 0;
@@ -542,10 +539,7 @@ class Engine {
     /// abandon_endpoint): terminal, its operations already failed.
     bool abandoned = false;
     sim::Time last_heard = 0;  ///< last packet/credit/pulse change heard
-    /// Liveness probe landing cell (allocated only when fatal faults are
-    /// armed): a probe RDMA-reads the peer's two-word pulse into it. Only
-    /// this rank writes it, so it is registered for local writes only.
-    Region pulse_cell;
+    /// The peer's pulse; probes land in the local block's probe cell.
     mem::SimAddr remote_pulse = 0;
     ib::MKey remote_pulse_rkey = 0;
     /// Pulse counter of the last landed probe; 0 = no reading since the
@@ -591,11 +585,8 @@ class Engine {
     /// user messages) interleave freely.
     std::map<std::pair<std::uint32_t, int>, Channel> channels;
 
-    /// Every region in registration order; an unallocated one (the probe
-    /// cell of an unarmed run) has an invalid buffer.
-    std::array<Region*, 5> regions() {
-      return {&ring, &staging, &credit_cell, &credit_src, &pulse_cell};
-    }
+    /// Both blocks, in registration order.
+    std::array<Region*, 2> regions() { return {&remote_block, &local_block}; }
   };
 
   /// Self-messaging (rank sending to itself) short-circuits the network but
@@ -621,7 +612,7 @@ class Engine {
   };
 
   // --- TX path ---------------------------------------------------------------
-  int slots() const { return platform_.eager_slots; }
+  int slots() const { return layout_.slots; }
   std::uint64_t slots_free(const Endpoint& ep) const {
     return usable_slots_ - (ep.sent_packets - ep.consumed_by_peer);
   }
@@ -714,7 +705,7 @@ class Engine {
   /// string literal: the trace keeps the pointer.
   bool maybe_start_reconnect(Endpoint& ep, const char* why);
   /// Re-establish `ep` at `target_epoch`: quiesce in-flight state, tear down
-  /// and re-create the QP and ring/staging/credit/probe-cell MRs through the
+  /// and re-create the QP and both endpoint blocks' MRs through the
   /// transport (DCFA CMD on a Phi endpoint), re-exchange connection info via
   /// the bootstrap, then replay every still-pending packet and re-post every
   /// pending rendezvous data operation. Both sides run this symmetrically.
@@ -725,17 +716,16 @@ class Engine {
   void service_reconnect_requests(int except_peer = -1);
 
   // --- Endpoint lifecycle ------------------------------------------------------
-  /// Create this side of the pair with `peer` (rings, staging, credit,
-  /// probe cell when armed, QP) and publish it on the bootstrap.
+  /// Create this side of the pair with `peer` (both blocks, QP) and publish
+  /// it on the bootstrap.
   Endpoint& open_endpoint(int peer);
-  /// Register `ep`'s allocated regions in Endpoint::regions() order and
-  /// route landings on its ring and credit cell to its active mark. This
-  /// pair is the only code that (de)registers endpoint memory: setup, the
-  /// reconnect rebuild and finalize all go through it (dcfa_lint
-  /// endpoint-mr).
+  /// Register `ep`'s blocks in Endpoint::regions() order and route landings
+  /// on its remote block to its active mark. This pair is the only code
+  /// that (de)registers endpoint memory: setup, the reconnect rebuild and
+  /// finalize all go through it (dcfa_lint endpoint-mr).
   void reg_endpoint(Endpoint& ep);
-  /// Deregister `ep`'s regions in the same order, dropping each landing
-  /// route with its MR. The buffers stay allocated.
+  /// Deregister `ep`'s blocks in the same order, dropping the landing route
+  /// with its MR. The buffers stay allocated.
   void dereg_endpoint(Endpoint& ep);
   /// This side's half of the pair, as published on the bootstrap.
   Bootstrap::PeerInfo peer_info(const Endpoint& ep) const;
@@ -937,7 +927,7 @@ class Engine {
   Bootstrap& bootstrap_;
   Options options_;
   const sim::Platform& platform_;
-  SlotLayout layout_;
+  EndpointLayout layout_;
 
   ib::ProtectionDomain* pd_ = nullptr;
   ib::CompletionQueue* cq_ = nullptr;
@@ -946,13 +936,13 @@ class Engine {
   std::unique_ptr<OffloadShadowCache> shadow_cache_;
 
   std::map<int, Endpoint> endpoints_;
-  /// Peers whose endpoint may have work: a landing on its ring or credit
-  /// cell, a deferred emission, a reconnect rebuild, or a scan that stopped
-  /// on a non-empty slot. progress() visits only these, in peer order.
+  /// Peers whose endpoint may have work: a landing on its remote block, a
+  /// deferred emission, a reconnect rebuild, or a scan that stopped on a
+  /// non-empty slot. progress() visits only these, in peer order.
   std::set<int> active_;
-  /// Ring and credit-cell rkeys of every endpoint -> its peer, so the HCA's
-  /// landing callback marks exactly the endpoint a write hit. Entries leave
-  /// with their MR's registration; unknown rkeys only wake the rank.
+  /// Remote-block rkey of every endpoint -> its peer, so the HCA's landing
+  /// callback marks exactly the endpoint a write hit. Entries leave with
+  /// their MR's registration; unknown rkeys only wake the rank.
   std::unordered_map<ib::MKey, int> landing_peer_;
   std::map<std::pair<std::uint32_t, int>, SelfChannel> self_channels_;
   std::map<std::uint32_t, CommRecv> comm_recv_;
@@ -983,7 +973,7 @@ class Engine {
   /// tracking and retransmission, the finalize credit flush, the fault
   /// counters in the trace.
   bool faults_armed_ = false;
-  /// qp_fatal or delegate_crash armed: the pulse, probe cells and tick
+  /// qp_fatal or delegate_crash armed: the pulse, probes and tick
   /// timer, the bootstrap watch (eager mesh), reconnects and the per-pass
   /// scan of the reconnect board.
   bool fatal_armed_ = false;

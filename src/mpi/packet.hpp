@@ -70,14 +70,16 @@ static_assert(std::is_trivially_copyable_v<PacketHeader>);
 
 using PacketTail = std::uint32_t;
 
-/// Ring-slot geometry: [PacketHeader][payload (<= max_payload)][tail].
+/// Ring-slot geometry: [PacketHeader][payload (<= max_payload)][tail],
+/// with slot 0 starting `base` bytes into the block that holds the slots.
 struct SlotLayout {
   std::uint64_t max_payload;
+  std::uint64_t base = 0;
 
   std::uint64_t stride() const {
     return sizeof(PacketHeader) + max_payload + sizeof(PacketTail);
   }
-  std::uint64_t header_off(int slot) const { return slot * stride(); }
+  std::uint64_t header_off(int slot) const { return base + slot * stride(); }
   std::uint64_t payload_off(int slot) const {
     return header_off(slot) + sizeof(PacketHeader);
   }
@@ -85,6 +87,36 @@ struct SlotLayout {
   std::uint64_t tail_off(int slot, std::uint64_t payload_len) const {
     return payload_off(slot) + payload_len;
   }
+};
+
+/// Endpoint memory geometry. Every endpoint owns exactly two registered
+/// blocks, and every offset into them comes from here:
+///  * the remote block, which the peer RDMA-writes through the one rkey the
+///    endpoint advertises: [credit cell][ring slots]. The cell comes first,
+///    so a ring overrun still runs off the MR's end and trips the bounds
+///    check;
+///  * the local block, which only this rank writes:
+///    [credit source][probe cell][staging slots]. The credit source feeds
+///    credit writes, liveness probes land in the probe cell, and the
+///    staging slots feed ring writes.
+struct EndpointLayout {
+  static constexpr std::uint64_t kCell = 64;  ///< one cache line per cell
+  static constexpr std::uint64_t kCreditCellOff = 0;  ///< remote block
+  static constexpr std::uint64_t kCreditSrcOff = 0;   ///< local block
+  static constexpr std::uint64_t kProbeCellOff = kCell;  ///< local block
+  /// A probe reads the peer's two-word pulse: counter, known-failure epoch.
+  static constexpr std::uint64_t kProbeCellBytes = 2 * sizeof(std::uint64_t);
+
+  EndpointLayout(std::uint64_t max_payload, int slots)
+      : ring{max_payload, kCell}, staging{max_payload, 2 * kCell},
+        slots(slots) {}
+
+  SlotLayout ring;     ///< receive slots, in the remote block
+  SlotLayout staging;  ///< send slots, in the local block
+  int slots;
+
+  std::uint64_t remote_bytes() const { return ring.header_off(slots); }
+  std::uint64_t local_bytes() const { return staging.header_off(slots); }
 };
 
 }  // namespace dcfa::mpi

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <set>
 #include <stdexcept>
 
 #include "sim/check.hpp"
@@ -699,9 +700,11 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
 
   Runtime rt(cfg);
   sim::FaultInjector* faults = rt.faults_mut();
+  std::set<const ib::Hca*> hcas;
   rt.run([&](RankCtx& ctx) {
     auto& world = ctx.world;
     const int me = ctx.rank;
+    hcas.insert(&world.engine().ib().hca_ref());
     // Past the cluster size, ranks share nodes round-robin; arena counters
     // on a shared node see the co-located rank's transient allocations
     // (e.g. an in-flight barrier scratch byte), so leaks are attributable
@@ -782,6 +785,7 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
   res.check_events = rt.sim().checker().events();
   res.events = rt.sim().events_executed();
   res.ctx_switches = rt.sim().switches();
+  for (const ib::Hca* hca : hcas) res.mr_regs += hca->mrs_registered_total();
   for (const Engine::Stats& st : rt.rank_stats()) {
     res.totals = stats_add(res.totals, st);
   }

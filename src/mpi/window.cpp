@@ -370,10 +370,6 @@ void Window::flush(int target) {
   chk().rma_flushed(eng().rank(), id_, comm_.world_rank(target));
 }
 
-void Window::flush(std::span<const int> targets) {
-  for (int t : targets) flush(t);
-}
-
 void Window::flush_all() {
   if (freed_) throw MpiError("Window: flush_all after free");
   if (lock_all_) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <span>
 #include <vector>
 
 #include "mpi/communicator.hpp"
@@ -112,8 +111,6 @@ class Window {
   /// Complete (remotely) every operation issued toward `target` so far in
   /// this epoch; the epoch stays open.
   void flush(int target);
-  /// Flush several targets (span-friendly form).
-  void flush(std::span<const int> targets);
   /// Flush every target we hold an epoch toward.
   void flush_all();
   /// Complete every operation toward `target` *locally* (the origin buffer

@@ -36,15 +36,6 @@ const char* check_kind_name(CheckKind k) {
   return "unknown";
 }
 
-const char* check_level_name(CheckLevel l) {
-  switch (l) {
-    case CheckLevel::Off: return "off";
-    case CheckLevel::Cheap: return "cheap";
-    case CheckLevel::Full: return "full";
-  }
-  return "unknown";
-}
-
 CheckLevel Checker::parse_level(const std::string& s) {
   if (s == "off" || s == "0") return CheckLevel::Off;
   if (s == "cheap" || s.empty()) return CheckLevel::Cheap;

@@ -57,7 +57,6 @@ enum class CheckKind {
 };
 
 const char* check_kind_name(CheckKind k);
-const char* check_level_name(CheckLevel l);
 
 /// Thrown on the first invariant violation. Fail-fast: the simulation state
 /// that produced the violation is still intact in the throwing thread, so a

@@ -1,22 +1,6 @@
 #include "sim/vclock.hpp"
 
-#include <sstream>
-
 namespace dcfa::sim {
-
-std::string VClock::str() const {
-  std::ostringstream os;
-  os << '<';
-  bool first = true;
-  for (std::size_t i = 0; i < c_.size(); ++i) {
-    if (c_[i] == 0) continue;
-    if (!first) os << ' ';
-    os << i << ':' << c_[i];
-    first = false;
-  }
-  os << '>';
-  return os.str();
-}
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;

@@ -8,7 +8,6 @@
 // was never ticked reads as 0, so clocks over sparse rank sets stay small.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dcfa::sim {
@@ -45,9 +44,6 @@ class VClock {
   }
 
   bool empty() const { return c_.empty(); }
-
-  /// "<0:3 2:1>" — non-zero components only, for violation reports.
-  std::string str() const;
 
  private:
   void grow(int rank) {

@@ -62,11 +62,6 @@ void HostVerbs::post_send(ib::QueuePair* qp, ib::SendWr wr) {
   hca_.post_send(qp, std::move(wr));
 }
 
-void HostVerbs::post_recv(ib::QueuePair* qp, ib::RecvWr wr) {
-  proc_.wait(platform_.host_post_overhead);
-  hca_.post_recv(qp, std::move(wr));
-}
-
 int HostVerbs::poll_cq(ib::CompletionQueue* cq, int max, ib::Wc* out) {
   int n = cq->poll(max, out);
   if (n > 0) proc_.wait(platform_.host_poll_overhead);

@@ -50,7 +50,6 @@ class Ib {
 
   // --- Data path ------------------------------------------------------------
   virtual void post_send(ib::QueuePair* qp, ib::SendWr wr) = 0;
-  virtual void post_recv(ib::QueuePair* qp, ib::RecvWr wr) = 0;
   /// Non-blocking poll; models the caller's per-poll cost only when
   /// completions were found.
   virtual int poll_cq(ib::CompletionQueue* cq, int max, ib::Wc* out) = 0;
@@ -107,7 +106,6 @@ class HostVerbs final : public Ib {
   QpAddress address(ib::QueuePair* qp) override;
 
   void post_send(ib::QueuePair* qp, ib::SendWr wr) override;
-  void post_recv(ib::QueuePair* qp, ib::RecvWr wr) override;
   int poll_cq(ib::CompletionQueue* cq, int max, ib::Wc* out) override;
   void wait_cq(ib::CompletionQueue* cq) override;
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "mpi/packet.hpp"
 #include "mpi/runtime.hpp"
@@ -38,6 +40,27 @@ TEST(SlotLayout, ZeroPayloadControlPackets) {
   EXPECT_EQ(layout.tail_off(3, 0), layout.payload_off(3));
 }
 
+TEST(EndpointLayout, CellsPrecedeTheSlotsAndNothingOverlaps) {
+  const EndpointLayout layout(8192, 16);
+  const SlotLayout& ring = layout.ring;
+  const SlotLayout& stage = layout.staging;
+  // Remote block: the credit word sits before slot 0, and the last slot's
+  // tail at full payload ends exactly at the block's end, so an overrun
+  // leaves the registration instead of landing on the cell.
+  EXPECT_LE(EndpointLayout::kCreditCellOff + sizeof(std::uint64_t),
+            ring.header_off(0));
+  EXPECT_EQ(ring.tail_off(15, 8192) + sizeof(PacketTail),
+            layout.remote_bytes());
+  // Local block: credit source, then probe cell, then the staging slots.
+  EXPECT_LE(EndpointLayout::kCreditSrcOff + sizeof(std::uint64_t),
+            EndpointLayout::kProbeCellOff);
+  EXPECT_LE(EndpointLayout::kProbeCellOff + EndpointLayout::kProbeCellBytes,
+            stage.header_off(0));
+  EXPECT_EQ(stage.tail_off(15, 8192) + sizeof(PacketTail),
+            layout.local_bytes());
+  EXPECT_EQ(ring.stride(), stage.stride());
+}
+
 TEST(PacketHeader, DefaultsAreSane) {
   PacketHeader hdr;
   EXPECT_EQ(hdr.magic, kPacketMagic);
@@ -54,12 +77,12 @@ TEST(Bootstrap, BlocksUntilPublished) {
   engine.spawn("getter", [&](sim::Process& proc) {
     const auto info = boot.get(proc, 1, 0);
     got_at = proc.now();
-    EXPECT_EQ(info.ring_addr, 0xABCDu);
+    EXPECT_EQ(info.block_addr, 0xABCDu);
   });
   engine.spawn("putter", [&](sim::Process& proc) {
     proc.wait(sim::microseconds(100));
     Bootstrap::PeerInfo info;
-    info.ring_addr = 0xABCD;
+    info.block_addr = 0xABCD;
     boot.put(1, 0, info);
   });
   engine.run();
@@ -78,14 +101,14 @@ TEST(Bootstrap, ManyPairsResolveIndependently) {
       for (int peer = 0; peer < N; ++peer) {
         if (peer == me) continue;
         Bootstrap::PeerInfo info;
-        info.ring_addr = me * 100 + peer;
+        info.block_addr = me * 100 + peer;
         boot.put(me, peer, info);
       }
       proc.wait(me * 7);  // stagger
       for (int peer = 0; peer < N; ++peer) {
         if (peer == me) continue;
         const auto info = boot.get(proc, peer, me);
-        EXPECT_EQ(info.ring_addr,
+        EXPECT_EQ(info.block_addr,
                   static_cast<mem::SimAddr>(peer * 100 + me));
         ++resolved;
       }
@@ -93,6 +116,57 @@ TEST(Bootstrap, ManyPairsResolveIndependently) {
   }
   engine.run();
   EXPECT_EQ(resolved, N * (N - 1));
+}
+
+// --- Endpoint memory ---------------------------------------------------------------
+
+// Every wired endpoint registers exactly two blocks (EndpointLayout): the
+// remote block (credit cell + ring) and the local block (credit source +
+// probe cell + staging), whatever the mode, the wiring or the fault spec.
+// The only other registrations in this body are the per-rank liveness
+// pulse under fatal faults and the caches' misses (none for eager-only
+// traffic, subtracted anyway so the count names endpoint memory alone).
+TEST(EndpointMemory, TwoRegistrationsPerWiredEndpoint) {
+  constexpr int kRanks = 4;
+  // Armed (the pulse, probes and reconnect machinery are on) but the skip
+  // keeps the wedge from ever firing, so no rebuild re-registers.
+  const std::string fatal = "qp_fatal=1,qp_fatal_skip=1000000,qp_fatal_max=1";
+  for (MpiMode mode : {MpiMode::HostMpi, MpiMode::DcfaPhi}) {
+    for (bool lazy : {false, true}) {
+      for (const std::string& spec : {std::string(), fatal}) {
+        SCOPED_TRACE(std::string(mode == MpiMode::HostMpi ? "host" : "phi") +
+                     (lazy ? " lazy " : " eager ") + spec);
+        RunConfig cfg;
+        cfg.mode = mode;
+        cfg.nprocs = kRanks;
+        cfg.fault_spec = spec;
+        cfg.engine_options.lazy_endpoints = lazy;
+        Runtime rt(cfg);
+        std::vector<std::uint64_t> endpoint_regs(kRanks);
+        rt.run([&](RankCtx& ctx) {
+          auto& comm = ctx.world;
+          mem::Buffer buf = comm.alloc(16);
+          for (int d = 1; d < kRanks; ++d) {
+            comm.sendrecv(buf, 0, 8, type_byte(), (ctx.rank + d) % kRanks, 1,
+                          buf, 8, 8, type_byte(),
+                          (ctx.rank + kRanks - d) % kRanks, 1);
+          }
+          comm.barrier();
+          Engine& eng = comm.engine();
+          std::uint64_t regs = eng.ib().hca_ref().mrs_registered_total();
+          regs -= eng.mr_cache()->misses();
+          if (eng.shadow_cache()) regs -= eng.shadow_cache()->misses();
+          if (!spec.empty()) regs -= 1;  // the liveness pulse
+          endpoint_regs[ctx.rank] = regs;
+          comm.free(buf);
+        });
+        for (int r = 0; r < kRanks; ++r) {
+          EXPECT_EQ(rt.rank_stats()[r].reconnects, 0u);
+          EXPECT_EQ(endpoint_regs[r], 2u * (kRanks - 1)) << "rank " << r;
+        }
+      }
+    }
+  }
 }
 
 // --- Engine stats -----------------------------------------------------------------

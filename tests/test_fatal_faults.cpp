@@ -422,15 +422,16 @@ TEST(FatalFaults, ReplayedRtsDuringReadIsDroppedNotReadmitted) {
 
 // ---------------------------------------------------------------------------
 // The delegate crash of faulty_soak's fault spec, moved from endpoint wiring
-// (about 1,800-2,000 delegated CMDs on this cluster) into the traffic. On a
-// 16-rank, one-rank-per-node DcfaPhi cluster running a mixed p2p and
-// iallreduce load, the outage stalls the crashed rank's registrations while
-// a dozen QP wedges (the added qp_fatal term) force reconnects across the
-// cluster, so replays land mid-rendezvous: with handle_rts's ReadingData
-// drop removed, five of the eight points trip the checker's "admitted
-// twice". Every sweep point must either deliver every payload exactly once
-// (run_scenario checks each one and the per-phase send/receive counts must
-// match) or stop with a named MpiError; a checker violation fails the test.
+// (about 1,000 delegated CMDs on this cluster, about 63 per rank) into the
+// traffic. On a 16-rank, one-rank-per-node DcfaPhi cluster running a mixed
+// p2p and iallreduce load, the outage stalls the crashed rank's
+// registrations while a dozen QP wedges (the added qp_fatal term) force
+// reconnects across the cluster, so replays land mid-rendezvous: with
+// handle_rts's ReadingData drop removed, six of the eight points trip the
+// checker's "admitted twice". Every sweep point must either deliver every
+// payload exactly once (run_scenario checks each one and the per-phase
+// send/receive counts must match) or stop with a named MpiError; a checker
+// violation fails the test.
 // Which points reach a given recovery window shifts with any timing change;
 // ReplayedRtsDuringReadIsDroppedNotReadmitted pins the replayed-RTS window
 // deterministically.

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "mpi/runtime.hpp"
 
@@ -148,18 +150,58 @@ TEST(P2p, TruncationEagerRaisesError) {
 TEST(P2p, TruncationRendezvousRaisesErrorBothSides) {
   // Sender-rendezvous / receiver-eager prediction with oversized data:
   // paper IV-B3 — "the receiver will issue an MPI error". Our Err packet
-  // extension also fails the sender instead of deadlocking it.
-  EXPECT_THROW(run_mpi(dcfa_cfg(2),
-                       [](RankCtx& ctx) {
-                         auto& comm = ctx.world;
-                         mem::Buffer buf = comm.alloc(64 * 1024);
-                         if (ctx.rank == 0) {
-                           comm.send(buf, 0, 32 * 1024, type_byte(), 1, 1);
-                         } else {
-                           comm.recv(buf, 0, 1024, type_byte(), 0, 1);
-                         }
-                       }),
-               MpiError);
+  // extension also fails the sender instead of deadlocking it. Each rank
+  // catches its error and both then meet in a barrier, so a receiver error
+  // cannot end the run before the sender's arrives.
+  std::array<std::string, 2> err;
+  run_mpi(dcfa_cfg(2), [&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(64 * 1024);
+    try {
+      if (ctx.rank == 0) {
+        comm.send(buf, 0, 32 * 1024, type_byte(), 1, 1);
+      } else {
+        comm.recv(buf, 0, 1024, type_byte(), 0, 1);
+      }
+    } catch (const MpiError& e) {
+      err[ctx.rank] = e.what();
+    }
+    comm.barrier();
+  });
+  EXPECT_NE(err[0].find("peer aborted message (truncation)"),
+            std::string::npos) << err[0];
+  EXPECT_NE(err[1].find("truncation: rendezvous message"), std::string::npos)
+      << err[1];
+}
+
+TEST(P2p, TruncationReceiverFirstRaisesErrorBothSides) {
+  // Receiver-first rendezvous: the receive is posted (and its RTR consumed
+  // by the sender, ahead of the barrier's packets in the same ring) before
+  // the send starts. The RTR offers 16 KiB for a 32 KiB send, so the sender
+  // refuses to write and tells the receiver with an Err packet.
+  std::array<std::string, 2> err;
+  run_mpi(dcfa_cfg(2), [&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(64 * 1024);
+    try {
+      if (ctx.rank == 0) {
+        comm.barrier();
+        comm.send(buf, 0, 32 * 1024, type_byte(), 1, 1);
+      } else {
+        Request r = comm.irecv(buf, 0, 16 * 1024, type_byte(), 0, 1);
+        comm.barrier();
+        comm.wait(r);
+      }
+    } catch (const MpiError& e) {
+      err[ctx.rank] = e.what();
+    }
+    comm.barrier();
+  });
+  EXPECT_NE(err[0].find("truncation: send of 32768 bytes exceeds receive of "
+                        "16384"),
+            std::string::npos) << err[0];
+  EXPECT_NE(err[1].find("peer aborted message (truncation)"),
+            std::string::npos) << err[1];
 }
 
 TEST(P2p, SendToSelfMatchesRecv) {
