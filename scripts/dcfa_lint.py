@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Thirteen rule families, each encoding an invariant the generic toolchain cannot
+Fourteen rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -24,12 +24,14 @@ see (docs/checking.md has the rationale and the paper references):
                   mpi/wire.hpp's bounds-checked put/get helpers are the
                   only sanctioned path. (ib/hca.cpp is exempt: it *is*
                   the simulated DMA engine.)
-  rma-epoch       work requests with Opcode::RdmaWrite/RdmaRead may only be
-                  built in the files whose entry points run the window
-                  epoch hooks (engine.cpp, rma.cpp, protocol.cpp). A raw
-                  RDMA post anywhere else in src/mpi bypasses
-                  chk().rma_remote_access and the passive-target epoch
-                  ledgers — DcfaCheck would be blind to the access.
+  rma-epoch       work requests (ib::SendWr) may only be built in the
+                  files whose entry points run the window epoch hooks
+                  (engine.cpp, rma.cpp, protocol.cpp; engine.hpp declares
+                  them). Windows and channels pass an opcode to
+                  Engine::rma_post instead. A raw RDMA post anywhere else in
+                  src/mpi bypasses chk().rma_remote_access and the
+                  passive-target epoch ledgers — DcfaCheck would be blind
+                  to the access.
   raw-context-switch  the fiber switch routine (dcfa_fiber_switch) may
                   only appear in src/sim/fiber.cpp (Fiber::resume/yield),
                   and no ucontext API (getcontext, makecontext,
@@ -87,6 +89,12 @@ see (docs/checking.md has the rationale and the paper references):
                   the callback and posts. An inline registration is how
                   wr_id order and the signaled flag drift between the
                   eager, rendezvous, RMA and retry paths.
+  offload-stage   in src/mpi/, the offloading send buffer is decided only
+                  inside Engine::stage_offload: no shadow_cache_->get(,
+                  sync_offload_mr( or offload_send_threshold elsewhere.
+                  Rendezvous sends, window puts and channel writes all ask
+                  the helper, so they share one eligibility rule and one
+                  CmdError fallback to a plain MR.
 
 A file can waive one rule with a justified marker comment:
 
@@ -160,10 +168,11 @@ RAW_POST_CALL = re.compile(r"(?:\.|->)post_(?:send|recv)\s*\(")
 # their entry points are the ones that run the checker's epoch hooks.
 RMA_EPOCH_ALLOWED = [
     "src/mpi/engine.cpp",
+    "src/mpi/engine.hpp",
     "src/mpi/rma.cpp",
     "src/mpi/protocol.cpp",
 ]
-RMA_OPCODE = re.compile(r"Opcode::Rdma(?:Write|Read)\b")
+WORK_REQUEST = re.compile(r"\bSendWr\b")
 
 # raw-context-switch: the one file that owns context switching. Everything
 # the simulator runs must block/resume through Engine::schedule_at so that
@@ -213,6 +222,13 @@ SIGNALED_POST_HELPERS = ("post_signaled",)
 OUTSTANDING_WRITE = re.compile(
     r"\boutstanding_\s*"
     r"(?:\[|\.\s*(?:emplace\w*|insert\w*|try_emplace)\s*\()")
+
+# offload-stage: the one helper that decides the offloading send buffer,
+# and the pieces of that decision.
+OFFLOAD_STAGE_HELPERS = ("stage_offload",)
+OFFLOAD_STAGE = re.compile(
+    r"\bshadow_cache_\s*->\s*get\s*\(|\bsync_offload_mr\s*\(|"
+    r"\boffload_send_threshold\b")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -361,11 +377,11 @@ def check_rma_epoch(path: Path, rel: str, lines: list[str]) -> None:
     if not rel.startswith("src/mpi/") or rel in RMA_EPOCH_ALLOWED:
         return
     for i, line in enumerate(lines, 1):
-        if RMA_OPCODE.search(strip_comments(line)):
+        if WORK_REQUEST.search(strip_comments(line)):
             finding(path, i, "rma-epoch",
-                    "raw RDMA work request outside engine/rma/protocol; "
+                    "raw work request outside engine/rma/protocol; "
                     "this bypasses the window epoch hooks and the checker's "
-                    "remote-access ledger — go through Engine::rma_* (or "
+                    "remote-access ledger — go through Engine::rma_post (or "
                     "add a justified waiver)")
 
 
@@ -514,6 +530,20 @@ def check_signaled_post(path: Path, rel: str, text: str,
                     "post signaled work requests through the helper")
 
 
+def check_offload_stage(path: Path, rel: str, text: str,
+                        lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, OFFLOAD_STAGE_HELPERS)
+    for i, line in enumerate(lines, 1):
+        if (OFFLOAD_STAGE.search(strip_comments(line))
+                and not any(i in r for r in helpers)):
+            finding(path, i, "offload-stage",
+                    "offloading send buffer decided outside "
+                    "Engine::stage_offload; ask the helper so every sender "
+                    "shares its eligibility rule and CmdError fallback")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -558,6 +588,7 @@ def main() -> int:
         check_getenv(path, rel, lines)
         check_catch_switch(path, rel, lines)
         check_signaled_post(path, rel, text, lines)
+        check_offload_stage(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -535,10 +535,10 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index,
   return guarded([&]() -> int {
     RankEnv& e = env();
     std::vector<mpi::Request> active;
-    std::vector<int> at;
+    std::vector<std::pair<int, int>> at;  // (index, slot) per active entry
     for (int i = 0; i < count; ++i) {
       if (requests[i] == MPI_REQUEST_NULL) continue;
-      int slot;
+      int slot = -1;
       switch (decode_request(requests[i], &slot)) {
         case ReqRef::Invalid:
           return MPI_ERR_REQUEST;
@@ -547,7 +547,7 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index,
           continue;
         case ReqRef::Ok:
           active.push_back(e.requests[slot]);
-          at.push_back(i);
+          at.emplace_back(i, slot);
           break;
       }
     }
@@ -556,9 +556,7 @@ int MPI_Waitany(int count, MPI_Request* requests, int* index,
       return MPI_SUCCESS;
     }
     const std::size_t w = e.ctx->world.engine().waitany(active);
-    const int i = at[w];
-    int slot;
-    decode_request(requests[i], &slot);
+    const auto [i, slot] = at[w];
     fill_status(status, e.requests[slot].status());
     release_request(slot);
     requests[i] = MPI_REQUEST_NULL;
@@ -602,9 +600,10 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag,
   return guarded([&]() -> int {
     RankEnv& e = env();
     std::vector<mpi::Request> active;
+    std::vector<std::pair<int, int>> at;  // (index, slot) per active entry
     for (int i = 0; i < count; ++i) {
       if (requests[i] == MPI_REQUEST_NULL) continue;
-      int slot;
+      int slot = -1;
       switch (decode_request(requests[i], &slot)) {
         case ReqRef::Invalid:
           return MPI_ERR_REQUEST;
@@ -613,6 +612,7 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag,
           continue;
         case ReqRef::Ok:
           active.push_back(e.requests[slot]);
+          at.emplace_back(i, slot);
           break;
       }
     }
@@ -622,10 +622,7 @@ int MPI_Testall(int count, MPI_Request* requests, int* flag,
       return MPI_SUCCESS;
     }
     *flag = 1;
-    for (int i = 0; i < count; ++i) {
-      if (requests[i] == MPI_REQUEST_NULL) continue;
-      int slot;
-      decode_request(requests[i], &slot);
+    for (const auto& [i, slot] : at) {
       fill_status(statuses ? &statuses[i] : MPI_STATUS_IGNORE,
                   e.requests[slot].status());
       release_request(slot);
@@ -640,10 +637,10 @@ int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag,
   return guarded([&]() -> int {
     RankEnv& e = env();
     std::vector<mpi::Request> active;
-    std::vector<int> at;
+    std::vector<std::pair<int, int>> at;  // (index, slot) per active entry
     for (int i = 0; i < count; ++i) {
       if (requests[i] == MPI_REQUEST_NULL) continue;
-      int slot;
+      int slot = -1;
       switch (decode_request(requests[i], &slot)) {
         case ReqRef::Invalid:
           return MPI_ERR_REQUEST;
@@ -652,7 +649,7 @@ int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag,
           continue;
         case ReqRef::Ok:
           active.push_back(e.requests[slot]);
-          at.push_back(i);
+          at.emplace_back(i, slot);
           break;
       }
     }
@@ -668,9 +665,7 @@ int MPI_Testany(int count, MPI_Request* requests, int* index, int* flag,
       *flag = 0;
       return MPI_SUCCESS;
     }
-    const int i = at[*w];
-    int slot;
-    decode_request(requests[i], &slot);
+    const auto [i, slot] = at[*w];
     fill_status(status, e.requests[slot].status());
     release_request(slot);
     requests[i] = MPI_REQUEST_NULL;

@@ -32,11 +32,12 @@ bool PhiVerbs::note_delegate_death() {
   return true;
 }
 
-void PhiVerbs::charge_proxy_verb(sim::Time host_cost) {
+void PhiVerbs::charge_proxy_verb(CmdOp op, CmdSize size) {
   // One proxied resource verb: SCIF round trip to the host IB Proxy Daemon
   // plus the host-side verb cost. The delegate's hash table died with it,
   // but the kernel-owned IB objects survive, so the daemon can serve them.
-  proc_.wait(2 * platform_.scif_msg_latency + host_cost);
+  proc_.wait(2 * platform_.scif_msg_latency +
+             cmd_service_time(platform_, op, size));
 }
 
 bool PhiVerbs::recv_reply(std::uint64_t req_id, sim::Time timeout) {
@@ -140,46 +141,44 @@ scif::Reader PhiVerbs::cmd_call(
 }
 
 ib::ProtectionDomain* PhiVerbs::alloc_pd() {
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base);
-    auto* pd = hca_.alloc_pd();
-    handles_[pd] = 0;
-    return pd;
-  }
-  try {
+  return delegated([&] {
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::AllocPd);
+      auto* pd = hca_.alloc_pd();
+      handles_[pd] = 0;
+      return pd;
+    }
     auto r = cmd_call(CmdOp::AllocPd);
     const auto handle = r.get<Handle>();
     auto* pd =
         reinterpret_cast<ib::ProtectionDomain*>(r.get<std::uintptr_t>());
     handles_[pd] = handle;
     return pd;
-  } catch (const CmdError&) {
-    if (!note_delegate_death()) throw;
-    return alloc_pd();
-  }
+  });
 }
 
 ib::MemoryRegion* PhiVerbs::reg_mr(ib::ProtectionDomain* pd,
                                    const mem::Buffer& buf, unsigned access) {
-  auto it = handles_.find(pd);
-  if (it == handles_.end()) throw std::invalid_argument("reg_mr: foreign PD");
-  const Handle pd_h = it->second;
-  // The CMD client translates the user buffer's virtual address to physical
-  // pages before shipping the request (Section IV-B1); that walk is the
-  // per-page client cost.
-  const std::size_t pages =
-      (buf.size() + mem::AddressSpace::kPage - 1) / mem::AddressSpace::kPage;
-  proc_.wait(platform_.phi_reg_mr_per_page * static_cast<sim::Time>(pages));
+  return delegated([&] {
+    auto it = handles_.find(pd);
+    if (it == handles_.end()) {
+      throw std::invalid_argument("reg_mr: foreign PD");
+    }
+    const Handle pd_h = it->second;
+    // The CMD client translates the user buffer's virtual address to
+    // physical pages before shipping the request (Section IV-B1); that walk
+    // is the per-page client cost.
+    const std::size_t pages = (buf.size() + mem::AddressSpace::kPage - 1) /
+                              mem::AddressSpace::kPage;
+    proc_.wait(platform_.phi_reg_mr_per_page * static_cast<sim::Time>(pages));
 
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base +
-                      platform_.host_reg_mr_per_page *
-                          static_cast<sim::Time>(pages));
-    auto* mr = hca_.reg_mr(pd, buf.domain(), buf.addr(), buf.size(), access);
-    handles_[mr] = 0;
-    return mr;
-  }
-  try {
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::RegMr, {.reg_bytes = buf.size()});
+      auto* mr =
+          hca_.reg_mr(pd, buf.domain(), buf.addr(), buf.size(), access);
+      handles_[mr] = 0;
+      return mr;
+    }
     auto r = cmd_call(
         CmdOp::RegMr,
         [&](scif::Writer& w) {
@@ -195,39 +194,34 @@ ib::MemoryRegion* PhiVerbs::reg_mr(ib::ProtectionDomain* pd,
     auto* mr = reinterpret_cast<ib::MemoryRegion*>(r.get<std::uintptr_t>());
     handles_[mr] = handle;
     return mr;
-  } catch (const CmdError&) {
-    if (!note_delegate_death()) throw;
-    return reg_mr(pd, buf, access);  // once more via CMD, or the proxy path
-  }
+  });
 }
 
 void PhiVerbs::dereg_mr(ib::MemoryRegion* mr) {
-  auto it = handles_.find(mr);
-  if (it == handles_.end()) throw std::invalid_argument("dereg_mr: foreign MR");
-  const Handle h = it->second;
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base / 2);
-    hca_.dereg_mr(mr);
-  } else {
-    try {
-      cmd_call(CmdOp::DeregMr, [&](scif::Writer& w) { w.put(h); });
-    } catch (const CmdError&) {
-      if (!note_delegate_death()) throw;
-      dereg_mr(mr);  // the retry erases the handle
-      return;
+  delegated([&] {
+    auto it = handles_.find(mr);
+    if (it == handles_.end()) {
+      throw std::invalid_argument("dereg_mr: foreign MR");
     }
-  }
-  handles_.erase(mr);
+    const Handle h = it->second;
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::DeregMr);
+      hca_.dereg_mr(mr);
+    } else {
+      cmd_call(CmdOp::DeregMr, [&](scif::Writer& w) { w.put(h); });
+    }
+    handles_.erase(mr);
+  });
 }
 
 ib::CompletionQueue* PhiVerbs::create_cq(int capacity) {
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base);
-    auto* cq = hca_.create_cq(capacity);
-    handles_[cq] = 0;
-    return cq;
-  }
-  try {
+  return delegated([&] {
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::CreateCq);
+      auto* cq = hca_.create_cq(capacity);
+      handles_[cq] = 0;
+      return cq;
+    }
     auto r = cmd_call(CmdOp::CreateCq, [&](scif::Writer& w) {
       w.put(static_cast<std::int32_t>(capacity));
     });
@@ -235,29 +229,26 @@ ib::CompletionQueue* PhiVerbs::create_cq(int capacity) {
     auto* cq = reinterpret_cast<ib::CompletionQueue*>(r.get<std::uintptr_t>());
     handles_[cq] = handle;
     return cq;
-  } catch (const CmdError&) {
-    if (!note_delegate_death()) throw;
-    return create_cq(capacity);
-  }
+  });
 }
 
 ib::QueuePair* PhiVerbs::create_qp(ib::ProtectionDomain* pd,
                                    ib::CompletionQueue* send_cq,
                                    ib::CompletionQueue* recv_cq) {
-  auto pd_it = handles_.find(pd);
-  auto s_it = handles_.find(send_cq);
-  auto r_it = handles_.find(recv_cq);
-  if (pd_it == handles_.end() || s_it == handles_.end() ||
-      r_it == handles_.end()) {
-    throw std::invalid_argument("create_qp: foreign object");
-  }
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base);
-    auto* qp = hca_.create_qp(pd, send_cq, recv_cq);
-    handles_[qp] = 0;
-    return qp;
-  }
-  try {
+  return delegated([&] {
+    auto pd_it = handles_.find(pd);
+    auto s_it = handles_.find(send_cq);
+    auto r_it = handles_.find(recv_cq);
+    if (pd_it == handles_.end() || s_it == handles_.end() ||
+        r_it == handles_.end()) {
+      throw std::invalid_argument("create_qp: foreign object");
+    }
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::CreateQp);
+      auto* qp = hca_.create_qp(pd, send_cq, recv_cq);
+      handles_[qp] = 0;
+      return qp;
+    }
     auto r = cmd_call(CmdOp::CreateQp, [&](scif::Writer& w) {
       w.put(pd_it->second).put(s_it->second).put(r_it->second);
     });
@@ -267,50 +258,42 @@ ib::QueuePair* PhiVerbs::create_qp(ib::ProtectionDomain* pd,
     auto* qp = reinterpret_cast<ib::QueuePair*>(r.get<std::uintptr_t>());
     handles_[qp] = handle;
     return qp;
-  } catch (const CmdError&) {
-    if (!note_delegate_death()) throw;
-    return create_qp(pd, send_cq, recv_cq);
-  }
+  });
 }
 
 void PhiVerbs::connect(ib::QueuePair* qp, verbs::QpAddress remote) {
-  auto it = handles_.find(qp);
-  if (it == handles_.end()) throw std::invalid_argument("connect: foreign QP");
-  const Handle h = it->second;
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base);
-    hca_.connect(qp, remote.lid, remote.qpn);
-    return;
-  }
-  try {
+  delegated([&] {
+    auto it = handles_.find(qp);
+    if (it == handles_.end()) {
+      throw std::invalid_argument("connect: foreign QP");
+    }
+    const Handle h = it->second;
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::ConnectQp);
+      hca_.connect(qp, remote.lid, remote.qpn);
+      return;
+    }
     cmd_call(CmdOp::ConnectQp, [&](scif::Writer& w) {
       w.put(h).put(remote.lid).put(remote.qpn);
     });
-  } catch (const CmdError&) {
-    if (!note_delegate_death()) throw;
-    connect(qp, remote);
-  }
+  });
 }
 
 void PhiVerbs::destroy_qp(ib::QueuePair* qp) {
-  auto it = handles_.find(qp);
-  if (it == handles_.end()) {
-    throw std::invalid_argument("destroy_qp: foreign QP");
-  }
-  const Handle h = it->second;
-  if (proxy_fallback_) {
-    charge_proxy_verb(platform_.host_reg_mr_base / 2);
-    hca_.destroy_qp(qp);
-  } else {
-    try {
-      cmd_call(CmdOp::DestroyQp, [&](scif::Writer& w) { w.put(h); });
-    } catch (const CmdError&) {
-      if (!note_delegate_death()) throw;
-      destroy_qp(qp);  // the retry erases the handle
-      return;
+  delegated([&] {
+    auto it = handles_.find(qp);
+    if (it == handles_.end()) {
+      throw std::invalid_argument("destroy_qp: foreign QP");
     }
-  }
-  handles_.erase(qp);
+    const Handle h = it->second;
+    if (proxy_fallback_) {
+      charge_proxy_verb(CmdOp::DestroyQp);
+      hca_.destroy_qp(qp);
+    } else {
+      cmd_call(CmdOp::DestroyQp, [&](scif::Writer& w) { w.put(h); });
+    }
+    handles_.erase(qp);
+  });
 }
 
 verbs::QpAddress PhiVerbs::address(ib::QueuePair* qp) {

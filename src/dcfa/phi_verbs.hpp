@@ -58,7 +58,6 @@ class PhiVerbs : public verbs::Ib {
   void charge_memcpy(std::size_t bytes) override;
 
   sim::Process& process() override { return proc_; }
-  mem::NodeId node() const override { return memory_.node(); }
   ib::Hca& hca_ref() override { return hca_; }
 
   // --- Offloading send buffer (the paper's three added functions) ----------
@@ -131,8 +130,9 @@ class PhiVerbs : public verbs::Ib {
   bool recv_reply(std::uint64_t req_id, sim::Time timeout);
 
   /// Cost of one resource verb served by the host proxy daemon (fallback
-  /// mode): SCIF round trip + the host-side verb cost.
-  void charge_proxy_verb(sim::Time host_cost);
+  /// mode): SCIF round trip + the host-side cost of `op`, the same
+  /// cmd_service_time the delegate charges.
+  void charge_proxy_verb(CmdOp op, CmdSize size = {});
 
   /// Record one CmdError budget exhaustion on a resource verb. Returns true
   /// when the caller should retry the verb: either the delegate gets one
@@ -142,6 +142,21 @@ class PhiVerbs : public verbs::Ib {
   /// not armed — the error stays the caller's problem, as before this
   /// subsystem existed.
   bool note_delegate_death();
+
+  /// Run resource verb `verb` (its CMD path, or its proxy path once
+  /// degraded); while note_delegate_death absorbs its CmdError, run it
+  /// again. The rerun starts after the handler has exited, because a fiber
+  /// must not block inside a catch handler.
+  template <class Verb>
+  auto delegated(Verb&& verb) {
+    for (;;) {
+      try {
+        return verb();
+      } catch (const CmdError&) {
+        if (!note_delegate_death()) throw;
+      }
+    }
+  }
 
   sim::Process& proc_;
   ib::Fabric& fabric_;

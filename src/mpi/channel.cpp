@@ -33,11 +33,12 @@ Channel::Channel(Communicator& comm, int peer, const mem::Buffer& send_buf,
   recv_mr_ = e.expose_window_mr(recv_buf_);
   ctrl_mr_ = e.expose_window_mr(ctrl_);
   // Large co-processor payloads leave through the offload host shadow, same
-  // as rendezvous. Warm that shadow now — its one-time registration belongs
-  // with the rest of the negotiation, not in the first post().
-  if (peer_ != comm_.rank()) {
-    e.rma_stage(send_buf_, soff_, bytes_, send_mr_->lkey());
-  }
+  // as rendezvous. Decide that now and warm the shadow — its one-time
+  // registration belongs with the rest of the negotiation, not in the first
+  // post(). A shadow the host delegation failed is not asked for again:
+  // the payloads leave from send_buf_'s own MR.
+  offload_ = peer_ != comm_.rank() &&
+             e.stage_offload(send_buf_, soff_, bytes_).has_value();
 
   // Tell the checker which remote keys we are handing out, so the bounds
   // ledger can audit every incoming write against them.
@@ -99,13 +100,14 @@ void Channel::post() {
   // Stage large co-processor payloads through the offload host shadow
   // (pre-registered at negotiation time, so this is a PCIe sync, never an
   // MR exchange). Self-channels copy directly — no wire, no staging.
-  const auto [src_addr, src_lkey] =
-      peer_ == comm_.rank()
-          ? std::pair{send_buf_.addr() + soff_, send_mr_->lkey()}
-          : e.rma_stage(send_buf_, soff_, bytes_, send_mr_->lkey());
-  e.rma_write_prereg(
-      peer_world_, src_addr, src_lkey, bytes_,
-      peer_recv_addr_, peer_recv_rkey_, [this] {
+  std::optional<Engine::Exposure> staged;
+  if (offload_) staged = e.stage_offload(send_buf_, soff_, bytes_);
+  e.rma_post(
+      peer_world_, ib::Opcode::RdmaWrite,
+      staged ? staged->addr : send_buf_.addr() + soff_,
+      staged ? staged->lkey : send_mr_->lkey(), bytes_, peer_recv_addr_,
+      peer_recv_rkey_, sim::CheckKind::RaceChannelCell,
+      sim::Checker::AccessOp::Write, "channel post", [this] {
         Engine& en = eng();
         const std::uint64_t advertised = posts_;
         std::memcpy(ctrl_.data() + 8, &advertised, sizeof advertised);
@@ -115,9 +117,11 @@ void Channel::post() {
         // including the payload write, whose tracked access closed in
         // the completion that invoked this callback.
         en.checker().channel_posted(en.rank(), peer_db_addr_, advertised);
-        en.rma_write_prereg(peer_world_, ctrl_.addr() + 8, ctrl_mr_->lkey(),
-                            8, peer_db_addr_, peer_db_rkey_,
-                            [this] { --local_pending_; });
+        en.rma_post(peer_world_, ib::Opcode::RdmaWrite, ctrl_.addr() + 8,
+                    ctrl_mr_->lkey(), 8, peer_db_addr_, peer_db_rkey_,
+                    sim::CheckKind::RaceChannelCell,
+                    sim::Checker::AccessOp::Write, "channel post",
+                    [this] { --local_pending_; });
       });
 }
 

@@ -99,6 +99,8 @@ class Channel {
   mem::SimAddr peer_db_addr_ = 0;
   ib::MKey peer_db_rkey_ = 0;
 
+  /// Payloads leave through the offload host shadow (decided at setup).
+  bool offload_ = false;
   std::uint64_t posts_ = 0;      ///< payloads posted (doorbell currency)
   std::uint64_t expected_ = 0;   ///< arrivals consumed by wait_arrival
   int local_pending_ = 0;        ///< posts not yet locally complete

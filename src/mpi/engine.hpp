@@ -348,43 +348,42 @@ class Engine {
   /// Invalidate cached registrations before freeing a user buffer.
   void forget_buffer(const mem::Buffer& buf);
 
-  // --- One-sided RMA primitives (Window support) -----------------------------
+  // --- One-sided RMA primitives (Window and Channel support) -----------------
   /// Register `buf` for remote one-sided access and return the MR (owned by
   /// the caller; release with release_window_mr).
   ib::MemoryRegion* expose_window_mr(const mem::Buffer& buf);
   void release_window_mr(ib::MemoryRegion* mr);
-  /// RDMA-write `bytes` of local[loff..] into (remote_addr, rkey) at `peer`.
-  /// Local staging follows the same rules as rendezvous payloads (offload
-  /// send buffer when eligible). `on_done` fires at local completion, which
-  /// in this model implies remote delivery. `op` is what DcfaRace records
-  /// for the remote range (Write for put, Accum for the accumulate
-  /// write-back, which commutes with other accumulates).
-  void rma_write(int peer, const mem::Buffer& local, std::size_t loff,
-                 std::size_t bytes, mem::SimAddr remote_addr, ib::MKey rkey,
-                 std::function<void()> on_done,
-                 sim::Checker::AccessOp op = sim::Checker::AccessOp::Write);
-  /// RDMA-read `bytes` from (remote_addr, rkey) at `peer` into local[loff..].
-  void rma_read(int peer, const mem::Buffer& local, std::size_t loff,
-                std::size_t bytes, mem::SimAddr remote_addr, ib::MKey rkey,
-                std::function<void()> on_done,
-                sim::Checker::AccessOp op = sim::Checker::AccessOp::Read);
-  /// Fully pre-negotiated RDMA write (persistent channels): both keys were
-  /// exchanged at setup, so the hot path does no MR lookup, registration or
-  /// staging — the pMR design point. Self-writes short-circuit like
-  /// rma_write's.
-  void rma_write_prereg(int peer, mem::SimAddr local_addr, ib::MKey lkey,
-                        std::size_t bytes, mem::SimAddr remote_addr,
-                        ib::MKey rkey, std::function<void()> on_done);
-  /// Pick the source (addr, lkey) a prereg write should post from: the
-  /// offload shadow when that's how a large co-processor payload should
-  /// leave the node (same rules as rendezvous staging), else the direct
-  /// buffer with `direct_lkey`. The first call per buffer registers the
-  /// shadow — channels call it once at setup so their hot loop only pays
-  /// the PCIe sync, never a negotiation.
-  std::pair<mem::SimAddr, ib::MKey> rma_stage(const mem::Buffer& local,
-                                              std::size_t loff,
-                                              std::size_t bytes,
-                                              ib::MKey direct_lkey);
+  /// A payload exposed for RDMA: (addr, lkey-for-local-use,
+  /// rkey-for-remote-use).
+  struct Exposure {
+    mem::SimAddr addr;
+    ib::MKey lkey;
+    ib::MKey rkey;
+  };
+  /// The offloading send buffer (IV-B4), decided here for every sender
+  /// (rendezvous payloads, window puts, channel writes): when `bytes` of
+  /// buf[off..] should leave the co-processor through the host shadow, sync
+  /// them into it and return where they now live. Returns nothing when the
+  /// payload is not eligible, or when the host delegation definitively
+  /// failed the shadow (counted in offload_fallbacks); the caller then
+  /// exposes `buf` through a plain MR. The first call per buffer registers
+  /// the shadow.
+  std::optional<Exposure> stage_offload(const mem::Buffer& buf,
+                                        std::size_t off, std::size_t bytes);
+  /// An MR covering `buf`: the MR cache's, or (cache off) a fresh
+  /// registration. A definitive CMD failure surfaces as an MpiError.
+  ib::MemoryRegion* register_window(const mem::Buffer& buf);
+  /// The one one-sided post, under every window op and channel write: RDMA
+  /// `opcode` (RdmaWrite or RdmaRead) of `bytes` between the local
+  /// (laddr, lkey) and (raddr, rkey) at `peer`. DcfaRace tracks the remote
+  /// range as a `race` access of kind `op` named `label` from post until
+  /// completion; `on_done` fires at local completion, which in this model
+  /// implies remote delivery. A self op is a memcpy. Throws ProcFailed for
+  /// a dead peer.
+  void rma_post(int peer, ib::Opcode opcode, mem::SimAddr laddr,
+                ib::MKey lkey, std::size_t bytes, mem::SimAddr raddr,
+                ib::MKey rkey, sim::CheckKind race, sim::Checker::AccessOp op,
+                const char* label, std::function<void()> on_done);
   /// Drive progress until `pred()` holds (blocks the owning process).
   void wait_until(const std::function<bool()>& pred);
   /// The cluster invariant checker, for components layered above the engine
@@ -763,17 +762,11 @@ class Engine {
   /// packed host buffer is recorded in packed_ and released at completion.
   /// Returns true when delegation happened.
   bool try_offload_pack(const std::shared_ptr<RequestState>& req);
-  /// Expose the request's payload for RDMA: through the offloading send
-  /// buffer (shadow sync) when eligible, else via the MR cache. Returns
-  /// (addr, lkey-for-local-use, rkey-for-remote-use).
-  struct Exposure {
-    mem::SimAddr addr;
-    ib::MKey lkey;
-    ib::MKey rkey;
-  };
+  /// Expose the request's payload for RDMA: its host-packed buffer, the
+  /// offloading send buffer (stage_offload), else an MR.
   Exposure expose_send_payload(const std::shared_ptr<RequestState>& req);
-  ib::MemoryRegion* register_window(const mem::Buffer& buf);
-  void release_window(const mem::Buffer& buf, ib::MemoryRegion* mr);
+  /// Drop a per-message MR (only set when the MR cache is off).
+  void release_window(ib::MemoryRegion* mr);
 
   // --- RX path ---------------------------------------------------------------
   /// Consume every complete packet at the head of `ep`'s ring. Returns true

@@ -11,6 +11,18 @@ namespace {
 std::byte* user_ptr(const std::shared_ptr<RequestState>& req) {
   return req->buffer.data() + req->offset;
 }
+
+/// Where a request's wire bytes live: the pack buffer of a non-contiguous
+/// datatype, else the user buffer at its offset.
+struct Payload {
+  const mem::Buffer& buf;
+  std::size_t off;
+  std::byte* data() const { return buf.data() + off; }
+};
+Payload payload(const RequestState& req) {
+  return req.has_pack ? Payload{req.pack_buf, 0}
+                      : Payload{req.buffer, req.offset};
+}
 }  // namespace
 
 void Engine::charge_pack(std::size_t bytes) {
@@ -277,15 +289,14 @@ void Engine::send_eager(Endpoint& ep, const std::shared_ptr<RequestState>& req) 
     hdr.comm_id = req->comm_id;
     hdr.seq = req->seq;
     hdr.msg_bytes = req->bytes;
-    const std::byte* payload =
-        req->has_pack ? req->pack_buf.data() : user_ptr(req);
+    const std::byte* data = payload(*req).data();
     if (faults_armed_) {
       // Reliable mode: the packet write may be dropped or errored, so MPI
       // completion is deferred to the transport's delivery verdict (CQE
       // success, credit acknowledgement, or budget exhaustion).
       req->phase = RequestState::Phase::EagerSent;
       emit_packet(
-          ep, hdr, payload, req->bytes,
+          ep, hdr, data, req->bytes,
           [this, &ep, req](const ib::Wc& wc) {
             Channel& ch = channel(ep, req->comm_id, req->tag);
             ch.sends.erase(req->seq);
@@ -299,7 +310,7 @@ void Engine::send_eager(Endpoint& ep, const std::shared_ptr<RequestState>& req) 
           req);
       return;
     }
-    emit_packet(ep, hdr, payload, req->bytes);
+    emit_packet(ep, hdr, data, req->bytes);
     // One-copy semantics: once staged, the user buffer is free — the send
     // is complete for MPI purposes.
     req->phase = RequestState::Phase::EagerSent;
@@ -318,30 +329,38 @@ Engine::Exposure Engine::expose_send_payload(
     const core::OffloadRegion& r = it->second;
     return Exposure{r.host_addr, r.lkey, r.rkey};
   }
-  const mem::Buffer& pbuf = req->has_pack ? req->pack_buf : req->buffer;
-  const std::size_t poff = req->has_pack ? 0 : req->offset;
-
-  if (shadow_cache_ && req->bytes >= platform_.offload_send_threshold &&
-      pbuf.domain() == mem::Domain::PhiGddr) {
-    // Offloading send buffer (IV-B4): sync the latest data into the host
-    // shadow with the Phi DMA engine, then let the HCA read host memory.
-    // If the host delegation definitively failed the shadow registration
-    // (after the CMD client's own retries), fall back to exposing the
-    // buffer through a plain MR — slower, but the message still flows.
-    try {
-      const core::OffloadRegion& region = shadow_cache_->get(pbuf);
-      phi_->sync_offload_mr(region, pbuf, poff, req->bytes);
-      ++stats_.offload_syncs;
-      stats_.offload_sync_bytes += req->bytes;
-      req->used_offload_shadow = true;
-      return Exposure{region.host_addr + poff, region.lkey, region.rkey};
-    } catch (const core::CmdError&) {
-      ++stats_.offload_fallbacks;
-    }
+  const auto [pbuf, poff] = payload(*req);
+  if (auto staged = stage_offload(pbuf, poff, req->bytes)) {
+    req->used_offload_shadow = true;
+    return *staged;
   }
   ib::MemoryRegion* mr = register_window(pbuf);
   if (!options_.mr_cache) req->window_mr = mr;
   return Exposure{pbuf.addr() + poff, mr->lkey(), mr->rkey()};
+}
+
+std::optional<Engine::Exposure> Engine::stage_offload(const mem::Buffer& buf,
+                                                      std::size_t off,
+                                                      std::size_t bytes) {
+  if (!shadow_cache_ || bytes < platform_.offload_send_threshold ||
+      buf.domain() != mem::Domain::PhiGddr) {
+    return std::nullopt;
+  }
+  // Sync the latest data into the host shadow with the Phi DMA engine, so
+  // the HCA reads host memory. If the host delegation definitively failed
+  // the shadow registration (after the CMD client's own retries), the
+  // caller exposes the buffer through a plain MR: slower, but the bytes
+  // still flow.
+  try {
+    const core::OffloadRegion& region = shadow_cache_->get(buf);
+    phi_->sync_offload_mr(region, buf, off, bytes);
+    ++stats_.offload_syncs;
+    stats_.offload_sync_bytes += bytes;
+    return Exposure{region.host_addr + off, region.lkey, region.rkey};
+  } catch (const core::CmdError&) {
+    ++stats_.offload_fallbacks;
+    return std::nullopt;
+  }
 }
 
 ib::MemoryRegion* Engine::register_window(const mem::Buffer& buf) {
@@ -356,8 +375,7 @@ ib::MemoryRegion* Engine::register_window(const mem::Buffer& buf) {
   }
 }
 
-void Engine::release_window(const mem::Buffer& buf, ib::MemoryRegion* mr) {
-  (void)buf;
+void Engine::release_window(ib::MemoryRegion* mr) {
   if (!options_.mr_cache && mr) ib_->dereg_mr(mr);
 }
 
@@ -502,8 +520,7 @@ void Engine::rdma_write_to(Endpoint& ep,
                     ib::wc_status_name(wc.status));
       return;
     }
-    release_window(req->has_pack ? req->pack_buf : req->buffer,
-                   req->window_mr);
+    release_window(req->window_mr);
     tx(ep, [this, &ep, req] {
       emit_control(ep, PacketType::Done, req, 0, 0, 0,
                    PacketHeader::kToReceiver);
@@ -536,8 +553,7 @@ void Engine::activate_recv(Endpoint& ep, Channel& ch,
   if (req->bytes >= platform_.eager_threshold) {
     // Predicted rendezvous: Receiver-First protocol — expose the receive
     // buffer and invite the sender to RDMA-write into it.
-    const mem::Buffer& target = req->has_pack ? req->pack_buf : req->buffer;
-    const std::size_t toff = req->has_pack ? 0 : req->offset;
+    const auto [target, toff] = payload(*req);
     ib::MemoryRegion* mr = register_window(target);
     if (!options_.mr_cache) req->window_mr = mr;
     req->phase = RequestState::Phase::RtrSent;
@@ -574,8 +590,7 @@ void Engine::deliver_eager(Endpoint& ep,
     // Sender-Eager / Receiver-Rendezvous mis-prediction: receiver copies the
     // data and completes; the stale RTR is dropped on the sender side.
     ++stats_.eager_mispredicts;
-    release_window(req->has_pack ? req->pack_buf : req->buffer,
-                   req->window_mr);
+    release_window(req->window_mr);
   }
   if (hdr.msg_bytes > 0) {
     if (req->type->is_contiguous()) {
@@ -610,8 +625,7 @@ void Engine::start_rdma_read(Endpoint& ep,
                   std::to_string(req->bytes));
     return;
   }
-  const mem::Buffer& target = req->has_pack ? req->pack_buf : req->buffer;
-  const std::size_t toff = req->has_pack ? 0 : req->offset;
+  const auto [target, toff] = payload(*req);
   ib::MemoryRegion* mr = register_window(target);
   if (!options_.mr_cache) req->window_mr = mr;
   req->phase = RequestState::Phase::ReadingData;
@@ -637,8 +651,7 @@ void Engine::start_rdma_read(Endpoint& ep,
                         rts_copy.msg_bytes / req->type->size());
       charge_pack(rts_copy.msg_bytes);
     }
-    release_window(req->has_pack ? req->pack_buf : req->buffer,
-                   req->window_mr);
+    release_window(req->window_mr);
     ++stats_.sender_first;
     tx(ep, [this, &ep, req] {
       emit_control(ep, PacketType::Done, req, 0, 0, 0);
@@ -798,8 +811,7 @@ void Engine::handle_done(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
     }
     auto req = it->second;
     ch.sends.erase(it);
-    release_window(req->has_pack ? req->pack_buf : req->buffer,
-                   req->window_mr);
+    release_window(req->window_mr);
     complete(req, rank_, req->tag, req->bytes);
     return;
   }
@@ -813,8 +825,7 @@ void Engine::handle_done(Endpoint& ep, Channel& ch, const PacketHeader& hdr) {
                         hdr.msg_bytes / req->type->size());
       charge_pack(hdr.msg_bytes);
     }
-    release_window(req->has_pack ? req->pack_buf : req->buffer,
-                   req->window_mr);
+    release_window(req->window_mr);
     complete(req, hdr.src_rank, hdr.tag, hdr.msg_bytes);
     return;
   }
@@ -929,7 +940,7 @@ void Engine::self_send(const std::shared_ptr<RequestState>& req) {
   SelfMsg msg;
   msg.tag = req->tag;
   msg.bytes = req->bytes;
-  const std::byte* src = req->has_pack ? req->pack_buf.data() : user_ptr(req);
+  const std::byte* src = payload(*req).data();
   msg.data.assign(src, src + req->bytes);
   if (req->bytes > 0) ib_->charge_memcpy(req->bytes);
 

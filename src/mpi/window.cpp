@@ -152,24 +152,12 @@ void Window::quiesce(int target) {
 
 void Window::put(const mem::Buffer& src, std::size_t soff, std::size_t count,
                  const Datatype& type, int target, std::size_t disp) {
-  const std::size_t bytes = check_access(target, count, type, disp);
-  if (bytes == 0) return;
-  ++eng().coll_stats().rma_puts;
-  note_op(target);
-  eng().rma_write(comm_.world_rank(target), src, soff, bytes,
-                  remotes_[target].addr + disp, remotes_[target].rkey,
-                  [this, target] { complete_op(target); });
+  (void)rput(src, soff, count, type, target, disp);
 }
 
 void Window::get(const mem::Buffer& dst, std::size_t doff, std::size_t count,
                  const Datatype& type, int target, std::size_t disp) {
-  const std::size_t bytes = check_access(target, count, type, disp);
-  if (bytes == 0) return;
-  ++eng().coll_stats().rma_gets;
-  note_op(target);
-  eng().rma_read(comm_.world_rank(target), dst, doff, bytes,
-                 remotes_[target].addr + disp, remotes_[target].rkey,
-                 [this, target] { complete_op(target); });
+  (void)rget(dst, doff, count, type, target, disp);
 }
 
 void Window::accumulate(const mem::Buffer& src, std::size_t soff,
@@ -180,10 +168,7 @@ void Window::accumulate(const mem::Buffer& src, std::size_t soff,
   ++eng().coll_stats().rma_accumulates;
   if (op == Op::Replace) {
     // Element-wise overwrite: exactly a put.
-    note_op(target);
-    eng().rma_write(comm_.world_rank(target), src, soff, bytes,
-                    remotes_[target].addr + disp, remotes_[target].rkey,
-                    [this, target] { complete_op(target); });
+    (void)rput(src, soff, count, type, target, disp);
     return;
   }
   // Get-modify-put: fetch the target elements, combine through the same
@@ -193,50 +178,37 @@ void Window::accumulate(const mem::Buffer& src, std::size_t soff,
   // flush/unlock/fence. Atomicity is the caller's lock discipline. Both
   // halves report AccessOp::Accum so DcfaRace treats concurrent
   // accumulates as commuting while still flagging accum-vs-put overlap.
-  const int w = comm_.world_rank(target);
   mem::Buffer tmp = comm_.alloc(bytes);
   bool fetched = false;
-  eng().rma_read(w, tmp, 0, bytes, remotes_[target].addr + disp,
-                 remotes_[target].rkey, [&fetched] { fetched = true; },
-                 sim::Checker::AccessOp::Accum);
+  post(target, ib::Opcode::RdmaRead, tmp, 0, bytes, disp,
+       sim::Checker::AccessOp::Accum, "accumulate fetch",
+       [&fetched] { fetched = true; });
   eng().wait_until([&fetched] { return fetched; });
   eng().combine(op, type, tmp, 0, src, soff, count);
   note_op(target);
-  eng().rma_write(w, tmp, 0, bytes, remotes_[target].addr + disp,
-                  remotes_[target].rkey,
-                  [this, target, tmp] {
-                    complete_op(target);
-                    comm_.free(tmp);
-                  },
-                  sim::Checker::AccessOp::Accum);
+  post(target, ib::Opcode::RdmaWrite, tmp, 0, bytes, disp,
+       sim::Checker::AccessOp::Accum, "accumulate", [this, target, tmp] {
+         complete_op(target);
+         comm_.free(tmp);
+       });
 }
 
 Request Window::rput(const mem::Buffer& src, std::size_t soff,
                      std::size_t count, const Datatype& type, int target,
                      std::size_t disp) {
-  const std::size_t bytes = check_access(target, count, type, disp);
-  auto st = std::make_shared<RequestState>();
-  st->kind = RequestState::Kind::Rma;
-  st->peer = comm_.world_rank(target);
-  st->comm_id = comm_.id();
-  st->bytes = bytes;
-  if (bytes == 0) {
-    st->phase = RequestState::Phase::Complete;
-    return Request(st);
-  }
-  ++eng().coll_stats().rma_puts;
-  note_op(target);
-  eng().rma_write(st->peer, src, soff, bytes, remotes_[target].addr + disp,
-                  remotes_[target].rkey, [this, target, st] {
-                    complete_op(target);
-                    st->phase = RequestState::Phase::Complete;
-                  });
-  return Request(st);
+  return transfer(ib::Opcode::RdmaWrite, src, soff, count, type, target,
+                  disp);
 }
 
 Request Window::rget(const mem::Buffer& dst, std::size_t doff,
                      std::size_t count, const Datatype& type, int target,
                      std::size_t disp) {
+  return transfer(ib::Opcode::RdmaRead, dst, doff, count, type, target, disp);
+}
+
+Request Window::transfer(ib::Opcode opcode, const mem::Buffer& local,
+                         std::size_t loff, std::size_t count,
+                         const Datatype& type, int target, std::size_t disp) {
   const std::size_t bytes = check_access(target, count, type, disp);
   auto st = std::make_shared<RequestState>();
   st->kind = RequestState::Kind::Rma;
@@ -247,14 +219,42 @@ Request Window::rget(const mem::Buffer& dst, std::size_t doff,
     st->phase = RequestState::Phase::Complete;
     return Request(st);
   }
-  ++eng().coll_stats().rma_gets;
+  const bool write = opcode == ib::Opcode::RdmaWrite;
+  Engine::Stats& stats = eng().coll_stats();
+  ++(write ? stats.rma_puts : stats.rma_gets);
   note_op(target);
-  eng().rma_read(st->peer, dst, doff, bytes, remotes_[target].addr + disp,
-                 remotes_[target].rkey, [this, target, st] {
-                   complete_op(target);
-                   st->phase = RequestState::Phase::Complete;
-                 });
+  post(target, opcode, local, loff, bytes, disp,
+       write ? sim::Checker::AccessOp::Write : sim::Checker::AccessOp::Read,
+       write ? "put" : "get", [this, target, st] {
+         complete_op(target);
+         st->phase = RequestState::Phase::Complete;
+       });
   return Request(st);
+}
+
+void Window::post(int target, ib::Opcode opcode, const mem::Buffer& local,
+                  std::size_t loff, std::size_t bytes, std::size_t disp,
+                  sim::Checker::AccessOp op, const char* label,
+                  std::function<void()> on_done) {
+  Engine& e = eng();
+  const int peer = comm_.world_rank(target);
+  mem::SimAddr laddr = local.addr() + loff;
+  ib::MKey lkey = 0;
+  if (peer != e.rank() && !e.rank_failed(peer)) {
+    std::optional<Engine::Exposure> staged;
+    if (opcode == ib::Opcode::RdmaWrite) {
+      staged = e.stage_offload(local, loff, bytes);
+    }
+    if (staged) {
+      laddr = staged->addr;
+      lkey = staged->lkey;
+    } else {
+      lkey = e.register_window(local)->lkey();
+    }
+  }
+  e.rma_post(peer, opcode, laddr, lkey, bytes, remotes_[target].addr + disp,
+             remotes_[target].rkey, sim::CheckKind::RaceRmaWindow, op, label,
+             std::move(on_done));
 }
 
 void Window::fence() {

@@ -145,6 +145,19 @@ class Window {
   /// datatype shape. Returns the transfer size in bytes.
   std::size_t check_access(int target, std::size_t count,
                            const Datatype& type, std::size_t disp) const;
+  /// rput (RdmaWrite) or rget (RdmaRead) of `count` elements of `type`
+  /// between local[loff..] and the target window at `disp`.
+  Request transfer(ib::Opcode opcode, const mem::Buffer& local,
+                   std::size_t loff, std::size_t count, const Datatype& type,
+                   int target, std::size_t disp);
+  /// Post one RDMA op between local[loff..] and the target window at
+  /// `disp` through Engine::rma_post, resolving the local side: the offload
+  /// shadow for an eligible write, else a registration. A self op or one
+  /// toward a dead rank needs neither.
+  void post(int target, ib::Opcode opcode, const mem::Buffer& local,
+            std::size_t loff, std::size_t bytes, std::size_t disp,
+            sim::Checker::AccessOp op, const char* label,
+            std::function<void()> on_done);
   void note_op(int target);       ///< one op issued toward comm rank target
   void complete_op(int target);   ///< its local completion
   /// Wait until every op toward comm rank `target` is locally complete.

@@ -70,7 +70,6 @@ class Ib {
   virtual void charge_memcpy(std::size_t bytes) = 0;
 
   virtual sim::Process& process() = 0;
-  virtual mem::NodeId node() const = 0;
 
   /// The node's HCA (for wake-up observers and tests). On a Phi endpoint
   /// this is the host-owned HCA whose doorbells are mapped into user space.
@@ -115,7 +114,6 @@ class HostVerbs final : public Ib {
   void charge_memcpy(std::size_t bytes) override;
 
   sim::Process& process() override { return proc_; }
-  mem::NodeId node() const override { return memory_.node(); }
 
   ib::Hca& hca() { return hca_; }
   ib::Hca& hca_ref() override { return hca_; }

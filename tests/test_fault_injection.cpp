@@ -12,7 +12,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "mpi/channel.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/window.hpp"
 #include "sim/fault.hpp"
 
 using namespace dcfa;
@@ -472,6 +474,71 @@ TEST(FaultInjection, OffloadCmdFailureFallsBackToDirectPath) {
   EXPECT_GE(s.sender.cmd_retries, 1u);
   EXPECT_EQ(s.sender.rndv_sends, 1u);
 }
+
+// The one-sided senders share the rendezvous path's offload decision, so a
+// failed shadow registration falls back to a plain MR for them too: each
+// transfer delivers its bytes instead of surfacing the raw CmdError.
+enum class OneSided { Put, Rput, Channel };
+
+class OneSidedOffloadFallback : public ::testing::TestWithParam<OneSided> {};
+
+TEST_P(OneSidedOffloadFallback, DeliversThroughTheDirectMr) {
+  ASSERT_GT(kLarge, sim::Platform{}.offload_send_threshold);
+  Runtime rt(fault_cfg("cmd_fail=1,cmd_op=offload"));
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer src = comm.alloc(kLarge);
+    mem::Buffer dst = comm.alloc(kLarge);
+    std::memset(src.data(), 0x30 + ctx.rank, kLarge);
+    std::memset(dst.data(), 0, kLarge);
+    const int peer = 1 - ctx.rank;
+    if (GetParam() == OneSided::Channel) {
+      Channel ch(comm, peer, src, 0, dst, 0, kLarge);
+      ch.post();
+      ch.wait_arrival();
+      ch.wait_local();
+      ch.close();
+    } else {
+      Window win(comm, dst, 0, kLarge);
+      if (ctx.rank == 0) {
+        if (GetParam() == OneSided::Put) {
+          win.put(src, 0, kLarge, type_byte(), peer, 0);
+        } else {
+          Request r = win.rput(src, 0, kLarge, type_byte(), peer, 0);
+          comm.wait(r);
+        }
+      }
+      win.fence();
+      win.free();
+    }
+    comm.barrier();
+    if (GetParam() == OneSided::Channel || ctx.rank == 1) {
+      const auto want = static_cast<std::byte>(0x30 + peer);
+      EXPECT_EQ(dst.data()[0], want);
+      EXPECT_EQ(dst.data()[kLarge - 1], want);
+    }
+    comm.free(src);
+    comm.free(dst);
+  });
+  EXPECT_GE(rt.faults()->counters().cmd_failed, 1u);
+  EXPECT_GE(rt.rank_stats()[0].offload_fallbacks, 1u);
+  EXPECT_EQ(rt.rank_stats()[0].offload_syncs, 0u);
+  if (GetParam() == OneSided::Channel) {
+    EXPECT_GE(rt.rank_stats()[1].offload_fallbacks, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultInjection, OneSidedOffloadFallback,
+    ::testing::Values(OneSided::Put, OneSided::Rput, OneSided::Channel),
+    [](const ::testing::TestParamInfo<OneSided>& info) {
+      switch (info.param) {
+        case OneSided::Put: return "WindowPut";
+        case OneSided::Rput: return "WindowRput";
+        case OneSided::Channel: return "Channel";
+      }
+      return "";
+    });
 
 TEST(FaultInjection, SwallowedCmdTimesOutAndRetries) {
   // The very first CMD request of the run is swallowed (no reply): the
