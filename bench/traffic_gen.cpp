@@ -139,6 +139,11 @@ int main(int argc, char** argv) {
                static_cast<double>(res.totals.endpoint_polls), "count");
     rep.metric(name, "ctx_switches", static_cast<double>(res.ctx_switches),
                "count");
+    // Reliability mechanism counters, gated exactly like the host work.
+    rep.metric(name, "credits_sent",
+               static_cast<double>(res.totals.credits_sent), "count");
+    rep.metric(name, "retransmits",
+               static_cast<double>(res.totals.retransmits), "count");
   }
 
   std::printf("\n(All numbers are virtual time from the deterministic "

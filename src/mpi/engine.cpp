@@ -592,17 +592,6 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   const std::uint64_t idx = ep.sent_packets;
   hdr.ring_idx = idx;
   hdr.conn_epoch = ep.epoch;
-  if (idx >= static_cast<std::uint64_t>(slots())) {
-    // Reusing a slot is only possible once the peer's credit covered its
-    // old occupant, so any record still parked there (fault mode) is
-    // implicitly acknowledged now.
-    const std::uint64_t old = idx - slots();
-    if (auto it = ep.unacked.find(old); it != ep.unacked.end()) {
-      ++stats_.credit_acked;
-      finish_tracked(ep, it->second, ib::Wc{});
-    }
-    ep.delivered.erase(old);  // slot reuse proves the peer consumed it
-  }
 
   // Stage header, payload (the eager one-copy) and tail into the slot.
   const int slot = static_cast<int>(idx % slots());
@@ -816,15 +805,12 @@ void Engine::tracked_check(int peer, bool ring, std::uint64_t key,
   Endpoint& ep = endpoints_.at(peer);
   if (!ring && settle_orphan(ep, *rec)) return;
   if (!after_error) {
-    // A ring packet's CQE may have been lost while the data landed: the
-    // peer's credit counter is the implicit acknowledgement.
+    // A ring packet's CQE may have been lost while the data landed: a
+    // covering credit acknowledges it, and reading the cell finishes it.
     if (ring) {
       read_credit_cell(ep);
-      if (ep.consumed_by_peer > key) {
-        ++stats_.credit_acked;
-        finish_tracked(ep, *rec, ib::Wc{});
-        return;
-      }
+      rec = find_tracked(peer, ring, key);
+      if (rec == nullptr) return;
     }
     ++stats_.wc_timeouts;
     if (rec->landed && rec->attempts >= 1 + platform_.mpi_max_retries) {
@@ -1607,9 +1593,15 @@ void Engine::read_credit_cell(Endpoint& ep) {
     ep.consumed_by_peer = value;
     ep.last_heard = ib_->process().now();
     // Consumption proven up to `value`: parked delivered-packet records
-    // below it can never need a replay.
+    // below it can never need a replay, and a tracked packet below it is
+    // acknowledged, whatever became of its CQE.
     ep.delivered.erase(ep.delivered.begin(),
                        ep.delivered.lower_bound(value));
+    while (!ep.unacked.empty() &&
+           ep.unacked.begin()->first < ep.consumed_by_peer) {
+      ++stats_.credit_acked;
+      finish_tracked(ep, ep.unacked.begin()->second, ib::Wc{});
+    }
   }
 }
 
@@ -1638,12 +1630,14 @@ bool Engine::scan_ring(Endpoint& ep) {
       return true;
     }
     if (hdr.ring_idx != ep.my_consumed) {
-      // A retransmit of an already-consumed packet (its CQE or credit got
-      // lost on the sender side): scrub the slot so it reads empty again,
-      // and do NOT advance — the slot's real next packet comes later.
+      // A retransmit of an already-consumed packet: scrub the slot and do
+      // NOT advance — the slot's real next packet comes later. Its sender
+      // holds no ack for it (a lost CQE, no covering credit yet), so report
+      // the counter now rather than at the next period.
       std::memset(base, 0, sizeof hdr);
       std::memset(block.data() + ring.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.dup_packets_dropped;
+      if (ep.my_consumed > ep.my_consumed_reported) send_credit(ep);
       return true;
     }
 
@@ -1668,11 +1662,8 @@ bool Engine::scan_ring(Endpoint& ep) {
     ++stats_.packets_rx;
     // usable_slots_ == slots() unless a fault spec capped the credits; the
     // tighter cap also tightens the reporting period or the ring deadlocks.
-    // Under fault injection every consumption is reported immediately: the
-    // credit cell doubles as the retransmit ack, and a batched credit looks
-    // like a lost packet to a sender whose completion was dropped.
     const std::uint64_t credit_period =
-        faults_armed_ ? 1 : std::max<std::uint64_t>(1, usable_slots_ / 4);
+        std::max<std::uint64_t>(1, usable_slots_ / 4);
     if (ep.my_consumed - ep.my_consumed_reported >= credit_period) {
       send_credit(ep);
     }
@@ -2099,14 +2090,7 @@ void Engine::classify_failure(std::string& why, MpiErrc& errc, int& peer) {
 Status Engine::wait(Request& req) {
   if (!req.valid()) throw MpiError("wait: null request");
   auto& st = *req.state_;
-  while (!st.done()) {
-    wake_pending_ = false;
-    progress();
-    if (st.done()) break;
-    // Anything that landed while progress() was charging time re-runs the
-    // scan instead of blocking (level-triggered wake).
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
+  wait_until([&st] { return st.done(); });
   if (st.phase == RequestState::Phase::Error) {
     throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
   }

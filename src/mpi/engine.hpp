@@ -373,6 +373,8 @@ class Engine {
   /// An MR covering `buf`: the MR cache's, or (cache off) a fresh
   /// registration. A definitive CMD failure surfaces as an MpiError.
   ib::MemoryRegion* register_window(const mem::Buffer& buf);
+  /// Drop what register_window returned (a no-op with the MR cache on).
+  void release_window(ib::MemoryRegion* mr);
   /// The one one-sided post, under every window op and channel write: RDMA
   /// `opcode` (RdmaWrite or RdmaRead) of `bytes` between the local
   /// (laddr, lkey) and (raddr, rkey) at `peer`. DcfaRace tracks the remote
@@ -409,7 +411,6 @@ class Engine {
   }
   /// Failed-rank knowledge as adopted from the global failure board.
   bool rank_failed(int rank) const { return known_failed_.count(rank) != 0; }
-  const std::set<int>& known_failed() const { return known_failed_; }
   /// Extra slack on the liveness timeout before a silent peer is declared
   /// Suspect. Used by workloads whose injected compute stragglers can stall
   /// a whole rank legitimately for ~the timeout (heartbeat false positives).
@@ -765,14 +766,13 @@ class Engine {
   /// Expose the request's payload for RDMA: its host-packed buffer, the
   /// offloading send buffer (stage_offload), else an MR.
   Exposure expose_send_payload(const std::shared_ptr<RequestState>& req);
-  /// Drop a per-message MR (only set when the MR cache is off).
-  void release_window(ib::MemoryRegion* mr);
 
   // --- RX path ---------------------------------------------------------------
   /// Consume every complete packet at the head of `ep`'s ring. Returns true
   /// when the scan stopped on a non-empty slot (epoch fence, duplicate
   /// scrub, tail still in flight), so the endpoint needs another visit.
   bool scan_ring(Endpoint& ep);
+  /// Also finishes every tracked ring packet the credit covers (its ack).
   void read_credit_cell(Endpoint& ep);
   void handle_packet(Endpoint& ep, const PacketHeader& hdr,
                      const std::byte* payload);
@@ -818,6 +818,12 @@ class Engine {
   /// failure paths like retry exhaustion) supplies the taxonomy instead.
   void fail(const std::shared_ptr<RequestState>& req, std::string why,
             MpiErrc errc = MpiErrc::Other, int peer = -1);
+  /// ULFM posting guards: a p2p op on a revoked communicator, toward a
+  /// known-dead rank or over an abandoned pair (its reconnect budget ran out
+  /// on a wedged QP, here or at the peer) can never complete, so it is
+  /// failed at once instead of being sequenced (no seq is ever burned on a
+  /// doomed op). True if it was.
+  bool born_failed(const std::shared_ptr<RequestState>& st);
   /// fail() and fail_schedule()'s shared classification: inherit the
   /// ambient blame when no taxonomy was given, append " [errc=… peer=…]"
   /// to `why`, and count PROC_FAILED operations.
@@ -962,9 +968,9 @@ class Engine {
   /// (a dead peer, a foreign epoch, a stale ring index) runs unguarded.
   /// Unarmed classes therefore keep their event schedule bit-identical.
   sim::FaultInjector* faults_ = nullptr;
-  /// Any fault armed: the credit cap and per-packet credit period, delivery
-  /// tracking and retransmission, the finalize credit flush, the fault
-  /// counters in the trace.
+  /// Any fault armed: the credit cap, delivery tracking and
+  /// retransmission, the finalize credit flush, the fault counters in the
+  /// trace.
   bool faults_armed_ = false;
   /// qp_fatal or delegate_crash armed: the pulse, probes and tick
   /// timer, the bootstrap watch (eager mesh), reconnects and the per-pass

@@ -35,6 +35,25 @@ void Engine::charge_pack(std::size_t bytes) {
 // Posting
 // ---------------------------------------------------------------------------
 
+bool Engine::born_failed(const std::shared_ptr<RequestState>& st) {
+  const bool send = st->kind == RequestState::Kind::Send;
+  const char* op = send ? "isend" : "irecv";
+  const int peer = st->peer;
+  const auto it = endpoints_.find(peer);  // none for self or a wildcard
+  if (comm_revoked(st->comm_id)) {
+    fail(st, std::string(op) + " on revoked communicator", MpiErrc::Revoked);
+  } else if (peer != rank_ && rank_failed(peer)) {
+    fail(st, std::string(op) + (send ? " to" : " from") + " failed rank",
+         MpiErrc::ProcFailed, peer);
+  } else if (it != endpoints_.end() && it->second.abandoned) {
+    fail(st, std::string(op) + " over an abandoned connection",
+         MpiErrc::RetryExhausted, peer);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 Request Engine::isend(const mem::Buffer& buf, std::size_t offset,
                       std::size_t count, const Datatype& type, int dst,
                       int tag, std::uint32_t comm_id, bool sync) {
@@ -74,17 +93,7 @@ Request Engine::isend(const mem::Buffer& buf, std::size_t offset,
   }
 
   st->sync_mode = sync;
-  // ULFM posting guards: operations on a revoked communicator or toward a
-  // known-dead rank are born failed instead of being sequenced (keeping the
-  // channel ledgers clean — no seq is ever burned on a doomed op).
-  if (comm_revoked(comm_id)) {
-    fail(st, "isend on revoked communicator", MpiErrc::Revoked);
-    return Request(st);
-  }
-  if (dst != rank_ && rank_failed(dst)) {
-    fail(st, "isend to failed rank", MpiErrc::ProcFailed, dst);
-    return Request(st);
-  }
+  if (born_failed(st)) return Request(st);
   // DcfaRace: the user window is read by the transport until the request
   // completes; a concurrent unordered write to it is a buffer-reuse race.
   // Packed (non-contiguous) sends snapshot into pack_buf above, so the
@@ -193,14 +202,7 @@ Request Engine::irecv(const mem::Buffer& buf, std::size_t offset,
     st->has_pack = true;
   }
 
-  if (comm_revoked(comm_id)) {
-    fail(st, "irecv on revoked communicator", MpiErrc::Revoked);
-    return Request(st);
-  }
-  if (src != kAnySource && src != rank_ && rank_failed(src)) {
-    fail(st, "irecv from failed rank", MpiErrc::ProcFailed, src);
-    return Request(st);
-  }
+  if (born_failed(st)) return Request(st);
   // DcfaRace: the transport writes the user window until completion (the
   // self path below can complete synchronously, so open the access first).
   // Non-contiguous receives land in pack_buf and only touch the user

@@ -81,6 +81,8 @@ void Engine::wait_until(const std::function<bool()>& pred) {
     wake_pending_ = false;
     progress();
     if (pred()) return;
+    // Anything that landed while progress() was charging time re-runs the
+    // scan instead of blocking (level-triggered wake).
     if (!wake_pending_) ib_->process().wait_on(wake_);
   }
 }

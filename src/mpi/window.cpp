@@ -240,6 +240,7 @@ void Window::post(int target, ib::Opcode opcode, const mem::Buffer& local,
   const int peer = comm_.world_rank(target);
   mem::SimAddr laddr = local.addr() + loff;
   ib::MKey lkey = 0;
+  ib::MemoryRegion* mr = nullptr;
   if (peer != e.rank() && !e.rank_failed(peer)) {
     std::optional<Engine::Exposure> staged;
     if (opcode == ib::Opcode::RdmaWrite) {
@@ -249,12 +250,17 @@ void Window::post(int target, ib::Opcode opcode, const mem::Buffer& local,
       laddr = staged->addr;
       lkey = staged->lkey;
     } else {
-      lkey = e.register_window(local)->lkey();
+      mr = e.register_window(local);
+      lkey = mr->lkey();
     }
   }
+  // The MR goes before on_done runs, which may free `local`.
   e.rma_post(peer, opcode, laddr, lkey, bytes, remotes_[target].addr + disp,
              remotes_[target].rkey, sim::CheckKind::RaceRmaWindow, op, label,
-             std::move(on_done));
+             [&e, mr, on_done = std::move(on_done)] {
+               e.release_window(mr);
+               on_done();
+             });
 }
 
 void Window::fence() {

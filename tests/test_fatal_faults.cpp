@@ -157,6 +157,59 @@ TEST(FatalFaults, QpFatalReconnectsAndDeliversExactlyOnce) {
   EXPECT_EQ(s1.proxy_failovers, 0u);
 }
 
+TEST(FatalFaults, QpFatalReconnectsAHostMpiEndpoint) {
+  // The same wedge on a host pair: the HostMpi endpoint tears its QP down
+  // and rebuilds it through the host verbs, and its rebuilt ring runs the
+  // same credit rule as a DcfaPhi one.
+  RunConfig cfg = fatal_cfg("qp_fatal=1,qp_fatal_skip=6,qp_fatal_max=1");
+  cfg.mode = MpiMode::HostMpi;
+  Runtime rt(cfg);
+  rt.run(pingpong_body);
+
+  const auto& s0 = rt.rank_stats()[0];
+  const auto& s1 = rt.rank_stats()[1];
+  EXPECT_EQ(rt.faults()->counters().qp_fatal, 1u);
+  EXPECT_GE(s0.reconnects + s1.reconnects, 1u);
+  EXPECT_EQ(s0.retry_exhausted, 0u);
+  EXPECT_EQ(s1.retry_exhausted, 0u);
+}
+
+TEST(FatalFaults, OpsPostedOverAnAbandonedPairFailAtOnce) {
+  // With no reconnect budget, the first wedged QP gives the pair up on both
+  // sides. A send or receive posted over it afterwards can never complete:
+  // it must be born failed with RETRY_EXHAUSTED instead of waiting forever.
+  RunConfig cfg = fatal_cfg("qp_fatal=1,qp_fatal_skip=6,qp_fatal_max=1");
+  cfg.platform.mpi_max_reconnects = 0;
+  Runtime rt(cfg);
+  rt.run([](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    const int partner = ctx.rank ^ 1;
+    mem::Buffer rbuf = comm.alloc(kEagerBytes);
+    mem::Buffer sbuf = comm.alloc(kEagerBytes);
+    bool abandoned = false;
+    for (int i = 0; i < kIters && !abandoned; ++i) {
+      std::vector<Request> reqs;
+      reqs.push_back(comm.irecv(rbuf, 0, kEagerBytes, type_byte(), partner, 1));
+      reqs.push_back(comm.isend(sbuf, 0, kEagerBytes, type_byte(), partner, 1));
+      try {
+        comm.waitall(reqs);
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.errc(), MpiErrc::RetryExhausted);
+        abandoned = true;
+      }
+    }
+    ASSERT_TRUE(abandoned);
+    Request recv = comm.irecv(rbuf, 0, kEagerBytes, type_byte(), partner, 1);
+    Request send = comm.isend(sbuf, 0, kEagerBytes, type_byte(), partner, 1);
+    for (const Request* r : {&recv, &send}) {
+      EXPECT_TRUE(r->failed());
+      EXPECT_EQ(r->errc(), MpiErrc::RetryExhausted);
+    }
+    comm.free(rbuf);
+    comm.free(sbuf);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // MR lifecycle: setup, the reconnect rebuild and finalize register and
 // deregister endpoint memory through one helper pair. After a run that

@@ -137,15 +137,138 @@ TEST(FaultInjection, DroppedEagerCompletionRetransmitsExactlyOnce) {
 }
 
 TEST(FaultInjection, CreditActsAsImplicitAckWhenCqeIsLost) {
-  // Same dropped CQE, but the receiver consumes immediately and its credit
-  // write reaches the sender before the (long) retry timer: the packet is
-  // confirmed by credit alone, with no retransmission at all.
+  // Same dropped CQE, but the receiver consumes immediately and finalizes,
+  // and the credit it flushes reaches the sender before the (long) retry
+  // timer: the packet is confirmed by credit alone, with no retransmission.
   auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
   cfg.platform.mpi_retry_timeout = sim::milliseconds(1);
   auto s = one_faulty_message(kSmall, 0, 0, cfg);
   EXPECT_GE(s.sender.credit_acked, 1u);
   EXPECT_EQ(s.sender.retransmits, 0u);
   EXPECT_EQ(s.receiver.packets_rx, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One credit rule, armed or not: a credit every max(1, slots/4)
+// consumptions, any covering credit acknowledges, a duplicate gets a credit
+// ---------------------------------------------------------------------------
+
+TEST(FaultInjection, ArmedEndpointsBatchCreditsLikeUnarmedOnes) {
+  // A spec that is armed but never fires tracks every packet, yet returns
+  // exactly the credits of an unarmed run: one per credit period of
+  // consumptions on each endpoint.
+  auto body = [](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(kSmall);
+    for (int i = 0; i < 16; ++i) {
+      if (ctx.rank == 0) {
+        comm.send(buf, 0, kSmall, type_byte(), 1, 1);
+        comm.recv(buf, 0, kSmall, type_byte(), 1, 1);
+      } else {
+        comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
+        comm.send(buf, 0, kSmall, type_byte(), 0, 1);
+      }
+    }
+    comm.free(buf);
+  };
+  RunConfig plain = fault_cfg("");
+  Runtime rt_plain(plain);
+  rt_plain.run(body);
+  Runtime rt_armed(fault_cfg("drop_wc=1,drop_wc_skip=1000000"));
+  rt_armed.run(body);
+  EXPECT_EQ(rt_armed.faults()->counters().wc_dropped, 0u);
+  const std::uint64_t period = std::max(1, plain.platform.eager_slots / 4);
+  // Two ranks: each rank's stats are its one endpoint's.
+  for (int r = 0; r < 2; ++r) {
+    const auto& a = rt_plain.rank_stats()[r];
+    const auto& b = rt_armed.rank_stats()[r];
+    EXPECT_EQ(a.packets_rx, b.packets_rx);
+    EXPECT_GT(a.packets_rx, period);
+    EXPECT_EQ(a.credits_sent, a.packets_rx / period);
+    EXPECT_EQ(b.credits_sent, a.credits_sent);
+  }
+}
+
+TEST(FaultInjection, DroppedRingCqeFinishesWithinTwoAttempts) {
+  // A lone packet's CQE is lost and no credit period fills up behind it:
+  // the retransmit lands in its already-consumed slot, and its CQE is the
+  // acknowledgement. The send completes successfully on the second attempt.
+  auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::microseconds(10);
+  sim::FaultInjector::Counters injected;
+  auto s = one_faulty_message(kSmall, 0, 0, cfg, &injected);
+  EXPECT_EQ(injected.wc_dropped, 1u);
+  EXPECT_LE(s.sender.retransmits, 1u);
+  EXPECT_EQ(s.sender.retry_exhausted, 0u);
+  EXPECT_EQ(s.receiver.packets_rx, 1u);
+}
+
+TEST(FaultInjection, CoveringCreditAcksALostCqeBeforeItsTimer) {
+  // The first packet of a burst loses its CQE; the burst fills a credit
+  // period, and the credit that covers the packet finishes it as soon as
+  // the sender reads it, long before the packet's retry timer.
+  auto cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::milliseconds(1);
+  const int period = std::max(1, cfg.platform.eager_slots / 4);
+  sim::Time sends_done = 0;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    std::vector<mem::Buffer> bufs(period);
+    for (auto& b : bufs) b = comm.alloc(kSmall);
+    std::vector<Request> reqs;
+    for (int i = 0; i < period; ++i) {
+      reqs.push_back(ctx.rank == 0
+                         ? comm.isend(bufs[i], 0, kSmall, type_byte(), 1, 1)
+                         : comm.irecv(bufs[i], 0, kSmall, type_byte(), 0, 1));
+    }
+    comm.waitall(reqs);
+    if (ctx.rank == 0) sends_done = ctx.proc.now();
+    for (auto& b : bufs) comm.free(b);
+  });
+  const auto& s0 = rt.rank_stats()[0];
+  EXPECT_EQ(rt.faults()->counters().wc_dropped, 1u);
+  EXPECT_EQ(s0.credit_acked, 1u);
+  EXPECT_EQ(s0.retransmits, 0u);
+  EXPECT_LT(sends_done, cfg.platform.mpi_retry_timeout);
+}
+
+TEST(FaultInjection, DuplicateOfAConsumedPacketGetsACredit) {
+  // Packet 1's CQE is lost after the receiver consumed it, so its
+  // retransmit parks a duplicate in slot 1. The receiver meets it when its
+  // cursor wraps back to slot 1, with packet 16 consumed but not yet
+  // reported, and writes its counter at once: one credit more than the
+  // period alone gives. Packets 17-19 then end on a period boundary, where
+  // a run without the duplicate's credit would need no finalize flush.
+  auto cfg = fault_cfg("drop_wc=1,drop_wc_skip=1,drop_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::microseconds(10);
+  const int kMsgs = 20;
+  const int wrap = cfg.platform.eager_slots + 1;  // packets before the pause
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(kSmall);
+    for (int i = 0; i < kMsgs; ++i) {
+      if (ctx.rank == 0) {
+        // Hold packet 17 back until the receiver has passed slot 1.
+        if (i == wrap) ctx.proc.wait(sim::microseconds(200));
+        std::memset(buf.data(), 0x40 + i, kSmall);
+        comm.send(buf, 0, kSmall, type_byte(), 1, 1);
+      } else {
+        comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
+        EXPECT_EQ(buf.data()[kSmall - 1], static_cast<std::byte>(0x40 + i));
+      }
+    }
+    comm.free(buf);
+  });
+  const auto& s0 = rt.rank_stats()[0];
+  const auto& s1 = rt.rank_stats()[1];
+  const std::uint64_t period = std::max(1, cfg.platform.eager_slots / 4);
+  EXPECT_EQ(s0.retransmits, 1u);
+  EXPECT_EQ(s1.dup_packets_dropped, 1u);
+  EXPECT_EQ(s1.packets_rx, static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(s1.packets_rx % period, 0u);
+  EXPECT_EQ(s1.credits_sent, s1.packets_rx / period + 1);
 }
 
 TEST(FaultInjection, StaleRetransmitIsDiscardedByRingIndex) {

@@ -8,6 +8,7 @@
 
 #include <cstring>
 
+#include "ib/hca.hpp"
 #include "mpi/channel.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/window.hpp"
@@ -156,6 +157,41 @@ TEST(Window, LargePutUsesOffloadShadow) {
     comm.free(src);
   });
   EXPECT_GE(rt.rank_stats()[0].offload_syncs, 1u);
+}
+
+TEST(Window, UncachedPutsReleaseTheirMrs) {
+  // With the MR cache off, every put registers its origin buffer for that
+  // op alone, and the registration must go when the op completes.
+  RunConfig cfg = dcfa_cfg(2);
+  cfg.engine_options.mr_cache = false;
+  run_mpi(cfg, [](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    const std::size_t kBytes = 1024;
+    const int kPuts = 100;
+    mem::Buffer wbuf = comm.alloc(kPuts * kBytes);
+    mem::Buffer src = comm.alloc(kPuts * kBytes);
+    Window win(comm, wbuf, 0, kPuts * kBytes);
+    win.fence();
+    const ib::Hca& hca = comm.engine().ib().hca_ref();
+    const std::size_t live = hca.mrs_live();
+    if (ctx.rank == 0) {
+      for (int i = 0; i < kPuts; ++i) {
+        std::memset(src.data() + i * kBytes, i, kBytes);
+        win.put(src, i * kBytes, kBytes, type_byte(), 1, i * kBytes);
+      }
+    }
+    win.fence();
+    if (ctx.rank == 0) {
+      EXPECT_EQ(hca.mrs_live(), live);
+    } else {
+      for (int i = 0; i < kPuts; ++i) {
+        EXPECT_EQ(wbuf.data()[i * kBytes], static_cast<std::byte>(i));
+      }
+    }
+    win.free();
+    comm.free(wbuf);
+    comm.free(src);
+  });
 }
 
 TEST(Window, ManyOutstandingOpsOneFence) {
