@@ -95,6 +95,15 @@ see (docs/checking.md has the rationale and the paper references):
                   Rendezvous sends, window puts and channel writes all ask
                   the helper, so they share one eligibility rule and one
                   CmdError fallback to a plain MR.
+  bootstrap-handshake
+                  in src/mpi/, the connection board's handshake calls
+                  (Bootstrap publish, request, take_requests, poke and the
+                  epoch try_get) appear only inside the handshake
+                  functions: Engine::open_endpoint, establish_endpoint,
+                  await_peer, service_requests, maybe_start_reconnect and
+                  perform_reconnect. The eager mesh, first-touch wiring and
+                  reconnection share that one publish/request/await path;
+                  a board call elsewhere is a second handshake.
 
 A file can waive one rule with a justified marker comment:
 
@@ -229,6 +238,14 @@ OFFLOAD_STAGE_HELPERS = ("stage_offload",)
 OFFLOAD_STAGE = re.compile(
     r"\bshadow_cache_\s*->\s*get\s*\(|\bsync_offload_mr\s*\(|"
     r"\boffload_send_threshold\b")
+
+# bootstrap-handshake: the functions that make up the connection handshake,
+# and the board calls only they may make.
+HANDSHAKE_HELPERS = ("open_endpoint", "establish_endpoint", "await_peer",
+                     "service_requests", "maybe_start_reconnect",
+                     "perform_reconnect")
+HANDSHAKE_CALL = re.compile(
+    r"(?:\.|->)\s*(?:publish|request|take_requests|poke|try_get)\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -544,6 +561,20 @@ def check_offload_stage(path: Path, rel: str, text: str,
                     "shares its eligibility rule and CmdError fallback")
 
 
+def check_bootstrap_handshake(path: Path, rel: str, text: str,
+                              lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, HANDSHAKE_HELPERS)
+    for i, line in enumerate(lines, 1):
+        if (HANDSHAKE_CALL.search(strip_comments(line))
+                and not any(i in r for r in helpers)):
+            finding(path, i, "bootstrap-handshake",
+                    "connection board used outside the handshake functions; "
+                    "wire pairs through open_endpoint/await_peer/"
+                    "service_requests or the reconnect path")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -589,6 +620,7 @@ def main() -> int:
         check_catch_switch(path, rel, lines)
         check_signaled_post(path, rel, text, lines)
         check_offload_stage(path, rel, text, lines)
+        check_bootstrap_handshake(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

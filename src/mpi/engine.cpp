@@ -30,16 +30,10 @@ std::set<Engine*>& live_engines() {
 // Bootstrap
 // ---------------------------------------------------------------------------
 
-void Bootstrap::put(int from, int to, PeerInfo info) {
-  peers_[{from, to, 0}] = info;
-  cond_.notify_all();
-}
-
-Bootstrap::PeerInfo Bootstrap::get(sim::Process& proc, int from, int to) {
-  for (;;) {
-    if (const PeerInfo* pi = try_get(from, to)) return *pi;
-    proc.wait_on(cond_);
-  }
+void Bootstrap::publish(int from, int to, std::uint32_t epoch,
+                        PeerInfo info, bool poke_to) {
+  peers_[{from, to, epoch}] = info;
+  if (poke_to) poke(to);
 }
 
 const Bootstrap::PeerInfo* Bootstrap::try_get(int from, int to,
@@ -48,36 +42,27 @@ const Bootstrap::PeerInfo* Bootstrap::try_get(int from, int to,
   return it == peers_.end() ? nullptr : &it->second;
 }
 
-void Bootstrap::notify() {
-  cond_.notify_all();
-  // Wake every registered rank: one blocked in its own engine's wait loop
-  // has no reason to look at the bootstrap unless told to.
-  for (auto& [r, fn] : watches_) {
-    if (fn) fn();
-  }
+void Bootstrap::request(int from, int to, std::uint32_t epoch) {
+  requests_[to].push_back({from, epoch});
+  poke(to);
 }
 
-void Bootstrap::put_epoch(int from, int to, std::uint32_t epoch,
-                          PeerInfo info) {
-  peers_[{from, to, epoch}] = info;
-  notify();
-}
-
-void Bootstrap::request_reconnect(int from, int to, std::uint32_t epoch) {
-  std::uint32_t& cur = reconnect_board_[{from, to}];
-  if (epoch > cur) {
-    cur = epoch;
-    notify();
-  }
-}
-
-std::uint32_t Bootstrap::reconnect_requested(int from, int to) const {
-  auto it = reconnect_board_.find({from, to});
-  return it == reconnect_board_.end() ? 0 : it->second;
+std::vector<Bootstrap::PairRequest> Bootstrap::take_requests(
+    int rank, const std::function<bool(const PairRequest&)>& ready) {
+  auto it = requests_.find(rank);
+  if (it == requests_.end()) return {};
+  std::vector<PairRequest> out;
+  std::erase_if(it->second, [&](const PairRequest& r) {
+    if (!ready(r)) return false;
+    out.push_back(r);
+    return true;
+  });
+  if (it->second.empty()) requests_.erase(it);
+  return out;
 }
 
 void Bootstrap::abandon_pair(int from, int to) {
-  if (abandoned_.insert({from, to}).second) notify();
+  if (abandoned_.insert({from, to}).second) request(from, to, 0);
 }
 
 bool Bootstrap::pair_abandoned(int from, int to) const {
@@ -92,26 +77,15 @@ void Bootstrap::set_watch(int rank, std::function<void()> fn) {
   }
 }
 
-void Bootstrap::put_direct(int from, int to, PeerInfo info) {
-  peers_[{from, to, 0}] = info;
-}
-
-void Bootstrap::request_connect(int from, int to) {
-  connect_requests_[to].push_back(from);
-  notify_rank(to);
-}
-
-std::vector<int> Bootstrap::take_connect_requests(int rank) {
-  auto it = connect_requests_.find(rank);
-  if (it == connect_requests_.end()) return {};
-  std::vector<int> out = std::move(it->second);
-  connect_requests_.erase(it);
-  return out;
-}
-
-void Bootstrap::notify_rank(int rank) {
+void Bootstrap::poke(int rank) {
   auto it = watches_.find(rank);
-  if (it != watches_.end() && it->second) it->second();
+  if (it != watches_.end()) it->second();
+}
+
+void Bootstrap::notify() {
+  // Wake every registered rank: one blocked in its own engine's wait loop
+  // has no reason to look at the bootstrap unless told to.
+  for (auto& [r, fn] : watches_) fn();
 }
 
 void Bootstrap::mark_dead(int rank, sim::Time when) {
@@ -302,32 +276,26 @@ void Engine::setup() {
     wire::put(pulse_.buf, 0, std::uint64_t{1});
   }
 
-  if (lazy_) {
-    // First-touch wiring: no endpoints yet — endpoint() establishes pairs
-    // on demand and progress() answers peers' connect requests. The watch
-    // is how a rank blocked in a wait loop learns a requester needs it.
-    bootstrap_.set_watch(rank_, [this] {
-      wake_pending_ = true;
-      wake_.notify_all();
-    });
-    if (fatal_armed_) schedule_heartbeat();
-  } else {
+  // The watch is how a rank blocked in a wait loop learns that a peer
+  // published its half or asked for ours.
+  bootstrap_.set_watch(rank_, [this] {
+    wake_pending_ = true;
+    wake_.notify_all();
+  });
+  if (!lazy_) {
+    // The eager mesh: publish every half, then take every peer's. A peer
+    // publishes its whole mesh before it can die or give a pair up, so
+    // each wait ends connected. Under lazy wiring endpoint() runs the same
+    // handshake on first touch.
     for (int p = 0; p < nranks_; ++p) {
-      if (p == rank_) continue;
-      open_endpoint(p);
+      if (p != rank_) open_endpoint(p);
     }
-    for (auto& [p, ep] : endpoints_) {
-      connect_endpoint(ep, bootstrap_.get(ib_->process(), p, rank_));
-    }
-    if (fatal_armed_) {
-      const sim::Time now = ib_->process().now();
-      for (auto& [p, ep] : endpoints_) ep.last_heard = now;
-      bootstrap_.set_watch(rank_, [this] {
-        wake_pending_ = true;
-        wake_.notify_all();
-      });
-      schedule_heartbeat();
-    }
+    for (auto& [p, ep] : endpoints_) (void)await_peer(ep, 0);
+  }
+  if (fatal_armed_) {
+    const sim::Time now = ib_->process().now();
+    for (auto& [p, ep] : endpoints_) ep.last_heard = now;
+    schedule_heartbeat();
   }
   if (kill_armed_) {
     const sim::Time at = faults_->spec().kill_time_of(rank_);
@@ -422,6 +390,8 @@ void Engine::finalize() {
     t->counter(track, "proxy_failovers", at, double(stats_.proxy_failovers));
     t->counter(track, "epoch_fenced", at, double(stats_.epoch_fenced));
     t->counter(track, "liveness_probes", at, double(stats_.liveness_probes));
+    t->counter(track, "liveness_suspicions", at,
+               double(stats_.liveness_suspicions));
   }
 
   if (mr_cache_) mr_cache_->clear();
@@ -437,7 +407,8 @@ void Engine::finalize() {
   finalized_ = true;
 }
 
-Engine::Endpoint& Engine::open_endpoint(int peer) {
+Engine::Endpoint& Engine::open_endpoint(int peer,
+                                        const Bootstrap::PeerInfo* theirs) {
   const auto region = [this](std::uint64_t bytes, unsigned access) {
     return Region{ib_->alloc_buffer(bytes, mem::AddressSpace::kPage), nullptr,
                   access};
@@ -449,10 +420,12 @@ Engine::Endpoint& Engine::open_endpoint(int peer) {
   ep.local_block = region(layout_.local_bytes(), ib::kLocalWrite);
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
-  if (lazy_) {
-    bootstrap_.put_direct(rank_, peer, peer_info(ep));
-  } else {
-    bootstrap_.put(rank_, peer, peer_info(ep));
+  // A responder's half is on the board while its QP connects, but the
+  // requester is poked only once the pair is wired on this side.
+  bootstrap_.publish(rank_, peer, 0, peer_info(ep), /*poke_to=*/!theirs);
+  if (theirs) {
+    connect_endpoint(ep, *theirs);
+    bootstrap_.poke(peer);
   }
   return ep;
 }
@@ -489,46 +462,77 @@ void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
   ep.last_heard = ib_->process().now();
 }
 
-Engine::Endpoint& Engine::establish_endpoint(int peer) {
-  // Publish-before-request: our half is on the board before the request, so
-  // the responder can always finish without blocking on us.
-  Endpoint& ep = open_endpoint(peer);
-  bootstrap_.request_connect(rank_, peer);
+Engine::PeerWait Engine::await_peer(Endpoint& ep, std::uint32_t epoch) {
   const Bootstrap::PeerInfo* pi = nullptr;
   for (;;) {
-    check_alive();
-    if (bootstrap_.is_dead(peer)) {
-      // The peer died before building its half; its publication will never
-      // come. Put the death on the board (purging dependent state) and
-      // unwind — waiting here would hang the rank forever.
-      declare_failed(peer, "peer died before first connection");
-      throw MpiError("connect to dead rank " + std::to_string(peer),
-                     MpiErrc::ProcFailed, peer);
-    }
+    check_alive();  // our own kill fate can fire while blocked here
+    bump_pulse();   // blocked on a peer is not dead: watchers must see it
     wake_pending_ = false;
-    pi = bootstrap_.try_get(peer, rank_);
+    pi = bootstrap_.try_get(ep.peer, rank_, epoch);
+    // Eager setup takes every half: a peer publishes its whole mesh before
+    // it can die. Later a dead peer's half is not taken even if it was
+    // published first, nor a newer epoch of a pair the peer gave up (its
+    // first-epoch half is always up: only a wired pair can be given up).
+    if (bootstrap_.is_dead(ep.peer) && (setup_done_ || !pi)) {
+      return PeerWait::Dead;
+    }
+    if (epoch > 0 && bootstrap_.pair_abandoned(ep.peer, rank_)) {
+      return PeerWait::Abandoned;
+    }
     if (pi) break;
-    // Serve incoming first-touch requests while blocked: A waiting on B
-    // while C waits on A must still build A's half toward C.
-    service_connect_requests();
-    pi = bootstrap_.try_get(peer, rank_);
-    if (pi) break;
+    service_requests();
+    // A first-touch responder's half goes up before its poke (open_endpoint).
+    if ((pi = bootstrap_.try_get(ep.peer, rank_, epoch))) break;
     if (!wake_pending_) ib_->process().wait_on(wake_);
   }
   connect_endpoint(ep, *pi);
-  return ep;
+  return PeerWait::Connected;
 }
 
-void Engine::service_connect_requests() {
-  for (int q : bootstrap_.take_connect_requests(rank_)) {
-    if (q == rank_ || endpoints_.count(q) > 0) continue;  // already wired
-    if (bootstrap_.is_dead(q)) continue;                  // requester died
-    const Bootstrap::PeerInfo* pi = bootstrap_.try_get(q, rank_);
-    if (!pi) continue;  // unreachable under publish-before-request
-    Endpoint& ep = open_endpoint(q);
-    connect_endpoint(ep, *pi);
-    bootstrap_.notify_rank(q);  // requester's wait loop can proceed
+void Engine::service_requests() {
+  // A request for an endpoint that awaits its first half (no peer rkey
+  // yet) or is mid-reconnect waits for that to end: served early, a rebuild
+  // would be undone by the older connect still to come.
+  const auto ready = [this](const Bootstrap::PairRequest& r) {
+    auto it = endpoints_.find(r.from);
+    return it == endpoints_.end() ||
+           (it->second.peer_rkey != 0 &&
+            it->second.conn_state != ConnState::Reconnecting);
+  };
+  for (const auto& [q, epoch] : bootstrap_.take_requests(rank_, ready)) {
+    auto it = endpoints_.find(q);
+    if (bootstrap_.pair_abandoned(q, rank_)) {
+      if (it != endpoints_.end() && !it->second.abandoned) {
+        it->second.abandoned = true;
+        fail_endpoint(it->second, MpiErrc::RetryExhausted,
+                      "peer abandoned the connection");
+      }
+    } else if (epoch == 0) {
+      // First touch: skip a pair already wired (both sides touched it) or
+      // a requester that died since. Its half is on the board: it
+      // published before it asked.
+      if (it != endpoints_.end() || bootstrap_.is_dead(q)) continue;
+      if (const Bootstrap::PeerInfo* pi = bootstrap_.try_get(q, rank_, 0)) {
+        open_endpoint(q, pi);
+      }
+    } else if (it != endpoints_.end() && epoch > it->second.epoch) {
+      perform_reconnect(it->second, epoch);
+    }
   }
+}
+
+Engine::Endpoint& Engine::establish_endpoint(int peer) {
+  Endpoint& ep = open_endpoint(peer);
+  bootstrap_.request(rank_, peer, 0);
+  // Only a wired pair can be given up, so the wait ends connected or dead.
+  if (await_peer(ep, 0) == PeerWait::Dead) {
+    // The peer died before building its half. Put the death on the board
+    // (purging dependent state) and unwind.
+    declare_failed(peer, "peer died before first connection");
+    throw MpiError("connect to dead rank " + std::to_string(peer),
+                   MpiErrc::ProcFailed, peer);
+  }
+  return ep;
 }
 
 Engine::Endpoint& Engine::endpoint(int peer) {
@@ -944,7 +948,7 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
                ep.peer, why);
   const std::uint32_t target = ep.epoch + 1;
   const int peer = ep.peer;
-  bootstrap_.request_reconnect(rank_, peer, target);
+  bootstrap_.request(rank_, peer, target);
   // Death signals arrive in CQE callbacks and timer bodies; the actual
   // re-establishment runs from progress() in a clean context.
   schedule_recovery(0, [this, peer, target] {
@@ -952,23 +956,6 @@ bool Engine::maybe_start_reconnect(Endpoint& ep, const char* why) {
     if (it != endpoints_.end()) perform_reconnect(it->second, target);
   });
   return true;
-}
-
-void Engine::service_reconnect_requests(int except_peer) {
-  for (auto& [p, ep] : endpoints_) {
-    if (p == except_peer) continue;
-    if (!ep.abandoned && ep.conn_state != ConnState::Reconnecting &&
-        bootstrap_.pair_abandoned(p, rank_)) {
-      ep.abandoned = true;
-      fail_endpoint(ep, MpiErrc::RetryExhausted,
-                    "peer abandoned the connection");
-      continue;
-    }
-    const std::uint32_t e = bootstrap_.reconnect_requested(p, rank_);
-    if (e > ep.epoch && ep.conn_state != ConnState::Reconnecting) {
-      perform_reconnect(ep, e);
-    }
-  }
 }
 
 void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
@@ -1082,17 +1069,14 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.probe_out = false;
   ep.pulse_seen = 0;
 
-  bootstrap_.put_epoch(rank_, ep.peer, target_epoch, peer_info(ep));
-  bootstrap_.request_reconnect(rank_, ep.peer, target_epoch);
-
-  // Wait for the peer to publish the same generation. Serving *other*
-  // peers' reconnect requests while blocked breaks multi-endpoint cycles
-  // (A waits on B while C waits on A).
-  const Bootstrap::PeerInfo* pi = nullptr;
-  for (;;) {
-    check_alive();  // our own kill fate can fire while blocked here
-    if (bootstrap_.is_dead(ep.peer)) {
-      // The peer died mid-handshake: its epoch publication will never come.
+  // Publish the new generation and wait for the peer's. Whichever side
+  // noticed first already requested it (maybe_start_reconnect); the other
+  // got here serving that request.
+  bootstrap_.publish(rank_, ep.peer, target_epoch, peer_info(ep));
+  switch (await_peer(ep, target_epoch)) {
+    case PeerWait::Connected:
+      break;
+    case PeerWait::Dead:
       // The replay set was already quiesced out of fail_peer_ops' reach —
       // fail it here, then put the death on the board so the rest of this
       // rank's dependent state gets purged too.
@@ -1100,20 +1084,10 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
               "peer died during connection re-establishment");
       declare_failed(ep.peer, "peer died during reconnect handshake");
       return;
-    }
-    if (bootstrap_.pair_abandoned(ep.peer, rank_)) {
-      // The peer gave up on the pair: its publication will never come.
+    case PeerWait::Abandoned:
       abandon(MpiErrc::RetryExhausted, "peer abandoned the connection");
       return;
-    }
-    pi = bootstrap_.try_get(ep.peer, rank_, target_epoch);
-    if (pi) break;
-    service_reconnect_requests(/*except_peer=*/ep.peer);
-    pi = bootstrap_.try_get(ep.peer, rank_, target_epoch);
-    if (pi) break;
-    ib_->process().wait_on(bootstrap_.changed());
   }
-  connect_endpoint(ep, *pi);
   ep.epoch = target_epoch;
   chk().epoch_advanced(rank_, ep.peer, target_epoch);
   ep.conn_state = (phi_ && phi_->in_proxy_fallback()) ? ConnState::Degraded
@@ -1152,12 +1126,16 @@ void Engine::schedule_heartbeat() {
       });
 }
 
+void Engine::bump_pulse() {
+  if (!pulse_.mr) return;  // no fatal fault armed: no pulse
+  wire::put(pulse_.buf, 0, wire::get<std::uint64_t>(pulse_.buf, 0) + 1);
+  wire::put(pulse_.buf, sizeof(std::uint64_t), known_fail_epoch_);
+}
+
 void Engine::heartbeat_tick() {
   if (hb_stop_ || finalized_) return;
   const sim::Time now = ib_->process().now();
-  // Prove this rank alive: plain stores into the pulse, no post, no time.
-  wire::put(pulse_.buf, 0, wire::get<std::uint64_t>(pulse_.buf, 0) + 1);
-  wire::put(pulse_.buf, sizeof(std::uint64_t), known_fail_epoch_);
+  bump_pulse();
   for (auto& [p, ep] : endpoints_) {
     if (ep.conn_state == ConnState::Reconnecting ||
         ep.conn_state == ConnState::Failed) {
@@ -1218,6 +1196,7 @@ void Engine::heartbeat_tick() {
         t->instant({sim::Track::Faults, rank_}, now, "liveness-timeout peer=%d",
                    p);
       }
+      ++stats_.liveness_suspicions;
       maybe_start_reconnect(ep, "liveness timeout");
       continue;
     }
@@ -1493,9 +1472,7 @@ void Engine::waitall(std::span<Request> reqs) {
   // Every request reached a terminal phase (a failure on one cannot leave
   // another undriven); now report the first casualty, if any.
   for (const Request& r : reqs) {
-    if (!r.valid() || !r.failed()) continue;
-    const auto& st = *r.state_;
-    throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
+    if (r.valid()) r.state_->throw_if_failed();
   }
 }
 
@@ -1606,7 +1583,6 @@ void Engine::read_credit_cell(Endpoint& ep) {
 }
 
 bool Engine::scan_ring(Endpoint& ep) {
-  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
   for (;;) {
     const int slot = static_cast<int>(ep.my_consumed % slots());
     const mem::Buffer& block = ep.remote_block.buf;
@@ -1642,8 +1618,7 @@ bool Engine::scan_ring(Endpoint& ep) {
     }
 
     // The poll that found the packet costs a core its cycles.
-    ib_->process().wait(on_phi ? platform_.phi_poll_overhead
-                               : platform_.host_poll_overhead);
+    charge_poll();
     ep.last_heard = ib_->process().now();
 
     // Failure piggyback: the sender knows of deaths we have not adopted
@@ -1685,8 +1660,7 @@ void Engine::progress() {
     pending_recovery_.pop_front();
     fn();
   }
-  if (fatal_armed_) service_reconnect_requests();
-  if (lazy_) service_connect_requests();
+  service_requests();
   // Direct board pull: piggybacked epochs cover ranks with traffic, the
   // pulse covers probed pairs, and this covers a rank woken by the
   // bootstrap watch with neither (e.g. blocked in wait with nothing
@@ -2091,9 +2065,7 @@ Status Engine::wait(Request& req) {
   if (!req.valid()) throw MpiError("wait: null request");
   auto& st = *req.state_;
   wait_until([&st] { return st.done(); });
-  if (st.phase == RequestState::Phase::Error) {
-    throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
-  }
+  st.throw_if_failed();
   return st.status;
 }
 
@@ -2101,14 +2073,9 @@ bool Engine::test(Request& req) {
   if (!req.valid()) throw MpiError("test: null request");
   // Like iprobe: a test costs a poll even when idle, so test() spin loops
   // advance the virtual clock instead of livelocking the simulation.
-  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
-  ib_->process().wait(on_phi ? platform_.phi_poll_overhead
-                             : platform_.host_poll_overhead);
+  charge_poll();
   progress();
-  if (req.state_->phase == RequestState::Phase::Error) {
-    const auto& st = *req.state_;
-    throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
-  }
+  req.state_->throw_if_failed();
   return req.state_->done();
 }
 
@@ -2121,10 +2088,7 @@ std::size_t Engine::waitany(std::span<Request> reqs) {
     progress();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (!reqs[i].valid() || !reqs[i].done()) continue;
-      if (reqs[i].state_->phase == RequestState::Phase::Error) {
-        const auto& st = *reqs[i].state_;
-        throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
-      }
+      reqs[i].state_->throw_if_failed();
       return i;
     }
     if (!wake_pending_) ib_->process().wait_on(wake_);
@@ -2132,33 +2096,23 @@ std::size_t Engine::waitany(std::span<Request> reqs) {
 }
 
 bool Engine::testall(std::span<Request> reqs) {
-  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
-  ib_->process().wait(on_phi ? platform_.phi_poll_overhead
-                             : platform_.host_poll_overhead);
+  charge_poll();
   progress();
   bool all = true;
   for (const Request& r : reqs) {
     if (!r.valid()) continue;
-    if (r.state_->phase == RequestState::Phase::Error) {
-      const auto& st = *r.state_;
-      throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
-    }
+    r.state_->throw_if_failed();
     all &= r.done();
   }
   return all;
 }
 
 std::optional<std::size_t> Engine::testany(std::span<Request> reqs) {
-  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
-  ib_->process().wait(on_phi ? platform_.phi_poll_overhead
-                             : platform_.host_poll_overhead);
+  charge_poll();
   progress();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (!reqs[i].valid() || !reqs[i].done()) continue;
-    if (reqs[i].state_->phase == RequestState::Phase::Error) {
-      const auto& st = *reqs[i].state_;
-      throw MpiError(st.error, st.errc, st.err_peer, st.comm_id);
-    }
+    reqs[i].state_->throw_if_failed();
     return i;
   }
   return std::nullopt;

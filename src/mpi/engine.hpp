@@ -26,10 +26,13 @@
 
 namespace dcfa::mpi {
 
-/// Out-of-band wiring table (the PMI / mpirun role): each rank publishes,
-/// for every peer, its QP address plus the one block that peer RDMA-writes
-/// packets and credit updates into (EndpointLayout's remote block). Ranks
-/// block until their peers have published.
+/// Out-of-band wiring board (the PMI / mpirun role). Wiring a pair is the
+/// same three steps for the eager mesh at setup, a first touch under lazy
+/// wiring and a reconnect: each side publishes its half of the pair (its QP
+/// address, the one block the peer RDMA-writes packets and credit updates
+/// into, and its liveness pulse) under the pair's connection epoch, asks the
+/// peer for the peer's half, and waits for it. A publish or a request pokes
+/// only the rank it names.
 class Bootstrap {
  public:
   struct PeerInfo {
@@ -42,54 +45,41 @@ class Bootstrap {
     mem::SimAddr hb_addr = 0;
     ib::MKey hb_rkey = 0;
   };
+  /// One queued request: `from` asks for the target's half at `epoch`.
+  struct PairRequest {
+    int from = -1;
+    std::uint32_t epoch = 0;
+    bool operator==(const PairRequest&) const = default;
+  };
 
-  explicit Bootstrap(sim::Engine& engine) : cond_(engine, "bootstrap") {}
-
-  /// Publish rank `from`'s info for peer `to` (initial wiring: epoch 0).
-  void put(int from, int to, PeerInfo info);
-  /// Block until `from` published for `to` at epoch 0, then return it.
-  PeerInfo get(sim::Process& proc, int from, int to);
-  /// Non-blocking lookup of `from`'s info for `to` at connection
-  /// generation `epoch`; nullptr until `from` published it.
-  const PeerInfo* try_get(int from, int to, std::uint32_t epoch = 0) const;
-
-  // --- Connection recovery (fatal faults; see docs/faults.md) ---------------
-  /// Re-publish `from`'s info for `to` at connection generation `epoch`
-  /// (always > 0: initial wiring owns epoch 0).
-  void put_epoch(int from, int to, std::uint32_t epoch, PeerInfo info);
-  /// Reconnect-request board: `from` asks `to` to re-establish their pair at
-  /// `epoch`. Epochs on the board are monotonic per direction.
-  void request_reconnect(int from, int to, std::uint32_t epoch);
-  /// Highest epoch `from` has requested of `to` (0 = none).
-  std::uint32_t reconnect_requested(int from, int to) const;
+  // --- The connection handshake (docs/simulator.md, docs/faults.md) ---------
+  /// Publish `from`'s half of its pair with `to` at connection generation
+  /// `epoch` (0 = first wiring), and poke `to` unless `poke_to` is false (a
+  /// first-touch responder pokes once its QP is connected).
+  void publish(int from, int to, std::uint32_t epoch, PeerInfo info,
+               bool poke_to = true);
+  /// Ring one rank's watch (no-op before that rank set one).
+  void poke(int rank);
+  /// `from`'s half for `to` at `epoch`; nullptr until `from` published it.
+  const PeerInfo* try_get(int from, int to, std::uint32_t epoch) const;
+  /// `from` asks `to` to build (epoch 0, first touch) or rebuild (epoch > 0)
+  /// its half of their pair: queued for `to`, and `to` is poked. Invariant:
+  /// `from` has already published, so the responder never blocks on it.
+  void request(int from, int to, std::uint32_t epoch);
+  /// Drain `rank`'s queued requests that `ready` accepts, in arrival order;
+  /// the rest stay queued for a later drain.
+  std::vector<PairRequest> take_requests(
+      int rank, const std::function<bool(const PairRequest&)>& ready);
   /// `from` gave up on its pair with `to` for good (its endpoint turned
-  /// Failed). `to` then fails what still depends on the pair instead of
-  /// waiting for traffic, or a reconnect publication, that never comes.
+  /// Failed). `to` learns through its request queue, and then fails what
+  /// still depends on the pair instead of waiting for traffic, or a
+  /// publication, that never comes.
   void abandon_pair(int from, int to);
   bool pair_abandoned(int from, int to) const;
-  /// Per-rank change notification: `fn` runs on every publish/request so a
-  /// rank blocked in its own wait loop learns it has recovery work. Pass an
-  /// empty function to clear.
+  /// Per-rank poke: `fn` runs on every publish or request naming `rank` and
+  /// on every change to the shared boards below, so a rank blocked in its
+  /// own wait loop learns it has work. Pass an empty function to clear.
   void set_watch(int rank, std::function<void()> fn);
-  /// Condition notified on every board/table change (for the reconnect
-  /// wait loop).
-  sim::Condition& changed() { return cond_; }
-
-  // --- Lazy first-touch wiring (Engine::Options::lazy_endpoints) -------------
-  /// Targeted publish: same table as put(), but with no notification at
-  /// all — rare global events (failures, votes) may ring every rank, but a
-  /// publish happens per endpoint pair, and waking all N ranks for each of
-  /// them would make first-touch wiring O(N^2) wake-ups. The one rank that
-  /// cares is poked explicitly with notify_rank().
-  void put_direct(int from, int to, PeerInfo info);
-  /// First-touch connect request: `from` asks `to` to build its side of
-  /// their pair. Invariant: `from` has already published (put_direct), so
-  /// the responder can always finish without blocking.
-  void request_connect(int from, int to);
-  /// Drain `rank`'s queued connect requests, in arrival order.
-  std::vector<int> take_connect_requests(int rank);
-  /// Ring exactly one rank's watch (no-op before that rank set one).
-  void notify_rank(int rank);
 
   // --- Rank-death registry and failure board (rank_kill; docs/faults.md) ----
   /// Launcher-level ground truth: the victim's own kill timer records its
@@ -131,7 +121,7 @@ class Bootstrap {
   /// exactly like agreement. An exclusive lock is granted only when no one
   /// holds the slot; a shared lock coexists with other shared holders.
   /// Returns false without side effects when the lock cannot be granted
-  /// now — callers wait on changed() and retry.
+  /// now — callers poll again (Engine::wait_until_ft).
   bool rma_try_lock(std::uint64_t win, int target, int origin, bool exclusive);
   /// Release origin's hold (idempotent) and wake waiters.
   void rma_unlock(std::uint64_t win, int target, int origin);
@@ -140,6 +130,7 @@ class Bootstrap {
   void rma_release_rank(int origin);
 
  private:
+  /// Ring every rank's watch.
   void notify();
 
   /// One passive-target lock slot (window, target): MPI-3 lock
@@ -149,11 +140,10 @@ class Bootstrap {
     std::set<int> shared;      ///< origins holding shared
   };
 
-  /// Published connection info keyed by (from, to, epoch).
+  /// Published halves keyed by (from, to, epoch).
   std::map<std::tuple<int, int, std::uint32_t>, PeerInfo> peers_;
-  std::map<std::pair<int, int>, std::uint32_t> reconnect_board_;
+  std::map<int, std::vector<PairRequest>> requests_;  ///< target -> queue
   std::set<std::pair<int, int>> abandoned_;  ///< (from, to) given up
-  std::map<int, std::vector<int>> connect_requests_;  ///< target -> requesters
   std::map<int, std::function<void()>> watches_;
   std::map<int, sim::Time> dead_;           ///< rank -> virtual death time
   std::vector<int> failed_order_;           ///< failure board, announce order
@@ -162,7 +152,6 @@ class Bootstrap {
       votes_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> decisions_;
   std::map<std::pair<std::uint64_t, int>, RmaLockSlot> rma_locks_;
-  sim::Condition cond_;
 };
 
 /// DCFA-MPI per-rank protocol engine: the P2P communication layer of
@@ -248,6 +237,7 @@ class Engine {
     std::uint64_t proxy_failovers = 0;   ///< endpoints degraded to proxy path
     std::uint64_t epoch_fenced = 0;      ///< stale cross-epoch packets dropped
     std::uint64_t liveness_probes = 0;   ///< RDMA reads of a peer's pulse
+    std::uint64_t liveness_suspicions = 0;  ///< liveness timeouts declared
     // --- Collectives engine (per-algorithm invocation counts) ---------------
     std::uint64_t coll_allreduce_rd = 0;        ///< recursive doubling
     std::uint64_t coll_allreduce_ring = 0;      ///< pipelined ring
@@ -710,15 +700,29 @@ class Engine {
   /// the bootstrap, then replay every still-pending packet and re-post every
   /// pending rendezvous data operation. Both sides run this symmetrically.
   void perform_reconnect(Endpoint& ep, std::uint32_t target_epoch);
-  /// Serve peers' reconnect requests from the bootstrap board. `except_peer`
-  /// skips one peer (used from inside perform_reconnect's wait loop, where
-  /// serving *other* peers breaks multi-endpoint reconnect cycles).
-  void service_reconnect_requests(int except_peer = -1);
+
+  // --- The connection handshake: publish, request, await, service ------------
+  /// How a wait on the peer's half ended.
+  enum class PeerWait { Connected, Dead, Abandoned };
+  /// The one place a rank blocks on a peer: wait until ep.peer publishes its
+  /// half for `epoch`, then connect `ep` to it. While blocked the rank
+  /// serves other ranks' requests (A waiting on B while C waits on A must
+  /// still build A's half toward C) and keeps its pulse moving. Ends
+  /// without connecting when the peer is dead or gave the pair up.
+  PeerWait await_peer(Endpoint& ep, std::uint32_t epoch);
+  /// Serve this rank's queued requests, run from progress() and await_peer:
+  /// build and publish our half for a first-touch requester (never blocks:
+  /// publish-before-request), reconnect an endpoint whose peer asked for a
+  /// newer epoch, fail an endpoint whose peer abandoned the pair. A request
+  /// whose endpoint awaits its first half or is mid-reconnect stays queued.
+  void service_requests();
+  /// Create this side of the pair with `peer` (both blocks, QP) and publish
+  /// it on the bootstrap. A first-touch responder passes the requester's
+  /// half and connects to it before poking the requester.
+  Endpoint& open_endpoint(int peer,
+                          const Bootstrap::PeerInfo* theirs = nullptr);
 
   // --- Endpoint lifecycle ------------------------------------------------------
-  /// Create this side of the pair with `peer` (both blocks, QP) and publish
-  /// it on the bootstrap.
-  Endpoint& open_endpoint(int peer);
   /// Register `ep`'s blocks in Endpoint::regions() order and route landings
   /// on its remote block to its active mark. This pair is the only code
   /// that (de)registers endpoint memory: setup, the reconnect rebuild and
@@ -732,15 +736,12 @@ class Engine {
   /// Wire remote addresses from a published PeerInfo into an opened
   /// endpoint and connect its QP; the peer counts as heard from now.
   void connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info);
-  // --- Lazy first-touch wiring (Options::lazy_endpoints) ---------------------
-  /// First touch toward `peer`: open our side, request theirs, block until
-  /// they publish. While blocked, incoming connect requests are served —
-  /// that breaks first-touch cycles (A waits on B while C waits on A),
-  /// exactly like perform_reconnect's except_peer loop does for epochs.
+  /// First touch toward `peer` (Options::lazy_endpoints): open our side,
+  /// request theirs, await it.
   Endpoint& establish_endpoint(int peer);
-  /// Responder half, run from progress(): build + publish our side for
-  /// every queued requester. Never blocks (publish-before-request).
-  void service_connect_requests();
+  /// Prove this rank alive: plain stores into its pulse (fatal faults
+  /// only), no post, no virtual time.
+  void bump_pulse();
   /// Heartbeat body (runs in process context): bump this rank's pulse,
   /// adopt landed probes, probe watched peers that have been silent for a
   /// period, and declare a watched peer Suspect past the liveness timeout.
@@ -759,6 +760,9 @@ class Engine {
                        const PacketHeader& rts);
   /// Model one core's strided pack/unpack over `bytes` of payload.
   void charge_pack(std::size_t bytes);
+  /// Charge the owning core one poll (a test, a probe, or a ring scan that
+  /// found a packet).
+  void charge_poll();
   /// Delegate the packing of a non-contiguous send to the host CPU; the
   /// packed host buffer is recorded in packed_ and released at completion.
   /// Returns true when delegation happened.
@@ -972,9 +976,8 @@ class Engine {
   /// retransmission, the finalize credit flush, the fault counters in the
   /// trace.
   bool faults_armed_ = false;
-  /// qp_fatal or delegate_crash armed: the pulse, probes and tick
-  /// timer, the bootstrap watch (eager mesh), reconnects and the per-pass
-  /// scan of the reconnect board.
+  /// qp_fatal, delegate_crash or rank_kill armed: the pulse, probes and
+  /// tick timer, and reconnects.
   bool fatal_armed_ = false;
   /// rank_kill armed: the kill timer, receive-side liveness (a silent
   /// sender with receives pending on it) and Failed as a terminal
@@ -982,8 +985,7 @@ class Engine {
   bool kill_armed_ = false;
   bool dead_ = false;  ///< this rank's kill fate fired
   /// First-touch wiring armed (Options::lazy_endpoints): endpoints_ holds
-  /// only touched pairs, endpoint() establishes on miss, and progress()
-  /// serves peers' connect requests.
+  /// only touched pairs, and endpoint() establishes on miss.
   bool lazy_ = false;
   /// Extra slack on the liveness timeout (set_liveness_grace).
   sim::Time liveness_grace_ = 0;

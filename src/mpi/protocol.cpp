@@ -31,6 +31,12 @@ void Engine::charge_pack(std::size_t bytes) {
       bytes, on_phi ? platform_.phi_pack_gbps : platform_.host_pack_gbps));
 }
 
+void Engine::charge_poll() {
+  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
+  ib_->process().wait(on_phi ? platform_.phi_poll_overhead
+                             : platform_.host_poll_overhead);
+}
+
 // ---------------------------------------------------------------------------
 // Posting
 // ---------------------------------------------------------------------------
@@ -123,9 +129,7 @@ std::optional<Status> Engine::iprobe(int src, int tag,
   // A probe costs real cycles even when it finds nothing — and charging
   // them is what lets an application-level iprobe spin loop make progress
   // at all in the cooperative simulation.
-  const bool on_phi = ib_->data_domain() == mem::Domain::PhiGddr;
-  ib_->process().wait(on_phi ? platform_.phi_poll_overhead
-                             : platform_.host_poll_overhead);
+  charge_poll();
   progress();
   // Deferred wildcard receives are ahead of any probe in matching order;
   // while the lock holds, a probe must not report their packets.

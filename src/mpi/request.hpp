@@ -84,6 +84,10 @@ struct RequestState {
   bool done() const {
     return phase == Phase::Complete || phase == Phase::Error;
   }
+  /// Raise the request's error, with its taxonomy, once it failed.
+  void throw_if_failed() const {
+    if (phase == Phase::Error) throw MpiError(error, errc, err_peer, comm_id);
+  }
 };
 
 /// User-facing request handle (MPI_Request) — one type for point-to-point,

@@ -50,7 +50,7 @@ Runtime::Runtime(RunConfig config)
         config_.fault_seed);
     fabric_->set_faults(faults_.get());
   }
-  bootstrap_ = std::make_unique<Bootstrap>(*sim_);
+  bootstrap_ = std::make_unique<Bootstrap>();
   const bool on_phi = config_.mode != MpiMode::HostMpi;
   // One node per rank up to the cluster size; beyond that, ranks share
   // nodes round-robin (co-located ranks talk over the loopback path, as in

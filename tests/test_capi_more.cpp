@@ -1,10 +1,13 @@
 // Second C API batch: rooted collectives, alltoall, sendrecv, dup, ssend,
-// iprobe, wtime monotonicity, window handles — the remaining MPI_* surface.
+// iprobe, wtime monotonicity, window handles, reduce and the ULFM calls —
+// the remaining MPI_* surface.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "capi/mpi_compat.hpp"
 
@@ -365,6 +368,92 @@ int window_lifecycle_main(int, char**) {
   return 0;
 }
 
+// What one rank saw of the reduce and ULFM calls, filled once through the C
+// API and once through the C++ Communicator it wraps.
+struct ReduceUlfmSeen {
+  std::array<int, 8> reduced{};      ///< MPI_Reduce result (root only)
+  std::array<int, 2> scattered{};    ///< MPI_Reduce_scatter_block block
+  int shrunk_size = 0;
+  int shrunk_rank = -1;
+  int agreed = 0;                    ///< MPIX_Comm_agree over 1 << rank
+  bool revoked_barrier_failed = false;  ///< barrier on the revoked comm
+};
+constexpr int kReduceRanks = 4;
+constexpr int kReduceRoot = 2;
+std::vector<ReduceUlfmSeen> c_seen, cpp_seen;
+
+int reduce_ulfm_main(int, char**) {
+  MPI_Init(nullptr, nullptr);
+  int rank, size;
+  MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+  MPI_Comm_size(MPI_COMM_WORLD, &size);
+  ReduceUlfmSeen& seen = c_seen[rank];
+  int *in, *out, *rs_in, *rs_out;
+  MPI_Alloc_mem(8 * sizeof(int), nullptr, &in);
+  MPI_Alloc_mem(8 * sizeof(int), nullptr, &out);
+  MPI_Alloc_mem(size * 2 * sizeof(int), nullptr, &rs_in);
+  MPI_Alloc_mem(2 * sizeof(int), nullptr, &rs_out);
+  for (int i = 0; i < 8; ++i) in[i] = rank * 10 + i;
+  for (int i = 0; i < size * 2; ++i) rs_in[i] = rank * 100 + i;
+  C_EXPECT(MPI_Reduce(in, out, 8, MPI_INT, MPI_SUM, kReduceRoot,
+                      MPI_COMM_WORLD) == MPI_SUCCESS);
+  if (rank == kReduceRoot) std::memcpy(seen.reduced.data(), out, 8 * sizeof(int));
+  C_EXPECT(MPI_Reduce_scatter_block(rs_in, rs_out, 2, MPI_INT, MPI_SUM,
+                                    MPI_COMM_WORLD) == MPI_SUCCESS);
+  std::memcpy(seen.scattered.data(), rs_out, 2 * sizeof(int));
+  // Nobody failed, so the shrink is a dup.
+  MPI_Comm shrunk;
+  C_EXPECT(MPIX_Comm_shrink(MPI_COMM_WORLD, &shrunk) == MPI_SUCCESS);
+  MPI_Comm_size(shrunk, &seen.shrunk_size);
+  MPI_Comm_rank(shrunk, &seen.shrunk_rank);
+  seen.agreed = 1 << rank;
+  C_EXPECT(MPIX_Comm_agree(shrunk, &seen.agreed) == MPI_SUCCESS);
+  // Revoked, the communicator fails every later operation.
+  C_EXPECT(MPI_Comm_set_errhandler(shrunk, MPI_ERRORS_RETURN) == MPI_SUCCESS);
+  C_EXPECT(MPIX_Comm_revoke(shrunk) == MPI_SUCCESS);
+  seen.revoked_barrier_failed = MPI_Barrier(shrunk) == MPIX_ERR_REVOKED;
+  C_EXPECT(MPI_Comm_free(&shrunk) == MPI_SUCCESS);
+  MPI_Free_mem(in);
+  MPI_Free_mem(out);
+  MPI_Free_mem(rs_in);
+  MPI_Free_mem(rs_out);
+  MPI_Finalize();
+  return 0;
+}
+
+void reduce_ulfm_cpp(mpi::RankCtx& ctx) {
+  mpi::Communicator& comm = ctx.world;
+  const int rank = comm.rank();
+  const int size = comm.size();
+  ReduceUlfmSeen& seen = cpp_seen[rank];
+  const mem::Buffer in = comm.alloc(8 * sizeof(int));
+  const mem::Buffer out = comm.alloc(8 * sizeof(int));
+  const mem::Buffer rs_in = comm.alloc(size * 2 * sizeof(int));
+  const mem::Buffer rs_out = comm.alloc(2 * sizeof(int));
+  int* iv = reinterpret_cast<int*>(in.data());
+  int* rv = reinterpret_cast<int*>(rs_in.data());
+  for (int i = 0; i < 8; ++i) iv[i] = rank * 10 + i;
+  for (int i = 0; i < size * 2; ++i) rv[i] = rank * 100 + i;
+  comm.reduce(in, 0, out, 0, 8, mpi::type_int(), mpi::Op::Sum, kReduceRoot);
+  if (rank == kReduceRoot) {
+    std::memcpy(seen.reduced.data(), out.data(), 8 * sizeof(int));
+  }
+  comm.reduce_scatter_block(rs_in, 0, rs_out, 0, 2, mpi::type_int(),
+                            mpi::Op::Sum);
+  std::memcpy(seen.scattered.data(), rs_out.data(), 2 * sizeof(int));
+  mpi::Communicator shrunk = comm.shrink();
+  seen.shrunk_size = shrunk.size();
+  seen.shrunk_rank = shrunk.rank();
+  seen.agreed = static_cast<int>(shrunk.agree(1u << rank));
+  shrunk.revoke();
+  try {
+    shrunk.barrier();
+  } catch (const mpi::MpiError& e) {
+    seen.revoked_barrier_failed = e.errc() == mpi::MpiErrc::Revoked;
+  }
+  for (const mem::Buffer& b : {in, out, rs_in, rs_out}) comm.free(b);
+}
+
 }  // namespace
 
 TEST(CApiMore, GatherScatter) { run(cfg(4), gather_scatter_main); }
@@ -374,3 +463,27 @@ TEST(CApiMore, SsendAndIprobe) { run(cfg(2), ssend_iprobe_main); }
 TEST(CApiMore, NonblockingCollectives) { run(cfg(4), nbc_collectives_main); }
 TEST(CApiMore, RequestLifecycle) { run(cfg(2), request_lifecycle_main); }
 TEST(CApiMore, WindowLifecycle) { run(cfg(2), window_lifecycle_main); }
+
+TEST(CApiMore, ReduceAndUlfmMatchTheCppApi) {
+  c_seen.assign(kReduceRanks, {});
+  cpp_seen.assign(kReduceRanks, {});
+  run(cfg(kReduceRanks), reduce_ulfm_main);
+  mpi::run_mpi(cfg(kReduceRanks), reduce_ulfm_cpp);
+  for (int r = 0; r < kReduceRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const ReduceUlfmSeen& c = c_seen[r];
+    const ReduceUlfmSeen& cpp = cpp_seen[r];
+    EXPECT_EQ(c.reduced, cpp.reduced);
+    EXPECT_EQ(c.scattered, cpp.scattered);
+    EXPECT_EQ(c.shrunk_size, cpp.shrunk_size);
+    EXPECT_EQ(c.shrunk_rank, cpp.shrunk_rank);
+    EXPECT_EQ(c.agreed, cpp.agreed);
+    EXPECT_TRUE(c.revoked_barrier_failed);
+    EXPECT_TRUE(cpp.revoked_barrier_failed);
+  }
+  // And the C++ side computed the right thing: 4 ranks of rank * 10 + i.
+  EXPECT_EQ(cpp_seen[kReduceRoot].reduced[3], (0 + 10 + 20 + 30) + 4 * 3);
+  EXPECT_EQ(cpp_seen[1].scattered[0], (0 + 100 + 200 + 300) + 4 * 2);
+  EXPECT_EQ(cpp_seen[0].shrunk_size, kReduceRanks);
+  EXPECT_EQ(cpp_seen[0].agreed, (1 << kReduceRanks) - 1);
+}

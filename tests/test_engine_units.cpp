@@ -1,11 +1,12 @@
 // dcfa-lint: allow-file(raw-post) -- drives the HCA directly to isolate engine units
 // Focused unit tests for protocol-engine internals: the Bootstrap wiring
-// table, ring-slot geometry, packet-header invariants, and engine stats
+// board, ring-slot geometry, packet-header invariants, and engine stats
 // bookkeeping under controlled traffic.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,46 +71,84 @@ TEST(PacketHeader, DefaultsAreSane) {
 
 // --- Bootstrap --------------------------------------------------------------------
 
-TEST(Bootstrap, BlocksUntilPublished) {
-  sim::Engine engine;
-  Bootstrap boot(engine);
-  sim::Time got_at = 0;
-  engine.spawn("getter", [&](sim::Process& proc) {
-    const auto info = boot.get(proc, 1, 0);
-    got_at = proc.now();
-    EXPECT_EQ(info.block_addr, 0xABCDu);
-  });
-  engine.spawn("putter", [&](sim::Process& proc) {
-    proc.wait(sim::microseconds(100));
-    Bootstrap::PeerInfo info;
-    info.block_addr = 0xABCD;
-    boot.put(1, 0, info);
-  });
-  engine.run();
-  EXPECT_GE(got_at, sim::microseconds(100));
+// Every rank's watch counts its pokes; a publish names one pair and wakes
+// only the rank it publishes to.
+TEST(Bootstrap, PublishPokesOnlyItsTarget) {
+  Bootstrap boot;
+  std::vector<int> pokes(4, 0);
+  for (int r = 0; r < 4; ++r) boot.set_watch(r, [&pokes, r] { ++pokes[r]; });
+  Bootstrap::PeerInfo info;
+  info.block_addr = 0xABCD;
+  boot.publish(1, 2, 0, info);
+  EXPECT_EQ(pokes, (std::vector<int>{0, 0, 1, 0}));
+  ASSERT_NE(boot.try_get(1, 2, 0), nullptr);
+  EXPECT_EQ(boot.try_get(1, 2, 0)->block_addr, 0xABCDu);
+  // The table is keyed by (from, to, epoch): nothing for the reverse
+  // direction or another generation.
+  EXPECT_EQ(boot.try_get(2, 1, 0), nullptr);
+  EXPECT_EQ(boot.try_get(1, 2, 1), nullptr);
+  boot.publish(1, 2, 1, info);
+  EXPECT_NE(boot.try_get(1, 2, 1), nullptr);
+  EXPECT_EQ(pokes, (std::vector<int>{0, 0, 2, 0}));
 }
 
-TEST(Bootstrap, ManyPairsResolveIndependently) {
+// Requests queue per target in arrival order, each poking its target; a
+// drain hands over what `ready` accepts and leaves the rest queued.
+TEST(Bootstrap, RequestsDrainPerTargetInArrivalOrder) {
+  using Req = Bootstrap::PairRequest;
+  Bootstrap boot;
+  std::vector<int> pokes(5, 0);
+  for (int r = 0; r < 5; ++r) boot.set_watch(r, [&pokes, r] { ++pokes[r]; });
+  boot.request(0, 3, 0);
+  boot.request(1, 3, 2);
+  boot.request(2, 1, 0);
+  boot.request(4, 3, 0);
+  EXPECT_EQ(pokes, (std::vector<int>{0, 1, 0, 3, 0}));
+  const auto all = [](const Req&) { return true; };
+  // Rank 1's request is held back (its endpoint would be mid-reconnect).
+  EXPECT_EQ(boot.take_requests(3, [](const Req& r) { return r.from != 1; }),
+            (std::vector<Req>{{0, 0}, {4, 0}}));
+  EXPECT_EQ(boot.take_requests(3, all), (std::vector<Req>{{1, 2}}));
+  EXPECT_TRUE(boot.take_requests(3, all).empty());
+  EXPECT_EQ(boot.take_requests(1, all), (std::vector<Req>{{2, 0}}));
+  // Abandoning a pair queues a request for the peer, once.
+  boot.abandon_pair(0, 2);
+  boot.abandon_pair(0, 2);
+  EXPECT_TRUE(boot.pair_abandoned(0, 2));
+  EXPECT_FALSE(boot.pair_abandoned(2, 0));
+  EXPECT_EQ(boot.take_requests(2, all), (std::vector<Req>{{0, 0}}));
+  EXPECT_EQ(pokes[2], 1);
+}
+
+// The eager-setup pattern on the one board: every rank publishes to every
+// peer (staggered), then waits for each peer's half on its own condition,
+// woken only by publishes naming it. Any interleaving converges, and no
+// half is taken before it was published.
+TEST(Bootstrap, PublishAllAwaitAllConverges) {
   sim::Engine engine;
-  Bootstrap boot(engine);
+  Bootstrap boot;
+  constexpr int N = 6;
+  std::vector<std::unique_ptr<sim::Condition>> wake;
+  for (int r = 0; r < N; ++r) {
+    wake.push_back(std::make_unique<sim::Condition>(engine));
+    boot.set_watch(r, [c = wake.back().get()] { c->notify_all(); });
+  }
   int resolved = 0;
-  const int N = 6;
   for (int me = 0; me < N; ++me) {
     engine.spawn("rank" + std::to_string(me), [&, me](sim::Process& proc) {
-      // Publish to everyone, then collect from everyone (the engine-setup
-      // pattern; any interleaving must converge).
+      proc.wait(sim::microseconds(7 * me));  // stagger the publishes
       for (int peer = 0; peer < N; ++peer) {
         if (peer == me) continue;
         Bootstrap::PeerInfo info;
         info.block_addr = me * 100 + peer;
-        boot.put(me, peer, info);
+        boot.publish(me, peer, 0, info);
       }
-      proc.wait(me * 7);  // stagger
       for (int peer = 0; peer < N; ++peer) {
         if (peer == me) continue;
-        const auto info = boot.get(proc, peer, me);
-        EXPECT_EQ(info.block_addr,
-                  static_cast<mem::SimAddr>(peer * 100 + me));
+        const Bootstrap::PeerInfo* pi = nullptr;
+        while (!(pi = boot.try_get(peer, me, 0))) proc.wait_on(*wake[me]);
+        EXPECT_EQ(pi->block_addr, static_cast<mem::SimAddr>(peer * 100 + me));
+        EXPECT_GE(proc.now(), sim::microseconds(7 * peer));
         ++resolved;
       }
     });

@@ -573,6 +573,110 @@ TEST(FatalFaults, RetryExhaustionCarriesTaxonomy) {
 }
 
 // ---------------------------------------------------------------------------
+// A reconnect request waits for the pair's first connection. Eager setup,
+// 4 ranks. Two dropped registration CMDs hold rank 0 up after it published
+// its half for rank 1 but before its half for rank 3, so rank 1 leaves setup
+// while rank 3 still waits on rank 0 with its endpoint to rank 1 not yet
+// connected. Rank 1's first send, to rank 3, is the run's first WR and
+// wedges the QP, and rank 3 is asked to reconnect in that wait. Served
+// there, the rebuild would be undone by the epoch-0 connect that follows
+// (QP and peer block pointed back at rank 1's destroyed generation), and
+// the pair would need a second reconnect to talk again.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, ReconnectRequestedDuringSetupWaitsForTheFirstConnect) {
+  RunConfig cfg = fatal_cfg(
+      "qp_fatal=1,qp_fatal_max=1,"
+      "cmd_drop=1,cmd_op=reg_mr,cmd_drop_skip=3,cmd_drop_max=2");
+  cfg.nprocs = 4;
+  Runtime rt(cfg);
+  rt.run([](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    const int last = ctx.nprocs - 1;
+    mem::Buffer buf = comm.alloc(kEagerBytes);
+    for (int i = 0; i < kIters && (ctx.rank == 1 || ctx.rank == last); ++i) {
+      if (ctx.rank == 1) {
+        std::memset(buf.data(), i & 0xff, kEagerBytes);
+        comm.send(buf, 0, kEagerBytes, type_byte(), last, 1);
+        comm.recv(buf, 0, kEagerBytes, type_byte(), last, 1);
+        EXPECT_EQ(buf.data()[kEagerBytes - 1],
+                  static_cast<std::byte>((i + 1) & 0xff));
+      } else {
+        comm.recv(buf, 0, kEagerBytes, type_byte(), 1, 1);
+        EXPECT_EQ(buf.data()[0], static_cast<std::byte>(i & 0xff));
+        std::memset(buf.data(), (i + 1) & 0xff, kEagerBytes);
+        comm.send(buf, 0, kEagerBytes, type_byte(), 1, 1);
+      }
+    }
+    comm.free(buf);
+  });
+  EXPECT_EQ(rt.faults()->counters().cmd_dropped, 2u);
+  EXPECT_EQ(rt.faults()->counters().qp_fatal, 1u);
+  // One rebuild on each side of the wedged pair, none anywhere else.
+  for (int r = 0; r < cfg.nprocs; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const Engine::Stats& s = rt.rank_stats()[r];
+    EXPECT_EQ(s.reconnects, (r == 1 || r == cfg.nprocs - 1) ? 1u : 0u);
+    EXPECT_EQ(s.retry_exhausted, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A rank blocked on a peer is alive, and its pulse says so. Lazy wiring, 3
+// ranks, a fatal spec that never fires: rank 1 first-touches rank 2 while
+// rank 2 sits in a compute five liveness timeouts long, so rank 1 waits in
+// the connection handshake all that time. Meanwhile rank 0 has filled its
+// ring to rank 1 (pending_tx), so it watches rank 1 and probes its pulse.
+// The pulse moves on every pass of the wait: no suspicion, no reconnect.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, RankWaitingOnAPeerIsNotSuspected) {
+  RunConfig cfg;
+  cfg.mode = MpiMode::DcfaPhi;
+  cfg.nprocs = 3;
+  cfg.fault_spec = "qp_fatal=1,qp_fatal_skip=1000000000";
+  cfg.engine_options.lazy_endpoints = true;
+  const sim::Time compute = 5 * cfg.platform.mpi_liveness_timeout;
+  const int msgs = 4 * cfg.platform.eager_slots;
+  constexpr std::size_t kBytes = 8;
+  sim::Time waited = 0;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(msgs * kBytes);
+    if (ctx.rank == 0) {
+      std::vector<Request> reqs;
+      for (int i = 0; i < msgs; ++i) {
+        reqs.push_back(comm.isend(buf, i * kBytes, kBytes, type_byte(), 1, 1));
+      }
+      comm.waitall(reqs);
+    } else if (ctx.rank == 1) {
+      comm.recv(buf, 0, kBytes, type_byte(), 0, 1);  // wires the 0-1 pair
+      const sim::Time t0 = ctx.proc.now();
+      comm.send(buf, 0, kBytes, type_byte(), 2, 2);  // first touch of rank 2
+      waited = ctx.proc.now() - t0;
+      for (int i = 1; i < msgs; ++i) {
+        comm.recv(buf, i * kBytes, kBytes, type_byte(), 0, 1);
+      }
+    } else {
+      ctx.proc.wait(compute);
+      comm.recv(buf, 0, kBytes, type_byte(), 1, 2);
+    }
+    comm.free(buf);
+  });
+  EXPECT_GT(waited, 2 * cfg.platform.mpi_liveness_timeout);
+  std::uint64_t probes = 0, suspicions = 0, reconnects = 0;
+  for (const Engine::Stats& s : rt.rank_stats()) {
+    probes += s.liveness_probes;
+    suspicions += s.liveness_suspicions;
+    reconnects += s.reconnects;
+  }
+  EXPECT_GT(probes, 0u);  // rank 0 did watch rank 1
+  EXPECT_EQ(suspicions, 0u);
+  EXPECT_EQ(reconnects, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Pull liveness costs nothing while every watched peer talks: a 16-rank
 // ping-pong with a never-firing fatal spec posts no probe, and its 4-byte
 // round trip is bit-identical to the same run armed with a transient-only

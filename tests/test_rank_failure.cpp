@@ -525,3 +525,37 @@ TEST(RankFailure, WatchedDeadPeerIsDeclaredWithinTheLivenessBound) {
     EXPECT_EQ(a.liveness_probes, b.liveness_probes);
   }
 }
+
+// A first touch of a rank that died after publishing its half is refused.
+// Lazy wiring, 2 ranks: rank 1 first-touches rank 0 (its half goes up with
+// the request) and is killed in the wait, because rank 0 sits in a compute.
+// Rank 0's own first touch of rank 1 then finds that half on the board but
+// must not connect to it: the send fails at once, naming rank 1.
+TEST(RankFailure, FirstTouchOfADeadRankThatPublishedFails) {
+  RunConfig cfg;
+  cfg.mode = MpiMode::DcfaPhi;
+  cfg.nprocs = 2;
+  cfg.fault_spec = "rank_kill=1,rank_kill_at_ns=1000000";
+  cfg.engine_options.lazy_endpoints = true;
+  bool refused = false;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(64);
+    if (ctx.rank == 1) {
+      comm.send(buf, 0, 64, type_byte(), 0, 1);  // killed while it waits
+    } else {
+      ctx.proc.wait(sim::milliseconds(3));
+      try {
+        comm.send(buf, 0, 64, type_byte(), 1, 1);
+      } catch (const MpiError& e) {
+        refused = true;
+        EXPECT_EQ(e.errc(), MpiErrc::ProcFailed);
+        EXPECT_EQ(e.peer(), 1);
+      }
+    }
+    comm.free(buf);
+  });
+  EXPECT_TRUE(refused);
+  EXPECT_EQ(rt.faults()->counters().rank_kills, 1u);
+}

@@ -342,6 +342,9 @@ TEST(ScaleFailure, FiveKillsOf256ShrinkAndFinish) {
   EXPECT_EQ(a.injected.rank_kills, 5u);
   EXPECT_EQ(a.survivors, 251);
   EXPECT_GT(a.failure_detect_max_ns, 0u);
+  // Liveness suspects only the victims: a suspicion of a live rank would
+  // start a reconnect, and none runs.
+  EXPECT_EQ(a.totals.reconnects, 0u);
 
   const tg::ScenarioResult b = tg::run_scenario(sc, tg::scale_run_config(256));
   EXPECT_EQ(result_digest(a), result_digest(b));
