@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Fourteen rule families, each encoding an invariant the generic toolchain cannot
+Fifteen rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -77,7 +77,7 @@ see (docs/checking.md has the rationale and the paper references):
                   is a sim::Platform field; an environment read elsewhere
                   is a second, invisible source for a value the platform
                   description claims to own.
-  catch-switch    no wait(, wait_on(, wait_until( or wait_until_ft( call
+  catch-switch    no wait(, wait_on(, wait_until( or block_until( call
                   inside a catch handler's braces in src/. A fiber that
                   blocks there switches away while the C++ runtime's
                   per-thread caught-exception stack holds its exception;
@@ -104,6 +104,12 @@ see (docs/checking.md has the rationale and the paper references):
                   perform_reconnect. The eager mesh, first-touch wiring and
                   reconnection share that one publish/request/await path;
                   a board call elsewhere is a second handshake.
+  one-wait        in src/mpi/, wait_on(wake_) and `wake_pending_ = false`
+                  appear only inside Engine::block_until, the one
+                  level-triggered wait: every blocking call hands it a pass.
+                  An inline wait loop is how a wake that lands during a pass
+                  gets lost, or a second, timed poll creeps back in. A loop
+                  reports once.
 
 A file can waive one rule with a justified marker comment:
 
@@ -223,7 +229,7 @@ GETENV = re.compile(r"\b(?:secure_)?getenv\b")
 
 # catch-switch: a handler and the blocking calls that switch fibers.
 CATCH = re.compile(r"\bcatch\s*\(")
-BLOCKING_CALL = re.compile(r"\b(?:wait|wait_on|wait_until|wait_until_ft)\s*\(")
+BLOCKING_CALL = re.compile(r"\b(?:wait|wait_on|wait_until|block_until)\s*\(")
 
 # signaled-post: the one helper that registers CQE callbacks, and what a
 # registration looks like.
@@ -246,6 +252,12 @@ HANDSHAKE_HELPERS = ("open_endpoint", "establish_endpoint", "await_peer",
                      "perform_reconnect")
 HANDSHAKE_CALL = re.compile(
     r"(?:\.|->)\s*(?:publish|request|take_requests|poke|try_get)\s*\(")
+
+# one-wait: the one blocking primitive, and the two halves of a wait loop
+# that only it may hold (the member's declaration is not a clear).
+ONE_WAIT_HELPERS = ("block_until",)
+ONE_WAIT = re.compile(
+    r"\bwait_on\s*\(\s*wake_\s*\)|(?<!bool )\bwake_pending_\s*=\s*false\b")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -575,6 +587,31 @@ def check_bootstrap_handshake(path: Path, rel: str, text: str,
                     "service_requests or the reconnect path")
 
 
+def check_one_wait(path: Path, rel: str, text: str,
+                   lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, ONE_WAIT_HELPERS)
+    code = "\n".join(strip_comments(line) for line in lines)
+    loops: set[int] = set()  # a loop's clear and wait report once
+    for m in ONE_WAIT.finditer(code):
+        lineno = code.count("\n", 0, m.start()) + 1
+        if any(lineno in r for r in helpers):
+            continue
+        opened: list[int] = []  # the innermost open brace names the loop
+        for i, c in enumerate(code[:m.start()]):
+            if c == "{":
+                opened.append(i)
+            elif c == "}" and opened:
+                opened.pop()
+        loop = opened[-1] if opened else -1
+        if loop not in loops:
+            loops.add(loop)
+            finding(path, lineno, "one-wait",
+                    "wait loop outside Engine::block_until; hand the wait "
+                    "a pass instead of blocking on wake_ inline")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -621,6 +658,7 @@ def main() -> int:
         check_signaled_post(path, rel, text, lines)
         check_offload_stage(path, rel, text, lines)
         check_bootstrap_handshake(path, rel, text, lines)
+        check_one_wait(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -194,25 +194,24 @@ void Communicator::revoke() { engine_.revoke_comm(id_); }
 std::uint64_t Communicator::agree(std::uint64_t value) {
   const std::uint64_t seq = ++agree_seq_;
   Bootstrap& bs = engine_.bootstrap();
-  bs.post_vote(id_, seq, engine_.rank(), value);
+  // Coordinator duty falls on the lowest member this rank believes alive.
+  // Beliefs may lag (two ranks can act as coordinator simultaneously
+  // during a succession) — harmless, because decisions are first-wins.
+  const auto coordinator = [&] {
+    for (int w : group_) {
+      if (!engine_.rank_failed(w) && !bs.is_dead(w)) return w;
+    }
+    return -1;
+  };
+  bs.post_vote(id_, seq, engine_.rank(), value, coordinator());
   // DcfaRace HB edge source: the vote publishes this rank's history to
   // every rank that observes the round's decision.
   engine_.checker().agree_voted(engine_.rank(), id_, seq);
   const std::uint64_t* dec = nullptr;
-  engine_.wait_until_ft([&]() -> bool {
+  engine_.wait_until([&]() -> bool {
     dec = bs.get_decision(id_, seq);
     if (dec) return true;
-    // Coordinator duty falls on the lowest member this rank believes alive.
-    // Beliefs may lag (two ranks can act as coordinator simultaneously
-    // during a succession) — harmless, because decisions are first-wins.
-    int coord = -1;
-    for (int w : group_) {
-      if (!engine_.rank_failed(w) && !bs.is_dead(w)) {
-        coord = w;
-        break;
-      }
-    }
-    if (coord != engine_.rank()) return false;
+    if (coordinator() != engine_.rank()) return false;
     std::uint64_t acc = 0;
     for (int w : group_) {
       if (const std::uint64_t* v = bs.get_vote(id_, seq, w)) {

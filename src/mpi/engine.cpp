@@ -31,9 +31,9 @@ std::set<Engine*>& live_engines() {
 // ---------------------------------------------------------------------------
 
 void Bootstrap::publish(int from, int to, std::uint32_t epoch,
-                        PeerInfo info, bool poke_to) {
+                        PeerInfo info) {
   peers_[{from, to, epoch}] = info;
-  if (poke_to) poke(to);
+  poke(to);
 }
 
 const Bootstrap::PeerInfo* Bootstrap::try_get(int from, int to,
@@ -112,9 +112,9 @@ std::uint64_t Bootstrap::fail_epoch() const { return failed_order_.size(); }
 int Bootstrap::failed_at(std::size_t i) const { return failed_order_.at(i); }
 
 void Bootstrap::post_vote(std::uint32_t comm, std::uint64_t seq, int rank,
-                          std::uint64_t value) {
+                          std::uint64_t value, int coordinator) {
   votes_[{comm, seq, rank}] = value;
-  notify();
+  poke(coordinator);
 }
 
 const std::uint64_t* Bootstrap::get_vote(std::uint32_t comm,
@@ -241,22 +241,23 @@ Engine::~Engine() {
   }
 }
 
+void Engine::wake() {
+  wake_pending_ = true;
+  wake_.notify_all();
+}
+
 void Engine::setup() {
   if (setup_done_) throw MpiError("Engine::setup called twice");
   pd_ = ib_->alloc_pd();
   cq_ = ib_->create_cq(4096);
-  cq_->set_on_push([this] {
-    wake_pending_ = true;
-    wake_.notify_all();
-  });
+  cq_->set_on_push([this] { wake(); });
   write_observer_id_ =
       ib_->hca_ref().add_remote_write_observer([this](ib::MKey rkey) {
         // Every landing wakes the rank; one on an endpoint's remote block
         // also marks that endpoint for the next progress pass.
         auto it = landing_peer_.find(rkey);
         if (it != landing_peer_.end()) active_.insert(it->second);
-        wake_pending_ = true;
-        wake_.notify_all();
+        wake();
       });
 
   mr_cache_ = std::make_unique<MrCache>(*ib_, *pd_, platform_.mr_cache_entries,
@@ -276,12 +277,9 @@ void Engine::setup() {
     wire::put(pulse_.buf, 0, std::uint64_t{1});
   }
 
-  // The watch is how a rank blocked in a wait loop learns that a peer
-  // published its half or asked for ours.
-  bootstrap_.set_watch(rank_, [this] {
-    wake_pending_ = true;
-    wake_.notify_all();
-  });
+  // The watch is how a blocked rank learns that a peer published its half
+  // or asked for ours, or that a board it waits on changed.
+  bootstrap_.set_watch(rank_, [this] { wake(); });
   if (!lazy_) {
     // The eager mesh: publish every half, then take every peer's. A peer
     // publishes its whole mesh before it can die or give a pair up, so
@@ -329,8 +327,7 @@ void Engine::die() {
   // exhaustion) — the registry itself only short-circuits doomed reconnects
   // and anchors the detection-latency metric.
   bootstrap_.mark_dead(rank_, now);
-  wake_pending_ = true;
-  wake_.notify_all();
+  wake();
 }
 
 void Engine::finalize() {
@@ -352,18 +349,17 @@ void Engine::finalize() {
       if (ep.my_consumed > ep.my_consumed_reported) send_credit(ep);
     }
   }
-  for (;;) {
+  block_until([this] {
     progress();
-    bool idle = outstanding_.empty() && pending_recovery_.empty();
+    if (!outstanding_.empty() || !pending_recovery_.empty()) return false;
     for (auto& [p, ep] : endpoints_) {
       if (!ep.pending_tx.empty() || !ep.unacked.empty() ||
           !ep.data_ops.empty()) {
-        idle = false;
+        return false;
       }
     }
-    if (idle) break;
-    ib_->process().wait_on(wake_);
-  }
+    return true;
+  });
   ib_->process().wait(sim::microseconds(100));
   bootstrap_.set_watch(rank_, {});
 
@@ -420,13 +416,10 @@ Engine::Endpoint& Engine::open_endpoint(int peer,
   ep.local_block = region(layout_.local_bytes(), ib::kLocalWrite);
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
-  // A responder's half is on the board while its QP connects, but the
-  // requester is poked only once the pair is wired on this side.
-  bootstrap_.publish(rank_, peer, 0, peer_info(ep), /*poke_to=*/!theirs);
-  if (theirs) {
-    connect_endpoint(ep, *theirs);
-    bootstrap_.poke(peer);
-  }
+  // A responder publishes once its QP is connected, so the requester never
+  // posts toward a QP that is still connecting.
+  if (theirs) connect_endpoint(ep, *theirs);
+  bootstrap_.publish(rank_, peer, 0, peer_info(ep));
   return ep;
 }
 
@@ -464,29 +457,29 @@ void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
 
 Engine::PeerWait Engine::await_peer(Endpoint& ep, std::uint32_t epoch) {
   const Bootstrap::PeerInfo* pi = nullptr;
-  for (;;) {
+  PeerWait out = PeerWait::Connected;
+  block_until([&] {
     check_alive();  // our own kill fate can fire while blocked here
     bump_pulse();   // blocked on a peer is not dead: watchers must see it
-    wake_pending_ = false;
     pi = bootstrap_.try_get(ep.peer, rank_, epoch);
     // Eager setup takes every half: a peer publishes its whole mesh before
     // it can die. Later a dead peer's half is not taken even if it was
     // published first, nor a newer epoch of a pair the peer gave up (its
     // first-epoch half is always up: only a wired pair can be given up).
     if (bootstrap_.is_dead(ep.peer) && (setup_done_ || !pi)) {
-      return PeerWait::Dead;
+      out = PeerWait::Dead;
+      return true;
     }
     if (epoch > 0 && bootstrap_.pair_abandoned(ep.peer, rank_)) {
-      return PeerWait::Abandoned;
+      out = PeerWait::Abandoned;
+      return true;
     }
-    if (pi) break;
+    if (pi) return true;
     service_requests();
-    // A first-touch responder's half goes up before its poke (open_endpoint).
-    if ((pi = bootstrap_.try_get(ep.peer, rank_, epoch))) break;
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
-  connect_endpoint(ep, *pi);
-  return PeerWait::Connected;
+    return false;
+  });
+  if (out == PeerWait::Connected) connect_endpoint(ep, *pi);
+  return out;
 }
 
 void Engine::service_requests() {
@@ -685,8 +678,7 @@ void Engine::schedule_recovery(sim::Time delay, std::function<void()> fn) {
       delay, [this, alive, fn = std::move(fn)]() mutable {
         if (!*alive) return;
         pending_recovery_.push_back(std::move(fn));
-        wake_pending_ = true;
-        wake_.notify_all();
+        wake();
       });
 }
 
@@ -1110,8 +1102,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     if (!settle_orphan(ep, rec)) post_tracked(ep, rec);
   }
   drain_tx(ep);
-  wake_pending_ = true;
-  wake_.notify_all();
+  wake();
 }
 
 void Engine::schedule_heartbeat() {
@@ -1119,9 +1110,18 @@ void Engine::schedule_heartbeat() {
   ib_->process().engine().schedule_after(
       platform_.mpi_heartbeat_period, [this, alive] {
         if (!*alive || hb_stop_) return;  // finalize ends the chain
-        pending_recovery_.push_back([this] { heartbeat_tick(); });
-        wake_pending_ = true;
-        wake_.notify_all();
+        // One pending tick at most: a rank away from progress() for many
+        // periods runs one tick when it returns, not one per period. The
+        // wake still comes every period: a rank blocked on a peer bumps its
+        // pulse on each pass (await_peer).
+        if (!hb_queued_) {
+          hb_queued_ = true;
+          pending_recovery_.push_back([this] {
+            hb_queued_ = false;
+            heartbeat_tick();
+          });
+        }
+        wake();
         schedule_heartbeat();
       });
 }
@@ -1293,8 +1293,7 @@ void Engine::fail_endpoint(Endpoint& ep, MpiErrc errc, const char* why) {
   }
   // Rendezvous RDMA operations over the pair.
   for (auto it = ops; it != recs.end(); ++it) fail_tracked(*it, err, why);
-  wake_pending_ = true;
-  wake_.notify_all();
+  wake();
 }
 
 void Engine::mark_abandoned(Endpoint& ep) {
@@ -1346,8 +1345,7 @@ void Engine::fail_peer_ops(int r) {
     fail_schedule(*sched, "peer rank died during collective",
                   MpiErrc::ProcFailed, r);
   }
-  wake_pending_ = true;
-  wake_.notify_all();
+  wake();
 }
 
 bool Engine::comm_contains(std::uint32_t comm_id, int r) const {
@@ -1430,8 +1428,7 @@ void Engine::poison_comm(std::uint32_t comm_id, const char* why) {
       fail_schedule(*sched, why, MpiErrc::Revoked);
     }
   }
-  wake_pending_ = true;
-  wake_.notify_all();
+  wake();
 }
 
 void Engine::flood_revoke(std::uint32_t comm_id) {
@@ -1456,34 +1453,15 @@ void Engine::flood_revoke(std::uint32_t comm_id) {
 
 void Engine::waitall(std::span<Request> reqs) {
   check_alive();
-  for (;;) {
-    wake_pending_ = false;
+  block_until([&] {
     progress();
-    bool all = true;
-    for (const Request& r : reqs) {
-      if (r.valid() && !r.done()) {
-        all = false;
-        break;
-      }
-    }
-    if (all) break;
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
+    return std::ranges::all_of(
+        reqs, [](const Request& r) { return !r.valid() || r.done(); });
+  });
   // Every request reached a terminal phase (a failure on one cannot leave
   // another undriven); now report the first casualty, if any.
   for (const Request& r : reqs) {
     if (r.valid()) r.state_->throw_if_failed();
-  }
-}
-
-void Engine::wait_until_ft(const std::function<bool()>& pred) {
-  for (;;) {
-    progress();  // throws RankKilled once our own fate fires
-    if (pred()) return;
-    // A bounded sleep instead of a wake condition: the out-of-band boards
-    // this loop polls are advanced by ranks whose p2p connectivity to us
-    // may be gone, so no packet-level wake can be relied on.
-    ib_->process().wait(platform_.mpi_heartbeat_period);
   }
 }
 
@@ -2083,16 +2061,18 @@ std::size_t Engine::waitany(std::span<Request> reqs) {
   bool any_valid = false;
   for (const Request& r : reqs) any_valid |= r.valid();
   if (!any_valid) return SIZE_MAX;
-  for (;;) {
-    wake_pending_ = false;
+  std::size_t hit = SIZE_MAX;
+  block_until([&] {
     progress();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (!reqs[i].valid() || !reqs[i].done()) continue;
-      reqs[i].state_->throw_if_failed();
-      return i;
+      hit = i;
+      return true;
     }
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
+    return false;
+  });
+  reqs[hit].state_->throw_if_failed();
+  return hit;
 }
 
 bool Engine::testall(std::span<Request> reqs) {

@@ -54,12 +54,8 @@ class Bootstrap {
 
   // --- The connection handshake (docs/simulator.md, docs/faults.md) ---------
   /// Publish `from`'s half of its pair with `to` at connection generation
-  /// `epoch` (0 = first wiring), and poke `to` unless `poke_to` is false (a
-  /// first-touch responder pokes once its QP is connected).
-  void publish(int from, int to, std::uint32_t epoch, PeerInfo info,
-               bool poke_to = true);
-  /// Ring one rank's watch (no-op before that rank set one).
-  void poke(int rank);
+  /// `epoch` (0 = first wiring), and poke `to`.
+  void publish(int from, int to, std::uint32_t epoch, PeerInfo info);
   /// `from`'s half for `to` at `epoch`; nullptr until `from` published it.
   const PeerInfo* try_get(int from, int to, std::uint32_t epoch) const;
   /// `from` asks `to` to build (epoch 0, first touch) or rebuild (epoch > 0)
@@ -76,9 +72,10 @@ class Bootstrap {
   /// publication, that never comes.
   void abandon_pair(int from, int to);
   bool pair_abandoned(int from, int to) const;
-  /// Per-rank poke: `fn` runs on every publish or request naming `rank` and
-  /// on every change to the shared boards below, so a rank blocked in its
-  /// own wait loop learns it has work. Pass an empty function to clear.
+  /// Per-rank poke: `fn` runs on every publish or request naming `rank`, on
+  /// a vote naming it coordinator and on every other change to the shared
+  /// boards below, so a blocked rank learns it has work. Pass an empty
+  /// function to clear.
   void set_watch(int rank, std::function<void()> fn);
 
   // --- Rank-death registry and failure board (rank_kill; docs/faults.md) ----
@@ -101,9 +98,12 @@ class Bootstrap {
   int failed_at(std::size_t i) const;
 
   // --- Agreement board (MPIX_Comm_agree / shrink; docs/faults.md) -----------
-  /// One vote per (comm, agreement-seq, rank); re-posts overwrite.
+  /// One vote per (comm, agreement-seq, rank); re-posts overwrite. Pokes
+  /// only `coordinator`, the lowest member the voter believes alive: only
+  /// a coordinator reads votes, and its death rings every watch, so a
+  /// successor still finds the vote on the board.
   void post_vote(std::uint32_t comm, std::uint64_t seq, int rank,
-                 std::uint64_t value);
+                 std::uint64_t value, int coordinator);
   /// nullptr until `rank` voted in that round.
   const std::uint64_t* get_vote(std::uint32_t comm, std::uint64_t seq,
                                 int rank) const;
@@ -121,7 +121,8 @@ class Bootstrap {
   /// exactly like agreement. An exclusive lock is granted only when no one
   /// holds the slot; a shared lock coexists with other shared holders.
   /// Returns false without side effects when the lock cannot be granted
-  /// now — callers poll again (Engine::wait_until_ft).
+  /// now; callers retry when an unlock or a death rings their watch
+  /// (Engine::wait_until).
   bool rma_try_lock(std::uint64_t win, int target, int origin, bool exclusive);
   /// Release origin's hold (idempotent) and wake waiters.
   void rma_unlock(std::uint64_t win, int target, int origin);
@@ -130,6 +131,8 @@ class Bootstrap {
   void rma_release_rank(int origin);
 
  private:
+  /// Ring one rank's watch (no-op before that rank set one).
+  void poke(int rank);
   /// Ring every rank's watch.
   void notify();
 
@@ -376,7 +379,9 @@ class Engine {
                 ib::MKey lkey, std::size_t bytes, mem::SimAddr raddr,
                 ib::MKey rkey, sim::CheckKind race, sim::Checker::AccessOp op,
                 const char* label, std::function<void()> on_done);
-  /// Drive progress until `pred()` holds (blocks the owning process).
+  /// Drive progress until `pred()` holds (blocks the owning process). The
+  /// out-of-band boards (agreement, RMA locks) are waited on here too: every
+  /// board change rings each rank's watch.
   void wait_until(const std::function<bool()>& pred);
   /// The cluster invariant checker, for components layered above the engine
   /// (Window/Channel epoch and exposure hooks). Same instance chk() serves
@@ -414,10 +419,6 @@ class Engine {
   /// i cannot leave request i+1 undriven: fault-tolerant callers catch the
   /// MpiError and inspect Request::failed()/errc() per request.
   void waitall(std::span<Request> reqs);
-  /// Timed-poll progress loop for the out-of-band agreement protocol:
-  /// advance, check `pred`, sleep one heartbeat period, repeat. The bounded
-  /// sleep keeps agreement live even when every p2p wake source is dead.
-  void wait_until_ft(const std::function<bool()>& pred);
   /// Watchdog hook: dump every live engine's state (rank, endpoint health,
   /// in-flight schedules, known failures) to `out`. Called from a foreign
   /// OS thread only when the deadline watchdog is about to abort a hung
@@ -718,7 +719,7 @@ class Engine {
   void service_requests();
   /// Create this side of the pair with `peer` (both blocks, QP) and publish
   /// it on the bootstrap. A first-touch responder passes the requester's
-  /// half and connects to it before poking the requester.
+  /// half and connects to it before publishing.
   Endpoint& open_endpoint(int peer,
                           const Bootstrap::PeerInfo* theirs = nullptr);
 
@@ -746,7 +747,8 @@ class Engine {
   /// adopt landed probes, probe watched peers that have been silent for a
   /// period, and declare a watched peer Suspect past the liveness timeout.
   void heartbeat_tick();
-  /// Arm the self-rescheduling heartbeat timer (fatal faults only).
+  /// Arm the self-rescheduling heartbeat timer (fatal faults only). Each
+  /// period queues a tick unless one is still pending.
   void schedule_heartbeat();
 
   // --- Protocol steps --------------------------------------------------------
@@ -849,6 +851,18 @@ class Engine {
       e.blame_peer_ = saved_peer;
     }
   };
+
+  // --- Blocking ----------------------------------------------------------------
+  /// The one way a rank blocks: clear the wake flag, run `pass`, return once
+  /// it reports done, and otherwise sleep on wake_ unless a wake arrived
+  /// during the pass (level-triggered: virtual time passes inside a pass,
+  /// and a wake that lands then must not be lost). Every blocking call is a
+  /// pass handed to it (dcfa_lint one-wait).
+  template <class Pass>
+  void block_until(Pass&& pass);
+  /// Set the wake flag and wake a blocked pass: a CQE, a landing, a board
+  /// change or recovery work that the next pass must see.
+  void wake();
 
   // --- Rank-failure semantics (internals; docs/faults.md) --------------------
   /// Throw RankKilled once this rank's kill fate fired — checked at every
@@ -1002,6 +1016,7 @@ class Engine {
   MpiErrc blame_errc_ = MpiErrc::Other;
   int blame_peer_ = -1;
   bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
+  bool hb_queued_ = false;  ///< a heartbeat_tick waits in pending_recovery_
   /// This rank's liveness pulse (fatal faults only): {tick counter, known
   /// failure epoch}, bumped by plain stores each tick and RDMA-read by
   /// peers' probes. Registered once, for remote reads, at setup.
@@ -1014,14 +1029,21 @@ class Engine {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   sim::Condition wake_;
-  /// Level-triggered wake flag: events that fire while progress() is already
-  /// running (virtual time passes inside it) must not be lost when the
-  /// process then blocks on wake_.
+  /// Level-triggered wake flag (wake(), block_until).
   bool wake_pending_ = false;
   bool in_progress_ = false;  ///< re-entrancy guard
   Stats stats_;
   bool setup_done_ = false;
   bool finalized_ = false;
 };
+
+template <class Pass>
+void Engine::block_until(Pass&& pass) {
+  for (;;) {
+    wake_pending_ = false;
+    if (pass()) return;
+    if (!wake_pending_) ib_->process().wait_on(wake_);
+  }
+}
 
 }  // namespace dcfa::mpi

@@ -168,11 +168,9 @@ std::optional<Status> Engine::iprobe(int src, int tag,
 }
 
 Status Engine::probe(int src, int tag, std::uint32_t comm_id) {
-  for (;;) {
-    wake_pending_ = false;
-    if (auto st = iprobe(src, tag, comm_id)) return *st;
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
+  std::optional<Status> st;
+  block_until([&] { return (st = iprobe(src, tag, comm_id)).has_value(); });
+  return *st;
 }
 
 Request Engine::irecv(const mem::Buffer& buf, std::size_t offset,

@@ -77,14 +77,8 @@ void Engine::rma_post(int peer, ib::Opcode opcode, mem::SimAddr laddr,
 }
 
 void Engine::wait_until(const std::function<bool()>& pred) {
-  while (!pred()) {
-    wake_pending_ = false;
-    progress();
-    if (pred()) return;
-    // Anything that landed while progress() was charging time re-runs the
-    // scan instead of blocking (level-triggered wake).
-    if (!wake_pending_) ib_->process().wait_on(wake_);
-  }
+  // Check first: a Channel's doorbell lands with no progress pass.
+  block_until([&] { return pred() || (progress(), pred()); });
 }
 
 }  // namespace dcfa::mpi

@@ -286,11 +286,11 @@ void Window::lock(int target, Lock mode) {
   const int w = comm_.world_rank(target);
   const bool excl = mode == Lock::Exclusive;
   bool granted = false;
-  // Arbitration runs over the out-of-band lock board; the timed-poll FT
-  // wait keeps this live even with no p2p wake source (the holder may be
-  // anyone, including a rank we never exchanged a packet with — or a dead
-  // one, which adopt_failures resolves by releasing its holds).
-  e.wait_until_ft([&] {
+  // Arbitration runs over the out-of-band lock board, whose unlocks ring
+  // every rank's watch: the holder may be anyone, including a rank we never
+  // exchanged a packet with, or a dead one, whose holds adopt_failures
+  // releases.
+  e.wait_until([&] {
     if (e.rank_failed(w) || e.bootstrap().is_dead(w)) return true;
     granted = e.bootstrap().rma_try_lock(id_, w, e.rank(), excl);
     return granted;
@@ -317,7 +317,7 @@ void Window::lock_all() {
   for (int r = 0; r < comm_.size(); ++r) {
     const int w = comm_.world_rank(r);
     bool granted = false;
-    e.wait_until_ft([&] {
+    e.wait_until([&] {
       if (e.rank_failed(w) || e.bootstrap().is_dead(w)) return true;
       granted = e.bootstrap().rma_try_lock(id_, w, e.rank(), false);
       return granted;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mpi/runtime.hpp"
@@ -558,4 +559,28 @@ TEST(RankFailure, FirstTouchOfADeadRankThatPublishedFails) {
   });
   EXPECT_TRUE(refused);
   EXPECT_EQ(rt.faults()->counters().rank_kills, 1u);
+}
+
+// An agreement that can never be decided is a deadlock, not a spin. Host
+// MPI, 2 ranks, no faults: rank 0 waits for rank 1's vote, and rank 1 blocks
+// in a probe that nothing matches. Both waits sleep until something rings
+// them, nothing does, and the simulator's deadlock check names both ranks.
+TEST(RankFailure, UndecidableAgreementEndsInDeadlock) {
+  RunConfig cfg;
+  cfg.mode = MpiMode::HostMpi;
+  cfg.nprocs = 2;
+  try {
+    run_mpi(cfg, [](RankCtx& ctx) {
+      if (ctx.rank == 0) {
+        (void)ctx.world.agree(1);
+      } else {
+        (void)ctx.world.probe(0, /*tag=*/99);
+      }
+    });
+    FAIL() << "expected sim::DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("rank0"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank1"), std::string::npos) << what;
+  }
 }

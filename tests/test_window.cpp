@@ -455,6 +455,41 @@ TEST(Window, ExclusiveLockSerialisesReadModifyWrite) {
   });
 }
 
+// A waiter blocked on a held lock is granted it at the unlock: the unlock
+// rings every rank's watch. Rank 0 holds rank 1's slot exclusively; rank 1
+// asks for it and blocks. Rank 0 unlocks half a heartbeat period past a
+// period boundary of rank 1's wait, so a waiter that only re-polled the
+// board once per period would be granted the lock at least 20 us late.
+TEST(Window, ContendedExclusiveLockIsGrantedAtTheUnlock) {
+  const RunConfig cfg = dcfa_cfg(2);
+  const sim::Time period = cfg.platform.mpi_heartbeat_period;
+  sim::Time asked_at = -1, unlocked_at = -1, granted_at = -1;
+  run_mpi(cfg, [&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer wbuf = comm.alloc(64);
+    Window win(comm, wbuf, 0, 64);
+    if (ctx.rank == 0) win.lock(1, Window::Lock::Exclusive);
+    comm.barrier();
+    if (ctx.rank == 0) {
+      ctx.proc.wait(period);  // rank 1 is blocked in lock() by now
+      ctx.proc.wait(asked_at + 2 * period + period / 2 - ctx.proc.now());
+      win.unlock(1);
+      unlocked_at = ctx.proc.now();
+    } else {
+      asked_at = ctx.proc.now();
+      win.lock(1, Window::Lock::Exclusive);
+      granted_at = ctx.proc.now();
+      win.unlock(1);
+    }
+    comm.barrier();
+    win.free();
+    comm.free(wbuf);
+  });
+  ASSERT_GE(unlocked_at, 0);
+  EXPECT_GE(granted_at, unlocked_at);
+  EXPECT_LT(granted_at - unlocked_at, period / 10);
+}
+
 TEST(Window, LockAllSharedDisjointSlices) {
   constexpr int kRanks = 4;
   run_mpi(dcfa_cfg(kRanks), [](RankCtx& ctx) {
