@@ -142,6 +142,8 @@ int main(int argc, char** argv) {
     // Reliability mechanism counters, gated exactly like the host work.
     rep.metric(name, "credits_sent",
                static_cast<double>(res.totals.credits_sent), "count");
+    rep.metric(name, "credits_piggybacked",
+               static_cast<double>(res.totals.credits_piggybacked), "count");
     rep.metric(name, "retransmits",
                static_cast<double>(res.totals.retransmits), "count");
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Fifteen rule families, each encoding an invariant the generic toolchain cannot
+Seventeen rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -110,6 +110,14 @@ see (docs/checking.md has the rationale and the paper references):
                   An inline wait loop is how a wake that lands during a pass
                   gets lost, or a second, timed poll creeps back in. A loop
                   reports once.
+  one-ack         in src/mpi/, Endpoint::consumed_by_peer (how far the peer
+                  has proven consumption of my packets) is assigned only
+                  inside Engine::apply_credit and the endpoint reset in
+                  Engine::perform_reconnect. A credit from the cell and one
+                  piggybacked on a packet header are one ack rule: both
+                  free slots, purge the delivered records and finish the
+                  tracked packets they cover. A second assignment is how a
+                  credit source would advance the counter and skip the ack.
 
 A file can waive one rule with a justified marker comment:
 
@@ -258,6 +266,14 @@ HANDSHAKE_CALL = re.compile(
 ONE_WAIT_HELPERS = ("block_until",)
 ONE_WAIT = re.compile(
     r"\bwait_on\s*\(\s*wake_\s*\)|(?<!bool )\bwake_pending_\s*=\s*false\b")
+
+# one-ack: the one function that applies a credit (and the reconnect that
+# resets it), and what an assignment looks like (the member's declaration
+# is not one).
+ONE_ACK_HELPERS = ("apply_credit", "perform_reconnect")
+ONE_ACK = re.compile(
+    r"(?<!std::uint64_t )\bconsumed_by_peer\s*(?:[-+*/%&|^]?=(?!=)|\+\+|--)"
+    r"|(?:\+\+|--)\s*(?:\w+\s*(?:\.|->)\s*)*consumed_by_peer\b")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -612,6 +628,20 @@ def check_one_wait(path: Path, rel: str, text: str,
                     "a pass instead of blocking on wake_ inline")
 
 
+def check_one_ack(path: Path, rel: str, text: str,
+                  lines: list[str]) -> None:
+    if not rel.startswith("src/mpi/"):
+        return
+    helpers = helper_line_ranges(text, ONE_ACK_HELPERS)
+    for i, line in enumerate(lines, 1):
+        if (ONE_ACK.search(strip_comments(line))
+                and not any(i in r for r in helpers)):
+            finding(path, i, "one-ack",
+                    "consumed_by_peer assigned outside Engine::apply_credit; "
+                    "apply every credit through it so each one also acks "
+                    "the packets it covers")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -659,6 +689,7 @@ def main() -> int:
         check_offload_stage(path, rel, text, lines)
         check_bootstrap_handshake(path, rel, text, lines)
         check_one_wait(path, rel, text, lines)
+        check_one_ack(path, rel, text, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

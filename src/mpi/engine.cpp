@@ -338,17 +338,9 @@ void Engine::finalize() {
   // Quiesce before tearing anything down: drain deferred emissions and
   // outstanding completions, then give straggling unsignaled writes (credit
   // updates) time to land so no WR is in flight against a dead MR.
-  if (faults_armed_) {
-    // Flush unreported credits first: a peer whose packet's CQE was dropped
-    // is waiting on exactly this counter as its implicit ack, and no more
-    // consumption will happen to push it past the reporting threshold.
-    for (auto& [p, ep] : endpoints_) {
-      // A Failed endpoint's peer is gone (or unrecoverable): flushing a
-      // credit toward it would post on a dead connection for nothing.
-      if (ep.conn_state == ConnState::Failed) continue;
-      if (ep.my_consumed > ep.my_consumed_reported) send_credit(ep);
-    }
-  }
+  // No more consumption will push a peer's ack past the reporting period,
+  // and the drain below need not sleep, so flush here first.
+  flush_credits();
   block_until([this] {
     progress();
     if (!outstanding_.empty() || !pending_recovery_.empty()) return false;
@@ -375,6 +367,8 @@ void Engine::finalize() {
     t->counter(track, "wc_errors", at, double(stats_.wc_errors));
     t->counter(track, "wc_timeouts", at, double(stats_.wc_timeouts));
     t->counter(track, "credit_acked", at, double(stats_.credit_acked));
+    t->counter(track, "credits_piggybacked", at,
+               double(stats_.credits_piggybacked));
     t->counter(track, "dup_dropped", at, double(stats_.dup_packets_dropped));
     t->counter(track, "data_op_retries", at, double(stats_.data_op_retries));
     t->counter(track, "retry_exhausted", at, double(stats_.retry_exhausted));
@@ -589,6 +583,11 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   const std::uint64_t idx = ep.sent_packets;
   hdr.ring_idx = idx;
   hdr.conn_epoch = ep.epoch;
+  // Piggybacked credit: the packet reports this rank's consumption of the
+  // peer's packets, so no explicit credit is due until the next period.
+  hdr.credit = static_cast<std::uint32_t>(ep.my_consumed);
+  chk().credit_piggybacked(rank_, ep.peer, hdr.credit);
+  ep.my_consumed_reported = ep.my_consumed;
 
   // Stage header, payload (the eager one-copy) and tail into the slot.
   const int slot = static_cast<int>(idx % slots());
@@ -777,8 +776,10 @@ void Engine::on_tracked_wc(int peer, bool ring, std::uint64_t key,
     finish_tracked(ep, *rec, wc);
     return;
   }
-  // Injected transport error: the WR never took effect. Retry after the
-  // current backoff, or give up when the budget is spent.
+  // Injected transport error: the WR provably did nothing, so retry it at
+  // once, or give up when the budget is spent. Only a timeout backs off: its
+  // first attempt may still land. This runs inside progress()'s CQ poll,
+  // ahead of the pass's recovery drain, which posts the retry.
   ++stats_.wc_errors;
   ++rec->epoch;  // defuse the pending timeout timer
   if (ep.qp->state() == ib::QpState::Error &&
@@ -787,11 +788,9 @@ void Engine::on_tracked_wc(int peer, bool ring, std::uint64_t key,
   }
   if (budget_spent(ep, *rec, wc)) return;
   const std::uint64_t epoch = rec->epoch;
-  schedule_recovery(platform_.mpi_retry_timeout << (rec->attempts - 1),
-                    [this, peer, ring, key, epoch] {
-                      tracked_check(peer, ring, key, epoch,
-                                    /*after_error=*/true);
-                    });
+  pending_recovery_.push_back([this, peer, ring, key, epoch] {
+    tracked_check(peer, ring, key, epoch, /*after_error=*/true);
+  });
 }
 
 void Engine::tracked_check(int peer, bool ring, std::uint64_t key,
@@ -1521,6 +1520,17 @@ void Engine::send_credit(Endpoint& ep) {
   ++stats_.credits_sent;
 }
 
+void Engine::flush_credits() {
+  if (!faults_armed_ || !credit_unreported_) return;
+  credit_unreported_ = false;
+  for (auto& [p, ep] : endpoints_) {
+    // A Failed endpoint's peer is gone (or unrecoverable): a credit toward
+    // it would post on a dead connection for nothing.
+    if (ep.conn_state == ConnState::Failed) continue;
+    if (ep.my_consumed > ep.my_consumed_reported) send_credit(ep);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Progress
 // ---------------------------------------------------------------------------
@@ -1541,22 +1551,23 @@ void Engine::poll_cq() {
 }
 
 void Engine::read_credit_cell(Endpoint& ep) {
-  const std::uint64_t value = wire::get<std::uint64_t>(
-      ep.remote_block.buf, EndpointLayout::kCreditCellOff);
-  if (value > ep.consumed_by_peer) {
-    chk().credit_read(rank_, ep.peer, value);
-    ep.consumed_by_peer = value;
-    ep.last_heard = ib_->process().now();
-    // Consumption proven up to `value`: parked delivered-packet records
-    // below it can never need a replay, and a tracked packet below it is
-    // acknowledged, whatever became of its CQE.
-    ep.delivered.erase(ep.delivered.begin(),
-                       ep.delivered.lower_bound(value));
-    while (!ep.unacked.empty() &&
-           ep.unacked.begin()->first < ep.consumed_by_peer) {
-      ++stats_.credit_acked;
-      finish_tracked(ep, ep.unacked.begin()->second, ib::Wc{});
-    }
+  apply_credit(ep, wire::get<std::uint64_t>(ep.remote_block.buf,
+                                            EndpointLayout::kCreditCellOff));
+}
+
+void Engine::apply_credit(Endpoint& ep, std::uint64_t value) {
+  if (value <= ep.consumed_by_peer) return;
+  chk().credit_read(rank_, ep.peer, value);
+  ep.consumed_by_peer = value;
+  ep.last_heard = ib_->process().now();
+  // Consumption proven up to `value`: parked delivered-packet records below
+  // it can never need a replay, and a tracked packet below it is
+  // acknowledged, whatever became of its CQE.
+  ep.delivered.erase(ep.delivered.begin(), ep.delivered.lower_bound(value));
+  while (!ep.unacked.empty() &&
+         ep.unacked.begin()->first < ep.consumed_by_peer) {
+    ++stats_.credit_acked;
+    finish_tracked(ep, ep.unacked.begin()->second, ib::Wc{});
   }
 }
 
@@ -1586,12 +1597,11 @@ bool Engine::scan_ring(Endpoint& ep) {
     if (hdr.ring_idx != ep.my_consumed) {
       // A retransmit of an already-consumed packet: scrub the slot and do
       // NOT advance — the slot's real next packet comes later. Its sender
-      // holds no ack for it (a lost CQE, no covering credit yet), so report
-      // the counter now rather than at the next period.
+      // holds no ack for it (a lost CQE, no covering credit yet); the idle
+      // flush reports the counter before this rank sleeps.
       std::memset(base, 0, sizeof hdr);
       std::memset(block.data() + ring.tail_off(slot, plen), 0, sizeof tail);
       ++stats_.dup_packets_dropped;
-      if (ep.my_consumed > ep.my_consumed_reported) send_credit(ep);
       return true;
     }
 
@@ -1603,6 +1613,22 @@ bool Engine::scan_ring(Endpoint& ep) {
     // yet — pull the board before dispatching, so a packet that depends on
     // a dead rank is handled with that knowledge in place.
     if (hdr.fail_epoch > known_fail_epoch_) adopt_failures();
+
+    // The header's credit acks like the cell's, when it is news. Widened
+    // against the counter it reports on: a retransmit carries its original
+    // value, so a delta that is not positive says nothing new. Nor does a
+    // value the cell already holds (a period credit posted before this
+    // packet); the endpoint's next visit reads that one, as it would
+    // without the header.
+    const auto delta = static_cast<std::int32_t>(
+        hdr.credit - static_cast<std::uint32_t>(ep.consumed_by_peer));
+    const std::uint64_t credit =
+        ep.consumed_by_peer + static_cast<std::uint64_t>(delta);
+    if (delta > 0 && credit > wire::get<std::uint64_t>(
+                                  block, EndpointLayout::kCreditCellOff)) {
+      ++stats_.credits_piggybacked;
+      apply_credit(ep, credit);
+    }
 
     const std::byte* payload = block.data() + ring.payload_off(slot);
     handle_packet(ep, hdr, payload);
@@ -1619,6 +1645,8 @@ bool Engine::scan_ring(Endpoint& ep) {
         std::max<std::uint64_t>(1, usable_slots_ / 4);
     if (ep.my_consumed - ep.my_consumed_reported >= credit_period) {
       send_credit(ep);
+    } else {
+      credit_unreported_ = true;
     }
   }
 }

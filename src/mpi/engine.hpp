@@ -221,6 +221,7 @@ class Engine {
     std::uint64_t packets_rx = 0;
     std::uint64_t endpoint_polls = 0;  ///< endpoints visited by progress()
     std::uint64_t credits_sent = 0;
+    std::uint64_t credits_piggybacked = 0;  ///< header credits that advanced
     std::uint64_t tx_stalls = 0;       ///< emissions deferred for credit
     std::uint64_t reductions_offloaded = 0;  ///< host-delegated combines
     std::uint64_t packs_offloaded = 0;       ///< host-delegated packs
@@ -626,6 +627,11 @@ class Engine {
                     std::uint64_t buf_bytes,
                     std::uint32_t dir = PacketHeader::kToSender);
   void send_credit(Endpoint& ep);
+  /// The idle flush (armed endpoints only): write a credit toward every
+  /// live peer whose consumption is unreported, before this rank sleeps or
+  /// finalizes — a peer whose packet's CQE was lost waits on exactly that
+  /// counter as its ack.
+  void flush_credits();
   /// The paper's ring write of staged `slot`: header, payload and tail
   /// SGEs, laid down contiguously in the peer's ring so the tail lands
   /// last-after-data. Callers set signaling and the wr_id.
@@ -778,8 +784,12 @@ class Engine {
   /// when the scan stopped on a non-empty slot (epoch fence, duplicate
   /// scrub, tail still in flight), so the endpoint needs another visit.
   bool scan_ring(Endpoint& ep);
-  /// Also finishes every tracked ring packet the credit covers (its ack).
   void read_credit_cell(Endpoint& ep);
+  /// The one ack rule, for a credit from the cell or a packet header: the
+  /// peer consumed `value` packets. A higher value frees ring slots, purges
+  /// the delivered records below it and finishes every tracked ring packet
+  /// it covers.
+  void apply_credit(Endpoint& ep, std::uint64_t value);
   void handle_packet(Endpoint& ep, const PacketHeader& hdr,
                      const std::byte* payload);
   void handle_eager(Endpoint& ep, Channel& ch, const PacketHeader& hdr,
@@ -856,8 +866,10 @@ class Engine {
   /// The one way a rank blocks: clear the wake flag, run `pass`, return once
   /// it reports done, and otherwise sleep on wake_ unless a wake arrived
   /// during the pass (level-triggered: virtual time passes inside a pass,
-  /// and a wake that lands then must not be lost). Every blocking call is a
-  /// pass handed to it (dcfa_lint one-wait).
+  /// and a wake that lands then must not be lost). A rank about to sleep
+  /// first flushes its unreported credits (flush_credits), and re-checks
+  /// the flag, because posting them takes time too. Every blocking call is
+  /// a pass handed to it (dcfa_lint one-wait).
   template <class Pass>
   void block_until(Pass&& pass);
   /// Set the wake flag and wake a blocked pass: a CQE, a landing, a board
@@ -987,7 +999,7 @@ class Engine {
   /// Unarmed classes therefore keep their event schedule bit-identical.
   sim::FaultInjector* faults_ = nullptr;
   /// Any fault armed: the credit cap, delivery tracking and
-  /// retransmission, the finalize credit flush, the fault counters in the
+  /// retransmission, the idle credit flush, the fault counters in the
   /// trace.
   bool faults_armed_ = false;
   /// qp_fatal, delegate_crash or rank_kill armed: the pulse, probes and
@@ -1022,6 +1034,9 @@ class Engine {
   /// peers' probes. Registered once, for remote reads, at setup.
   Region pulse_;
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
+  /// Some endpoint consumed a packet without reporting it since the last
+  /// idle flush (which walks the endpoints only when this is set).
+  bool credit_unreported_ = false;
   /// Recovery work handed from timer events to the rank process (drained
   /// at the top of progress()).
   std::deque<std::function<void()>> pending_recovery_;
@@ -1042,6 +1057,7 @@ void Engine::block_until(Pass&& pass) {
   for (;;) {
     wake_pending_ = false;
     if (pass()) return;
+    if (!wake_pending_) flush_credits();
     if (!wake_pending_) ib_->process().wait_on(wake_);
   }
 }

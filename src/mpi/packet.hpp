@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -33,6 +34,11 @@ struct PacketHeader {
   std::int32_t src_rank = -1;    ///< global rank of the sender
   std::int32_t tag = 0;
   std::uint32_t comm_id = 0;
+  /// Piggybacked credit: the low 32 bits of the sender's consumption
+  /// counter for the reverse ring when the packet was emitted. The receiver
+  /// widens it against its own counter and applies it like a credit-cell
+  /// read; a retransmit carries its original, possibly stale, value.
+  std::uint32_t credit = 0;
   std::uint64_t seq = 0;         ///< per (pair, comm, tag) channel sequence id
   std::uint64_t msg_bytes = 0;   ///< full message size (all types)
   /// Absolute ring position (sender's packet counter). Under fault
@@ -67,6 +73,10 @@ struct PacketHeader {
 // built only from fixed-width fields — host and co-processor ABIs must agree
 // on its layout.
 static_assert(std::is_trivially_copyable_v<PacketHeader>);
+// The credit fills what was a padding hole: the wire size and the slot
+// stride are those of the header without it.
+static_assert(offsetof(PacketHeader, credit) == 20);
+static_assert(sizeof(PacketHeader) == 88);
 
 using PacketTail = std::uint32_t;
 

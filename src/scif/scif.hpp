@@ -106,8 +106,9 @@ class Writer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   Writer& put(const T& v) {
-    const auto* p = reinterpret_cast<const std::byte*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
     return *this;
   }
   std::span<const std::byte> bytes() const { return buf_; }

@@ -1,5 +1,6 @@
 #include "sim/check.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -226,6 +227,30 @@ void Checker::credit_written(int rank, int peer, std::uint64_t value) {
                 std::to_string(peer) + " but has only consumed " +
                 std::to_string(cs.consumed) + " packets");
   cs.written = value;
+}
+
+void Checker::credit_piggybacked(int rank, int peer, std::uint32_t value) {
+  if (!on()) return;
+  count();
+  CreditState& cs = credit_[{rank, peer}];
+  // Widen against the consumed ledger, as the receiver widens against its
+  // own counter.
+  const std::int64_t full =
+      static_cast<std::int64_t>(cs.consumed) +
+      static_cast<std::int32_t>(value - static_cast<std::uint32_t>(cs.consumed));
+  if (full > static_cast<std::int64_t>(cs.consumed))
+    violate(CheckKind::DoubleCredit,
+            "rank " + std::to_string(rank) + " piggybacked credit " +
+                std::to_string(full) + " toward peer " + std::to_string(peer) +
+                " but has only consumed " + std::to_string(cs.consumed) +
+                " packets");
+  if (full < static_cast<std::int64_t>(cs.piggybacked))
+    violate(CheckKind::CreditRegression,
+            "rank " + std::to_string(rank) + " piggybacked credit " +
+                std::to_string(full) + " toward peer " + std::to_string(peer) +
+                " below its previous " + std::to_string(cs.piggybacked));
+  cs.piggybacked = static_cast<std::uint64_t>(full);
+  cs.written = std::max(cs.written, cs.piggybacked);
 }
 
 void Checker::credit_read(int rank, int peer, std::uint64_t value) {

@@ -143,6 +143,11 @@ class Checker {
   void packet_consumed(int rank, int peer, std::uint64_t consumed);
   /// `rank` wrote credit `value` toward `peer` (RDMA into peer's cell).
   void credit_written(int rank, int peer, std::uint64_t value);
+  /// `rank` stamped the low 32 bits of its consumption counter for `peer`
+  /// into an outgoing packet header: a credit written toward the peer. The
+  /// value never exceeds the consumption and never goes backwards modulo
+  /// 2^32.
+  void credit_piggybacked(int rank, int peer, std::uint32_t value);
   /// `rank` read credit `value` from its local cell for `peer`.
   void credit_read(int rank, int peer, std::uint64_t value);
 
@@ -336,6 +341,7 @@ class Checker {
   struct CreditState {
     std::uint64_t consumed = 0;        // packets this rank consumed from peer
     std::uint64_t written = 0;         // last credit value written to peer
+    std::uint64_t piggybacked = 0;     // last credit value stamped in a header
     std::uint64_t read = 0;            // last credit value read for peer
     std::uint64_t emitted = 0;         // packets emitted toward peer
     std::uint32_t epoch = 0;           // connection epoch these ledgers track

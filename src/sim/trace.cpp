@@ -123,9 +123,11 @@ Tracer& Telemetry::enable_tracing() {
   return *tracer_;
 }
 
-void Telemetry::print(Track track, const std::string& text) const {
-  std::fprintf(stderr, "[%s] [%s] %s\n", format_time(clock_).c_str(),
-               Tracer::track_name(track).c_str(), text.c_str());
+void Telemetry::print(Track track, const std::string& text,
+                      const std::string& detail) const {
+  std::fprintf(stderr, "[%s] [%s] %s%s%s\n", format_time(clock_).c_str(),
+               Tracer::track_name(track).c_str(), text.c_str(),
+               detail.empty() ? "" : " ", detail.c_str());
 }
 
 }  // namespace dcfa::sim

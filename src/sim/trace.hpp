@@ -170,11 +170,12 @@ class Telemetry {
   template <typename... A>
   void echo(Track track, const char* name, const char* detail,
             A... args) const {
-    std::string text = Tracer::format(name, args...);
-    if (detail) text += " " + Tracer::format(detail, args...);
-    print(track, text);
+    print(track, Tracer::format(name, args...),
+          detail ? Tracer::format(detail, args...) : std::string());
   }
-  void print(Track track, const std::string& text) const;
+  /// Writes "[time] [track] text", then " detail" when there is one.
+  void print(Track track, const std::string& text,
+             const std::string& detail) const;
 
   const Time& clock_;
   std::unique_ptr<Tracer> tracer_;

@@ -234,6 +234,38 @@ TEST(CheckCredit, FullLevelCrossChecksPeerWrites) {
   expect_violation(CheckKind::DoubleCredit, [&] { chk.credit_read(0, 1, 2); });
 }
 
+TEST(CheckCredit, PiggybackedCreditAboveConsumedIsDoubleCredit) {
+  Checker chk(CheckLevel::Cheap);
+  chk.packet_consumed(1, 0, 1);
+  chk.credit_piggybacked(1, 0, 1);
+  expect_violation(CheckKind::DoubleCredit,
+                   [&] { chk.credit_piggybacked(1, 0, 2); });
+}
+
+TEST(CheckCredit, PiggybackedCreditGoingBackwardsIsRegression) {
+  Checker chk(CheckLevel::Cheap);
+  chk.packet_consumed(1, 0, 1);
+  chk.packet_consumed(1, 0, 2);
+  chk.credit_piggybacked(1, 0, 2);
+  // Packets emitted with no consumption in between repeat the value.
+  chk.credit_piggybacked(1, 0, 2);
+  expect_violation(CheckKind::CreditRegression,
+                   [&] { chk.credit_piggybacked(1, 0, 1); });
+}
+
+TEST(CheckCredit, FullLevelCountsPiggybacksAsPeerWrites) {
+  Checker chk(CheckLevel::Full);
+  // Rank 1 reported its one consumption in a packet header, never in the
+  // cell: a read of 1 is a credit rank 1 produced, a read of 2 is not.
+  chk.packet_emitted(0, 1, 1, 1, 8);
+  chk.packet_emitted(0, 1, 2, 2, 8);
+  chk.packet_consumed(1, 0, 1);
+  chk.credit_piggybacked(1, 0, 1);
+  chk.credit_read(0, 1, 1);
+  EXPECT_EQ(chk.violations(), 0u);
+  expect_violation(CheckKind::DoubleCredit, [&] { chk.credit_read(0, 1, 2); });
+}
+
 // --- MR lifecycle -----------------------------------------------------------
 
 TEST(CheckMr, UseAfterDeregThrows) {

@@ -149,27 +149,42 @@ TEST(FaultInjection, CreditActsAsImplicitAckWhenCqeIsLost) {
 }
 
 // ---------------------------------------------------------------------------
-// One credit rule, armed or not: a credit every max(1, slots/4)
-// consumptions, any covering credit acknowledges, a duplicate gets a credit
+// One ack rule, armed or not: every packet piggybacks its sender's
+// consumption, a credit is written every max(1, slots/4) unreported
+// consumptions, an armed rank flushes what is unreported before it sleeps,
+// and any covering credit acknowledges
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjection, ArmedEndpointsBatchCreditsLikeUnarmedOnes) {
   // A spec that is armed but never fires tracks every packet, yet returns
-  // exactly the credits of an unarmed run: one per credit period of
-  // consumptions on each endpoint.
+  // exactly the credits of an unarmed run. In the ping-pong each reply
+  // carries the consumption of the message it answers, so no period fills
+  // and nothing is left to flush. In the one-way stream that follows, the
+  // receiver consumes a full ring in one pass: one credit per period.
   auto body = [](RankCtx& ctx) {
     auto& comm = ctx.world;
-    mem::Buffer buf = comm.alloc(kSmall);
+    const int slots = ctx.platform.eager_slots;
+    std::vector<mem::Buffer> bufs(slots);
+    for (auto& b : bufs) b = comm.alloc(kSmall);
     for (int i = 0; i < 16; ++i) {
       if (ctx.rank == 0) {
-        comm.send(buf, 0, kSmall, type_byte(), 1, 1);
-        comm.recv(buf, 0, kSmall, type_byte(), 1, 1);
+        comm.send(bufs[0], 0, kSmall, type_byte(), 1, 1);
+        comm.recv(bufs[0], 0, kSmall, type_byte(), 1, 1);
       } else {
-        comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
-        comm.send(buf, 0, kSmall, type_byte(), 0, 1);
+        comm.recv(bufs[0], 0, kSmall, type_byte(), 0, 1);
+        comm.send(bufs[0], 0, kSmall, type_byte(), 0, 1);
       }
     }
-    comm.free(buf);
+    // The receiver computes until the whole stream has landed.
+    if (ctx.rank == 1) ctx.proc.wait(sim::microseconds(100));
+    std::vector<Request> reqs;
+    for (int i = 0; i < slots; ++i) {
+      reqs.push_back(ctx.rank == 0
+                         ? comm.isend(bufs[i], 0, kSmall, type_byte(), 1, 2)
+                         : comm.irecv(bufs[i], 0, kSmall, type_byte(), 0, 2));
+    }
+    comm.waitall(reqs);
+    for (auto& b : bufs) comm.free(b);
   };
   RunConfig plain = fault_cfg("");
   Runtime rt_plain(plain);
@@ -177,15 +192,25 @@ TEST(FaultInjection, ArmedEndpointsBatchCreditsLikeUnarmedOnes) {
   Runtime rt_armed(fault_cfg("drop_wc=1,drop_wc_skip=1000000"));
   rt_armed.run(body);
   EXPECT_EQ(rt_armed.faults()->counters().wc_dropped, 0u);
-  const std::uint64_t period = std::max(1, plain.platform.eager_slots / 4);
+  const int slots = plain.platform.eager_slots;
+  const std::uint64_t period = std::max(1, slots / 4);
+  const auto& p0 = rt_plain.rank_stats()[0];
+  const auto& p1 = rt_plain.rank_stats()[1];
+  EXPECT_EQ(p0.packets_rx, 16u);
+  EXPECT_EQ(p1.packets_rx, 16u + slots);
+  EXPECT_EQ(p0.credits_sent, 0u);
+  EXPECT_EQ(p1.credits_sent, slots / period);
+  // Rank 0 learns every pong's consumption from the pong after it (16);
+  // rank 1 learns pings 1-15 and the stream's first packet (16).
+  EXPECT_EQ(p0.credits_piggybacked, 16u);
+  EXPECT_EQ(p1.credits_piggybacked, 16u);
   // Two ranks: each rank's stats are its one endpoint's.
   for (int r = 0; r < 2; ++r) {
     const auto& a = rt_plain.rank_stats()[r];
     const auto& b = rt_armed.rank_stats()[r];
     EXPECT_EQ(a.packets_rx, b.packets_rx);
-    EXPECT_GT(a.packets_rx, period);
-    EXPECT_EQ(a.credits_sent, a.packets_rx / period);
     EXPECT_EQ(b.credits_sent, a.credits_sent);
+    EXPECT_EQ(b.credits_piggybacked, a.credits_piggybacked);
   }
 }
 
@@ -237,9 +262,11 @@ TEST(FaultInjection, DuplicateOfAConsumedPacketGetsACredit) {
   // Packet 1's CQE is lost after the receiver consumed it, so its
   // retransmit parks a duplicate in slot 1. The receiver meets it when its
   // cursor wraps back to slot 1, with packet 16 consumed but not yet
-  // reported, and writes its counter at once: one credit more than the
-  // period alone gives. Packets 17-19 then end on a period boundary, where
-  // a run without the duplicate's credit would need no finalize flush.
+  // reported; it scrubs the slot and, finding packet 17 not yet sent,
+  // flushes its counter before it sleeps. Every receive but the first
+  // sleeps before its packet lands, so every consumption is reported by
+  // the next receive's idle flush (the last one by finalize's), and never
+  // by a period: the sender sends nothing back to piggyback on.
   auto cfg = fault_cfg("drop_wc=1,drop_wc_skip=1,drop_wc_max=1");
   cfg.platform.mpi_retry_timeout = sim::microseconds(10);
   const int kMsgs = 20;
@@ -268,7 +295,119 @@ TEST(FaultInjection, DuplicateOfAConsumedPacketGetsACredit) {
   EXPECT_EQ(s1.dup_packets_dropped, 1u);
   EXPECT_EQ(s1.packets_rx, static_cast<std::uint64_t>(kMsgs));
   EXPECT_EQ(s1.packets_rx % period, 0u);
-  EXPECT_EQ(s1.credits_sent, s1.packets_rx / period + 1);
+  EXPECT_EQ(s1.credits_sent, s1.packets_rx);
+  EXPECT_EQ(s1.credits_piggybacked, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// An ack without a timeout: an error CQE is retried at once, a lone
+// packet's lost CQE is covered by the receiver's idle flush or by the
+// credit its reply carries
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Rank 0 sends one eager packet to rank 1, which is already waiting for
+/// it; returns how much virtual time rank 0's send took.
+sim::Time lone_send(Runtime& rt) {
+  sim::Time done = 0;
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(kSmall);
+    if (ctx.rank == 0) {
+      ctx.proc.wait(sim::microseconds(20));
+      const sim::Time t0 = ctx.proc.now();
+      comm.send(buf, 0, kSmall, type_byte(), 1, 1);
+      done = ctx.proc.now() - t0;
+    } else {
+      comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
+    }
+    comm.free(buf);
+  });
+  return done;
+}
+
+}  // namespace
+
+TEST(FaultInjection, ErroredLoneEagerPacketIsRetriedAtOnce) {
+  // The packet's first attempt completes in error: the WR provably did
+  // nothing, so it is posted again at once instead of after a retry
+  // timeout. The send costs the error's round trip and a second posting on
+  // top of a clean send, far less than the timeout.
+  Runtime clean(fault_cfg("err_wc=1,err_wc_skip=1000000"));
+  const sim::Time t_clean = lone_send(clean);
+  Runtime errored(fault_cfg("err_wc=1,err_wc_max=1"));
+  const sim::Time t_err = lone_send(errored);
+  EXPECT_EQ(errored.faults()->counters().wc_errored, 1u);
+  EXPECT_EQ(errored.rank_stats()[0].wc_errors, 1u);
+  EXPECT_EQ(errored.rank_stats()[0].retransmits, 1u);
+  EXPECT_EQ(errored.rank_stats()[1].packets_rx, 1u);
+  EXPECT_LT(t_err, 2 * t_clean);
+}
+
+TEST(FaultInjection, IdleFlushAcksALonePacketWhoseCqeWasLost) {
+  // The packet's CQE is lost, and its receiver then blocks on a second
+  // message that the sender sends only once the first send completes. The
+  // receiver reports its consumption before it sleeps, and that credit
+  // acknowledges the packet: no retransmission, well before the timeout.
+  RunConfig cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::milliseconds(1);
+  sim::Time done = 0;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer buf = comm.alloc(kSmall);
+    for (int i = 0; i < 2; ++i) {
+      if (ctx.rank == 0) {
+        comm.send(buf, 0, kSmall, type_byte(), 1, 1);
+      } else {
+        comm.recv(buf, 0, kSmall, type_byte(), 0, 1);
+      }
+    }
+    if (ctx.rank == 0) done = ctx.proc.now();
+    comm.free(buf);
+  });
+  const auto& s0 = rt.rank_stats()[0];
+  EXPECT_EQ(rt.faults()->counters().wc_dropped, 1u);
+  EXPECT_EQ(s0.retransmits, 0u);
+  EXPECT_EQ(s0.credit_acked, 1u);
+  EXPECT_EQ(rt.rank_stats()[1].packets_rx, 2u);
+  EXPECT_LT(done, cfg.platform.mpi_retry_timeout);
+}
+
+TEST(FaultInjection, PongCreditAcksAPingWhoseCqeWasLost) {
+  // The ping's CQE is lost. The receiver answers at once, and the pong's
+  // header carries its consumption of the ping: that piggybacked credit
+  // acknowledges the ping, with no explicit credit write from the
+  // receiver and no retransmission.
+  RunConfig cfg = fault_cfg("drop_wc=1,drop_wc_max=1");
+  cfg.platform.mpi_retry_timeout = sim::milliseconds(1);
+  sim::Time done = 0;
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer out = comm.alloc(kSmall);
+    mem::Buffer in = comm.alloc(kSmall);
+    if (ctx.rank == 0) {
+      Request both[2] = {comm.isend(out, 0, kSmall, type_byte(), 1, 1),
+                         comm.irecv(in, 0, kSmall, type_byte(), 1, 2)};
+      comm.waitall(both);
+      done = ctx.proc.now();
+    } else {
+      comm.recv(in, 0, kSmall, type_byte(), 0, 1);
+      comm.send(out, 0, kSmall, type_byte(), 0, 2);
+    }
+    comm.free(out);
+    comm.free(in);
+  });
+  const auto& s0 = rt.rank_stats()[0];
+  const auto& s1 = rt.rank_stats()[1];
+  EXPECT_EQ(rt.faults()->counters().wc_dropped, 1u);
+  EXPECT_EQ(s0.retransmits, 0u);
+  EXPECT_EQ(s0.credit_acked, 1u);
+  EXPECT_EQ(s0.credits_piggybacked, 1u);
+  EXPECT_EQ(s1.credits_sent, 0u);
+  EXPECT_LT(done, cfg.platform.mpi_retry_timeout);
 }
 
 TEST(FaultInjection, StaleRetransmitIsDiscardedByRingIndex) {
@@ -340,12 +479,13 @@ TEST(FaultInjection, SenderFirstSurvivesErroredRdmaRead) {
 }
 
 TEST(FaultInjection, RetryOfFailedReceiveNeverTouchesItsFreedBuffer) {
-  // #1 is again the receiver's RDMA read. While it waits out its retry
-  // backoff, the receiver revokes the communicator: the receive fails, so
-  // MPI hands the buffer back and the rank frees it, which deregisters its
-  // MR. The retry timer must then settle the read, not re-post it with the
-  // dead lkey (DcfaCheck mr-use-after-dereg).
-  RunConfig cfg = fault_cfg("err_wc=1,err_wc_skip=1,err_wc_max=1");
+  // #1 is again the receiver's RDMA read, and its CQE is lost. While the
+  // read waits out its retry timeout, the receiver revokes the
+  // communicator: the receive fails, so MPI hands the buffer back and the
+  // rank frees it, which deregisters its MR. The retry timer must then
+  // settle the read, not re-post it with the dead lkey (DcfaCheck
+  // mr-use-after-dereg).
+  RunConfig cfg = fault_cfg("drop_wc=1,drop_wc_skip=1,drop_wc_max=1");
   cfg.platform.mpi_retry_timeout = sim::microseconds(400);
   Runtime rt(cfg);
   MpiErrc errc[2] = {MpiErrc::Other, MpiErrc::Other};
@@ -365,7 +505,7 @@ TEST(FaultInjection, RetryOfFailedReceiveNeverTouchesItsFreedBuffer) {
     } else {
       ctx.proc.wait(sim::milliseconds(1));
       Request r = comm.irecv(buf, 0, kLarge, type_byte(), 0, 1);
-      poll_for(100e-6);  // the read errors and starts its backoff
+      poll_for(100e-6);  // the read lands; its CQE never comes
       comm.revoke();
       try {
         comm.wait(r);
@@ -378,7 +518,7 @@ TEST(FaultInjection, RetryOfFailedReceiveNeverTouchesItsFreedBuffer) {
     }
     comm.free(buf);
   });
-  EXPECT_EQ(rt.faults()->counters().wc_errored, 1u);
+  EXPECT_EQ(rt.faults()->counters().wc_dropped, 1u);
   EXPECT_EQ(errc[0], MpiErrc::Revoked);
   EXPECT_EQ(errc[1], MpiErrc::Revoked);
   // The settled read was never re-posted.
