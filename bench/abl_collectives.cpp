@@ -5,13 +5,15 @@
 // recursive doubling for latency-bound sizes, Rabenseifner in between, and
 // the pipelined ring once the 2(P-1)/P*n bandwidth term plus send/recv/
 // combine overlap dominates. Also sweeps bcast (binomial vs van de Geijn
-// scatter+allgather) and the ring's segment size.
+// scatter+allgather), the ring's segment size, and alltoall on host_a2a's
+// 48-rank HostMpi configuration with eager and lazy endpoints.
 
 #include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "mpi/runtime.hpp"
+#include "mpi/traffic.hpp"
 
 using namespace dcfa;
 
@@ -66,6 +68,23 @@ sim::Time ring_seg_time(std::size_t bytes, std::uint64_t seg, int nprocs,
   });
 }
 
+/// One alltoall of `bytes` per peer on the scale tier's HostMpi config.
+/// With lazy endpoints only the first call is timed: it wires every pair
+/// the opening barrier did not.
+sim::Time alltoall_time(std::size_t bytes, int nprocs, bool lazy, int iters) {
+  mpi::RunConfig cfg = mpi::traffic::scale_run_config(nprocs);
+  cfg.engine_options.lazy_endpoints = lazy;
+  return bench::max_rank_time(cfg, iters, [bytes](mpi::RankCtx& ctx) {
+    const std::size_t total = bytes * ctx.world.size();
+    mem::Buffer in = ctx.world.alloc(total);
+    mem::Buffer out = ctx.world.alloc(total);
+    std::memset(in.data(), ctx.rank, total);
+    ctx.world.alltoall(in, 0, bytes, mpi::type_byte(), out, 0);
+    ctx.world.free(in);
+    ctx.world.free(out);
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,7 +94,8 @@ int main(int argc, char** argv) {
   const int iters = quick ? 2 : 4;
 
   bench::banner("Ablation: collectives engine",
-                "allreduce/bcast algorithm selection on 8 Phi ranks");
+                "allreduce/bcast algorithm selection on 8 Phi ranks, "
+                "alltoall on 16 and 48 host ranks");
   bench::claim("recursive doubling wins latency-bound sizes; the pipelined "
                "ring / Rabenseifner win bandwidth-bound ones");
 
@@ -124,6 +144,21 @@ int main(int argc, char** argv) {
     }
     table.print();
     rep.table("bcast", table, {"", "us", "us", ""});
+  }
+
+  std::printf("\n");
+  {
+    bench::Table table({"alltoall", "eager", "lazy"});
+    for (int ranks : {16, 48}) {
+      for (std::size_t bytes : {std::size_t{512}, std::size_t{32} << 10}) {
+        table.add_row(
+            {std::to_string(ranks) + "r/" + bench::fmt_size(bytes),
+             bench::fmt_us(alltoall_time(bytes, ranks, false, iters)),
+             bench::fmt_us(alltoall_time(bytes, ranks, true, 1))});
+      }
+    }
+    table.print();
+    rep.table("alltoall", table, {"", "us", "us"});
   }
 
   if (!quick) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """dcfa_lint: repo-specific protocol-hygiene lint for the DCFA-MPI tree.
 
-Seventeen rule families, each encoding an invariant the generic toolchain cannot
+Eighteen rule families, each encoding an invariant the generic toolchain cannot
 see (docs/checking.md has the rationale and the paper references):
 
   raw-post        ib::Hca::post_send/post_recv may only be called from the
@@ -118,6 +118,11 @@ see (docs/checking.md has the rationale and the paper references):
                   free slots, purge the delivered records and finish the
                   tracked packets they cover. A second assignment is how a
                   credit source would advance the counter and skip the ack.
+  coll-schedule   no sendrecv( call in src/mpi/collectives.cpp. A
+                  collective's exchanges post through its CollSchedule,
+                  which gives them the rotating tag window, the executor's
+                  stage checks and its ULFM failure path; a blocking
+                  sendrecv loop waits out each exchange's round trip alone.
 
 A file can waive one rule with a justified marker comment:
 
@@ -274,6 +279,11 @@ ONE_ACK_HELPERS = ("apply_credit", "perform_reconnect")
 ONE_ACK = re.compile(
     r"(?<!std::uint64_t )\bconsumed_by_peer\s*(?:[-+*/%&|^]?=(?!=)|\+\+|--)"
     r"|(?:\+\+|--)\s*(?:\w+\s*(?:\.|->)\s*)*consumed_by_peer\b")
+
+# coll-schedule: the file whose collectives must post through schedules,
+# and the blocking exchange they must not call.
+COLL_SCHEDULE_FILE = "src/mpi/collectives.cpp"
+COLL_SENDRECV = re.compile(r"\bsendrecv\s*\(")
 
 WAIVER = re.compile(r"//\s*dcfa-lint:\s*allow-file\((?P<rule>[\w-]+)\)(?P<just>.*)")
 
@@ -642,6 +652,16 @@ def check_one_ack(path: Path, rel: str, text: str,
                     "the packets it covers")
 
 
+def check_coll_schedule(path: Path, rel: str, lines: list[str]) -> None:
+    if rel != COLL_SCHEDULE_FILE:
+        return
+    for i, line in enumerate(lines, 1):
+        if COLL_SENDRECV.search(strip_comments(line)):
+            finding(path, i, "coll-schedule",
+                    "blocking sendrecv in a collective; emit the exchange "
+                    "into the collective's CollSchedule instead")
+
+
 def run_clang_tidy(files: list[Path]) -> None:
     tidy = shutil.which("clang-tidy")
     compdb = ROOT / "build" / "compile_commands.json"
@@ -690,6 +710,7 @@ def main() -> int:
         check_bootstrap_handshake(path, rel, text, lines)
         check_one_wait(path, rel, text, lines)
         check_one_ack(path, rel, text, lines)
+        check_coll_schedule(path, rel, lines)
 
         rules_hit = {rule for (_, _, rule, _) in file_findings}
         for (p, ln, rule, msg) in file_findings:

@@ -267,8 +267,26 @@ void Hca::post_recv(QueuePair* qp, RecvWr wr) {
   }
 }
 
+template <class Book>
+void Hca::after_delay(QueuePair* qp, sim::Time delay, Book book) {
+  const sim::Time now = engine_.now();
+  if (delay == 0 && qp->deferred_ == 0) {
+    book(qp, now + platform_.hca_wqe_overhead);
+    return;
+  }
+  qp->deferred_until_ = std::max(qp->deferred_until_, now + delay);
+  ++qp->deferred_;
+  engine_.schedule_at(qp->deferred_until_, [this, qpn = qp->qpn(),
+                                            book = std::move(book)]() mutable {
+    auto it = qps_.find(qpn);
+    if (it == qps_.end()) return;  // destroyed meanwhile: nothing completes
+    QueuePair* q = it->second.get();
+    --q->deferred_;
+    book(q, engine_.now() + platform_.hca_wqe_overhead);
+  });
+}
+
 void Hca::execute_send(QueuePair* qp, SendWr wr) {
-  sim::Time start = engine_.now() + platform_.hca_wqe_overhead;
   const std::size_t bytes = total_length(wr.sg_list);
 
   // Local SGE validation. RDMA-read WRs *write* locally.
@@ -295,18 +313,29 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
   // Section III-C) lives in.
   const bool loopback = &remote == this;
   const sim::Time wire_lat = loopback ? 0 : fabric_.wire_latency();
+  const WcOpcode wc_op = wr.opcode == Opcode::Send        ? WcOpcode::Send
+                         : wr.opcode == Opcode::RdmaWrite ? WcOpcode::RdmaWrite
+                                                          : WcOpcode::RdmaRead;
+  // An error CQE arrives one round trip after the (possibly delayed) start.
+  sim::Time delay = 0;
+  const auto fail_late = [&](WcStatus status) {
+    after_delay(qp, delay,
+                [this, wr = std::move(wr), wc_op, status, wire_lat](
+                    QueuePair* q, sim::Time start) {
+                  complete(q, q->send_cq(), wr, wc_op, status, 0,
+                           start + 2 * wire_lat);
+                });
+  };
 
-  // Fault injection: decide this WR's fate once, before any data motion.
-  // Only WRs the poster marked faultable participate, so the default path
-  // pays a single branch here.
+  // Fault injection: decide this WR's delay and fate once, at post time,
+  // before any data motion. Only WRs the poster marked faultable
+  // participate, so the default path pays a single branch here.
   auto fate = sim::FaultInjector::WcFate::Deliver;
   if (sim::FaultInjector* fi = fabric_.faults(); fi && wr.faultable) {
     const sim::Track track{sim::Track::Hca, node()};
     const unsigned long long wr_id = wr.wr_id;
-    if (const sim::Time d = fi->dma_delay(); d > 0) {
-      start += d;
-      engine_.telemetry().instant(track, "fault:dma-delay");
-    }
+    delay = fi->dma_delay();
+    if (delay > 0) engine_.telemetry().instant(track, "fault:dma-delay");
     fate = fi->wc_fate();
     if (fate == sim::FaultInjector::WcFate::Fatal ||
         fate == sim::FaultInjector::WcFate::Error) {
@@ -327,12 +356,7 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
         engine_.telemetry().event(sim::Verbosity::Trace, track,
                                   "fault:wc-error", "erring WR %llu", wr_id);
       }
-      const WcOpcode op = wr.opcode == Opcode::Send ? WcOpcode::Send
-                          : wr.opcode == Opcode::RdmaWrite
-                              ? WcOpcode::RdmaWrite
-                              : WcOpcode::RdmaRead;
-      complete(qp, qp->send_cq(), wr, op, WcStatus::RetryExceeded, 0,
-               start + 2 * wire_lat);
+      fail_late(WcStatus::RetryExceeded);
       return;
     }
     if (fate == sim::FaultInjector::WcFate::Drop) {
@@ -349,6 +373,8 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     remote.egress_bytes_ += bytes;
   }
 
+  const std::uint64_t chunk = platform_.ib_chunk_bytes;
+
   if (wr.opcode == Opcode::Send) {
     // Ship header+data to the responder; match against its receive queue on
     // arrival. The data movement below runs the read+wire stages; the
@@ -356,29 +382,31 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     // Gather may span domains (e.g. eager header on Phi + payload in the
     // host shadow buffer): weight by bytes.
     const DmaCost rcost = sge_cost(wr.sg_list, mrs, /*read=*/true);
+    after_delay(qp, delay, [this, &remote, remote_qp, rcost, loopback,
+                            wire_lat, bytes, chunk, wr = std::move(wr)](
+                               QueuePair* q, sim::Time start) mutable {
+      sim::Time t = start + rcost.latency;
+      sim::Time last_ingress = t;
+      std::uint64_t left = bytes;
+      do {
+        const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
+        const sim::Time t1 =
+            dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
+        if (loopback) {
+          last_ingress = t1;
+        } else {
+          const sim::Time t2 = egress_.acquire(
+              t1, sim::transfer_time(n, platform_.ib_wire_gbps));
+          last_ingress = remote.ingress_.acquire(
+              t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
+        }
+        left -= n;
+      } while (left > 0);
 
-    const std::uint64_t chunk = platform_.ib_chunk_bytes;
-    sim::Time t = start + rcost.latency;
-    sim::Time last_ingress = t;
-    std::uint64_t left = bytes;
-    do {
-      const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
-      const sim::Time t1 =
-          dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
-      if (loopback) {
-        last_ingress = t1;
-      } else {
-        const sim::Time t2 = egress_.acquire(
-            t1, sim::transfer_time(n, platform_.ib_wire_gbps));
-        last_ingress = remote.ingress_.acquire(
-            t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
-      }
-      left -= n;
-    } while (left > 0);
-
-    engine_.schedule_at(last_ingress, [this, &remote, remote_qp,
-                                       wr = std::move(wr), qp] {
-      remote.deliver_send(remote_qp, wr, qp->qpn(), *this, engine_.now());
+      engine_.schedule_at(last_ingress, [this, &remote, remote_qp,
+                                         wr = std::move(wr), q] {
+        remote.deliver_send(remote_qp, wr, q->qpn(), *this, engine_.now());
+      });
     });
     return;
   }
@@ -396,51 +424,112 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
       !(rmr->access() & need)) {
     // NAK arrives after a round trip.
     qp->state_ = QpState::Error;
-    complete(qp, qp->send_cq(), wr,
-             wr.opcode == Opcode::RdmaWrite ? WcOpcode::RdmaWrite
-                                            : WcOpcode::RdmaRead,
-             WcStatus::RemoteAccessError, 0, start + 2 * wire_lat);
+    fail_late(WcStatus::RemoteAccessError);
     return;
   }
-
-  const std::uint64_t chunk = platform_.ib_chunk_bytes;
 
   if (wr.opcode == Opcode::RdmaWrite) {
     const DmaCost rcost = sge_cost(wr.sg_list, mrs, /*read=*/true);
     const DmaCost wcost = remote.write_cost(rmr->domain());
+    after_delay(qp, delay, [this, &remote, rcost, wcost, loopback, wire_lat,
+                            bytes, chunk, fate, wr = std::move(wr)](
+                               QueuePair* q, sim::Time start) {
+      sim::Time t = start + rcost.latency;
+      sim::Time last_write = t + wire_lat;  // for zero-byte writes
+      std::uint64_t left = bytes;
+      do {
+        const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
+        const sim::Time t1 =
+            dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
+        sim::Time t3 = t1;
+        if (!loopback) {
+          const sim::Time t2 = egress_.acquire(
+              t1, sim::transfer_time(n, platform_.ib_wire_gbps));
+          t3 = remote.ingress_.acquire(
+              t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
+        }
+        last_write = remote.dma_write_.acquire(
+            t3, sim::transfer_time(n, wcost.gbps));
+        left -= n;
+      } while (left > 0);
+      last_write += wcost.latency;
+      engine_.telemetry().span({sim::Track::Hca, node()}, start, last_write,
+                               "rdma-write %zuB", bytes);
 
-    sim::Time t = start + rcost.latency;
-    sim::Time last_write = t + wire_lat;  // for zero-byte writes
+      // Move the bytes when the last chunk lands; ACK returns to the sender
+      // one wire latency later.
+      engine_.schedule_at(last_write, [this, wr, bytes, &remote] {
+        // Deregistering an MR with a WR in flight aborts the transfer
+        // (undefined behaviour on real hardware; we drop it loudly).
+        // Happens during endpoint teardown and connection recovery, so each
+        // MR is re-found by key here rather than captured — a recovery that
+        // deregistered it must not be a use-after-free. A buffer freed
+        // under a live MR is still pinned by it, so the bytes move through
+        // the MR's host view into storage that stays valid until dereg.
+        try {
+          MemoryRegion* rmr = remote.mr_by_rkey(wr.rkey);
+          if (!rmr) throw std::runtime_error("remote MR gone");
+          std::size_t off = 0;
+          for (const Sge& s : wr.sg_list) {
+            if (s.length == 0) continue;
+            MemoryRegion* lmr = mr_by_lkey(s.lkey);
+            if (!lmr) throw std::runtime_error("local MR gone");
+            std::memcpy(rmr->host(wr.remote_addr + off), lmr->host(s.addr),
+                        s.length);
+            off += s.length;
+          }
+          engine_.telemetry().log(sim::Verbosity::Trace,
+                                  {sim::Track::Hca, remote.node()},
+                                  "rdma-write %zu bytes landed", bytes);
+        } catch (const std::exception& e) {
+          engine_.telemetry().log(sim::Verbosity::Error,
+                                  {sim::Track::Hca, remote.node()},
+                                  "in-flight rdma-write dropped at teardown: "
+                                  "%s",
+                                  e.what());
+        }
+        remote.notify_remote_write(wr.rkey);
+      });
+      if (wr.signaled && fate != sim::FaultInjector::WcFate::Drop) {
+        complete(q, q->send_cq(), wr, WcOpcode::RdmaWrite, WcStatus::Success,
+                 bytes, last_write + wire_lat);
+      } else {
+        q->last_completion_ = std::max(q->last_completion_, last_write);
+      }
+    });
+    return;
+  }
+
+  // RDMA read: request travels to the responder, which streams the window
+  // back; the local HCA scatters into the SGEs.
+  const DmaCost remote_read = remote.read_cost(rmr->domain());
+  const DmaCost wcost = sge_cost(wr.sg_list, mrs, /*read=*/false);
+  after_delay(qp, delay, [this, &remote, remote_read, wcost, loopback,
+                          wire_lat, bytes, chunk, fate, wr = std::move(wr)](
+                             QueuePair* q, sim::Time start) {
+    // Request + first read.
+    sim::Time t = start + wire_lat + remote_read.latency;
+    sim::Time last_write = t;
     std::uint64_t left = bytes;
     do {
       const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
-      const sim::Time t1 =
-          dma_read_.acquire(t, sim::transfer_time(n, rcost.gbps));
+      const sim::Time t1 = remote.dma_read_.acquire(
+          t, sim::transfer_time(n, remote_read.gbps));
       sim::Time t3 = t1;
       if (!loopback) {
-        const sim::Time t2 = egress_.acquire(
+        const sim::Time t2 = remote.egress_.acquire(
             t1, sim::transfer_time(n, platform_.ib_wire_gbps));
-        t3 = remote.ingress_.acquire(
-            t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
+        t3 = ingress_.acquire(t2 + wire_lat,
+                              sim::transfer_time(n, platform_.ib_wire_gbps));
       }
-      last_write = remote.dma_write_.acquire(
-          t3, sim::transfer_time(n, wcost.gbps));
+      last_write = dma_write_.acquire(t3, sim::transfer_time(n, wcost.gbps));
       left -= n;
     } while (left > 0);
     last_write += wcost.latency;
     engine_.telemetry().span({sim::Track::Hca, node()}, start, last_write,
-                             "rdma-write %zuB", bytes);
+                             "rdma-read %zuB", bytes);
 
-    // Move the bytes when the last chunk lands; ACK returns to the sender
-    // one wire latency later.
     engine_.schedule_at(last_write, [this, wr, bytes, &remote] {
-      // Deregistering an MR with a WR in flight aborts the transfer
-      // (undefined behaviour on real hardware; we drop it loudly). Happens
-      // during endpoint teardown and connection recovery, so each MR is
-      // re-found by key here rather than captured — a recovery that
-      // deregistered it must not be a use-after-free. A buffer freed under
-      // a live MR is still pinned by it, so the bytes move through the
-      // MR's host view into storage that stays valid until dereg.
       try {
         MemoryRegion* rmr = remote.mr_by_rkey(wr.rkey);
         if (!rmr) throw std::runtime_error("remote MR gone");
@@ -449,83 +538,27 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
           if (s.length == 0) continue;
           MemoryRegion* lmr = mr_by_lkey(s.lkey);
           if (!lmr) throw std::runtime_error("local MR gone");
-          std::memcpy(rmr->host(wr.remote_addr + off), lmr->host(s.addr),
+          std::memcpy(lmr->host(s.addr), rmr->host(wr.remote_addr + off),
                       s.length);
           off += s.length;
         }
         engine_.telemetry().log(sim::Verbosity::Trace,
-                                {sim::Track::Hca, remote.node()},
-                                "rdma-write %zu bytes landed", bytes);
+                                {sim::Track::Hca, node()},
+                                "rdma-read %zu bytes landed", bytes);
       } catch (const std::exception& e) {
         engine_.telemetry().log(sim::Verbosity::Error,
-                                {sim::Track::Hca, remote.node()},
-                                "in-flight rdma-write dropped at teardown: %s",
+                                {sim::Track::Hca, node()},
+                                "in-flight rdma-read dropped at teardown: %s",
                                 e.what());
       }
-      remote.notify_remote_write(wr.rkey);
     });
     if (wr.signaled && fate != sim::FaultInjector::WcFate::Drop) {
-      complete(qp, qp->send_cq(), wr, WcOpcode::RdmaWrite, WcStatus::Success,
-               bytes, last_write + wire_lat);
+      complete(q, q->send_cq(), wr, WcOpcode::RdmaRead, WcStatus::Success,
+               bytes, last_write);
     } else {
-      qp->last_completion_ = std::max(qp->last_completion_, last_write);
-    }
-    return;
-  }
-
-  // RDMA read: request travels to the responder, which streams the window
-  // back; the local HCA scatters into the SGEs.
-  const DmaCost remote_read = remote.read_cost(rmr->domain());
-  const DmaCost wcost = sge_cost(wr.sg_list, mrs, /*read=*/false);
-
-  sim::Time t = start + wire_lat + remote_read.latency;  // request + first read
-  sim::Time last_write = t;
-  std::uint64_t left = bytes;
-  do {
-    const std::uint64_t n = std::min<std::uint64_t>(left, chunk);
-    const sim::Time t1 =
-        remote.dma_read_.acquire(t, sim::transfer_time(n, remote_read.gbps));
-    sim::Time t3 = t1;
-    if (!loopback) {
-      const sim::Time t2 = remote.egress_.acquire(
-          t1, sim::transfer_time(n, platform_.ib_wire_gbps));
-      t3 = ingress_.acquire(
-          t2 + wire_lat, sim::transfer_time(n, platform_.ib_wire_gbps));
-    }
-    last_write = dma_write_.acquire(t3, sim::transfer_time(n, wcost.gbps));
-    left -= n;
-  } while (left > 0);
-  last_write += wcost.latency;
-  engine_.telemetry().span({sim::Track::Hca, node()}, start, last_write,
-                           "rdma-read %zuB", bytes);
-
-  engine_.schedule_at(last_write, [this, wr, bytes, &remote] {
-    try {
-      MemoryRegion* rmr = remote.mr_by_rkey(wr.rkey);
-      if (!rmr) throw std::runtime_error("remote MR gone");
-      std::size_t off = 0;
-      for (const Sge& s : wr.sg_list) {
-        if (s.length == 0) continue;
-        MemoryRegion* lmr = mr_by_lkey(s.lkey);
-        if (!lmr) throw std::runtime_error("local MR gone");
-        std::memcpy(lmr->host(s.addr), rmr->host(wr.remote_addr + off),
-                    s.length);
-        off += s.length;
-      }
-      engine_.telemetry().log(sim::Verbosity::Trace, {sim::Track::Hca, node()},
-                              "rdma-read %zu bytes landed", bytes);
-    } catch (const std::exception& e) {
-      engine_.telemetry().log(sim::Verbosity::Error, {sim::Track::Hca, node()},
-                              "in-flight rdma-read dropped at teardown: %s",
-                              e.what());
+      q->last_completion_ = std::max(q->last_completion_, last_write);
     }
   });
-  if (wr.signaled && fate != sim::FaultInjector::WcFate::Drop) {
-    complete(qp, qp->send_cq(), wr, WcOpcode::RdmaRead, WcStatus::Success,
-             bytes, last_write);
-  } else {
-    qp->last_completion_ = std::max(qp->last_completion_, last_write);
-  }
 }
 
 void Hca::deliver_send(QueuePair* dst_qp, SendWr wr, Qpn src_qpn,

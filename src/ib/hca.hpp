@@ -116,6 +116,10 @@ class QueuePair {
   std::deque<PendingArrival> rnr_queue_;
   /// Enforces in-order completion per QP.
   sim::Time last_completion_ = 0;
+  /// WRs whose bookings wait for a delayed start (Hca::after_delay), and
+  /// the latest such start: the send queue executes in posting order.
+  int deferred_ = 0;
+  sim::Time deferred_until_ = 0;
 };
 
 /// Simulated ConnectX-3-style HCA. One per node, attached to that node's
@@ -231,6 +235,13 @@ class Hca {
                    const std::vector<MemoryRegion*>& mrs, bool read) const;
 
   void execute_send(QueuePair* qp, SendWr wr);
+  /// Run `book(qp, start)` for a WR whose fate and DMA delay are drawn:
+  /// now, or from an event once `delay` has passed and every WR the QP
+  /// deferred earlier has run. `start` is the WQE-fetched start time. A
+  /// delayed WR books the HCA's resources only at its delayed start, so it
+  /// holds up no other QP's WRs.
+  template <class Book>
+  void after_delay(QueuePair* qp, sim::Time delay, Book book);
   /// Runs on the *destination* HCA when a Send arrives; matches a posted
   /// receive or parks in the RNR queue.
   void deliver_send(QueuePair* dst_qp, SendWr wr, Qpn src_qpn, Hca& src_hca,

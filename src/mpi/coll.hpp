@@ -81,6 +81,12 @@ CollAlgo select_allgather(const sim::Platform& p, CollAlgo forced,
 constexpr int kCollSchedTagBase = kInternalTagBase + 64;
 constexpr int kCollSchedPhases = 8;
 constexpr int kCollSchedWindow = 128;
+/// Pairwise alltoall steps posted per schedule stage. On perfbench host_a2a
+/// (48 ranks) 8 steps cut the traffic's virtual time by a third; 16 steps,
+/// or one stage of all P-1, cut it a little more but raised the median
+/// latency of the nonblocking allreduces that follow, which inherit the
+/// rank skew a wide window leaves (docs/collectives.md).
+constexpr int kAlltoallStepsPerStage = 8;
 
 /// One point-to-point transfer inside a stage. Peers are world ranks and
 /// tags are absolute (the emitter resolves both at build time).
@@ -139,7 +145,8 @@ struct CollPipe {
 
 /// One schedule stage: either a pipe, or transfers + locals. Stages run
 /// strictly in order; the transfers of one stage are all posted together
-/// (receives listed before sends, mirroring sendrecv).
+/// (receives listed before sends, mirroring sendrecv), after the executor
+/// has wired every peer they name, in listed order.
 struct CollStage {
   std::vector<CollXfer> xfers;
   std::vector<CollLocal> locals;

@@ -1,11 +1,12 @@
 // The collectives algorithm engine (docs/collectives.md): each algorithm —
 // recursive-doubling / pipelined-ring / Rabenseifner allreduce, binomial
 // and scatter+ring-allgather bcast, ring and recursive-doubling allgather,
-// reduce_scatter_block, dissemination barrier — is a schedule emitter that
-// compiles this rank's part of the collective into a CollSchedule
-// (mpi/coll.hpp) of send/recv/copy/combine stages. The engine's progress
-// loop advances the schedule, so the nonblocking i* entry points return
-// immediately; the blocking forms post the same schedule and wait.
+// reduce_scatter_block, dissemination barrier, windowed pairwise alltoall —
+// is a schedule emitter that compiles this rank's part of the collective
+// into a CollSchedule (mpi/coll.hpp) of send/recv/copy/combine stages. The
+// engine's progress loop advances the schedule, so the nonblocking i* entry
+// points return immediately; the blocking forms post the same schedule and
+// wait.
 // Large-message stages are pipelined (CollPipe) so send, receive and
 // combine of consecutive segments overlap.
 
@@ -28,7 +29,6 @@ enum : int {
   kTagReduce = kInternalTagBase + 3,
   kTagGather = kInternalTagBase + 4,
   kTagScatter = kInternalTagBase + 5,
-  kTagAlltoall = kInternalTagBase + 7,
   kTagScan = kInternalTagBase + 8,
   kTagGatherv = kInternalTagBase + 9,
   kTagScatterv = kInternalTagBase + 10,
@@ -46,7 +46,8 @@ enum : int {
   kPhaseScatter = 4,   ///< bcast's binomial scatter
   kPhaseBcastTree = 5, ///< binomial bcast tree
   kPhaseBarrier = 6,   ///< dissemination rounds
-  kPhaseReduceTree = 7 ///< binomial reduce tree
+  kPhaseReduceTree = 7, ///< binomial reduce tree
+  kPhaseAlltoall = 0   ///< alltoall: one message per pair, its only phase
 };
 
 int floor_pow2(int n) {
@@ -920,6 +921,29 @@ void Communicator::scatterv(const mem::Buffer& sendbuf, std::size_t soff,
   }
 }
 
+void Communicator::emit_alltoall(CollSchedule& sched, int tag_base,
+                                 const mem::Buffer& sendbuf, std::size_t soff,
+                                 const mem::Buffer& recvbuf, std::size_t roff,
+                                 std::size_t bytes) {
+  // Pairwise exchange with rotating partners: step k receives from rank-k
+  // and sends to rank+k, and each stage posts kAlltoallStepsPerStage
+  // consecutive steps at once.
+  const int P = size();
+  const int tag = tag_base + kPhaseAlltoall;
+  for (int k0 = 1; k0 < P; k0 += kAlltoallStepsPerStage) {
+    const int k1 = std::min(P, k0 + kAlltoallStepsPerStage);
+    CollStage& st = add_stage(sched);
+    for (int k = k0; k < k1; ++k) {
+      const int to = (rank() + k) % P;
+      const int from = (rank() - k + P) % P;
+      st.xfers.push_back(xfer(false, recvbuf, roff + from * bytes, bytes,
+                              type_byte(), to_world(from), tag));
+      st.xfers.push_back(xfer(true, sendbuf, soff + to * bytes, bytes,
+                              type_byte(), to_world(to), tag));
+    }
+  }
+}
+
 void Communicator::alltoall(const mem::Buffer& sendbuf, std::size_t soff,
                             std::size_t count, const Datatype& type,
                             const mem::Buffer& recvbuf, std::size_t roff) {
@@ -927,16 +951,20 @@ void Communicator::alltoall(const mem::Buffer& sendbuf, std::size_t soff,
     throw MpiError("alltoall: derived datatypes not supported");
   }
   const std::size_t bytes = count * type.size();
-  // Pairwise exchange with rotating partners; self block is a local copy.
+  // The self block is a local copy.
   std::memcpy(recvbuf.data() + roff + rank() * bytes,
               sendbuf.data() + soff + rank() * bytes, bytes);
-  for (int step = 1; step < size(); ++step) {
-    const int to = (rank() + step) % size();
-    const int from = (rank() - step + size()) % size();
-    sendrecv(sendbuf, soff + to * bytes, bytes, type_byte(), to, kTagAlltoall,
-             recvbuf, roff + from * bytes, bytes, type_byte(), from,
-             kTagAlltoall);
-  }
+  if (size() == 1) return;
+  auto sched = std::make_shared<CollSchedule>();
+  sched->comm_id = id_;
+  sched->bytes = bytes;
+  sched->tag_base = next_coll_tag_base();
+  emit_alltoall(*sched, sched->tag_base, sendbuf, soff, recvbuf, roff, bytes);
+  sched->label = "alltoall.%s %zuB/rank";
+  sched->label_algo = "pairwise";
+  sched->label_bytes = bytes;
+  Request r = engine_.start_coll(std::move(sched));
+  engine_.wait(r);
 }
 
 }  // namespace dcfa::mpi

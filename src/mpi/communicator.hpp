@@ -310,6 +310,13 @@ class Communicator {
   void emit_allgather_rd(CollSchedule& sched, int tag_base,
                          const mem::Buffer& recvbuf, std::size_t roff,
                          std::size_t count, const Datatype& type);
+  /// Windowed pairwise alltoall of `bytes` per peer: stages of up to
+  /// kAlltoallStepsPerStage steps, each step a receive from rank-k and a
+  /// send to rank+k. The self block is the caller's local copy.
+  void emit_alltoall(CollSchedule& sched, int tag_base,
+                     const mem::Buffer& sendbuf, std::size_t soff,
+                     const mem::Buffer& recvbuf, std::size_t roff,
+                     std::size_t bytes);
 
   /// Derived-communicator id: deterministic across members because split is
   /// collective and every member mixes the same ingredients.

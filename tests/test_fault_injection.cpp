@@ -1,3 +1,4 @@
+// dcfa-lint: allow-file(raw-post) -- one case drives the HCA model directly to time a delayed DMA
 // Fault-injection tests: the deterministic FaultInjector (sim/fault.hpp)
 // driving the recovery machinery of the MPI engine and the DCFA CMD
 // channel. Every scenario pins an exact fault via the spec's probability +
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ib/fabric.hpp"
 #include "mpi/channel.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/window.hpp"
@@ -589,6 +591,80 @@ TEST(FaultInjection, ReadSlowerThanTheRetryScheduleStillCompletes) {
                               cfg);
   EXPECT_GE(s.receiver.data_op_retries, 1u);
   EXPECT_EQ(s.receiver.retry_exhausted, 0u);
+}
+
+TEST(FaultInjection, DelayedDmaHoldsUpNoOtherQueuePair) {
+  // HCA level: node 0 posts a 4 KiB RDMA read whose start is delayed 8 ms,
+  // then the same read, not faultable, on a second QP to the same peer.
+  // The delayed WR books the DMA engines and links it uses only from its
+  // delayed start, so the second read completes exactly when it would
+  // alone; booked at post time, it queued 8 ms behind the first.
+  constexpr std::uint32_t kBytes = 4096;
+  struct Done {
+    sim::Time first = 0, second = 0;
+  };
+  const auto run = [](bool post_delayed) {
+    sim::Engine engine;
+    sim::Platform platform;
+    sim::FaultInjector faults(
+        sim::FaultInjector::Spec::parse(
+            "delay_dma=1,delay_dma_max=1,delay_dma_ns=8000000"),
+        42);
+    ib::Fabric fabric{engine, platform};
+    fabric.set_faults(&faults);
+    mem::NodeMemory mem0{0}, mem1{1};
+    pcie::PciePort pcie0{engine, mem0, platform};
+    pcie::PciePort pcie1{engine, mem1, platform};
+    ib::Hca& hca0 = fabric.add_hca(mem0, pcie0);
+    ib::Hca& hca1 = fabric.add_hca(mem1, pcie1);
+    ib::ProtectionDomain* pd0 = hca0.alloc_pd();
+    ib::ProtectionDomain* pd1 = hca1.alloc_pd();
+    mem::Buffer local = mem0.alloc(mem::Domain::HostDram, 2 * kBytes);
+    mem::Buffer remote = mem1.alloc(mem::Domain::HostDram, kBytes);
+    std::memset(remote.data(), 0x5A, kBytes);
+    ib::MemoryRegion* lmr =
+        hca0.reg_mr(pd0, mem::Domain::HostDram, local.addr(), 2 * kBytes,
+                    ib::kLocalWrite);
+    ib::MemoryRegion* rmr = hca1.reg_mr(pd1, mem::Domain::HostDram,
+                                        remote.addr(), kBytes,
+                                        ib::kRemoteRead);
+    Done done;
+    ib::QueuePair* qps[2];
+    for (int i = 0; i < 2; ++i) {
+      ib::CompletionQueue* cq0 = hca0.create_cq(8);
+      ib::CompletionQueue* cq1 = hca1.create_cq(8);
+      qps[i] = hca0.create_qp(pd0, cq0, cq0);
+      ib::QueuePair* peer = hca1.create_qp(pd1, cq1, cq1);
+      hca0.connect(qps[i], hca1.lid(), peer->qpn());
+      hca1.connect(peer, hca0.lid(), qps[i]->qpn());
+      sim::Time& at = i == 0 ? done.first : done.second;
+      cq0->set_on_push([&at, &engine] { at = engine.now(); });
+    }
+    const auto read = [&](int i, bool faultable) {
+      ib::SendWr wr;
+      wr.opcode = ib::Opcode::RdmaRead;
+      wr.sg_list = {{local.addr() + i * kBytes, kBytes, lmr->lkey()}};
+      wr.remote_addr = remote.addr();
+      wr.rkey = rmr->rkey();
+      wr.faultable = faultable;
+      hca0.post_send(qps[i], wr);
+    };
+    if (post_delayed) read(0, true);
+    read(1, false);
+    engine.run();
+    EXPECT_EQ(local.data()[2 * kBytes - 1], std::byte{0x5A});
+    if (post_delayed) {
+      EXPECT_EQ(faults.counters().dma_delayed, 1u);
+      EXPECT_EQ(local.data()[kBytes - 1], std::byte{0x5A});
+    }
+    return done;
+  };
+  const Done alone = run(false);
+  const Done behind = run(true);
+  EXPECT_GT(alone.second, sim::Time{0});
+  EXPECT_EQ(behind.second, alone.second);
+  // The delay itself still costs the delayed read its 8 ms.
+  EXPECT_GE(behind.first, sim::milliseconds(8));
 }
 
 TEST(FaultInjection, LargeReadDeadlineCoversItsTransfer) {

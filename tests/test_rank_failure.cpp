@@ -561,6 +561,44 @@ TEST(RankFailure, FirstTouchOfADeadRankThatPublishedFails) {
   EXPECT_EQ(rt.faults()->counters().rank_kills, 1u);
 }
 
+// Alltoall runs as a collective schedule, so a dead member fails it on
+// every survivor through the executor's ULFM path. 10 ranks make two
+// stages (kAlltoallStepsPerStage steps, then one); rank 3 never joins and
+// dies at 100 us while the survivors sit inside the collective.
+TEST(RankFailure, AlltoallWithAKilledMemberFailsOnEverySurvivor) {
+  constexpr int kRanks = 10;
+  constexpr int kVictim = 3;
+  constexpr std::size_t kBlock = 512;
+  RunConfig cfg;
+  cfg.nprocs = kRanks;
+  cfg.fault_spec = "rank_kill=3,rank_kill_at_ns=100000";
+  std::vector<int> errc(kRanks, -1);
+  Runtime rt(cfg);
+  rt.run([&](RankCtx& ctx) {
+    auto& comm = ctx.world;
+    mem::Buffer send = comm.alloc(kRanks * kBlock);
+    mem::Buffer recv = comm.alloc(kRanks * kBlock);
+    if (ctx.rank == kVictim) {
+      comm.recv(recv, 0, kBlock, type_byte(), 0, 99);
+      ADD_FAILURE() << "rank 3 should have been killed";
+    } else {
+      try {
+        comm.alltoall(send, 0, kBlock, type_byte(), recv, 0);
+        ADD_FAILURE() << "alltoall must report the dead member";
+      } catch (const MpiError& e) {
+        errc[ctx.rank] = static_cast<int>(e.errc());
+      }
+    }
+    comm.free(send);
+    comm.free(recv);
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == kVictim) continue;
+    EXPECT_EQ(errc[r], static_cast<int>(MpiErrc::ProcFailed)) << "rank " << r;
+  }
+  EXPECT_EQ(rt.faults()->counters().rank_kills, 1u);
+}
+
 // An agreement that can never be decided is a deadlock, not a spin. Host
 // MPI, 2 ranks, no faults: rank 0 waits for rank 1's vote, and rank 1 blocks
 // in a probe that nothing matches. Both waits sleep until something rings
