@@ -120,9 +120,9 @@ see (docs/checking.md has the rationale and the paper references):
                   credit source would advance the counter and skip the ack.
   coll-schedule   no sendrecv( call in src/mpi/collectives.cpp. A
                   collective's exchanges post through its CollSchedule,
-                  which gives them the rotating tag window, the executor's
-                  stage checks and its ULFM failure path; a blocking
-                  sendrecv loop waits out each exchange's round trip alone.
+                  which gives them the executor's stage checks and its ULFM
+                  failure path; a blocking sendrecv loop waits out each
+                  exchange's round trip alone.
 
 A file can waive one rule with a justified marker comment:
 

@@ -204,6 +204,30 @@ std::optional<WcStatus> Hca::check_sges(ProtectionDomain& pd,
   return std::nullopt;
 }
 
+template <class Book>
+void Hca::after_delay(QueuePair* qp, sim::Time delay, Book book) {
+  const sim::Time now = engine_.now();
+  if (delay == 0 && qp->deferred_.empty()) {
+    book(qp, now + platform_.hca_wqe_overhead);
+    return;
+  }
+  // Each deferred WR schedules one event at its ready time, and that event
+  // runs the head of the QP's queue, not necessarily its own WR. Ready
+  // times never decrease along the queue, so the head is the one due, and
+  // WRs sharing a ready time still run in posting order when the engine
+  // permutes events of equal time (DCFA_SIM_SCHED=explore).
+  qp->deferred_until_ = std::max(qp->deferred_until_, now + delay);
+  qp->deferred_.push_back(std::move(book));
+  engine_.schedule_at(qp->deferred_until_, [this, qpn = qp->qpn()] {
+    auto it = qps_.find(qpn);
+    if (it == qps_.end()) return;  // destroyed meanwhile: nothing completes
+    QueuePair* q = it->second.get();
+    auto head = std::move(q->deferred_.front());
+    q->deferred_.pop_front();
+    head(q, engine_.now() + platform_.hca_wqe_overhead);
+  });
+}
+
 void Hca::complete(QueuePair* qp, CompletionQueue& cq, const SendWr& wr,
                    WcOpcode op, WcStatus status, std::size_t bytes,
                    sim::Time at) {
@@ -226,15 +250,18 @@ void Hca::fail_post(QueuePair* qp, const SendWr& wr, WcStatus status) {
                           "WR %llu failed: %s",
                           static_cast<unsigned long long>(wr.wr_id),
                           wc_status_name(status));
-  complete(qp, qp->send_cq(), wr, WcOpcode::Send, status, 0,
-           engine_.now() + platform_.hca_wqe_overhead);
+  after_delay(qp, 0, [this, wr, status](QueuePair* q, sim::Time start) {
+    complete(q, q->send_cq(), wr, WcOpcode::Send, status, 0, start);
+  });
 }
 
 void Hca::post_send(QueuePair* qp, SendWr wr) {
   if (!qp) throw std::invalid_argument("post_send: null QP");
   if (qp->state_ == QpState::Error) {
-    complete(qp, qp->send_cq(), wr, WcOpcode::Send, WcStatus::WrFlushError, 0,
-             engine_.now());
+    after_delay(qp, 0, [this, wr = std::move(wr)](QueuePair* q, sim::Time) {
+      complete(q, q->send_cq(), wr, WcOpcode::Send, WcStatus::WrFlushError, 0,
+               engine_.now());
+    });
     return;
   }
   if (qp->state_ != QpState::ReadyToSend) {
@@ -265,25 +292,6 @@ void Hca::post_recv(QueuePair* qp, RecvWr wr) {
       src->execute_send(it->second.get(), pending.wr);
     });
   }
-}
-
-template <class Book>
-void Hca::after_delay(QueuePair* qp, sim::Time delay, Book book) {
-  const sim::Time now = engine_.now();
-  if (delay == 0 && qp->deferred_ == 0) {
-    book(qp, now + platform_.hca_wqe_overhead);
-    return;
-  }
-  qp->deferred_until_ = std::max(qp->deferred_until_, now + delay);
-  ++qp->deferred_;
-  engine_.schedule_at(qp->deferred_until_, [this, qpn = qp->qpn(),
-                                            book = std::move(book)]() mutable {
-    auto it = qps_.find(qpn);
-    if (it == qps_.end()) return;  // destroyed meanwhile: nothing completes
-    QueuePair* q = it->second.get();
-    --q->deferred_;
-    book(q, engine_.now() + platform_.hca_wqe_overhead);
-  });
 }
 
 void Hca::execute_send(QueuePair* qp, SendWr wr) {

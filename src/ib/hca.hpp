@@ -1,5 +1,7 @@
 #pragma once
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -116,9 +118,9 @@ class QueuePair {
   std::deque<PendingArrival> rnr_queue_;
   /// Enforces in-order completion per QP.
   sim::Time last_completion_ = 0;
-  /// WRs whose bookings wait for a delayed start (Hca::after_delay), and
-  /// the latest such start: the send queue executes in posting order.
-  int deferred_ = 0;
+  /// Work queued behind a delayed WR (Hca::after_delay), in posting order,
+  /// and the latest ready time among it.
+  std::deque<std::function<void(QueuePair*, sim::Time)>> deferred_;
   sim::Time deferred_until_ = 0;
 };
 
@@ -236,10 +238,12 @@ class Hca {
 
   void execute_send(QueuePair* qp, SendWr wr);
   /// Run `book(qp, start)` for a WR whose fate and DMA delay are drawn:
-  /// now, or from an event once `delay` has passed and every WR the QP
-  /// deferred earlier has run. `start` is the WQE-fetched start time. A
-  /// delayed WR books the HCA's resources only at its delayed start, so it
-  /// holds up no other QP's WRs.
+  /// now, or once `delay` has passed and every WR the QP deferred earlier
+  /// has run, in posting order whatever order the engine gives events of
+  /// equal time. `start` is the WQE-fetched start time. A delayed WR books
+  /// the HCA's resources only at its delayed start, so it holds up no other
+  /// QP's WRs. Completions that need no booking (flushes, failed posts) go
+  /// through it too, so they cannot overtake a deferred WR.
   template <class Book>
   void after_delay(QueuePair* qp, sim::Time delay, Book book);
   /// Runs on the *destination* HCA when a Send arrives; matches a posted

@@ -145,8 +145,7 @@ struct CollPipe {
 
 /// One schedule stage: either a pipe, or transfers + locals. Stages run
 /// strictly in order; the transfers of one stage are all posted together
-/// (receives listed before sends, mirroring sendrecv), after the executor
-/// has wired every peer they name, in listed order.
+/// (receives listed before sends, mirroring sendrecv).
 struct CollStage {
   std::vector<CollXfer> xfers;
   std::vector<CollLocal> locals;

@@ -24,11 +24,16 @@ namespace {
 /// Fixed internal tags for the collectives that still run inline (rooted /
 /// irregular ones outside the schedule engine), disjoint per collective.
 /// Schedule-based collectives use rotating per-schedule tag windows instead
-/// (kCollSchedTagBase; see next_coll_tag_base).
+/// (kCollSchedTagBase; see next_coll_tag_base), except alltoall: it is
+/// only blocking and sends one message per pair, and a rank posts call k's
+/// receive from a peer only after call k-1's, so in-order matching on one
+/// tag pairs the calls as a window would, without opening a fresh channel
+/// toward every peer on every call.
 enum : int {
   kTagReduce = kInternalTagBase + 3,
   kTagGather = kInternalTagBase + 4,
   kTagScatter = kInternalTagBase + 5,
+  kTagAlltoall = kInternalTagBase + 7,
   kTagScan = kInternalTagBase + 8,
   kTagGatherv = kInternalTagBase + 9,
   kTagScatterv = kInternalTagBase + 10,
@@ -46,8 +51,7 @@ enum : int {
   kPhaseScatter = 4,   ///< bcast's binomial scatter
   kPhaseBcastTree = 5, ///< binomial bcast tree
   kPhaseBarrier = 6,   ///< dissemination rounds
-  kPhaseReduceTree = 7, ///< binomial reduce tree
-  kPhaseAlltoall = 0   ///< alltoall: one message per pair, its only phase
+  kPhaseReduceTree = 7 ///< binomial reduce tree
 };
 
 int floor_pow2(int n) {
@@ -921,7 +925,7 @@ void Communicator::scatterv(const mem::Buffer& sendbuf, std::size_t soff,
   }
 }
 
-void Communicator::emit_alltoall(CollSchedule& sched, int tag_base,
+void Communicator::emit_alltoall(CollSchedule& sched,
                                  const mem::Buffer& sendbuf, std::size_t soff,
                                  const mem::Buffer& recvbuf, std::size_t roff,
                                  std::size_t bytes) {
@@ -929,7 +933,6 @@ void Communicator::emit_alltoall(CollSchedule& sched, int tag_base,
   // and sends to rank+k, and each stage posts kAlltoallStepsPerStage
   // consecutive steps at once.
   const int P = size();
-  const int tag = tag_base + kPhaseAlltoall;
   for (int k0 = 1; k0 < P; k0 += kAlltoallStepsPerStage) {
     const int k1 = std::min(P, k0 + kAlltoallStepsPerStage);
     CollStage& st = add_stage(sched);
@@ -937,9 +940,9 @@ void Communicator::emit_alltoall(CollSchedule& sched, int tag_base,
       const int to = (rank() + k) % P;
       const int from = (rank() - k + P) % P;
       st.xfers.push_back(xfer(false, recvbuf, roff + from * bytes, bytes,
-                              type_byte(), to_world(from), tag));
+                              type_byte(), to_world(from), kTagAlltoall));
       st.xfers.push_back(xfer(true, sendbuf, soff + to * bytes, bytes,
-                              type_byte(), to_world(to), tag));
+                              type_byte(), to_world(to), kTagAlltoall));
     }
   }
 }
@@ -958,8 +961,7 @@ void Communicator::alltoall(const mem::Buffer& sendbuf, std::size_t soff,
   auto sched = std::make_shared<CollSchedule>();
   sched->comm_id = id_;
   sched->bytes = bytes;
-  sched->tag_base = next_coll_tag_base();
-  emit_alltoall(*sched, sched->tag_base, sendbuf, soff, recvbuf, roff, bytes);
+  emit_alltoall(*sched, sendbuf, soff, recvbuf, roff, bytes);
   sched->label = "alltoall.%s %zuB/rank";
   sched->label_algo = "pairwise";
   sched->label_bytes = bytes;

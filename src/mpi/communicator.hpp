@@ -312,11 +312,11 @@ class Communicator {
                          std::size_t count, const Datatype& type);
   /// Windowed pairwise alltoall of `bytes` per peer: stages of up to
   /// kAlltoallStepsPerStage steps, each step a receive from rank-k and a
-  /// send to rank+k. The self block is the caller's local copy.
-  void emit_alltoall(CollSchedule& sched, int tag_base,
-                     const mem::Buffer& sendbuf, std::size_t soff,
-                     const mem::Buffer& recvbuf, std::size_t roff,
-                     std::size_t bytes);
+  /// send to rank+k, on the fixed alltoall tag (no window slot). The self
+  /// block is the caller's local copy.
+  void emit_alltoall(CollSchedule& sched, const mem::Buffer& sendbuf,
+                     std::size_t soff, const mem::Buffer& recvbuf,
+                     std::size_t roff, std::size_t bytes);
 
   /// Derived-communicator id: deterministic across members because split is
   /// collective and every member mixes the same ingredients.

@@ -1820,11 +1820,6 @@ void Engine::advance_schedule(CollSchedule& s) {
     } else {
       if (!s.stage_started) {
         chk().stage_started(s.check_id, s.stage);
-        // Wire every listed peer before posting any transfer: under lazy
-        // endpoints the stage's first-touch handshakes then run back to
-        // back, in listed order, instead of interleaving with the stage's
-        // first traffic. Under the eager mesh this is a lookup.
-        for (const CollXfer& x : stage.xfers) endpoint(x.peer);
         s.outstanding.clear();
         s.outstanding.reserve(stage.xfers.size());
         for (const CollXfer& x : stage.xfers) {

@@ -261,16 +261,14 @@ TEST(Collectives, BackToBackMixedCollectives) {
 }
 }  // namespace
 
-TEST(Collectives, LazyAlltoallWiresEachStageBeforePosting) {
+TEST(Collectives, LazyAlltoallFirstCallLatency) {
   // host_a2a's configuration (HostMpi, one rank per node, lazy endpoints)
   // on 16 ranks: the first alltoall after a barrier wires every pair the
-  // barrier did not, in two stages of eight steps. The executor wires a
-  // stage's peers in listed order before it posts any transfer, so the
-  // first-touch handshakes run back to back, in the order of the pairwise
-  // loop. The first call's latency is pinned exactly: posting each
-  // transfer as soon as its peer is wired interleaves eager traffic with
-  // the remaining handshakes and gives 402.692 us here (and a slower
-  // first call on host_a2a's 48 ranks).
+  // barrier did not, in two stages of eight steps. Each transfer wires its
+  // peer as it is posted, so a stage's eager traffic interleaves with its
+  // remaining first-touch handshakes. The first call's latency is pinned
+  // exactly; wiring all of a stage's peers before posting any transfer
+  // gives 402.982 us here.
   constexpr int kRanks = 16;
   constexpr std::size_t kBlock = 512;
   std::vector<sim::Time> took(kRanks, 0);
@@ -292,5 +290,5 @@ TEST(Collectives, LazyAlltoallWiresEachStageBeforePosting) {
     comm.free(send);
     comm.free(recv);
   });
-  EXPECT_EQ(*std::max_element(took.begin(), took.end()), sim::Time{402982});
+  EXPECT_EQ(*std::max_element(took.begin(), took.end()), sim::Time{402692});
 }

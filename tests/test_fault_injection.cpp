@@ -1,4 +1,4 @@
-// dcfa-lint: allow-file(raw-post) -- one case drives the HCA model directly to time a delayed DMA
+// dcfa-lint: allow-file(raw-post) -- two cases drive the HCA model directly to time and order delayed DMA
 // Fault-injection tests: the deterministic FaultInjector (sim/fault.hpp)
 // driving the recovery machinery of the MPI engine and the DCFA CMD
 // channel. Every scenario pins an exact fault via the spec's probability +
@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ib/fabric.hpp"
@@ -593,69 +596,96 @@ TEST(FaultInjection, ReadSlowerThanTheRetryScheduleStillCompletes) {
   EXPECT_EQ(s.receiver.retry_exhausted, 0u);
 }
 
+namespace {
+
+/// Two HCAs on one fabric under a fault spec, for cases that drive the HCA
+/// model directly: node 0 owns `local` (two 4 KiB blocks, locally
+/// writable), node 1 owns `remote` (one 4 KiB block of 0x5A, remotely
+/// readable).
+struct HcaPair {
+  static constexpr std::uint32_t kBytes = 4096;
+  explicit HcaPair(const std::string& spec,
+                   sim::SchedConfig sched = sim::SchedConfig::from_env())
+      : engine(sched), faults(sim::FaultInjector::Spec::parse(spec), 42) {
+    fabric.set_faults(&faults);
+    pd0 = hca0.alloc_pd();
+    pd1 = hca1.alloc_pd();
+    std::memset(remote.data(), 0x5A, kBytes);
+    lmr = hca0.reg_mr(pd0, mem::Domain::HostDram, local.addr(), 2 * kBytes,
+                      ib::kLocalWrite);
+    rmr = hca1.reg_mr(pd1, mem::Domain::HostDram, remote.addr(), kBytes,
+                      ib::kRemoteRead);
+  }
+  /// A connected QP pair; `on_wc` sees every CQE of node 0's side.
+  ib::QueuePair* connect(std::function<void(const ib::Wc&)> on_wc) {
+    ib::CompletionQueue* cq0 = hca0.create_cq(8);
+    ib::CompletionQueue* cq1 = hca1.create_cq(8);
+    ib::QueuePair* qp = hca0.create_qp(pd0, cq0, cq0);
+    ib::QueuePair* peer = hca1.create_qp(pd1, cq1, cq1);
+    hca0.connect(qp, hca1.lid(), peer->qpn());
+    hca1.connect(peer, hca0.lid(), qp->qpn());
+    cq0->set_on_push([cq0, on_wc = std::move(on_wc)] {
+      ib::Wc wc;
+      while (cq0->poll(1, &wc) == 1) on_wc(wc);
+    });
+    return qp;
+  }
+  /// Read `remote` into block `block` of `local`.
+  void read(ib::QueuePair* qp, int block, bool faultable,
+            std::uint64_t wr_id = 0) {
+    ib::SendWr wr;
+    wr.wr_id = wr_id;
+    wr.opcode = ib::Opcode::RdmaRead;
+    wr.sg_list = {{local.addr() + block * kBytes, kBytes, lmr->lkey()}};
+    wr.remote_addr = remote.addr();
+    wr.rkey = rmr->rkey();
+    wr.faultable = faultable;
+    hca0.post_send(qp, wr);
+  }
+
+  sim::Engine engine;
+  sim::Platform platform;
+  sim::FaultInjector faults;
+  ib::Fabric fabric{engine, platform};
+  mem::NodeMemory mem0{0}, mem1{1};
+  pcie::PciePort pcie0{engine, mem0, platform};
+  pcie::PciePort pcie1{engine, mem1, platform};
+  ib::Hca& hca0 = fabric.add_hca(mem0, pcie0);
+  ib::Hca& hca1 = fabric.add_hca(mem1, pcie1);
+  ib::ProtectionDomain* pd0 = nullptr;
+  ib::ProtectionDomain* pd1 = nullptr;
+  mem::Buffer local = mem0.alloc(mem::Domain::HostDram, 2 * kBytes);
+  mem::Buffer remote = mem1.alloc(mem::Domain::HostDram, kBytes);
+  ib::MemoryRegion* lmr = nullptr;
+  ib::MemoryRegion* rmr = nullptr;
+};
+
+}  // namespace
+
 TEST(FaultInjection, DelayedDmaHoldsUpNoOtherQueuePair) {
   // HCA level: node 0 posts a 4 KiB RDMA read whose start is delayed 8 ms,
   // then the same read, not faultable, on a second QP to the same peer.
   // The delayed WR books the DMA engines and links it uses only from its
   // delayed start, so the second read completes exactly when it would
   // alone; booked at post time, it queued 8 ms behind the first.
-  constexpr std::uint32_t kBytes = 4096;
   struct Done {
     sim::Time first = 0, second = 0;
   };
   const auto run = [](bool post_delayed) {
-    sim::Engine engine;
-    sim::Platform platform;
-    sim::FaultInjector faults(
-        sim::FaultInjector::Spec::parse(
-            "delay_dma=1,delay_dma_max=1,delay_dma_ns=8000000"),
-        42);
-    ib::Fabric fabric{engine, platform};
-    fabric.set_faults(&faults);
-    mem::NodeMemory mem0{0}, mem1{1};
-    pcie::PciePort pcie0{engine, mem0, platform};
-    pcie::PciePort pcie1{engine, mem1, platform};
-    ib::Hca& hca0 = fabric.add_hca(mem0, pcie0);
-    ib::Hca& hca1 = fabric.add_hca(mem1, pcie1);
-    ib::ProtectionDomain* pd0 = hca0.alloc_pd();
-    ib::ProtectionDomain* pd1 = hca1.alloc_pd();
-    mem::Buffer local = mem0.alloc(mem::Domain::HostDram, 2 * kBytes);
-    mem::Buffer remote = mem1.alloc(mem::Domain::HostDram, kBytes);
-    std::memset(remote.data(), 0x5A, kBytes);
-    ib::MemoryRegion* lmr =
-        hca0.reg_mr(pd0, mem::Domain::HostDram, local.addr(), 2 * kBytes,
-                    ib::kLocalWrite);
-    ib::MemoryRegion* rmr = hca1.reg_mr(pd1, mem::Domain::HostDram,
-                                        remote.addr(), kBytes,
-                                        ib::kRemoteRead);
+    HcaPair h("delay_dma=1,delay_dma_max=1,delay_dma_ns=8000000");
     Done done;
     ib::QueuePair* qps[2];
     for (int i = 0; i < 2; ++i) {
-      ib::CompletionQueue* cq0 = hca0.create_cq(8);
-      ib::CompletionQueue* cq1 = hca1.create_cq(8);
-      qps[i] = hca0.create_qp(pd0, cq0, cq0);
-      ib::QueuePair* peer = hca1.create_qp(pd1, cq1, cq1);
-      hca0.connect(qps[i], hca1.lid(), peer->qpn());
-      hca1.connect(peer, hca0.lid(), qps[i]->qpn());
       sim::Time& at = i == 0 ? done.first : done.second;
-      cq0->set_on_push([&at, &engine] { at = engine.now(); });
+      qps[i] = h.connect([&at, &h](const ib::Wc&) { at = h.engine.now(); });
     }
-    const auto read = [&](int i, bool faultable) {
-      ib::SendWr wr;
-      wr.opcode = ib::Opcode::RdmaRead;
-      wr.sg_list = {{local.addr() + i * kBytes, kBytes, lmr->lkey()}};
-      wr.remote_addr = remote.addr();
-      wr.rkey = rmr->rkey();
-      wr.faultable = faultable;
-      hca0.post_send(qps[i], wr);
-    };
-    if (post_delayed) read(0, true);
-    read(1, false);
-    engine.run();
-    EXPECT_EQ(local.data()[2 * kBytes - 1], std::byte{0x5A});
+    if (post_delayed) h.read(qps[0], 0, true);
+    h.read(qps[1], 1, false);
+    h.engine.run();
+    EXPECT_EQ(h.local.data()[2 * HcaPair::kBytes - 1], std::byte{0x5A});
     if (post_delayed) {
-      EXPECT_EQ(faults.counters().dma_delayed, 1u);
-      EXPECT_EQ(local.data()[kBytes - 1], std::byte{0x5A});
+      EXPECT_EQ(h.faults.counters().dma_delayed, 1u);
+      EXPECT_EQ(h.local.data()[HcaPair::kBytes - 1], std::byte{0x5A});
     }
     return done;
   };
@@ -665,6 +695,41 @@ TEST(FaultInjection, DelayedDmaHoldsUpNoOtherQueuePair) {
   EXPECT_EQ(behind.second, alone.second);
   // The delay itself still costs the delayed read its 8 ms.
   EXPECT_GE(behind.first, sim::milliseconds(8));
+}
+
+TEST(FaultInjection, DeferredWorkRequestsCompleteInPostingOrder) {
+  // One QP: a faultable read whose start is delayed 8 ms, then two plain
+  // reads that queue behind it and become due at the same instant. Under
+  // explored schedules, which permute events of equal time, the CQEs still
+  // arrive in posting order. With the delayed WR also wedging the QP
+  // (qp_fatal), the later posts flush, and their flush CQEs still follow
+  // the delayed WR's own error CQE.
+  using Got = std::vector<std::pair<std::uint64_t, ib::WcStatus>>;
+  const auto run = [](const std::string& spec, std::uint64_t seed) {
+    sim::SchedConfig sched;
+    sched.order = sim::SchedConfig::Order::Explore;
+    sched.seed = seed;
+    HcaPair h("delay_dma=1,delay_dma_max=1,delay_dma_ns=8000000" + spec,
+              sched);
+    Got got;
+    ib::QueuePair* qp = h.connect(
+        [&got](const ib::Wc& wc) { got.push_back({wc.wr_id, wc.status}); });
+    h.read(qp, 0, true, 1);
+    h.read(qp, 1, false, 2);
+    h.read(qp, 1, false, 3);
+    h.engine.run();
+    return got;
+  };
+  using S = ib::WcStatus;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EXPECT_EQ(run("", seed),
+              (Got{{1, S::Success}, {2, S::Success}, {3, S::Success}}));
+    EXPECT_EQ(run(",qp_fatal=1,qp_fatal_max=1", seed),
+              (Got{{1, S::RetryExceeded},
+                   {2, S::WrFlushError},
+                   {3, S::WrFlushError}}));
+  }
 }
 
 TEST(FaultInjection, LargeReadDeadlineCoversItsTransfer) {
