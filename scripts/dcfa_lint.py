@@ -50,13 +50,18 @@ see (docs/checking.md has the rationale and the paper references):
                   neither orders nor replays. (The test deadline watchdog
                   in tests/ is the one OS thread the repo runs.)
   endpoint-mr     in src/mpi/, endpoint memory (the remote_block and
-                  local_block of mpi::Engine::Endpoint) is
-                  registered and deregistered only inside the lifecycle
-                  helpers Engine::reg_endpoint / Engine::dereg_endpoint.
-                  Setup, the reconnect rebuild and finalize all go through
-                  them; an inline reg_mr/dereg_mr copy is how the three
-                  used to drift apart (a rebuilt MR leaking, a landing
-                  route left stale).
+                  local_block of mpi::Engine::Endpoint, and the chunks of
+                  the staging arena, Engine::arena_, that local blocks are
+                  sliced from) is registered and deregistered only inside
+                  the lifecycle helpers Engine::reg_endpoint /
+                  Engine::dereg_endpoint. Setup, the reconnect rebuild and
+                  finalize all go through them; an inline reg_mr/dereg_mr
+                  copy is how the three used to drift apart (a rebuilt MR
+                  leaking, a landing route left stale, a chunk
+                  deregistered while a slice still uses its lkey). A call
+                  statement is endpoint memory when it names an endpoint
+                  block, arena_, or a variable bound from arena_ in the
+                  same file (`for (Region& c : arena_)`).
   dma-resolve     no AddressSpace::resolve call in src/ib/. The HCA reaches
                   memory only through registrations: reg_mr pins the
                   window once and every DMA landing moves bytes through
@@ -219,9 +224,13 @@ OS_THREAD = re.compile(r"\bstd::(?:thread|condition_variable(?:_any)?)\b")
 
 # endpoint-mr: the helper pair that owns endpoint-memory registration, and
 # what endpoint memory looks like at a reg_mr/dereg_mr call site (one of the
-# two Endpoint blocks that EndpointLayout lays out).
+# two Endpoint blocks that EndpointLayout lays out, or a staging-arena chunk:
+# `arena_` itself or a variable bound from it, `for (Region& c : arena_)` or
+# `Region& c = arena_.back()`).
 ENDPOINT_MR_HELPERS = ("reg_endpoint", "dereg_endpoint")
-ENDPOINT_REGION = re.compile(r"(?:\.|->)(?:remote_block|local_block)\b")
+ENDPOINT_REGION = re.compile(
+    r"(?:\.|->)(?:remote_block|local_block)\b|\barena_\b")
+ARENA_BINDING = re.compile(r"\b(\w+)\s*[:=]\s*arena_\b")
 MR_CALL = re.compile(r"\b(?:de)?reg_mr\s*\(")
 
 # dma-resolve: the HCA model's data motion goes through the MR's pinned host
@@ -496,6 +505,8 @@ def check_endpoint_mr(path: Path, rel: str, text: str,
         return
     helpers = helper_line_ranges(text, ENDPOINT_MR_HELPERS)
     code = [strip_comments(line) for line in lines]
+    chunks = {m.group(1) for line in code for m in ARENA_BINDING.finditer(line)}
+    chunk_ref = re.compile(r"\b(?:" + "|".join(sorted(chunks)) + r")\b")
     for i, line in enumerate(code, 1):
         if not MR_CALL.search(line) or any(i in r for r in helpers):
             continue
@@ -506,7 +517,8 @@ def check_endpoint_mr(path: Path, rel: str, text: str,
         hi = i
         while hi < len(code) and not code[hi - 1].rstrip().endswith(";"):
             hi += 1
-        if ENDPOINT_REGION.search(" ".join(code[lo - 1:hi])):
+        stmt = " ".join(code[lo - 1:hi])
+        if ENDPOINT_REGION.search(stmt) or (chunks and chunk_ref.search(stmt)):
             finding(path, i, "endpoint-mr",
                     "endpoint memory registered/deregistered outside "
                     "Engine::reg_endpoint/dereg_endpoint; go through the "

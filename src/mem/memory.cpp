@@ -21,6 +21,19 @@ SimAddr base_for(NodeId node, Domain d) {
 }
 }  // namespace
 
+Buffer Buffer::slice(std::size_t off, std::size_t len) const {
+  if (off > size_ || len > size_ - off) {
+    throw std::out_of_range("Buffer::slice: [" + std::to_string(off) + ", +" +
+                            std::to_string(len) + ") escapes a " +
+                            std::to_string(size_) + "-byte buffer");
+  }
+  Buffer view = *this;
+  view.data_ = data_ + off;
+  view.addr_ = addr_ + off;
+  view.size_ = len;
+  return view;
+}
+
 AddressSpace::AddressSpace(NodeId node, Domain domain,
                            std::size_t capacity_bytes)
     : node_(node),

@@ -41,6 +41,11 @@ class Buffer {
   /// Simulated address one past the end.
   SimAddr end() const { return addr_ + size_; }
 
+  /// A view of [off, off + len) of this buffer: the same storage, node and
+  /// domain. Throws std::out_of_range when the window escapes the buffer.
+  /// A slice is never handed to AddressSpace::free; its parent is.
+  Buffer slice(std::size_t off, std::size_t len) const;
+
  private:
   friend class AddressSpace;
   std::byte* data_ = nullptr;

@@ -387,8 +387,8 @@ void Engine::finalize() {
   if (mr_cache_) mr_cache_->clear();
   if (shadow_cache_) shadow_cache_->clear();
   for (auto& [p, ep] : endpoints_) {
-    dereg_endpoint(ep);
-    for (Region* r : ep.regions()) ib_->free_buffer(r->buf);
+    dereg_endpoint(ep, /*release=*/true);
+    ib_->free_buffer(ep.remote_block.buf);
   }
   if (pulse_.mr) {
     ib_->dereg_mr(pulse_.mr);
@@ -399,15 +399,11 @@ void Engine::finalize() {
 
 Engine::Endpoint& Engine::open_endpoint(int peer,
                                         const Bootstrap::PeerInfo* theirs) {
-  const auto region = [this](std::uint64_t bytes, unsigned access) {
-    return Region{ib_->alloc_buffer(bytes, mem::AddressSpace::kPage), nullptr,
-                  access};
-  };
   Endpoint& ep = endpoints_[peer];
   ep.peer = peer;
-  ep.remote_block = region(layout_.remote_bytes(),
-                           ib::kLocalWrite | ib::kRemoteWrite);
-  ep.local_block = region(layout_.local_bytes(), ib::kLocalWrite);
+  const mem::Buffer block =
+      ib_->alloc_buffer(layout_.remote_bytes(), mem::AddressSpace::kPage);
+  ep.remote_block = Region{block, nullptr, ib::kLocalWrite | ib::kRemoteWrite};
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
   // A responder publishes once its QP is connected, so the requester never
@@ -418,18 +414,60 @@ Engine::Endpoint& Engine::open_endpoint(int peer,
 }
 
 void Engine::reg_endpoint(Endpoint& ep) {
-  for (Region* r : ep.regions()) r->mr = ib_->reg_mr(pd_, r->buf, r->access);
-  landing_peer_[ep.remote_block.mr->rkey()] = ep.peer;
+  Region& remote = ep.remote_block;
+  remote.mr = ib_->reg_mr(pd_, remote.buf, remote.access);
+  landing_peer_[remote.mr->rkey()] = ep.peer;
+  if (ep.local_block.valid()) return;  // a rebuild keeps its slice
+  const std::uint64_t stride = layout_.local_stride();
+  if (arena_free_ == 0) {
+    // Open the next chunk: one block more than all earlier ones together
+    // (1, 2, 4, 8) up to kArenaChunkBlocks, then that many or half as many
+    // as all earlier ones, whichever is more. A rank with n peers opens
+    // O(log n) chunks, and its unclaimed blocks never exceed 8 or a third
+    // of the arena, whichever is more. The chunk is recorded only once
+    // registered, so a registration that throws leaves no half-made one.
+    const std::size_t blocks = std::min(
+        {arena_blocks_ + 1, std::max(kArenaChunkBlocks, arena_blocks_ / 2),
+         static_cast<std::size_t>(nranks_ - 1) - arena_blocks_});
+    const mem::Buffer chunk =
+        ib_->alloc_buffer(blocks * stride, mem::AddressSpace::kPage);
+    ib::MemoryRegion* mr = nullptr;
+    try {
+      mr = ib_->reg_mr(pd_, chunk, ib::kLocalWrite);
+    } catch (...) {
+      ib_->free_buffer(chunk);
+      throw;
+    }
+    arena_.push_back(Region{chunk, mr, ib::kLocalWrite});
+    arena_blocks_ += blocks;
+    arena_free_ = blocks;
+  }
+  const Region& chunk = arena_.back();
+  ep.local_block = chunk.buf.slice(chunk.buf.size() - arena_free_ * stride,
+                                   layout_.local_bytes());
+  ep.local_lkey = chunk.mr->lkey();
+  --arena_free_;
+  ++arena_held_;
 }
 
-void Engine::dereg_endpoint(Endpoint& ep) {
-  // A rebuild that failed part-way leaves a block unregistered.
-  for (Region* r : ep.regions()) {
-    if (!r->mr) continue;
-    landing_peer_.erase(r->mr->rkey());
-    ib_->dereg_mr(r->mr);
-    r->mr = nullptr;
+void Engine::dereg_endpoint(Endpoint& ep, bool release) {
+  // A rebuild that failed part-way leaves the remote block unregistered.
+  Region& remote = ep.remote_block;
+  if (remote.mr) {
+    landing_peer_.erase(remote.mr->rkey());
+    ib_->dereg_mr(remote.mr);
+    remote.mr = nullptr;
   }
+  if (!release || !ep.local_block.valid()) return;
+  ep.local_block = {};
+  ep.local_lkey = 0;
+  if (--arena_held_ > 0) return;
+  for (Region& chunk : arena_) {
+    ib_->dereg_mr(chunk.mr);
+    ib_->free_buffer(chunk.buf);
+  }
+  arena_.clear();
+  arena_blocks_ = arena_free_ = 0;
 }
 
 Bootstrap::PeerInfo Engine::peer_info(const Endpoint& ep) const {
@@ -592,13 +630,13 @@ void Engine::emit_packet(Endpoint& ep, PacketHeader hdr,
   // Stage header, payload (the eager one-copy) and tail into the slot.
   const int slot = static_cast<int>(idx % slots());
   const SlotLayout& stage = layout_.staging;
-  wire::put(ep.local_block.buf, stage.header_off(slot), hdr);
+  wire::put(ep.local_block, stage.header_off(slot), hdr);
   if (len > 0) {
-    wire::put_bytes(ep.local_block.buf, stage.payload_off(slot), payload, len);
+    wire::put_bytes(ep.local_block, stage.payload_off(slot), payload, len);
     ib_->charge_memcpy(len);
   }
   const PacketTail tail = kPacketMagic;
-  wire::put(ep.local_block.buf, stage.tail_off(slot, len), tail);
+  wire::put(ep.local_block, stage.tail_off(slot, len), tail);
 
   ib::SendWr wr = ring_write(ep, slot, len);
   if (faults_armed_) {
@@ -631,14 +669,12 @@ ib::SendWr Engine::ring_write(const Endpoint& ep, int slot,
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
   const SlotLayout& stage = layout_.staging;
-  const mem::SimAddr base = ep.local_block.buf.addr();
-  const ib::MKey lkey = ep.local_block.mr->lkey();
+  const mem::Buffer& block = ep.local_block;
+  const ib::MKey lkey = ep.local_lkey;
   wr.sg_list = {
-      {base + stage.header_off(slot),
-       static_cast<std::uint32_t>(sizeof(PacketHeader)), lkey},
-      {base + stage.payload_off(slot), static_cast<std::uint32_t>(len), lkey},
-      {base + stage.tail_off(slot, len),
-       static_cast<std::uint32_t>(sizeof(PacketTail)), lkey},
+      wire::sge(block, lkey, stage.header_off(slot), sizeof(PacketHeader)),
+      wire::sge(block, lkey, stage.payload_off(slot), len),
+      wire::sge(block, lkey, stage.tail_off(slot, len), sizeof(PacketTail)),
   };
   wr.remote_addr = ep.peer_block + layout_.ring.header_off(slot);
   wr.rkey = ep.peer_rkey;
@@ -981,7 +1017,7 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     if (r.rec.payload_len > 0) {
       const int slot = static_cast<int>(r.rec.key % slots());
       const std::byte* src =
-          ep.local_block.buf.data() + layout_.staging.payload_off(slot);
+          ep.local_block.data() + layout_.staging.payload_off(slot);
       r.payload.assign(src, src + r.rec.payload_len);
     }
     replay.push_back(std::move(r));
@@ -1022,13 +1058,14 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
     fail_endpoint(ep, errc, why);
   };
 
-  // --- Tear down and rebuild: destroy the (possibly error-wedged) QP, then
-  // clear and re-register both endpoint blocks, so in-flight writes against
-  // the old generation lose their rkey and are dropped at landing. On a Phi
-  // endpoint each verb is a DCFA CMD round trip; when the delegate is dead
-  // the verbs layer retries through CMD up to its strike budget and then
-  // degrades to the host-proxy path (PhiVerbs::note_delegate_death), after
-  // which this same rebuild completes through the proxy. The old remote
+  // --- Tear down and rebuild: destroy the (possibly error-wedged) QP, clear
+  // both endpoint blocks and re-register the remote one, so in-flight writes
+  // against the old generation lose their rkey and are dropped at landing.
+  // The local block keeps its arena slice and lkey: it is never advertised.
+  // On a Phi endpoint each verb is a DCFA CMD round trip; when the delegate
+  // is dead the verbs layer retries through CMD up to its strike budget and
+  // then degrades to the host-proxy path (PhiVerbs::note_delegate_death),
+  // after which this same rebuild completes through the proxy. The old remote
   // block's rkey stops marking the endpoint once its MR is gone. Reconnects
   // run ahead of progress()'s endpoint walk, so marking the endpoint here
   // gives it a visit in this very pass, whichever way the rebuild ends.
@@ -1036,8 +1073,8 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   try {
     ib_->destroy_qp(ep.qp);
     dereg_endpoint(ep);
-    for (Region* r : ep.regions()) {
-      std::memset(r->buf.data(), 0, r->buf.size());
+    for (const mem::Buffer& b : {ep.remote_block.buf, ep.local_block}) {
+      std::memset(b.data(), 0, b.size());
     }
     reg_endpoint(ep);
     ep.qp = ib_->create_qp(pd_, cq_, cq_);
@@ -1142,7 +1179,7 @@ void Engine::heartbeat_tick() {
     }
     if (ep.probe_out) {
       const std::uint64_t v = wire::get<std::uint64_t>(
-          ep.local_block.buf, EndpointLayout::kProbeCellOff);
+          ep.local_block, EndpointLayout::kProbeCellOff);
       if (v != 0) {
         // The probe landed. A pulse that moved since the last reading
         // proves the peer ticked after that read. A first reading only
@@ -1155,7 +1192,7 @@ void Engine::heartbeat_tick() {
         }
         ep.pulse_seen = v;
         const std::uint64_t fe = wire::get<std::uint64_t>(
-            ep.local_block.buf,
+            ep.local_block,
             EndpointLayout::kProbeCellOff + sizeof(std::uint64_t));
         if (fe > known_fail_epoch_) adopt_failures();
         if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
@@ -1204,16 +1241,14 @@ void Engine::heartbeat_tick() {
     // unsignaled, like a credit update; the cleared cell marks it in flight.
     constexpr std::uint64_t kCell = EndpointLayout::kProbeCellOff;
     constexpr std::uint64_t kCellBytes = EndpointLayout::kProbeCellBytes;
-    std::memset(ep.local_block.buf.data() + kCell, 0, kCellBytes);
+    std::memset(ep.local_block.data() + kCell, 0, kCellBytes);
     ep.probe_out = true;
     ep.probe_at = now;
     ++stats_.liveness_probes;
     ib::SendWr wr;
     wr.opcode = ib::Opcode::RdmaRead;
     wr.signaled = false;
-    wr.sg_list = {{ep.local_block.buf.addr() + kCell,
-                   static_cast<std::uint32_t>(kCellBytes),
-                   ep.local_block.mr->lkey()}};
+    wr.sg_list = {wire::sge(ep.local_block, ep.local_lkey, kCell, kCellBytes)};
     wr.remote_addr = ep.remote_pulse;
     wr.rkey = ep.remote_pulse_rkey;
     ib_->post_send(ep.qp, std::move(wr));
@@ -1506,13 +1541,13 @@ void Engine::send_credit(Endpoint& ep) {
   // RDMA-write the consumption counter into the peer's credit cell. No ring
   // slot needed — this is what keeps the flow control deadlock-free.
   chk().credit_written(rank_, ep.peer, ep.my_consumed);
-  wire::put(ep.local_block.buf, EndpointLayout::kCreditSrcOff, ep.my_consumed);
+  wire::put(ep.local_block, EndpointLayout::kCreditSrcOff, ep.my_consumed);
   ib::SendWr wr;
   wr.opcode = ib::Opcode::RdmaWrite;
   wr.signaled = false;
-  wr.sg_list = {{ep.local_block.buf.addr() + EndpointLayout::kCreditSrcOff,
-                 static_cast<std::uint32_t>(sizeof ep.my_consumed),
-                 ep.local_block.mr->lkey()}};
+  wr.sg_list = {wire::sge(ep.local_block, ep.local_lkey,
+                          EndpointLayout::kCreditSrcOff,
+                          sizeof ep.my_consumed)};
   wr.remote_addr = ep.peer_block + EndpointLayout::kCreditCellOff;
   wr.rkey = ep.peer_rkey;
   ib_->post_send(ep.qp, std::move(wr));

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdio>
 #include <deque>
 #include <functional>
@@ -493,15 +492,16 @@ class Engine {
   /// Failed (reconnect budget exhausted; operations raise MpiError).
   enum class ConnState { Healthy, Suspect, Reconnecting, Degraded, Failed };
 
-  /// One registered piece of endpoint memory: the buffer, its MR (null
-  /// while deregistered) and the access it is registered with.
+  /// One registered piece of memory (an endpoint's remote block, a staging
+  /// arena chunk, the liveness pulse): the buffer, its MR (null while
+  /// deregistered) and the access it is registered with.
   struct Region {
     mem::Buffer buf;
     ib::MemoryRegion* mr = nullptr;
     unsigned access = 0;
   };
 
-  /// Per-peer connection: QP, its two registered blocks, credits, deferred
+  /// Per-peer connection: QP, its two memory blocks, credits, deferred
   /// emissions and, under fault injection, the tracked WRs in flight toward
   /// the peer.
   struct Endpoint {
@@ -509,10 +509,13 @@ class Engine {
     ib::QueuePair* qp = nullptr;
 
     /// The endpoint's memory, laid out by EndpointLayout: the remote block
-    /// (credit cell + receive ring) that the peer writes, and the local
-    /// block (credit source + probe cell + staging) that only I write.
+    /// (credit cell + receive ring) that the peer writes, registered on its
+    /// own, and the local block (credit source + probe cell + staging) that
+    /// only I write: a slice of a staging-arena chunk, under the chunk's
+    /// lkey. Every SGE over the slice goes through wire::sge.
     Region remote_block;
-    Region local_block;
+    mem::Buffer local_block;
+    ib::MKey local_lkey = 0;
     mem::SimAddr peer_block = 0;  ///< the peer's remote block (where I write)
     ib::MKey peer_rkey = 0;
 
@@ -576,9 +579,6 @@ class Engine {
     /// sequence ids by tag lets unrelated tags (e.g. collective traffic vs
     /// user messages) interleave freely.
     std::map<std::pair<std::uint32_t, int>, Channel> channels;
-
-    /// Both blocks, in registration order.
-    std::array<Region*, 2> regions() { return {&remote_block, &local_block}; }
   };
 
   /// Self-messaging (rank sending to itself) short-circuits the network but
@@ -702,8 +702,8 @@ class Engine {
   /// string literal: the trace keeps the pointer.
   bool maybe_start_reconnect(Endpoint& ep, const char* why);
   /// Re-establish `ep` at `target_epoch`: quiesce in-flight state, tear down
-  /// and re-create the QP and both endpoint blocks' MRs through the
-  /// transport (DCFA CMD on a Phi endpoint), re-exchange connection info via
+  /// and re-create the QP and the remote block's MR through the transport
+  /// (DCFA CMD on a Phi endpoint), re-exchange connection info via
   /// the bootstrap, then replay every still-pending packet and re-post every
   /// pending rendezvous data operation. Both sides run this symmetrically.
   void perform_reconnect(Endpoint& ep, std::uint32_t target_epoch);
@@ -723,21 +723,27 @@ class Engine {
   /// newer epoch, fail an endpoint whose peer abandoned the pair. A request
   /// whose endpoint awaits its first half or is mid-reconnect stays queued.
   void service_requests();
-  /// Create this side of the pair with `peer` (both blocks, QP) and publish
-  /// it on the bootstrap. A first-touch responder passes the requester's
-  /// half and connects to it before publishing.
+  /// Create this side of the pair with `peer` (remote block, local-block
+  /// slice, QP) and publish it on the bootstrap. A first-touch responder
+  /// passes the requester's half and connects to it before publishing.
   Endpoint& open_endpoint(int peer,
                           const Bootstrap::PeerInfo* theirs = nullptr);
 
   // --- Endpoint lifecycle ------------------------------------------------------
-  /// Register `ep`'s blocks in Endpoint::regions() order and route landings
-  /// on its remote block to its active mark. This pair is the only code
-  /// that (de)registers endpoint memory: setup, the reconnect rebuild and
+  /// Register `ep`'s remote block and route landings on it to its active
+  /// mark. On first registration, also give `ep` its local block: the next
+  /// slice of the staging arena, opening (allocating and registering) a
+  /// chunk when the last one is used up. Chunks double (1, 2, 4, 8 blocks)
+  /// up to kArenaChunkBlocks, then hold that many or half the arena,
+  /// whichever is more, never more than the peers still without a block.
+  /// A rebuild keeps its slice. This pair is the only code that
+  /// (de)registers endpoint memory: setup, the reconnect rebuild and
   /// finalize all go through it (dcfa_lint endpoint-mr).
   void reg_endpoint(Endpoint& ep);
-  /// Deregister `ep`'s blocks in the same order, dropping the landing route
-  /// with its MR. The buffers stay allocated.
-  void dereg_endpoint(Endpoint& ep);
+  /// Deregister `ep`'s remote block, dropping the landing route with its
+  /// MR; the buffer stays allocated. With `release` (finalize), also give
+  /// back its slice: the last slice back deregisters and frees the chunks.
+  void dereg_endpoint(Endpoint& ep, bool release = false);
   /// This side's half of the pair, as published on the bootstrap.
   Bootstrap::PeerInfo peer_info(const Endpoint& ep) const;
   /// Wire remote addresses from a published PeerInfo into an opened
@@ -965,6 +971,13 @@ class Engine {
   std::unique_ptr<OffloadShadowCache> shadow_cache_;
 
   std::map<int, Endpoint> endpoints_;
+  /// The staging arena: local-write chunks that endpoints' local blocks are
+  /// sliced from, each allocated and registered once (reg_endpoint).
+  static constexpr std::size_t kArenaChunkBlocks = 8;  ///< end of doubling
+  std::vector<Region> arena_;
+  std::size_t arena_blocks_ = 0;  ///< blocks in all chunks
+  std::size_t arena_free_ = 0;    ///< unclaimed blocks in arena_.back()
+  std::size_t arena_held_ = 0;    ///< slices claimed and not given back
   /// Peers whose endpoint may have work: a landing on its remote block, a
   /// deferred emission, a reconnect rebuild, or a scan that stopped on a
   /// non-empty slot. progress() visits only these, in peer order.

@@ -99,16 +99,18 @@ struct SlotLayout {
   }
 };
 
-/// Endpoint memory geometry. Every endpoint owns exactly two registered
-/// blocks, and every offset into them comes from here:
-///  * the remote block, which the peer RDMA-writes through the one rkey the
-///    endpoint advertises: [credit cell][ring slots]. The cell comes first,
-///    so a ring overrun still runs off the MR's end and trips the bounds
-///    check;
+/// Endpoint memory geometry. Every endpoint has two blocks, and every offset
+/// into them comes from here:
+///  * the remote block, registered on its own, which the peer RDMA-writes
+///    through the one rkey the endpoint advertises: [credit cell][ring
+///    slots]. The cell comes first, so a ring overrun still runs off the
+///    MR's end and trips the bounds check;
 ///  * the local block, which only this rank writes:
 ///    [credit source][probe cell][staging slots]. The credit source feeds
 ///    credit writes, liveness probes land in the probe cell, and the
-///    staging slots feed ring writes.
+///    staging slots feed ring writes. It is never advertised, so it is a
+///    local_stride()-spaced slice of a staging-arena chunk that shares the
+///    chunk's one registration (wire::sge keeps SGEs inside the slice).
 struct EndpointLayout {
   static constexpr std::uint64_t kCell = 64;  ///< one cache line per cell
   static constexpr std::uint64_t kCreditCellOff = 0;  ///< remote block
@@ -127,6 +129,10 @@ struct EndpointLayout {
 
   std::uint64_t remote_bytes() const { return ring.header_off(slots); }
   std::uint64_t local_bytes() const { return staging.header_off(slots); }
+  /// Spacing of local blocks in an arena chunk: cell-aligned, not paged.
+  std::uint64_t local_stride() const {
+    return (local_bytes() + kCell - 1) / kCell * kCell;
+  }
 };
 
 }  // namespace dcfa::mpi

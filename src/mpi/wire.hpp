@@ -5,6 +5,7 @@
 #include <string>
 #include <type_traits>
 
+#include "ib/types.hpp"
 #include "mem/memory.hpp"
 #include "sim/check.hpp"
 
@@ -14,9 +15,10 @@
 /// these helpers instead of naked memcpy so that (a) an offset bug raises a
 /// structured DcfaCheck wire-bounds diagnostic instead of corrupting the
 /// neighbouring slot, and (b) `scripts/dcfa_lint.py` can forbid raw memcpy
-/// into registered MRs everywhere else. The checks are unconditional — they
-/// cost two compares against values already in cache, and an overrun is
-/// memory corruption regardless of DCFA_CHECK level.
+/// into registered MRs everywhere else. Every SGE over an endpoint's local
+/// block is built by sge() under the same check. The checks are
+/// unconditional — they cost two compares against values already in cache,
+/// and an overrun is memory corruption regardless of DCFA_CHECK level.
 namespace dcfa::mpi::wire {
 
 namespace detail {
@@ -67,6 +69,16 @@ inline void get_bytes(void* dst, const mem::Buffer& buf, std::size_t off,
                       std::size_t len) {
   detail::check("wire::get_bytes", buf, off, len);
   if (len > 0) std::memcpy(dst, buf.data() + off, len);
+}
+
+/// The SGE over `len` bytes at `off` of `block`, a slice registered under
+/// `lkey`. Local blocks share their arena chunk's MR, so the HCA's bounds
+/// check would let an SGE that runs past one endpoint's slice read its
+/// neighbour's; this check trips first.
+inline ib::Sge sge(const mem::Buffer& block, ib::MKey lkey, std::size_t off,
+                   std::size_t len) {
+  detail::check("wire::sge", block, off, len);
+  return {block.addr() + off, static_cast<std::uint32_t>(len), lkey};
 }
 
 }  // namespace dcfa::mpi::wire

@@ -435,6 +435,28 @@ TEST(CheckWire, OverrunningCopyThrowsWireBounds) {
   });
 }
 
+// Endpoints' local blocks are slices of one staging-arena chunk under one
+// MR. An SGE that runs past its slice stays inside the registration, so the
+// MR bounds check cannot see it even at Full; wire::sge trips on it, and its
+// check does not depend on the level.
+TEST(CheckWire, SgePastItsArenaSliceThrowsWireBounds) {
+  mem::NodeMemory mem0{0};
+  const mem::Buffer chunk = mem0.alloc(mem::Domain::HostDram, 2 * 256);
+  const mem::Buffer a = chunk.slice(0, 256);
+  const mem::Buffer b = chunk.slice(256, 256);
+  Checker chk(CheckLevel::Full);
+  chk.mr_registered(&chk, 40, 41, chunk.addr(), chunk.size());
+  const ib::Sge tail = mpi::wire::sge(a, 40, 192, 64);  // a's last 64 bytes
+  EXPECT_EQ(tail.addr + tail.length, b.addr());
+  // The seeded overrun: a's last 64 bytes and b's first 64.
+  chk.mr_used(&chk, 40, a.addr() + 192, 128);
+  EXPECT_EQ(chk.violations(), 0u);
+  expect_violation(CheckKind::WireBounds,
+                   [&] { (void)mpi::wire::sge(a, 40, 192, 128); });
+  expect_violation(CheckKind::WireBounds,
+                   [&] { (void)mpi::wire::sge(b, 40, 257, 0); });
+}
+
 // --- end-to-end: MR cache hands out a stale registration --------------------
 
 TEST(CheckEndToEnd, MrCacheStaleEntryIsCaughtAtHandout) {

@@ -60,6 +60,11 @@ TEST(EndpointLayout, CellsPrecedeTheSlotsAndNothingOverlaps) {
   EXPECT_EQ(stage.tail_off(15, 8192) + sizeof(PacketTail),
             layout.local_bytes());
   EXPECT_EQ(ring.stride(), stage.stride());
+  // Local blocks sit one cache line apart in an arena chunk, not a page.
+  EXPECT_EQ(layout.local_stride() % EndpointLayout::kCell, 0u);
+  EXPECT_GE(layout.local_stride(), layout.local_bytes());
+  EXPECT_LT(layout.local_stride(),
+            layout.local_bytes() + EndpointLayout::kCell);
 }
 
 TEST(PacketHeader, DefaultsAreSane) {
@@ -159,20 +164,27 @@ TEST(Bootstrap, PublishAllAwaitAllConverges) {
 
 // --- Endpoint memory ---------------------------------------------------------------
 
-// Every wired endpoint registers exactly two blocks (EndpointLayout): the
-// remote block (credit cell + ring) and the local block (credit source +
-// probe cell + staging), whatever the mode, the wiring or the fault spec.
-// The only other registrations in this body are the per-rank liveness
-// pulse under fatal faults and the caches' misses (none for eager-only
-// traffic, subtracted anyway so the count names endpoint memory alone).
-TEST(EndpointMemory, TwoRegistrationsPerWiredEndpoint) {
+// Every wired endpoint registers its remote block (credit cell + ring) on
+// its own; its local block (credit source + probe cell + staging) is a slice
+// of the rank's staging arena, whose chunks hold 1, 2, 4, ... blocks. Three
+// peers therefore cost 3 + 2 registrations, whatever the mode, the wiring
+// or the fault spec. A reconnect rebuild re-registers the remote block
+// alone. The only other registrations in this body are the per-rank
+// liveness pulse under fatal faults and the caches' misses (none for
+// eager-only traffic, subtracted anyway so the count names endpoint memory
+// alone).
+TEST(EndpointMemory, OneRegistrationPerEndpointPlusArenaChunks) {
   constexpr int kRanks = 4;
+  constexpr std::uint64_t kPeers = kRanks - 1;
+  constexpr std::uint64_t kChunks = 2;  // 1 + 2 blocks
   // Armed (the pulse, probes and reconnect machinery are on) but the skip
   // keeps the wedge from ever firing, so no rebuild re-registers.
-  const std::string fatal = "qp_fatal=1,qp_fatal_skip=1000000,qp_fatal_max=1";
+  const std::string unfired = "qp_fatal=1,qp_fatal_skip=1000000,qp_fatal_max=1";
+  // One wedge, once traffic is flowing: one pair rebuilds.
+  const std::string fired = "qp_fatal=1,qp_fatal_skip=4,qp_fatal_max=1";
   for (MpiMode mode : {MpiMode::HostMpi, MpiMode::DcfaPhi}) {
     for (bool lazy : {false, true}) {
-      for (const std::string& spec : {std::string(), fatal}) {
+      for (const std::string& spec : {std::string(), unfired, fired}) {
         SCOPED_TRACE(std::string(mode == MpiMode::HostMpi ? "host" : "phi") +
                      (lazy ? " lazy " : " eager ") + spec);
         RunConfig cfg;
@@ -182,6 +194,7 @@ TEST(EndpointMemory, TwoRegistrationsPerWiredEndpoint) {
         cfg.engine_options.lazy_endpoints = lazy;
         Runtime rt(cfg);
         std::vector<std::uint64_t> endpoint_regs(kRanks);
+        std::vector<std::uint64_t> rebuilds(kRanks);
         rt.run([&](RankCtx& ctx) {
           auto& comm = ctx.world;
           mem::Buffer buf = comm.alloc(16);
@@ -197,12 +210,18 @@ TEST(EndpointMemory, TwoRegistrationsPerWiredEndpoint) {
           if (eng.shadow_cache()) regs -= eng.shadow_cache()->misses();
           if (!spec.empty()) regs -= 1;  // the liveness pulse
           endpoint_regs[ctx.rank] = regs;
+          rebuilds[ctx.rank] = eng.stats().reconnects;
           comm.free(buf);
         });
+        std::uint64_t total_rebuilds = 0;
         for (int r = 0; r < kRanks; ++r) {
-          EXPECT_EQ(rt.rank_stats()[r].reconnects, 0u);
-          EXPECT_EQ(endpoint_regs[r], 2u * (kRanks - 1)) << "rank " << r;
+          EXPECT_EQ(rt.rank_stats()[r].reconnects, rebuilds[r]);
+          EXPECT_EQ(endpoint_regs[r], kPeers + kChunks + rebuilds[r])
+              << "rank " << r;
+          total_rebuilds += rebuilds[r];
         }
+        // Both sides of the wedged pair rebuild, each registering one block.
+        EXPECT_EQ(total_rebuilds, spec == fired ? 2u : 0u);
       }
     }
   }

@@ -213,9 +213,10 @@ TEST(FatalFaults, OpsPostedOverAnAbandonedPairFailAtOnce) {
 // ---------------------------------------------------------------------------
 // MR lifecycle: setup, the reconnect rebuild and finalize register and
 // deregister endpoint memory through one helper pair. After a run that
-// rebuilt an endpoint (fresh ring/staging/credit/heartbeat MRs) and then
-// finalized, every HCA must be back at its pre-run live-MR count: zero,
-// since nothing registers before Engine::setup.
+// rebuilt an endpoint (a fresh remote-block MR) and then finalized (the
+// remote blocks, the staging-arena chunks and the pulse deregistered),
+// every HCA must be back at its pre-run live-MR count: zero, since nothing
+// registers before Engine::setup.
 // ---------------------------------------------------------------------------
 
 TEST(FatalFaults, ReconnectThenFinalizeReleasesEveryMr) {
@@ -232,6 +233,87 @@ TEST(FatalFaults, ReconnectThenFinalizeReleasesEveryMr) {
     EXPECT_GT(hca->mrs_registered_total(), 0u);
     EXPECT_EQ(hca->mrs_live(), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A delegate crash on each memory registration of a Phi cluster's wiring.
+// cmd_op=reg_mr counts registrations only, so the skip walks the crash
+// through every one of them in turn: the liveness pulses, the remote blocks
+// and the staging-arena chunks (two per rank at four ranks). Eager wiring
+// registers them all in setup, lazy wiring in the body's first exchange.
+// The delegate either comes back (restart) or stays dead (proxy failover).
+// Every point must deliver every payload or stop with a named MpiError, and
+// a point that finishes must leave no registration and no allocation behind:
+// a chunk recorded without its MR, or registered but never recorded, would
+// show up here.
+// ---------------------------------------------------------------------------
+
+TEST(FatalFaults, DelegateCrashOnAWiringRegistrationEndsCleanOrNamed) {
+  constexpr int kRanks = 4;
+  // Per rank: the pulse, three remote blocks and two arena chunks; the
+  // sweep runs a little past them into the body's user-buffer misses.
+  constexpr int kSetupRegs = kRanks * 6;
+  constexpr std::size_t kBytes = 256;
+  int finished = 0;
+  std::uint64_t failovers = 0;
+  for (bool lazy : {false, true}) {
+    for (const char* restart : {"delegate_restart_ns=50000,", ""}) {
+      for (int skip = 0; skip < kSetupRegs + 4; ++skip) {
+        const std::string spec =
+            std::string("delegate_crash=1,cmd_op=reg_mr,") + restart +
+            "delegate_crash_max=1,delegate_crash_skip=" +
+            std::to_string(skip);
+        SCOPED_TRACE((lazy ? "lazy " : "eager ") + spec);
+        RunConfig cfg;
+        cfg.mode = MpiMode::DcfaPhi;
+        cfg.nprocs = kRanks;
+        cfg.fault_spec = spec;
+        cfg.engine_options.lazy_endpoints = lazy;
+        Runtime rt(cfg);
+        std::set<ib::Hca*> hcas;
+        std::set<mem::NodeMemory*> memories;
+        try {
+          rt.run([&](RankCtx& ctx) {
+            hcas.insert(&ctx.world.engine().ib().hca_ref());
+            memories.insert(&ctx.memory);
+            auto& comm = ctx.world;
+            mem::Buffer out = comm.alloc(kBytes);
+            mem::Buffer in = comm.alloc(kBytes);
+            for (int d = 1; d < kRanks; ++d) {
+              const int to = (ctx.rank + d) % kRanks;
+              const int from = (ctx.rank + kRanks - d) % kRanks;
+              std::memset(out.data(), ctx.rank * kRanks + to, kBytes);
+              comm.sendrecv(out, 0, kBytes, type_byte(), to, d, in, 0, kBytes,
+                            type_byte(), from, d);
+              EXPECT_EQ(in.data()[kBytes - 1],
+                        static_cast<std::byte>(from * kRanks + ctx.rank));
+            }
+            comm.free(out);
+            comm.free(in);
+          });
+        } catch (const MpiError& e) {
+          EXPECT_NE(e.errc(), MpiErrc::Other) << e.what();
+          continue;
+        }
+        ++finished;
+        EXPECT_EQ(rt.faults()->counters().delegate_crashes, 1u);
+        for (const Engine::Stats& st : rt.rank_stats()) {
+          failovers += st.proxy_failovers;
+        }
+        ASSERT_EQ(hcas.size(), std::size_t{kRanks});
+        for (const ib::Hca* hca : hcas) EXPECT_EQ(hca->mrs_live(), 0u);
+        for (mem::NodeMemory* m : memories) {
+          for (mem::Domain d : {mem::Domain::HostDram, mem::Domain::PhiGddr}) {
+            EXPECT_EQ(m->space(d).live_allocations(), 0u)
+                << mem::domain_name(d);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finished, 0);
+  // Without a restart the crashed rank served its wiring through the proxy.
+  EXPECT_GT(failovers, 0u);
 }
 
 // ---------------------------------------------------------------------------

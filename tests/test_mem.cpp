@@ -110,6 +110,24 @@ TEST(AddressSpace, GuardGapsBetweenAllocations) {
   EXPECT_THROW(space.resolve(a.addr() + 32, 64), BadAddress);
 }
 
+TEST(Buffer, SliceIsAViewOfItsParent) {
+  AddressSpace space(0, Domain::PhiGddr, 1 << 20);
+  Buffer chunk = space.alloc(512, 4096);
+  Buffer s = chunk.slice(128, 64);
+  EXPECT_EQ(s.addr(), chunk.addr() + 128);
+  EXPECT_EQ(s.data(), chunk.data() + 128);
+  EXPECT_EQ(s.size(), 64u);
+  EXPECT_EQ(s.domain(), Domain::PhiGddr);
+  EXPECT_EQ(s.node(), 0);
+  // The view shares storage: bytes written through it resolve in the parent.
+  s.data()[0] = std::byte{0x5A};
+  EXPECT_EQ(space.resolve(chunk.addr() + 128, 1)[0], std::byte{0x5A});
+  EXPECT_EQ(chunk.slice(448, 64).end(), chunk.end());
+  EXPECT_THROW((void)chunk.slice(449, 64), std::out_of_range);
+  EXPECT_THROW((void)chunk.slice(513, 0), std::out_of_range);
+  EXPECT_THROW((void)s.slice(0, 65), std::out_of_range);
+}
+
 TEST(NodeMemory, DomainsAreIsolated) {
   NodeMemory node(3);
   Buffer h = node.alloc(Domain::HostDram, 128);
