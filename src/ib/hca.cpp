@@ -375,6 +375,23 @@ void Hca::execute_send(QueuePair* qp, SendWr wr) {
     }
   }
 
+  if (remote_qp->unresponsive_) {
+    // No responder acknowledges: the requester retransmits until its retry
+    // count runs out, then reports the WR failed. Nothing lands.
+    qp->state_ = QpState::Error;
+    engine_.telemetry().log(sim::Verbosity::Trace, {sim::Track::Hca, node()},
+                            "WR %llu: qp %u does not answer",
+                            static_cast<unsigned long long>(wr.wr_id),
+                            remote_qp->qpn());
+    after_delay(qp, delay,
+                [this, wr = std::move(wr), wc_op](QueuePair* q, sim::Time) {
+                  complete(q, q->send_cq(), wr, wc_op,
+                           WcStatus::RetryExceeded, 0,
+                           engine_.now() + kTransportDeadline);
+                });
+    return;
+  }
+
   if (wr.opcode != Opcode::RdmaRead) {
     egress_bytes_ += bytes;
   } else {

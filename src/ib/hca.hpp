@@ -17,6 +17,17 @@ namespace dcfa::ib {
 class Hca;
 class Fabric;
 
+/// The RC transport's patience with a responder that stopped acknowledging
+/// (its process died): the requester retransmits after each local ACK
+/// timeout of 4.096 us x 2^kAckTimeoutExp (ibv_qp_attr::timeout) and, after
+/// kRetryCount retransmissions (ibv_qp_attr::retry_cnt), completes the WR
+/// with RetryExceeded (IBV_WC_RETRY_EXC_ERR). docs/model.md derives the
+/// values.
+inline constexpr int kAckTimeoutExp = 4;
+inline constexpr int kRetryCount = 3;
+inline constexpr sim::Time kTransportDeadline =
+    sim::Time{4096} * (sim::Time{1} << kAckTimeoutExp) * (kRetryCount + 1);
+
 /// Protection domain: MRs and QPs created under different PDs cannot be
 /// mixed (checked at post time, like real verbs).
 class ProtectionDomain {
@@ -105,6 +116,8 @@ class QueuePair {
   QpState state_ = QpState::Reset;
   Lid remote_lid_ = 0;
   Qpn remote_qpn_ = 0;
+  /// Its process died (Hca::stop_answering): nothing reaches it any more.
+  bool unresponsive_ = false;
 
   std::deque<RecvWr> recv_queue_;
   /// Sends that arrived before a receive was posted (RNR wait).
@@ -162,6 +175,12 @@ class Hca {
                                      CompletionQueue* send_cq,
                                      CompletionQueue* recv_cq);
   void destroy_qp(QueuePair* qp);
+
+  /// The QP's process died: it stops acknowledging. A WR posted toward it
+  /// moves no byte and completes RetryExceeded kTransportDeadline after its
+  /// start, and its requester QP goes to Error. WRs already under way finish
+  /// as they would have.
+  void stop_answering(QueuePair* qp) { qp->unresponsive_ = true; }
 
   /// Bring the QP to ReadyToSend, bound to (remote_lid, remote_qpn). Both
   /// sides must connect before traffic flows (tests verify misuse throws).

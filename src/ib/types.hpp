@@ -65,8 +65,10 @@ enum class WcStatus {
   RemoteAccessError,      ///< rkey/window rejected by the responder.
   RemoteInvalidRequest,   ///< e.g. send longer than the posted receive.
   WrFlushError,           ///< QP went to error state; WR flushed.
-  RetryExceeded,          ///< transport retries exhausted (injected fault);
-                          ///< soft error: the QP stays usable.
+  RetryExceeded,          ///< transport retries exhausted: the responder
+                          ///< stopped acknowledging (its process died; the
+                          ///< QP goes to Error), or an injected soft error
+                          ///< (the QP stays usable).
 };
 
 const char* wc_status_name(WcStatus s);

@@ -233,7 +233,6 @@ Engine::~Engine() {
   // (e.g. a rank body that threw) cannot call into freed memory. Retry
   // timers still queued in the simulator are defused the same way.
   *alive_ = false;
-  hb_stop_ = true;
   bootstrap_.set_watch(rank_, {});
   if (cq_) cq_->set_on_push({});
   if (write_observer_id_ != SIZE_MAX) {
@@ -267,16 +266,6 @@ void Engine::setup() {
         *phi_, *pd_, platform_.mr_cache_entries);
   }
 
-  if (fatal_armed_) {
-    // The liveness pulse: one remote-readable region per rank, published
-    // with every endpoint's half. The counter starts at 1 so a landed
-    // probe never reads as the cleared cell.
-    pulse_ = Region{ib_->alloc_buffer(2 * sizeof(std::uint64_t), 64),
-                    nullptr, ib::kRemoteRead};
-    pulse_.mr = ib_->reg_mr(pd_, pulse_.buf, pulse_.access);
-    wire::put(pulse_.buf, 0, std::uint64_t{1});
-  }
-
   // The watch is how a blocked rank learns that a peer published its half
   // or asked for ours, or that a board it waits on changed.
   bootstrap_.set_watch(rank_, [this] { wake(); });
@@ -289,11 +278,6 @@ void Engine::setup() {
       if (p != rank_) open_endpoint(p);
     }
     for (auto& [p, ep] : endpoints_) (void)await_peer(ep, 0);
-  }
-  if (fatal_armed_) {
-    const sim::Time now = ib_->process().now();
-    for (auto& [p, ep] : endpoints_) ep.last_heard = now;
-    schedule_heartbeat();
   }
   if (kill_armed_) {
     const sim::Time at = faults_->spec().kill_time_of(rank_);
@@ -317,14 +301,18 @@ void Engine::setup() {
 void Engine::die() {
   if (dead_) return;
   dead_ = true;
-  hb_stop_ = true;  // the pulse freezes; survivors' probes take it from here
   const sim::Time now = ib_->process().now();
+  // The process is gone, and with it every connection it held: the HCA
+  // stops acknowledging on its QPs, so survivors' WRs toward it fail.
+  for (auto& [p, ep] : endpoints_) {
+    if (!ep.abandoned) ib_->hca_ref().stop_answering(ep.qp);
+  }
   faults_->note_rank_kill();
   tel_.event(sim::Verbosity::Info, {sim::Track::Faults, rank_}, "rank-killed",
              "(rank_kill fate)");
   // Launcher-level ground truth; survivors adopt through the failure board
-  // once one of them *detects* the silence (liveness timeout / retry
-  // exhaustion) — the registry itself only short-circuits doomed reconnects
+  // once one of them *detects* the death (a WR toward it that no one
+  // answered) — the registry itself only short-circuits doomed reconnects
   // and anchors the detection-latency metric.
   bootstrap_.mark_dead(rank_, now);
   wake();
@@ -332,9 +320,6 @@ void Engine::die() {
 
 void Engine::finalize() {
   if (finalized_) return;
-  // End the heartbeat chain first: an eternal self-rescheduling timer would
-  // keep the simulation alive forever.
-  hb_stop_ = true;
   // Quiesce before tearing anything down: drain deferred emissions and
   // outstanding completions, then give straggling unsignaled writes (credit
   // updates) time to land so no WR is in flight against a dead MR.
@@ -390,10 +375,6 @@ void Engine::finalize() {
     dereg_endpoint(ep, /*release=*/true);
     ib_->free_buffer(ep.remote_block.buf);
   }
-  if (pulse_.mr) {
-    ib_->dereg_mr(pulse_.mr);
-    ib_->free_buffer(pulse_.buf);
-  }
   finalized_ = true;
 }
 
@@ -403,7 +384,9 @@ Engine::Endpoint& Engine::open_endpoint(int peer,
   ep.peer = peer;
   const mem::Buffer block =
       ib_->alloc_buffer(layout_.remote_bytes(), mem::AddressSpace::kPage);
-  ep.remote_block = Region{block, nullptr, ib::kLocalWrite | ib::kRemoteWrite};
+  // Remote-readable too: liveness probes read the credit cell.
+  ep.remote_block = Region{
+      block, nullptr, ib::kLocalWrite | ib::kRemoteRead | ib::kRemoteWrite};
   reg_endpoint(ep);
   ep.qp = ib_->create_qp(pd_, cq_, cq_);
   // A responder publishes once its QP is connected, so the requester never
@@ -471,20 +454,14 @@ void Engine::dereg_endpoint(Endpoint& ep, bool release) {
 }
 
 Bootstrap::PeerInfo Engine::peer_info(const Endpoint& ep) const {
-  return {ib_->address(ep.qp),
-          ep.remote_block.buf.addr(),
-          ep.remote_block.mr->rkey(),
-          pulse_.buf.addr(),
-          pulse_.mr ? pulse_.mr->rkey() : ib::MKey{0}};
+  return {ib_->address(ep.qp), ep.remote_block.buf.addr(),
+          ep.remote_block.mr->rkey()};
 }
 
 void Engine::connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info) {
   ib_->connect(ep.qp, info.qp);
   ep.peer_block = info.block_addr;
   ep.peer_rkey = info.block_rkey;
-  ep.remote_pulse = info.hb_addr;
-  ep.remote_pulse_rkey = info.hb_rkey;
-  ep.last_heard = ib_->process().now();
 }
 
 Engine::PeerWait Engine::await_peer(Endpoint& ep, std::uint32_t epoch) {
@@ -492,7 +469,6 @@ Engine::PeerWait Engine::await_peer(Endpoint& ep, std::uint32_t epoch) {
   PeerWait out = PeerWait::Connected;
   block_until([&] {
     check_alive();  // our own kill fate can fire while blocked here
-    bump_pulse();   // blocked on a peer is not dead: watchers must see it
     pi = bootstrap_.try_get(ep.peer, rank_, epoch);
     // Eager setup takes every half: a peer publishes its whole mesh before
     // it can die. Later a dead peer's half is not taken even if it was
@@ -1092,10 +1068,6 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   ep.consumed_by_peer = 0;
   ep.my_consumed = 0;
   ep.my_consumed_reported = 0;
-  // The rebuilt cell lost any probe in flight; the next one sets a fresh
-  // baseline.
-  ep.probe_out = false;
-  ep.pulse_seen = 0;
 
   // Publish the new generation and wait for the peer's. Whichever side
   // noticed first already requested it (maybe_start_reconnect); the other
@@ -1141,117 +1113,65 @@ void Engine::perform_reconnect(Endpoint& ep, std::uint32_t target_epoch) {
   wake();
 }
 
-void Engine::schedule_heartbeat() {
-  auto alive = alive_;
-  ib_->process().engine().schedule_after(
-      platform_.mpi_heartbeat_period, [this, alive] {
-        if (!*alive || hb_stop_) return;  // finalize ends the chain
-        // One pending tick at most: a rank away from progress() for many
-        // periods runs one tick when it returns, not one per period. The
-        // wake still comes every period: a rank blocked on a peer bumps its
-        // pulse on each pass (await_peer).
-        if (!hb_queued_) {
-          hb_queued_ = true;
-          pending_recovery_.push_back([this] {
-            hb_queued_ = false;
-            heartbeat_tick();
-          });
-        }
-        wake();
-        schedule_heartbeat();
-      });
+bool Engine::watched(const Endpoint& ep) const {
+  if ((ep.conn_state != ConnState::Healthy &&
+       ep.conn_state != ConnState::Degraded) ||
+      ep.qp->state() == ib::QpState::Error) {
+    return false;
+  }
+  // An idle endpoint has nothing to recover, and a probe at the tail of a
+  // run would find a peer that finalized. Under rank kills a dead *sender*
+  // leaves nothing in unacked/pending_tx, yet its receivers still wait.
+  return !ep.unacked.empty() || !ep.pending_tx.empty() ||
+         (kill_armed_ && expecting_from(ep));
 }
 
-void Engine::bump_pulse() {
-  if (!pulse_.mr) return;  // no fatal fault armed: no pulse
-  wire::put(pulse_.buf, 0, wire::get<std::uint64_t>(pulse_.buf, 0) + 1);
-  wire::put(pulse_.buf, sizeof(std::uint64_t), known_fail_epoch_);
+void Engine::arm_liveness() {
+  if (tick_armed_ || finalized_) return;
+  for (const auto& [p, ep] : endpoints_) {
+    if (!watched(ep)) continue;
+    tick_armed_ = true;
+    schedule_recovery(platform_.mpi_heartbeat_period,
+                      [this] { liveness_tick(); });
+    return;
+  }
 }
 
-void Engine::heartbeat_tick() {
-  if (hb_stop_ || finalized_) return;
-  const sim::Time now = ib_->process().now();
-  bump_pulse();
+void Engine::liveness_tick() {
+  tick_armed_ = false;
   for (auto& [p, ep] : endpoints_) {
-    if (ep.conn_state == ConnState::Reconnecting ||
-        ep.conn_state == ConnState::Failed) {
+    // A WR of ours in flight reports the peer's death itself.
+    if (!watched(ep) || !ep.unacked.empty() || !ep.data_ops.empty()) continue;
+    // Probe a peer only once it has been silent for a whole period: no
+    // packet or credit from it since the last tick.
+    const std::uint64_t heard = ep.my_consumed + ep.consumed_by_peer;
+    if (heard != ep.heard_at_tick) {
+      ep.heard_at_tick = heard;
       continue;
     }
-    if (ep.probe_out) {
-      const std::uint64_t v = wire::get<std::uint64_t>(
-          ep.local_block, EndpointLayout::kProbeCellOff);
-      if (v != 0) {
-        // The probe landed. A pulse that moved since the last reading
-        // proves the peer ticked after that read. A first reading only
-        // starts the clock: before it this rank holds no evidence either
-        // way. The second word carries the peer's known-failure epoch
-        // (dissemination to ranks with no packet traffic to piggyback on).
-        ep.probe_out = false;
-        if (v != ep.pulse_seen) {
-          ep.last_heard = std::max(ep.last_heard, ep.probe_at);
-        }
-        ep.pulse_seen = v;
-        const std::uint64_t fe = wire::get<std::uint64_t>(
-            ep.local_block,
-            EndpointLayout::kProbeCellOff + sizeof(std::uint64_t));
-        if (fe > known_fail_epoch_) adopt_failures();
-        if (ep.conn_state == ConnState::Failed) continue;  // adoption failed ep
-      }
-    }
-    // Watched: traffic depends on the peer. An idle endpoint has nothing to
-    // recover, and a spurious reconnect at the tail of a run would wait on
-    // a peer that already finalized. Under rank kills the dependency test
-    // also covers the receive side (posted receives, wildcard receives,
-    // in-flight schedules): a dead *sender* leaves nothing in
-    // unacked/pending_tx, yet blocked receivers still need the timeout.
-    bool watched = !ep.unacked.empty() || !ep.pending_tx.empty();
-    if (kill_armed_ && !watched) watched = expecting_from(ep);
-    if (!watched) {
-      ep.watched = false;
-      continue;
-    }
-    if (!ep.watched) {
-      // The liveness clock starts with the watch: nobody probed an idle
-      // peer, so neither its old silence nor an old baseline counts.
-      ep.watched = true;
-      ep.last_heard = std::max(ep.last_heard, now);
-      ep.pulse_seen = 0;
-    }
-    // Judge only on fresh evidence: the last probe landed and was posted
-    // less than two periods ago. A rank that was stalled itself probes
-    // first, since its peers may have ticked all through its stall. The
-    // grace term suppresses false positives when injected compute
-    // stragglers legitimately stall whole ranks near the timeout (see
-    // set_liveness_grace).
-    const sim::Time period = platform_.mpi_heartbeat_period;
-    const bool fresh = !ep.probe_out && now - ep.probe_at < 2 * period;
-    if (fresh && now - ep.last_heard >
-                     platform_.mpi_liveness_timeout + liveness_grace_) {
-      // Stamped at the tick's start: earlier probes advanced the clock.
-      if (sim::Tracer* t = tel_.tracer()) {
-        t->instant({sim::Track::Faults, rank_}, now, "liveness-timeout peer=%d",
-                   p);
-      }
-      ++stats_.liveness_suspicions;
-      maybe_start_reconnect(ep, "liveness timeout");
-      continue;
-    }
-    if (ep.probe_out || now - ep.last_heard < period) continue;
-    // Silent for a period: read the peer's pulse. Non-faultable and
-    // unsignaled, like a credit update; the cleared cell marks it in flight.
-    constexpr std::uint64_t kCell = EndpointLayout::kProbeCellOff;
-    constexpr std::uint64_t kCellBytes = EndpointLayout::kProbeCellBytes;
-    std::memset(ep.local_block.data() + kCell, 0, kCellBytes);
-    ep.probe_out = true;
-    ep.probe_at = now;
     ++stats_.liveness_probes;
     ib::SendWr wr;
     wr.opcode = ib::Opcode::RdmaRead;
     wr.signaled = false;
-    wr.sg_list = {wire::sge(ep.local_block, ep.local_lkey, kCell, kCellBytes)};
-    wr.remote_addr = ep.remote_pulse;
-    wr.rkey = ep.remote_pulse_rkey;
+    wr.sg_list = {wire::sge(ep.local_block, ep.local_lkey,
+                            EndpointLayout::kProbeCellOff,
+                            EndpointLayout::kProbeCellBytes)};
+    wr.remote_addr = ep.peer_block + EndpointLayout::kCreditCellOff;
+    wr.rkey = ep.peer_rkey;
     ib_->post_send(ep.qp, std::move(wr));
+  }
+}
+
+void Engine::unanswered(ib::Qpn qpn) {
+  for (auto& [p, ep] : endpoints_) {
+    if (ep.abandoned || ep.qp->qpn() != qpn) continue;
+    if (sim::Tracer* t = tel_.tracer()) {
+      t->instant({sim::Track::Faults, rank_}, ib_->process().now(),
+                 "unanswered peer=%d", p);
+    }
+    ++stats_.liveness_suspicions;
+    maybe_start_reconnect(ep, "responder stopped answering");
+    return;
   }
 }
 
@@ -1519,12 +1439,11 @@ void Engine::dump_all(std::FILE* out) {
       }
       std::fprintf(out,
                    "  -> peer %d: %s epoch=%u unacked=%zu data_ops=%zu "
-                   "pending_tx=%zu sent=%llu acked=%llu last_heard=%lld\n",
+                   "pending_tx=%zu sent=%llu acked=%llu\n",
                    p, st, ep.epoch, ep.unacked.size(), ep.data_ops.size(),
                    ep.pending_tx.size(),
                    static_cast<unsigned long long>(ep.sent_packets),
-                   static_cast<unsigned long long>(ep.consumed_by_peer),
-                   static_cast<long long>(ep.last_heard));
+                   static_cast<unsigned long long>(ep.consumed_by_peer));
     }
     for (const auto& s : e->schedules_) {
       std::fprintf(out, "  coll comm=%u stage=%zu/%zu outstanding=%zu ",
@@ -1577,7 +1496,15 @@ void Engine::poll_cq() {
     if (n == 0) break;
     for (int i = 0; i < n; ++i) {
       auto it = outstanding_.find(wc[i].wr_id);
-      if (it == outstanding_.end()) continue;
+      if (it == outstanding_.end()) {
+        // An unsignaled WR (wr_id 0: a credit, a probe) completes only when
+        // it fails. These are never faulted, so RetryExceeded here means
+        // the responder stopped answering.
+        if (wc[i].wr_id == 0 && wc[i].status == ib::WcStatus::RetryExceeded) {
+          unanswered(wc[i].qp_num);
+        }
+        continue;
+      }
       auto cb = std::move(it->second);
       outstanding_.erase(it);
       cb(wc[i]);
@@ -1594,7 +1521,6 @@ void Engine::apply_credit(Endpoint& ep, std::uint64_t value) {
   if (value <= ep.consumed_by_peer) return;
   chk().credit_read(rank_, ep.peer, value);
   ep.consumed_by_peer = value;
-  ep.last_heard = ib_->process().now();
   // Consumption proven up to `value`: parked delivered-packet records below
   // it can never need a replay, and a tracked packet below it is
   // acknowledged, whatever became of its CQE.
@@ -1642,7 +1568,6 @@ bool Engine::scan_ring(Endpoint& ep) {
 
     // The poll that found the packet costs a core its cycles.
     charge_poll();
-    ep.last_heard = ib_->process().now();
 
     // Failure piggyback: the sender knows of deaths we have not adopted
     // yet — pull the board before dispatching, so a packet that depends on
@@ -1702,10 +1627,9 @@ void Engine::progress() {
     fn();
   }
   service_requests();
-  // Direct board pull: piggybacked epochs cover ranks with traffic, the
-  // pulse covers probed pairs, and this covers a rank woken by the
-  // bootstrap watch with neither (e.g. blocked in wait with nothing
-  // in flight toward anyone).
+  // Direct board pull: piggybacked epochs cover ranks with traffic, and
+  // this covers a rank woken by the bootstrap watch with none (e.g.
+  // blocked in wait with nothing in flight toward anyone).
   if (bootstrap_.fail_epoch() > known_fail_epoch_) adopt_failures();
   // Visit only the endpoints that may have work, in peer order. Each mark
   // is cleared before its visit and the walk resumes at upper_bound(p), so
@@ -1735,6 +1659,7 @@ void Engine::progress() {
   // pass unlock their next stages immediately.
   advance_schedules();
   if (!condemned_.empty()) reap_condemned();
+  if (fatal_armed_) arm_liveness();
   if (chk().full()) check_idle_endpoints();
 }
 

@@ -28,10 +28,10 @@ namespace dcfa::mpi {
 /// Out-of-band wiring board (the PMI / mpirun role). Wiring a pair is the
 /// same three steps for the eager mesh at setup, a first touch under lazy
 /// wiring and a reconnect: each side publishes its half of the pair (its QP
-/// address, the one block the peer RDMA-writes packets and credit updates
-/// into, and its liveness pulse) under the pair's connection epoch, asks the
-/// peer for the peer's half, and waits for it. A publish or a request pokes
-/// only the rank it names.
+/// address and the one block the peer RDMA-writes packets and credit updates
+/// into) under the pair's connection epoch, asks the peer for the peer's
+/// half, and waits for it. A publish or a request pokes only the rank it
+/// names.
 class Bootstrap {
  public:
   struct PeerInfo {
@@ -39,10 +39,6 @@ class Bootstrap {
     /// The publisher's remote block: credit cell, then ring.
     mem::SimAddr block_addr = 0;
     ib::MKey block_rkey = 0;
-    /// The publishing rank's liveness pulse, which peers RDMA-read (zero
-    /// unless fatal faults are armed).
-    mem::SimAddr hb_addr = 0;
-    ib::MKey hb_rkey = 0;
   };
   /// One queued request: `from` asks for the target's half at `epoch`.
   struct PairRequest {
@@ -239,8 +235,9 @@ class Engine {
     std::uint64_t reconnects = 0;        ///< endpoint epoch bumps completed
     std::uint64_t proxy_failovers = 0;   ///< endpoints degraded to proxy path
     std::uint64_t epoch_fenced = 0;      ///< stale cross-epoch packets dropped
-    std::uint64_t liveness_probes = 0;   ///< RDMA reads of a peer's pulse
-    std::uint64_t liveness_suspicions = 0;  ///< liveness timeouts declared
+    std::uint64_t liveness_probes = 0;   ///< RDMA reads of a peer's cell
+    /// Unsignaled WRs (probes, credits) whose responder stopped answering.
+    std::uint64_t liveness_suspicions = 0;
     // --- Collectives engine (per-algorithm invocation counts) ---------------
     std::uint64_t coll_allreduce_rd = 0;        ///< recursive doubling
     std::uint64_t coll_allreduce_ring = 0;      ///< pipelined ring
@@ -406,10 +403,10 @@ class Engine {
   }
   /// Failed-rank knowledge as adopted from the global failure board.
   bool rank_failed(int rank) const { return known_failed_.count(rank) != 0; }
-  /// Extra slack on the liveness timeout before a silent peer is declared
-  /// Suspect. Used by workloads whose injected compute stragglers can stall
-  /// a whole rank legitimately for ~the timeout (heartbeat false positives).
-  void set_liveness_grace(sim::Time grace) { liveness_grace_ = grace; }
+  /// No effect. Liveness comes from the transport: a peer's HCA answers
+  /// probes whatever its CPU does, so a computing rank needs no grace. Kept
+  /// for callers written against the timeout it used to widen.
+  void set_liveness_grace(sim::Time) {}
   /// The out-of-band wiring/failure/agreement boards (Communicator::agree
   /// and shrink run their votes over these, not over p2p traffic, so they
   /// work even when the communicator itself is poisoned).
@@ -493,8 +490,8 @@ class Engine {
   enum class ConnState { Healthy, Suspect, Reconnecting, Degraded, Failed };
 
   /// One registered piece of memory (an endpoint's remote block, a staging
-  /// arena chunk, the liveness pulse): the buffer, its MR (null while
-  /// deregistered) and the access it is registered with.
+  /// arena chunk): the buffer, its MR (null while deregistered) and the
+  /// access it is registered with.
   struct Region {
     mem::Buffer buf;
     ib::MemoryRegion* mr = nullptr;
@@ -533,16 +530,9 @@ class Engine {
     /// The pair was given up for good, by this side or the peer (see
     /// abandon_endpoint): terminal, its operations already failed.
     bool abandoned = false;
-    sim::Time last_heard = 0;  ///< last packet/credit/pulse change heard
-    /// The peer's pulse; probes land in the local block's probe cell.
-    mem::SimAddr remote_pulse = 0;
-    ib::MKey remote_pulse_rkey = 0;
-    /// Pulse counter of the last landed probe; 0 = no reading since the
-    /// watch started (a first reading only starts the liveness clock).
-    std::uint64_t pulse_seen = 0;
-    sim::Time probe_at = 0;   ///< tick at which the last probe was posted
-    bool probe_out = false;   ///< a probe is in flight (cell cleared)
-    bool watched = false;     ///< traffic depended on the peer at last tick
+    /// my_consumed + consumed_by_peer at the last liveness tick: a change
+    /// means the peer was heard from since.
+    std::uint64_t heard_at_tick = 0;
 
     /// Emissions deferred for credit. The owner rides alongside the opaque
     /// closure so failure handling can fail the request a queued packet
@@ -566,7 +556,7 @@ class Engine {
     /// staging slot — it cannot be reused before that credit). No timers
     /// run on these; they exist so a reconnect can replay them, because
     /// the ring rebuild destroys any still-unconsumed occupants (e.g. a
-    /// spurious liveness reconnect against a live-but-stalled peer).
+    /// reconnect after a QP wedge, toward a peer still computing).
     /// Purged as the peer's credit counter passes them.
     struct DeliveredTx {
       PacketHeader hdr;
@@ -694,12 +684,12 @@ class Engine {
 
   // --- Fatal-fault recovery (connection re-establishment) --------------------
   /// React to a death signal on `ep` (QP wedged in the error state, retry
-  /// budget exhausted, liveness timeout): mark it Suspect, post a reconnect
-  /// request to the bootstrap board, and queue perform_reconnect. Returns
-  /// false when recovery is not available — fatal faults unarmed, or the
-  /// cumulative reconnect budget is spent (the endpoint turns Failed and
-  /// the caller falls through to its normal failure path). `why` is a
-  /// string literal: the trace keeps the pointer.
+  /// budget exhausted, a responder that stopped answering): mark it Suspect,
+  /// post a reconnect request to the bootstrap board, and queue
+  /// perform_reconnect. Returns false when recovery is not available —
+  /// fatal faults unarmed, or the cumulative reconnect budget is spent (the
+  /// endpoint turns Failed and the caller falls through to its normal
+  /// failure path). `why` is a string literal: the trace keeps the pointer.
   bool maybe_start_reconnect(Endpoint& ep, const char* why);
   /// Re-establish `ep` at `target_epoch`: quiesce in-flight state, tear down
   /// and re-create the QP and the remote block's MR through the transport
@@ -714,8 +704,8 @@ class Engine {
   /// The one place a rank blocks on a peer: wait until ep.peer publishes its
   /// half for `epoch`, then connect `ep` to it. While blocked the rank
   /// serves other ranks' requests (A waiting on B while C waits on A must
-  /// still build A's half toward C) and keeps its pulse moving. Ends
-  /// without connecting when the peer is dead or gave the pair up.
+  /// still build A's half toward C). Ends without connecting when the peer
+  /// is dead or gave the pair up.
   PeerWait await_peer(Endpoint& ep, std::uint32_t epoch);
   /// Serve this rank's queued requests, run from progress() and await_peer:
   /// build and publish our half for a first-touch requester (never blocks:
@@ -747,21 +737,31 @@ class Engine {
   /// This side's half of the pair, as published on the bootstrap.
   Bootstrap::PeerInfo peer_info(const Endpoint& ep) const;
   /// Wire remote addresses from a published PeerInfo into an opened
-  /// endpoint and connect its QP; the peer counts as heard from now.
+  /// endpoint and connect its QP.
   void connect_endpoint(Endpoint& ep, const Bootstrap::PeerInfo& info);
   /// First touch toward `peer` (Options::lazy_endpoints): open our side,
   /// request theirs, await it.
   Endpoint& establish_endpoint(int peer);
-  /// Prove this rank alive: plain stores into its pulse (fatal faults
-  /// only), no post, no virtual time.
-  void bump_pulse();
-  /// Heartbeat body (runs in process context): bump this rank's pulse,
-  /// adopt landed probes, probe watched peers that have been silent for a
-  /// period, and declare a watched peer Suspect past the liveness timeout.
-  void heartbeat_tick();
-  /// Arm the self-rescheduling heartbeat timer (fatal faults only). Each
-  /// period queues a tick unless one is still pending.
-  void schedule_heartbeat();
+
+  // --- Peer liveness (fatal faults only; docs/faults.md) ---------------------
+  /// Must this rank notice if ep.peer dies? Packets toward it are queued or
+  /// unacknowledged, or (rank kills armed) it is expected to send. Only a
+  /// Healthy or Degraded endpoint whose QP works counts: a reconnect or a
+  /// failure verdict already owns the rest.
+  bool watched(const Endpoint& ep) const;
+  /// Queue a liveness tick one mpi_heartbeat_period out, unless one is
+  /// already queued or no endpoint is watched. progress() calls this, so
+  /// the timer runs only while some traffic depends on a peer.
+  void arm_liveness();
+  /// The tick: one probe toward every watched peer that has no WR of ours
+  /// in flight and was not heard from since the last tick, an unsignaled
+  /// RDMA read of its credit cell. A live peer's HCA answers whatever its
+  /// CPU does. A dead one's does not, and the read completes RetryExceeded
+  /// (unanswered()).
+  void liveness_tick();
+  /// An unsignaled WR on `qpn` got no answer (RetryExceeded): its peer is
+  /// suspect, and maybe_start_reconnect decides.
+  void unanswered(ib::Qpn qpn);
 
   // --- Protocol steps --------------------------------------------------------
   void start_send(const std::shared_ptr<RequestState>& req);
@@ -888,8 +888,8 @@ class Engine {
   void check_alive() const {
     if (dead_) throw RankKilled{};
   }
-  /// Kill-timer body: record the death on the launcher registry, stop the
-  /// heartbeat, and arrange for the next engine entry to unwind.
+  /// Kill-timer body: record the death on the launcher registry, silence
+  /// this rank's QPs, and arrange for the next engine entry to unwind.
   void die();
   /// Pull newly announced failures from the bootstrap failure board (in
   /// announce order) and fail every local operation depending on them.
@@ -1015,8 +1015,8 @@ class Engine {
   /// retransmission, the idle credit flush, the fault counters in the
   /// trace.
   bool faults_armed_ = false;
-  /// qp_fatal, delegate_crash or rank_kill armed: the pulse, probes and
-  /// tick timer, and reconnects.
+  /// qp_fatal, delegate_crash or rank_kill armed: liveness probes and
+  /// reconnects.
   bool fatal_armed_ = false;
   /// rank_kill armed: the kill timer, receive-side liveness (a silent
   /// sender with receives pending on it) and Failed as a terminal
@@ -1026,8 +1026,6 @@ class Engine {
   /// First-touch wiring armed (Options::lazy_endpoints): endpoints_ holds
   /// only touched pairs, and endpoint() establishes on miss.
   bool lazy_ = false;
-  /// Extra slack on the liveness timeout (set_liveness_grace).
-  sim::Time liveness_grace_ = 0;
   /// Failed ranks this engine has adopted, and how far into the failure
   /// board it has read (board entries [0, known_fail_epoch_) are adopted).
   std::set<int> known_failed_;
@@ -1040,12 +1038,7 @@ class Engine {
   /// calls that pass no explicit taxonomy inherit this one.
   MpiErrc blame_errc_ = MpiErrc::Other;
   int blame_peer_ = -1;
-  bool hb_stop_ = false;  ///< set at finalize; ends the heartbeat chain
-  bool hb_queued_ = false;  ///< a heartbeat_tick waits in pending_recovery_
-  /// This rank's liveness pulse (fatal faults only): {tick counter, known
-  /// failure epoch}, bumped by plain stores each tick and RDMA-read by
-  /// peers' probes. Registered once, for remote reads, at setup.
-  Region pulse_;
+  bool tick_armed_ = false;  ///< a liveness tick is timed or queued
   std::uint64_t usable_slots_ = 0;  ///< slots(), possibly credit-capped
   /// Some endpoint consumed a packet without reporting it since the last
   /// idle flush (which walks the endpoints only when this is set).

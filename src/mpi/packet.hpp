@@ -116,8 +116,8 @@ struct EndpointLayout {
   static constexpr std::uint64_t kCreditCellOff = 0;  ///< remote block
   static constexpr std::uint64_t kCreditSrcOff = 0;   ///< local block
   static constexpr std::uint64_t kProbeCellOff = kCell;  ///< local block
-  /// A probe reads the peer's two-word pulse: counter, known-failure epoch.
-  static constexpr std::uint64_t kProbeCellBytes = 2 * sizeof(std::uint64_t);
+  /// A liveness probe reads the peer's credit cell.
+  static constexpr std::uint64_t kProbeCellBytes = sizeof(std::uint64_t);
 
   EndpointLayout(std::uint64_t max_payload, int slots)
       : ring{max_payload, kCell}, staging{max_payload, 2 * kCell},

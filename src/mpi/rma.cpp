@@ -65,8 +65,14 @@ void Engine::rma_post(int peer, ib::Opcode opcode, mem::SimAddr laddr,
   wr.remote_addr = raddr;
   wr.rkey = rkey;
   post_signaled(ep.qp, std::move(wr),
-                [this, race, what, on_done = std::move(on_done)](
+                [this, peer, race, what, on_done = std::move(on_done)](
                     const ib::Wc& wc) {
+                  if (wc.status == ib::WcStatus::RetryExceeded) {
+                    // Never faulted: the target stopped answering (died).
+                    declare_failed(peer, "RMA target stopped answering");
+                    throw MpiError(std::string(what) + " failed: target died",
+                                   MpiErrc::ProcFailed, peer);
+                  }
                   if (wc.status != ib::WcStatus::Success) {
                     throw MpiError(std::string(what) + " failed: " +
                                    ib::wc_status_name(wc.status));

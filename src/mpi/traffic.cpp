@@ -711,17 +711,6 @@ ScenarioResult run_scenario(const Scenario& sc, const RunConfig& base) {
     // only to ranks that own their node exclusively.
     const int node_count = std::min(sc.nprocs, rt.platform().nodes);
     const bool exclusive_node = (me % node_count) + node_count >= sc.nprocs;
-    if (faults != nullptr && faults->spec().compute_delay > 0.0) {
-      // Compute jitter stretches a rank's gap between progress calls; that
-      // must not read as peer death. Widen the liveness deadline by the
-      // worst-case hold (jitter quantum plus any scheduled straggler delay)
-      // so a slow-but-live rank stays Healthy.
-      sim::Time grace = 2 * faults->spec().compute_delay_ns;
-      for (const PhaseSpec& ps : sc.phases) {
-        grace = std::max(grace, ps.straggler_delay);
-      }
-      world.engine().set_liveness_grace(grace);
-    }
     if (sc.ft_shrink) {
       run_ft_body(sc, sched, ctx, exclusive_node, per_rank, leaked, detect_ns,
                   completed);

@@ -174,7 +174,7 @@ struct ScenarioResult {
   std::uint64_t events = 0;
   std::uint64_t ctx_switches = 0;
   /// MR registrations over the run, summed over the cluster's HCAs:
-  /// endpoint blocks, liveness pulses and cache misses.
+  /// endpoint blocks and cache misses.
   std::uint64_t mr_regs = 0;
   Engine::Stats totals{};
 };

@@ -69,7 +69,7 @@ void Engine::step(const Event& ev) {
 void Engine::run() {
   while (!queue_.empty()) {
     step(pop_event());
-    // Fail fast on a dead process: periodic timers (heartbeats, retransmit
+    // Fail fast on a dead process: periodic timers (liveness ticks, retransmit
     // checks) keep the queue non-empty forever, which would turn any rank
     // exception — a DcfaCheck violation, say — into a silent hang if we
     // only looked after the queue drained.

@@ -63,8 +63,8 @@ class FaultInjector {
 
     // Fatal faults: these kill a resource instead of one operation. The
     // recovery subsystem (engine reconnect / proxy failover) is what makes
-    // them survivable; arming either one also arms peer liveness (the
-    // pulse and its probes) in mpi::Engine.
+    // them survivable; arming either one also arms peer liveness (probes
+    // of watched peers) in mpi::Engine.
     double qp_fatal = 0.0;        ///< P(faultable WR wedges its QP in Error)
     double delegate_crash = 0.0;  ///< P(a CMD request kills the delegate)
 
@@ -125,8 +125,8 @@ class FaultInjector {
     }
 
     /// True when a *fatal* hazard (QP wedge / delegate crash / rank kill)
-    /// can fire. The engine arms its peer-liveness pulse only in this
-    /// case, so transient-fault specs keep their exact PR 1 event schedule.
+    /// can fire. The engine arms its peer-liveness probes only in this
+    /// case, so transient-fault specs keep their exact event schedule.
     bool fatal_armed() const {
       return qp_fatal > 0.0 || delegate_crash > 0.0 || !rank_kill.empty();
     }

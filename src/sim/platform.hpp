@@ -195,14 +195,11 @@ struct Platform {
   int dcfa_cmd_max_retries = 4;
 
   // --- Connection recovery (active only when *fatal* faults are armed) -----
-  /// Peer liveness: each rank bumps its remote-readable pulse at this
-  /// period, RDMA-reads the pulse of a peer its traffic depends on once that
-  /// peer has been silent for a period, and declares the peer Suspect when
-  /// nothing — packet, credit or a moved pulse — was heard for the timeout.
-  /// Sized so a healthy-but-idle peer (worst case: one service hop) never
-  /// trips it.
+  /// Peer liveness: while a rank's traffic depends on a peer and none of its
+  /// WRs toward that peer is in flight, it RDMA-reads the peer's credit
+  /// cell once per period. A dead peer's HCA does not answer, and the read
+  /// fails after the transport deadline (ib::kTransportDeadline).
   Time mpi_heartbeat_period = microseconds(50);
-  Time mpi_liveness_timeout = microseconds(400);
   /// Cumulative reconnect budget per endpoint: after this many epoch bumps
   /// the endpoint stops re-establishing and the operation fails cleanly
   /// (MpiError), so an unbounded error storm still terminates.

@@ -1,15 +1,17 @@
 // Second C API batch: rooted collectives, alltoall, sendrecv, dup, ssend,
-// iprobe, wtime monotonicity, window handles, reduce and the ULFM calls —
-// the remaining MPI_* surface.
+// iprobe, wtime monotonicity, window handles, passive-target RMA, reduce
+// and the ULFM calls — the remaining MPI_* surface.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "capi/mpi_compat.hpp"
+#include "mpi/window.hpp"
 
 using namespace dcfa;
 using namespace dcfa::capi;
@@ -454,6 +456,144 @@ void reduce_ulfm_cpp(mpi::RankCtx& ctx) {
   for (const mem::Buffer& b : {in, out, rs_in, rs_out}) comm.free(b);
 }
 
+// What one rank saw of the passive-target RMA calls, filled once through
+// the C API and once through the C++ Window it wraps. Each rank exposes
+// kRmaSlots ints initialised to rank * 100 + i.
+constexpr int kRmaRanks = 4;
+constexpr int kRmaSlots = 16;
+struct RmaSeen {
+  std::array<int, 4> got{};    ///< MPI_Get of the right neighbour's 0..3
+  std::array<int, 4> rgot{};   ///< MPI_Rget of the left neighbour's 4..7
+  std::array<int, kRmaSlots> window{};  ///< own window after everything
+};
+std::vector<RmaSeen> c_rma, cpp_rma;
+
+// Accumulates into rank 0's slots 10..13, one op each, under exclusive
+// locks: Sum, Prod, Max and Min of rank + 2 over every rank commute, so
+// the result does not depend on the lock order.
+constexpr MPI_Op kAccOps[] = {MPI_SUM, MPI_PROD, MPI_MAX, MPI_MIN};
+constexpr mpi::Op kAccCppOps[] = {mpi::Op::Sum, mpi::Op::Prod, mpi::Op::Max,
+                                  mpi::Op::Min};
+
+int rma_main(int, char**) {
+  MPI_Init(nullptr, nullptr);
+  int rank, size;
+  MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+  MPI_Comm_size(MPI_COMM_WORLD, &size);
+  const int right = (rank + 1) % size;
+  const int left = (rank + size - 1) % size;
+  RmaSeen& seen = c_rma[rank];
+  int *base, *buf;
+  MPI_Alloc_mem(kRmaSlots * sizeof(int), nullptr, &base);
+  MPI_Alloc_mem(8 * sizeof(int), nullptr, &buf);
+  for (int i = 0; i < kRmaSlots; ++i) base[i] = rank * 100 + i;
+  MPI_Win win;
+  C_EXPECT(MPI_Win_create(base, kRmaSlots * sizeof(int), sizeof(int), nullptr,
+                          MPI_COMM_WORLD, &win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Win_set_errhandler(win, MPI_ERRORS_RETURN) == MPI_SUCCESS);
+  C_EXPECT(MPI_Win_set_errhandler(win, 7) == MPI_ERR_OTHER);
+  C_EXPECT(MPI_Win_set_errhandler(MPI_WIN_NULL, MPI_ERRORS_RETURN) ==
+           MPI_ERR_WIN);
+
+  // Shared epochs toward everyone: read both neighbours, write the right.
+  C_EXPECT(MPI_Win_lock_all(0, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Get(buf, 4, MPI_INT, right, 0, 4, MPI_INT, win) ==
+           MPI_SUCCESS);
+  C_EXPECT(MPI_Win_flush(right, win) == MPI_SUCCESS);
+  std::memcpy(seen.got.data(), buf, 4 * sizeof(int));
+  MPI_Request req;
+  C_EXPECT(MPI_Rget(buf + 4, 4, MPI_INT, left, 4, 4, MPI_INT, win, &req) ==
+           MPI_SUCCESS);
+  C_EXPECT(MPI_Wait(&req, MPI_STATUS_IGNORE) == MPI_SUCCESS);
+  std::memcpy(seen.rgot.data(), buf + 4, 4 * sizeof(int));
+  buf[0] = rank * 1000;
+  buf[1] = rank * 1000 + 1;
+  C_EXPECT(MPI_Rput(buf, 2, MPI_INT, right, 8, 2, MPI_INT, win, &req) ==
+           MPI_SUCCESS);
+  C_EXPECT(MPI_Wait(&req, MPI_STATUS_IGNORE) == MPI_SUCCESS);
+  C_EXPECT(MPI_Win_flush_local(right, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Win_unlock_all(win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Barrier(MPI_COMM_WORLD) == MPI_SUCCESS);
+
+  // Every accumulate op: the four commuting ones into rank 0 under an
+  // exclusive lock, MPI_REPLACE into the right neighbour's slot 15 under a
+  // shared one, and an op no window accepts.
+  buf[0] = rank + 2;
+  C_EXPECT(MPI_Win_lock(MPI_LOCK_EXCLUSIVE, 0, 0, win) == MPI_SUCCESS);
+  for (int k = 0; k < 4; ++k) {
+    C_EXPECT(MPI_Accumulate(buf, 1, MPI_INT, 0, 10 + k, 1, MPI_INT,
+                            kAccOps[k], win) == MPI_SUCCESS);
+  }
+  C_EXPECT(MPI_Win_unlock(0, win) == MPI_SUCCESS);
+  buf[1] = -rank;
+  C_EXPECT(MPI_Win_lock(MPI_LOCK_SHARED, right, 0, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Accumulate(buf + 1, 1, MPI_INT, right, 15, 1, MPI_INT,
+                          MPI_REPLACE, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Accumulate(buf, 1, MPI_INT, right, 14, 1, MPI_INT, 99, win) ==
+           MPI_ERR_OP);
+  C_EXPECT(MPI_Win_unlock(right, win) == MPI_SUCCESS);
+  C_EXPECT(MPI_Win_lock(3, right, 0, win) == MPI_ERR_OTHER);
+  C_EXPECT(MPI_Barrier(MPI_COMM_WORLD) == MPI_SUCCESS);
+  std::memcpy(seen.window.data(), base, kRmaSlots * sizeof(int));
+
+  C_EXPECT(MPI_Win_free(&win) == MPI_SUCCESS);
+  MPI_Free_mem(base);
+  MPI_Free_mem(buf);
+  MPI_Finalize();
+  return 0;
+}
+
+void rma_cpp(mpi::RankCtx& ctx) {
+  mpi::Communicator& comm = ctx.world;
+  const int rank = comm.rank();
+  const int size = comm.size();
+  const int right = (rank + 1) % size;
+  const int left = (rank + size - 1) % size;
+  RmaSeen& seen = cpp_rma[rank];
+  const mem::Buffer base = comm.alloc(kRmaSlots * sizeof(int));
+  const mem::Buffer buf = comm.alloc(8 * sizeof(int));
+  int* bv = reinterpret_cast<int*>(buf.data());
+  for (int i = 0; i < kRmaSlots; ++i) {
+    reinterpret_cast<int*>(base.data())[i] = rank * 100 + i;
+  }
+  const std::size_t es = sizeof(int);
+  mpi::Window win(comm, base, 0, kRmaSlots * es);
+
+  win.lock_all();
+  win.get(buf, 0, 4, mpi::type_int(), right, 0);
+  win.flush(right);
+  std::memcpy(seen.got.data(), bv, 4 * es);
+  mpi::Request req = win.rget(buf, 4 * es, 4, mpi::type_int(), left, 4 * es);
+  comm.wait(req);
+  std::memcpy(seen.rgot.data(), bv + 4, 4 * es);
+  bv[0] = rank * 1000;
+  bv[1] = rank * 1000 + 1;
+  req = win.rput(buf, 0, 2, mpi::type_int(), right, 8 * es);
+  comm.wait(req);
+  win.flush_local(right);
+  win.unlock_all();
+  comm.barrier();
+
+  bv[0] = rank + 2;
+  win.lock(0, mpi::Window::Lock::Exclusive);
+  for (int k = 0; k < 4; ++k) {
+    win.accumulate(buf, 0, 1, mpi::type_int(), kAccCppOps[k], 0,
+                   (10 + k) * es);
+  }
+  win.unlock(0);
+  bv[1] = -rank;
+  win.lock(right, mpi::Window::Lock::Shared);
+  win.accumulate(buf, es, 1, mpi::type_int(), mpi::Op::Replace, right,
+                 15 * es);
+  win.unlock(right);
+  comm.barrier();
+  std::memcpy(seen.window.data(), base.data(), kRmaSlots * es);
+
+  win.free();
+  comm.free(base);
+  comm.free(buf);
+}
+
 }  // namespace
 
 TEST(CApiMore, GatherScatter) { run(cfg(4), gather_scatter_main); }
@@ -463,6 +603,33 @@ TEST(CApiMore, SsendAndIprobe) { run(cfg(2), ssend_iprobe_main); }
 TEST(CApiMore, NonblockingCollectives) { run(cfg(4), nbc_collectives_main); }
 TEST(CApiMore, RequestLifecycle) { run(cfg(2), request_lifecycle_main); }
 TEST(CApiMore, WindowLifecycle) { run(cfg(2), window_lifecycle_main); }
+
+TEST(CApiMore, PassiveTargetRmaMatchesTheCppApi) {
+  c_rma.assign(kRmaRanks, {});
+  cpp_rma.assign(kRmaRanks, {});
+  run(cfg(kRmaRanks), rma_main);
+  mpi::run_mpi(cfg(kRmaRanks), rma_cpp);
+  for (int r = 0; r < kRmaRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(c_rma[r].got, cpp_rma[r].got);
+    EXPECT_EQ(c_rma[r].rgot, cpp_rma[r].rgot);
+    EXPECT_EQ(c_rma[r].window, cpp_rma[r].window);
+  }
+  // And the C++ side computed the right thing.
+  const int right1 = 2, left1 = 0, last = kRmaRanks - 1;
+  EXPECT_EQ(cpp_rma[1].got[3], right1 * 100 + 3);
+  EXPECT_EQ(cpp_rma[1].rgot[0], left1 * 100 + 4);
+  EXPECT_EQ(cpp_rma[1].window[8], 0 * 1000);       // rank 0's rput
+  EXPECT_EQ(cpp_rma[1].window[9], 0 * 1000 + 1);
+  EXPECT_EQ(cpp_rma[1].window[15], 0);             // rank 0's replace
+  EXPECT_EQ(cpp_rma[0].window[15], -last);
+  // Rank 0's slots 10..13 started at 10..13; ranks add 2..5.
+  EXPECT_EQ(cpp_rma[0].window[10], 10 + 2 + 3 + 4 + 5);
+  EXPECT_EQ(cpp_rma[0].window[11], 11 * 2 * 3 * 4 * 5);
+  EXPECT_EQ(cpp_rma[0].window[12], 12);  // max(12, 2..5)
+  EXPECT_EQ(cpp_rma[0].window[13], 2);   // min(13, 2..5)
+  EXPECT_EQ(cpp_rma[2].window[14], 214);  // the rejected op wrote nothing
+}
 
 TEST(CApiMore, ReduceAndUlfmMatchTheCppApi) {
   c_seen.assign(kReduceRanks, {});

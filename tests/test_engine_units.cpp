@@ -169,15 +169,14 @@ TEST(Bootstrap, PublishAllAwaitAllConverges) {
 // of the rank's staging arena, whose chunks hold 1, 2, 4, ... blocks. Three
 // peers therefore cost 3 + 2 registrations, whatever the mode, the wiring
 // or the fault spec. A reconnect rebuild re-registers the remote block
-// alone. The only other registrations in this body are the per-rank
-// liveness pulse under fatal faults and the caches' misses (none for
-// eager-only traffic, subtracted anyway so the count names endpoint memory
-// alone).
+// alone. The only other registrations in this body are the caches' misses
+// (none for eager-only traffic, subtracted anyway so the count names
+// endpoint memory alone).
 TEST(EndpointMemory, OneRegistrationPerEndpointPlusArenaChunks) {
   constexpr int kRanks = 4;
   constexpr std::uint64_t kPeers = kRanks - 1;
   constexpr std::uint64_t kChunks = 2;  // 1 + 2 blocks
-  // Armed (the pulse, probes and reconnect machinery are on) but the skip
+  // Armed (probes and reconnect machinery are on) but the skip
   // keeps the wedge from ever firing, so no rebuild re-registers.
   const std::string unfired = "qp_fatal=1,qp_fatal_skip=1000000,qp_fatal_max=1";
   // One wedge, once traffic is flowing: one pair rebuilds.
@@ -208,7 +207,6 @@ TEST(EndpointMemory, OneRegistrationPerEndpointPlusArenaChunks) {
           std::uint64_t regs = eng.ib().hca_ref().mrs_registered_total();
           regs -= eng.mr_cache()->misses();
           if (eng.shadow_cache()) regs -= eng.shadow_cache()->misses();
-          if (!spec.empty()) regs -= 1;  // the liveness pulse
           endpoint_regs[ctx.rank] = regs;
           rebuilds[ctx.rank] = eng.stats().reconnects;
           comm.free(buf);

@@ -214,7 +214,7 @@ TEST(FatalFaults, OpsPostedOverAnAbandonedPairFailAtOnce) {
 // MR lifecycle: setup, the reconnect rebuild and finalize register and
 // deregister endpoint memory through one helper pair. After a run that
 // rebuilt an endpoint (a fresh remote-block MR) and then finalized (the
-// remote blocks, the staging-arena chunks and the pulse deregistered),
+// remote blocks and the staging-arena chunks deregistered),
 // every HCA must be back at its pre-run live-MR count: zero, since nothing
 // registers before Engine::setup.
 // ---------------------------------------------------------------------------
@@ -238,8 +238,8 @@ TEST(FatalFaults, ReconnectThenFinalizeReleasesEveryMr) {
 // ---------------------------------------------------------------------------
 // A delegate crash on each memory registration of a Phi cluster's wiring.
 // cmd_op=reg_mr counts registrations only, so the skip walks the crash
-// through every one of them in turn: the liveness pulses, the remote blocks
-// and the staging-arena chunks (two per rank at four ranks). Eager wiring
+// through every one of them in turn: the remote blocks and the
+// staging-arena chunks (two per rank at four ranks). Eager wiring
 // registers them all in setup, lazy wiring in the body's first exchange.
 // The delegate either comes back (restart) or stays dead (proxy failover).
 // Every point must deliver every payload or stop with a named MpiError, and
@@ -250,15 +250,15 @@ TEST(FatalFaults, ReconnectThenFinalizeReleasesEveryMr) {
 
 TEST(FatalFaults, DelegateCrashOnAWiringRegistrationEndsCleanOrNamed) {
   constexpr int kRanks = 4;
-  // Per rank: the pulse, three remote blocks and two arena chunks; the
-  // sweep runs a little past them into the body's user-buffer misses.
-  constexpr int kSetupRegs = kRanks * 6;
+  // Per rank: three remote blocks and two arena chunks; the sweep runs
+  // past them into the body's user-buffer misses.
+  constexpr int kSetupRegs = kRanks * 5;
   constexpr std::size_t kBytes = 256;
   int finished = 0;
   std::uint64_t failovers = 0;
   for (bool lazy : {false, true}) {
     for (const char* restart : {"delegate_restart_ns=50000,", ""}) {
-      for (int skip = 0; skip < kSetupRegs + 4; ++skip) {
+      for (int skip = 0; skip < kSetupRegs + 8; ++skip) {
         const std::string spec =
             std::string("delegate_crash=1,cmd_op=reg_mr,") + restart +
             "delegate_crash_max=1,delegate_crash_skip=" +
@@ -704,12 +704,12 @@ TEST(FatalFaults, ReconnectRequestedDuringSetupWaitsForTheFirstConnect) {
 }
 
 // ---------------------------------------------------------------------------
-// A rank blocked on a peer is alive, and its pulse says so. Lazy wiring, 3
+// A rank blocked on a peer is alive, and its HCA says so. Lazy wiring, 3
 // ranks, a fatal spec that never fires: rank 1 first-touches rank 2 while
-// rank 2 sits in a compute five liveness timeouts long, so rank 1 waits in
-// the connection handshake all that time. Meanwhile rank 0 has filled its
-// ring to rank 1 (pending_tx), so it watches rank 1 and probes its pulse.
-// The pulse moves on every pass of the wait: no suspicion, no reconnect.
+// rank 2 sits in a compute five liveness bounds (400 us) long, so rank 1
+// waits in the connection handshake all that time. Meanwhile rank 0 has
+// filled its ring to rank 1 (pending_tx), so it watches rank 1 and probes
+// it. Rank 1's HCA answers every probe: no suspicion, no reconnect.
 // ---------------------------------------------------------------------------
 
 TEST(FatalFaults, RankWaitingOnAPeerIsNotSuspected) {
@@ -718,7 +718,8 @@ TEST(FatalFaults, RankWaitingOnAPeerIsNotSuspected) {
   cfg.nprocs = 3;
   cfg.fault_spec = "qp_fatal=1,qp_fatal_skip=1000000000";
   cfg.engine_options.lazy_endpoints = true;
-  const sim::Time compute = 5 * cfg.platform.mpi_liveness_timeout;
+  const sim::Time bound = sim::microseconds(400);
+  const sim::Time compute = 5 * bound;
   const int msgs = 4 * cfg.platform.eager_slots;
   constexpr std::size_t kBytes = 8;
   sim::Time waited = 0;
@@ -746,7 +747,7 @@ TEST(FatalFaults, RankWaitingOnAPeerIsNotSuspected) {
     }
     comm.free(buf);
   });
-  EXPECT_GT(waited, 2 * cfg.platform.mpi_liveness_timeout);
+  EXPECT_GT(waited, 2 * bound);
   std::uint64_t probes = 0, suspicions = 0, reconnects = 0;
   for (const Engine::Stats& s : rt.rank_stats()) {
     probes += s.liveness_probes;
@@ -759,10 +760,10 @@ TEST(FatalFaults, RankWaitingOnAPeerIsNotSuspected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pull liveness costs nothing while every watched peer talks: a 16-rank
+// Liveness costs nothing while every watched peer talks: a 16-rank
 // ping-pong with a never-firing fatal spec posts no probe, and its 4-byte
 // round trip is bit-identical to the same run armed with a transient-only
-// spec (no pulse, no probe cells, no tick timer).
+// spec (no probes, no tick timer).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -827,4 +828,42 @@ TEST(FatalFaults, ArmedLivenessCostsATalkingPingPongNothing) {
   } else {
     EXPECT_EQ(fatal.rtt, transient.rtt);
   }
+}
+
+// ---------------------------------------------------------------------------
+// An armed run drains. A fatal spec that never fires, and a receive whose
+// sender finalizes without sending: nothing this rank waits on is watched
+// (no packet toward the sender is queued or unacknowledged), so no liveness
+// timer runs, the event queue empties, and the run ends in DeadlockError at
+// the same virtual time on every rerun instead of ticking forever.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+sim::Time unmatched_receive_deadlock_time() {
+  RunConfig cfg;
+  cfg.nprocs = 2;
+  cfg.fault_spec = "qp_fatal=1,qp_fatal_skip=1000000000";
+  Runtime rt(cfg);
+  try {
+    rt.run([](RankCtx& ctx) {
+      auto& comm = ctx.world;
+      mem::Buffer buf = comm.alloc(64);
+      if (ctx.rank == 0) comm.recv(buf, 0, 64, type_byte(), 1, 7);
+      comm.free(buf);
+    });
+    ADD_FAILURE() << "expected sim::DeadlockError";
+  } catch (const sim::DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("rank0"), std::string::npos)
+        << e.what();
+  }
+  return rt.sim().now();
+}
+
+}  // namespace
+
+TEST(FatalFaults, ArmedRunWithAnUnmatchedReceiveEndsInDeadlock) {
+  const sim::Time a = unmatched_receive_deadlock_time();
+  EXPECT_GT(a, 0);
+  EXPECT_EQ(a, unmatched_receive_deadlock_time());
 }

@@ -1,12 +1,14 @@
 // dcfa-lint: allow-file(raw-post) -- this file tests the HCA verbs model itself
 // Tests for the simulated InfiniBand HCA + fabric: verbs object lifecycle,
 // protection checks, RDMA read/write data integrity, SGE gather/scatter,
-// send/recv matching and RNR, completion ordering, and the
-// direction-dependent bandwidth model that drives Figure 5.
+// send/recv matching and RNR, completion ordering, a dead QP that stops
+// acknowledging, and the direction-dependent bandwidth model that drives
+// Figure 5.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -190,6 +192,80 @@ TEST(Hca, BadRkeyYieldsRemoteAccessErrorAndErrorState) {
   c.hca0.post_send(c.e0.qp, wr);
   Wc wc2 = c.run_for_wc(c.e0.cq);
   EXPECT_EQ(wc2.status, WcStatus::WrFlushError);
+}
+
+// --- Transport liveness -------------------------------------------------------
+
+namespace {
+
+/// Post one 64-byte RDMA write from node 0 to node 1 at `post_at`, with node
+/// 1's QP silenced first when `dead`; return the CQE and its arrival time.
+/// `victim_body`, when set, runs as a process on the responder's side.
+struct WriteOutcome {
+  Wc wc;
+  Time at = -1;
+  bool landed = false;
+};
+
+WriteOutcome write_toward(bool dead, Time post_at,
+                          std::function<void(sim::Process&)> victim_body = {}) {
+  Cluster c;
+  mem::Buffer src = c.mem0.alloc(mem::Domain::HostDram, 64);
+  mem::Buffer dst = c.mem1.alloc(mem::Domain::HostDram, 64);
+  std::memset(src.data(), 0x5A, 64);
+  MemoryRegion* smr =
+      c.hca0.reg_mr(c.e0.pd, mem::Domain::HostDram, src.addr(), 64, 0);
+  MemoryRegion* dmr = c.hca1.reg_mr(c.e1.pd, mem::Domain::HostDram,
+                                    dst.addr(), 64, kRemoteWrite);
+  if (victim_body) c.engine.spawn("victim", std::move(victim_body));
+  if (dead) c.hca1.stop_answering(c.e1.qp);
+  SendWr wr;
+  wr.wr_id = 9;
+  wr.opcode = Opcode::RdmaWrite;
+  wr.sg_list = {{src.addr(), 64, smr->lkey()}};
+  wr.remote_addr = dst.addr();
+  wr.rkey = dmr->rkey();
+  WriteOutcome out;
+  c.engine.schedule_at(post_at, [&] { c.hca0.post_send(c.e0.qp, wr); });
+  c.e0.cq->set_on_push([&] { out.at = c.engine.now(); });
+  c.engine.run();
+  EXPECT_EQ(c.e0.cq->poll(1, &out.wc), 1);
+  out.landed = dst.data()[0] == std::byte{0x5A};
+  EXPECT_EQ(c.e0.qp->state(),
+            dead ? QpState::Error : QpState::ReadyToSend);
+  return out;
+}
+
+}  // namespace
+
+// A killed process's QP answers nothing: the write moves no byte, and the
+// requester learns of it only when its transport retries run out, one
+// deadline after the post, with its QP in the error state.
+TEST(Hca, WriteTowardADeadQpFailsAfterTheTransportDeadline) {
+  EXPECT_EQ(kTransportDeadline, sim::nanoseconds(262144));
+  const Time post_at = sim::microseconds(7);
+  const WriteOutcome out = write_toward(/*dead=*/true, post_at);
+  EXPECT_EQ(out.wc.wr_id, 9u);
+  EXPECT_EQ(out.wc.status, WcStatus::RetryExceeded);
+  EXPECT_EQ(out.wc.byte_len, 0u);
+  EXPECT_EQ(out.at, post_at + kTransportDeadline);
+  EXPECT_FALSE(out.landed);
+}
+
+// The HCA acknowledges for a live process whatever its CPU does: a write
+// toward a QP whose process sits in a long wait completes as it does with
+// no process at all.
+TEST(Hca, WriteTowardABusyLiveProcessCompletesOnTime) {
+  const Time post_at = sim::microseconds(7);
+  const WriteOutcome idle = write_toward(/*dead=*/false, post_at);
+  const WriteOutcome busy =
+      write_toward(/*dead=*/false, post_at,
+                   [](sim::Process& p) { p.wait(sim::milliseconds(5)); });
+  EXPECT_EQ(busy.wc.status, WcStatus::Success);
+  EXPECT_TRUE(busy.landed);
+  EXPECT_GT(busy.at, post_at);
+  EXPECT_LT(busy.at, post_at + sim::microseconds(5));
+  EXPECT_EQ(busy.at, idle.at);
 }
 
 TEST(Hca, MissingRemoteWritePermissionRejected) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ib/hca.hpp"
 #include "mpi/runtime.hpp"
 #include "mpi/traffic.hpp"
 #include "sim/fault.hpp"
@@ -293,18 +294,15 @@ TEST(RankFailure, WildcardRecvWakesWhenOnlyPossibleSenderDies) {
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeat false positives: a live-but-stalled peer near the liveness
-// timeout must not be declared dead when the grace term covers the stall.
-// Pins the boundary from both sides: without grace the stall trips a
-// spurious reconnect, with grace the run stays clean.
+// A live-but-stalled peer is never declared dead: its HCA answers the
+// watcher's probes all through a stall longer than the 400 us liveness
+// bound, with no grace to tune.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t stalled_peer_reconnects(sim::Time grace) {
+TEST(RankFailure, LiveStragglerIsNotSuspected) {
   RunConfig cfg;
   cfg.nprocs = 2;
-  // Arm the heartbeat without ever firing a fault (the skip window is far
+  // Arm liveness without ever firing a fault (the skip window is far
   // beyond any WR this run posts), and squeeze the eager ring to 2 credits
   // so the sender wedges with genuinely pending traffic toward the
   // straggler — delivered-and-acked packets don't count as pending.
@@ -312,13 +310,12 @@ std::uint64_t stalled_peer_reconnects(sim::Time grace) {
   Runtime rt(cfg);
   rt.run([&](RankCtx& ctx) {
     auto& comm = ctx.world;
-    if (grace > 0) comm.engine().set_liveness_grace(grace);
     mem::Buffer buf = comm.alloc(512);
     if (ctx.rank == 0) {
       // Sender: the eager packets stay unacked while the peer stalls — the
       // "pending traffic" that makes the liveness monitor watch rank 1 at
       // all. The trailing recv keeps rank 0 blocked inside the engine
-      // (driving heartbeat ticks) for the whole stall window.
+      // (probing rank 1) for the whole stall window.
       for (int i = 0; i < 3; ++i) {
         std::memset(buf.data(), i, 512);
         comm.send(buf, 0, 512, type_byte(), 1, 3);
@@ -326,9 +323,9 @@ std::uint64_t stalled_peer_reconnects(sim::Time grace) {
       comm.recv(buf, 0, 512, type_byte(), 1, 5);
       EXPECT_EQ(buf.data()[0], std::byte{0x77});
     } else {
-      // Straggler: stalls past mpi_liveness_timeout (400us) before
-      // draining, like a compute quantum stretched by OS noise. No
-      // progress runs during the stall, so its pulse does not move.
+      // Straggler: stalls past the 400 us liveness bound before draining,
+      // like a compute quantum stretched by OS noise. No progress runs
+      // during the stall.
       ctx.proc.wait(sim::microseconds(550));
       for (int i = 0; i < 3; ++i) {
         comm.recv(buf, 0, 512, type_byte(), 0, 3);
@@ -338,17 +335,11 @@ std::uint64_t stalled_peer_reconnects(sim::Time grace) {
     }
     comm.free(buf);
   });
-  return rt.rank_stats()[0].reconnects + rt.rank_stats()[1].reconnects;
-}
-
-}  // namespace
-
-TEST(RankFailure, LivenessGraceSuppressesStragglerFalsePositives) {
-  // Without grace the 550us stall blows the 400us liveness deadline and
-  // rank 0 starts a spurious recovery against a perfectly live peer.
-  EXPECT_GE(stalled_peer_reconnects(0), 1u);
-  // A grace covering the worst-case stall keeps the connection Healthy.
-  EXPECT_EQ(stalled_peer_reconnects(sim::microseconds(300)), 0u);
+  const Engine::Stats& watcher = rt.rank_stats()[0];
+  EXPECT_GT(watcher.liveness_probes, 0u);  // rank 0 did watch rank 1
+  EXPECT_EQ(watcher.liveness_suspicions, 0u);
+  EXPECT_EQ(rt.rank_stats()[0].reconnects + rt.rank_stats()[1].reconnects,
+            0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -462,11 +453,12 @@ TEST(RankFailure, PairwiseExchangeUnderKillsAndQpFaultsEnds) {
 }
 
 // ---------------------------------------------------------------------------
-// Pull liveness detection bound: a survivor watching a killed peer (a
-// receive only the victim could satisfy) probes the victim's pulse once it
-// has been silent for a period, and declares it between the liveness
-// timeout and timeout + 2 periods + one probe round trip after the death,
-// identically on rerun.
+// Transport liveness detection bound: a survivor watching a killed peer (a
+// receive only the victim could satisfy) probes it once per period. The
+// first probe after the death gets no answer and fails after the transport
+// deadline, so the survivor declares the victim between one deadline and
+// one period + deadline + one probe round trip after the death, identically
+// on rerun.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -509,12 +501,12 @@ TEST(RankFailure, WatchedDeadPeerIsDeclaredWithinTheLivenessBound) {
                               2 * wire + p.hca_read_phi_latency +
                               p.hca_write_phi_latency +
                               sim::microseconds(1);  // 16 B on three links
-  const sim::Time lo = p.mpi_liveness_timeout;
+  const sim::Time lo = ib::kTransportDeadline;
   const sim::Time hi =
-      p.mpi_liveness_timeout + 2 * p.mpi_heartbeat_period + probe_rtt;
+      p.mpi_heartbeat_period + ib::kTransportDeadline + probe_rtt;
   // Kill times spread over one heartbeat period, so the death lands at
   // every phase of the watcher's ticks. Setup ends near 300 us, so by then
-  // the watch is on and the victim's pulse has been moving.
+  // the watch is on and the watcher has been probing.
   for (const sim::Time kill_at : {600000, 612500, 625000, 637500}) {
     SCOPED_TRACE("kill_at_ns=" + std::to_string(kill_at));
     const Engine::Stats a = watcher_of_killed_peer(kill_at);
